@@ -38,7 +38,7 @@ def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
     w = params.no_match_cost
     # candidate edges per t1 node as (cost, m), cheapest first
     options: list[list[tuple[float, int]]] = [
-        sorted((g.edges[i].cost, g.edges[i].m) for i in g.t1_adjacency[n])
+        sorted((g.edge_cost[i], g.edge_m[i]) for i in g.t1_adjacency[n])
         for n in range(g.t1_size)
     ]
     # delta of a pair relative to leaving both ends unmatched
@@ -77,19 +77,9 @@ def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
 
     search(0, 0, 0.0)
 
-    pairs = tuple((n, m) for n, m, _ in best_pairs)
-    costs = tuple(c for _, _, c in best_pairs)
-    matched_t1 = {n for n, _ in pairs}
-    matched_t2 = {m for _, m in pairs}
-    return Matching(
-        pairs=pairs,
-        pair_costs=costs,
-        unmatched_t1=frozenset(i for i in range(g.t1_size) if i not in matched_t1),
-        unmatched_t2=frozenset(i for i in range(g.t2_size) if i not in matched_t2),
-        t1_size=g.t1_size,
-        t2_size=g.t2_size,
-        _checked=True,
-    )
+    pairs = [(n, m) for n, m, _ in best_pairs]
+    costs = [c for _, _, c in best_pairs]
+    return Matching.from_pairs(pairs, costs, g.t1_size, g.t2_size)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +335,4 @@ def ted_match(t1: LabeledTree, t2: LabeledTree, cfg: TedCostConfig = TedCostConf
         b = t2.node(m)
         same = a.tag == b.tag and a.attributes == b.attributes
         costs.append(0.0 if same else float(cfg.relabel_cost))
-    matched_t1 = {n for n, _ in id_pairs}
-    matched_t2 = {m for _, m in id_pairs}
-    return Matching(
-        pairs=tuple(id_pairs),
-        pair_costs=tuple(costs),
-        unmatched_t1=frozenset(i for i in range(len(t1)) if i not in matched_t1),
-        unmatched_t2=frozenset(i for i in range(len(t2)) if i not in matched_t2),
-        t1_size=len(t1),
-        t2_size=len(t2),
-        _checked=True,
-    )
+    return Matching.from_pairs(id_pairs, costs, len(t1), len(t2))

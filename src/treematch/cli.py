@@ -25,7 +25,7 @@ from .evaluate import (
     write_bundle,
     write_sweep_csv,
 )
-from .graph import matching_cost, matching_to_json
+from .graph import edge_count, matching_cost, matching_to_json
 from .mutate import ExhaustedTargets, assign_signatures, mutate
 from .pipeline import match_trees_detailed
 from .similarity import SftmParams
@@ -145,7 +145,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         edges = len(matching.pairs)
     else:
         matching, graph = match_trees_detailed(t1, t2, params, options)
-        edges = len(graph.edges)
+        edges = edge_count(graph)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
@@ -201,6 +201,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         skip_malformed=True,
         warn=lambda msg: (failures.append(msg), print(f"warning: {msg}", file=sys.stderr)),
+        options=options,
     )
     out = Path(args.out)
     write_bench_csv(rows, out)
@@ -217,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params, options = _params_from(args)
     _echo_config("sweep", params, options)
     alphas = [float(a) for a in args.alphas.split(",") if a]
-    rows = sensitivity_sweep(Path(args.corpus), alphas, params)
+    rows = sensitivity_sweep(Path(args.corpus), alphas, params, options=options)
     out = Path(args.out)
     write_sweep_csv(rows, out)
     _write_sidecar(out, "sweep", params, options, {"alphas": alphas})

@@ -24,6 +24,7 @@ from .graph import Matching
 from .mutate import MutationLog, ground_truth, mutation_log_from_json, mutation_log_to_json
 from .pipeline import match_trees
 from .similarity import SftmParams
+from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
 from .tree import FormatError, LabeledTree, parse_tree_json, serialize_tree_json
 
 SOURCE_FILE = "source.html.json"
@@ -188,6 +189,7 @@ def evaluate_pair(
     algorithm: str,
     params: SftmParams,
     timeout_s: float | None = DEFAULT_TIMEOUT_S,
+    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
 ) -> BenchRow:
     """Match one (source, mutant) pair and score it; timing covers matching only."""
     if algorithm not in ALGORITHMS:
@@ -198,7 +200,7 @@ def evaluate_pair(
     if algorithm == "ted":
         task = lambda: ted_match(bundle.source, bundle.mutant, TedCostConfig())
     else:
-        task = lambda: match_trees(bundle.source, bundle.mutant, params)
+        task = lambda: match_trees(bundle.source, bundle.mutant, params, options)
 
     matching, elapsed, timed_out = _run_with_timeout(task, timeout_s)
 
@@ -237,9 +239,9 @@ def evaluate_pair(
     )
 
 
-def _bench_task(args: tuple[str, str, SftmParams, float | None]) -> BenchRow:
-    directory, algorithm, params, timeout_s = args
-    return evaluate_pair(load_bundle(Path(directory)), algorithm, params, timeout_s)
+def _bench_task(args: tuple[str, str, SftmParams, float | None, TokenOptions]) -> BenchRow:
+    directory, algorithm, params, timeout_s, options = args
+    return evaluate_pair(load_bundle(Path(directory)), algorithm, params, timeout_s, options)
 
 
 def run_benchmark(
@@ -250,6 +252,7 @@ def run_benchmark(
     jobs: int = 1,
     skip_malformed: bool = False,
     warn=None,
+    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
 ) -> list[BenchRow]:
     """Evaluate every bundle under ``corpus_dir`` with every algorithm.
 
@@ -275,7 +278,7 @@ def run_benchmark(
         loadable.append(directory)
 
     tasks = [
-        (str(directory), algorithm, params, timeout_s)
+        (str(directory), algorithm, params, timeout_s, options)
         for directory in loadable
         for algorithm in algorithms
     ]
@@ -303,6 +306,7 @@ def sensitivity_sweep(
     alphas: Sequence[float],
     params: SftmParams,
     timeout_s: float | None = None,
+    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
 ) -> list[SweepRow]:
     """Mean match rate and mean elapsed time per threshold exponent."""
     directories = discover_bundles(corpus_dir)
@@ -315,7 +319,7 @@ def sensitivity_sweep(
         rates = []
         times = []
         for bundle in bundles:
-            row = evaluate_pair(bundle, "similarity", swept, timeout_s)
+            row = evaluate_pair(bundle, "similarity", swept, timeout_s, options)
             if row.timeout:
                 continue
             rates.append(row.rate)

@@ -5,12 +5,18 @@ its cost is 1/(1+score), so better-scoring pairs are cheaper. A full
 matching covers every node of both trees exactly once, either by a pair or
 by leaving it in the unmatched set (the no-match assignment), and is charged
 ``no_match_cost`` per unmatched node.
+
+The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
+sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
+built per edge on the matching path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import Iterable
 
 from .similarity import SftmParams, SimilarityTable
 from .tree import LabeledTree
@@ -27,44 +33,53 @@ class Edge:
     cost: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchGraph:
-    """Edges sorted by (cost, n, m) plus per-node adjacency into that order.
+    """Edges as parallel arrays sorted by (cost, n, m), plus per-node adjacency.
 
-    Immutable after construction; ``_scratch`` caches optimizer working
-    structures derived from the edge list.
+    Edge ``i`` joins t1 node ``edge_n[i]`` to t2 node ``edge_m[i]`` at cost
+    ``edge_cost[i]``. ``t1_adjacency[n]`` and ``t2_adjacency[m]`` list the
+    indices of a node's edges in that order, cheapest first. The optimizer
+    reads the arrays directly; :attr:`edges` is a convenience view.
     """
 
-    edges: tuple[Edge, ...]
+    edge_n: tuple[int, ...]
+    edge_m: tuple[int, ...]
+    edge_cost: tuple[float, ...]
     t1_adjacency: tuple[tuple[int, ...], ...]
     t2_adjacency: tuple[tuple[int, ...], ...]
     t1_size: int
     t2_size: int
-    _scratch: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as :class:`Edge` objects, built on each access."""
+        return tuple(map(Edge, self.edge_n, self.edge_m, self.edge_cost))
 
 
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:
     """One edge per positive similarity entry, cost 1/(1+score)."""
-    edges = sorted(
-        (Edge(n=n, m=m, cost=1.0 / (1.0 + score)) for (n, m), score in sp.scores.items()),
-        key=lambda e: (e.cost, e.n, e.m),
-    )
+    keyed = sorted((1.0 / (1.0 + score), n, m) for (n, m), score in sp.scores.items())
+    edge_cost, edge_n, edge_m = zip(*keyed) if keyed else ((), (), ())
     t1_adj: list[list[int]] = [[] for _ in range(len(t1))]
     t2_adj: list[list[int]] = [[] for _ in range(len(t2))]
-    for idx, edge in enumerate(edges):
-        t1_adj[edge.n].append(idx)
-        t2_adj[edge.m].append(idx)
+    for idx, n in enumerate(edge_n):
+        t1_adj[n].append(idx)
+    for idx, m in enumerate(edge_m):
+        t2_adj[m].append(idx)
     return MatchGraph(
-        edges=tuple(edges),
-        t1_adjacency=tuple(tuple(a) for a in t1_adj),
-        t2_adjacency=tuple(tuple(a) for a in t2_adj),
+        edge_n=edge_n,
+        edge_m=edge_m,
+        edge_cost=edge_cost,
+        t1_adjacency=tuple(map(tuple, t1_adj)),
+        t2_adjacency=tuple(map(tuple, t2_adj)),
         t1_size=len(t1),
         t2_size=len(t2),
     )
 
 
 def edge_count(g: MatchGraph) -> int:
-    return len(g.edges)
+    return len(g.edge_n)
 
 
 def neighbors(g: MatchGraph, side: str, node_id: int) -> list[Edge]:
@@ -77,7 +92,7 @@ def neighbors(g: MatchGraph, side: str, node_id: int) -> list[Edge]:
         raise ValueError(f"side must be 't1' or 't2', got {side!r}")
     if not 0 <= node_id < len(adjacency):
         return []
-    return [g.edges[i] for i in adjacency[node_id]]
+    return [Edge(g.edge_n[i], g.edge_m[i], g.edge_cost[i]) for i in adjacency[node_id]]
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,36 @@ class Matching:
     def size(self) -> int:
         """Edge count of the full matching, no-match assignments included."""
         return len(self.pairs) + len(self.unmatched_t1) + len(self.unmatched_t2)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        pairs: Iterable[tuple[int, int]],
+        costs: Iterable[float],
+        t1_size: int,
+        t2_size: int,
+    ) -> Matching:
+        """The full matching whose unmatched sets are every node no pair covers.
+
+        Raises :class:`NotFull` when a node is in two pairs or ``costs`` does
+        not line up with ``pairs``.
+        """
+        pairs = tuple(pairs)
+        costs = tuple(costs)
+        free_t1 = bytearray(b"\x01") * t1_size
+        free_t2 = bytearray(b"\x01") * t2_size
+        for n, m in pairs:
+            free_t1[n] = 0
+            free_t2[m] = 0
+        unmatched_t1 = frozenset(compress(range(t1_size), free_t1))
+        unmatched_t2 = frozenset(compress(range(t2_size), free_t2))
+        if (
+            len(costs) != len(pairs)
+            or len(pairs) + len(unmatched_t1) != t1_size
+            or len(pairs) + len(unmatched_t2) != t2_size
+        ):
+            raise NotFull("pairs do not form a matching over the given node ranges")
+        return cls(pairs, costs, unmatched_t1, unmatched_t2, t1_size, t2_size, _checked=True)
 
 
 def validate_full(m: Matching) -> None:

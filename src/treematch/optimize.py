@@ -7,8 +7,16 @@ with probability ``gamma``. Costs are fixed up front and never recomputed.
 Acceptance uses the standard Metropolis rule on the normalized objective
 exp(-beta * cost / size); the best matching seen is returned.
 
+A proposal makes one forward pass over the graph's cost-ordered edge arrays.
+An edge is live while neither endpoint is used, judged on demand from two
+per-tree byte flags, so keeping a pair costs O(1) and no incident edges are
+visited. Each scan round first revisits, in order, the live edges an earlier
+round passed over, then resumes the pass where it stopped. That visits the
+live edges in the same order as a fresh scan from the cheapest one would.
+
 Everything is driven by one seeded generator; per proposal the draw order is
-the kept-prefix length first, then one uniform draw per scanned edge, then
+the kept-prefix length first, then one uniform draw per scanned live edge
+(no draw when a scan runs out and falls back to the last live edge), then
 one acceptance draw per iteration. Runs reproduce bit-for-bit given
 (graph, params, seed).
 """
@@ -17,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .graph import MatchGraph, Matching, matching_cost
@@ -30,39 +37,6 @@ class EmptyMatching(ValueError):
     """Objective of a matching with no edges at all (both trees empty)."""
 
 
-@dataclass
-class MetropolisState:
-    """Walk state: the last accepted matching and the cheapest one seen."""
-
-    current: Matching
-    best: Matching
-    rng: random.Random
-    accepted_count: int = 0
-    iteration: int = 0
-
-
-class _Scratch:
-    """Working arrays derived from a graph, shared across suggestion calls."""
-
-    def __init__(self, g: MatchGraph):
-        self.edge_n = [e.n for e in g.edges]
-        self.edge_m = [e.m for e in g.edges]
-        self.edge_cost = [e.cost for e in g.edges]
-        self.t1_incident = [list(a) for a in g.t1_adjacency]
-        self.t2_incident = [list(a) for a in g.t2_adjacency]
-        self.count = len(g.edges)
-        self.alive_template = b"\x01" * self.count
-        self.skip_base = list(range(1, self.count + 1))
-
-
-def _scratch_for(g: MatchGraph) -> _Scratch:
-    scratch = g._scratch
-    if scratch is None:
-        scratch = _Scratch(g)
-        g._scratch = scratch
-    return scratch  # type: ignore[return-value]
-
-
 def initial_matching(
     g: MatchGraph, params: SftmParams, rng: random.Random | None = None
 ) -> Matching:
@@ -72,21 +46,13 @@ def initial_matching(
     t2_used = bytearray(g.t2_size)
     pairs: list[tuple[int, int]] = []
     costs: list[float] = []
-    for edge in g.edges:
-        if not t1_used[edge.n] and not t2_used[edge.m]:
-            t1_used[edge.n] = 1
-            t2_used[edge.m] = 1
-            pairs.append((edge.n, edge.m))
-            costs.append(edge.cost)
-    return Matching(
-        pairs=tuple(pairs),
-        pair_costs=tuple(costs),
-        unmatched_t1=frozenset(i for i in range(g.t1_size) if not t1_used[i]),
-        unmatched_t2=frozenset(i for i in range(g.t2_size) if not t2_used[i]),
-        t1_size=g.t1_size,
-        t2_size=g.t2_size,
-        _checked=True,
-    )
+    for n, m, cost in zip(g.edge_n, g.edge_m, g.edge_cost):
+        if not t1_used[n] and not t2_used[m]:
+            t1_used[n] = 1
+            t2_used[m] = 1
+            pairs.append((n, m))
+            costs.append(cost)
+    return Matching.from_pairs(pairs, costs, g.t1_size, g.t2_size)
 
 
 def suggest_matching(
@@ -94,93 +60,59 @@ def suggest_matching(
 ) -> Matching:
     """Propose a full matching related to ``m_t``.
 
-    Keeps a uniform-random number of ``m_t``'s pairs in stored order (pruning
-    their incident edges), then repeatedly scans the surviving edges cheapest
-    first, selecting each scanned edge with probability ``gamma`` and falling
-    back to the last remaining edge when a scan runs out. Nodes left with no
-    selected edge become unmatched.
+    Keeps a uniform-random number of ``m_t``'s pairs in stored order, then
+    repeatedly scans the live edges (both endpoints unused) cheapest first,
+    selecting each scanned edge with probability ``gamma`` and falling back
+    to the last live edge when a scan runs out. Nodes left with no selected
+    edge become unmatched.
     """
-    scratch = _scratch_for(g)
-    edge_total = scratch.count
-    edge_n = scratch.edge_n
-    edge_m = scratch.edge_m
-    edge_cost = scratch.edge_cost
-    t1_incident = scratch.t1_incident
-    t2_incident = scratch.t2_incident
-
-    alive = bytearray(scratch.alive_template)
-    skip = scratch.skip_base.copy()
-    live = edge_total
     t1_used = bytearray(g.t1_size)
     t2_used = bytearray(g.t2_size)
-    pairs: list[tuple[int, int]] = []
-    costs: list[float] = []
+    to_keep = rng.randint(0, len(m_t.pairs))
+    pairs = list(m_t.pairs[:to_keep])
+    costs = list(m_t.pair_costs[:to_keep])
+    for n, m in pairs:
+        t1_used[n] = 1
+        t2_used[m] = 1
+
     gamma = params.gamma
     rand = rng.random
+    # edges not yet reached by any scan, cheapest first
+    frontier = zip(g.edge_n, g.edge_m, g.edge_cost)
+    # edges some round scanned and passed over, in edge order; every live edge
+    # behind the frontier is in here, but entries may have died since
+    pending: list[tuple[int, int, float]] = []
 
-    def find_live(i: int) -> int:
-        # first live edge index >= i; compresses skip pointers over dead runs
-        j = i
-        while j < edge_total and not alive[j]:
-            j = skip[j]
-        while i < j:
-            nxt = skip[i]
-            skip[i] = j
-            i = nxt
-        return j
-
-    to_keep = rng.randint(0, len(m_t.pairs))
-    for k in range(to_keep):
-        n, m2 = m_t.pairs[k]
-        pairs.append((n, m2))
-        costs.append(m_t.pair_costs[k])
-        t1_used[n] = 1
-        t2_used[m2] = 1
-        for e in t1_incident[n]:
-            if alive[e]:
-                alive[e] = 0
-                live -= 1
-        for e in t2_incident[m2]:
-            if alive[e]:
-                alive[e] = 0
-                live -= 1
-
-    while live > 0:
-        pos = find_live(0)
-        chosen = -1
-        last = -1
-        while pos < edge_total:
-            last = pos
-            if rand() < gamma:
-                chosen = pos
+    while True:
+        # one scan round; a break out of either loop leaves (n, m, cost) on
+        # the chosen edge
+        i = 0
+        while i < len(pending):
+            n, m, cost = pending[i]
+            if t1_used[n] or t2_used[m]:
+                del pending[i]
+            elif rand() < gamma:
+                del pending[i]
                 break
-            pos = find_live(pos + 1)
-        if chosen < 0:
-            chosen = last  # scan exhausted: take the last remaining edge
-        n = edge_n[chosen]
-        m2 = edge_m[chosen]
-        pairs.append((n, m2))
-        costs.append(edge_cost[chosen])
+            else:
+                i += 1
+        else:  # nothing chosen behind the frontier: resume the forward pass
+            for n, m, cost in frontier:
+                if t1_used[n] or t2_used[m]:
+                    continue
+                if rand() < gamma:
+                    break
+                pending.append((n, m, cost))
+            else:
+                if not pending:
+                    break  # no live edge left
+                n, m, cost = pending.pop()  # scan exhausted: take the last live edge
+        pairs.append((n, m))
+        costs.append(cost)
         t1_used[n] = 1
-        t2_used[m2] = 1
-        for e in t1_incident[n]:
-            if alive[e]:
-                alive[e] = 0
-                live -= 1
-        for e in t2_incident[m2]:
-            if alive[e]:
-                alive[e] = 0
-                live -= 1
+        t2_used[m] = 1
 
-    return Matching(
-        pairs=tuple(pairs),
-        pair_costs=tuple(costs),
-        unmatched_t1=frozenset(i for i in range(g.t1_size) if not t1_used[i]),
-        unmatched_t2=frozenset(i for i in range(g.t2_size) if not t2_used[i]),
-        t1_size=g.t1_size,
-        t2_size=g.t2_size,
-        _checked=True,
-    )
+    return Matching.from_pairs(pairs, costs, g.t1_size, g.t2_size)
 
 
 def objective(m: Matching, params: SftmParams) -> float:
@@ -199,25 +131,24 @@ def metropolis(
     current = initial_matching(g, params, rng)
     if current.size == 0:
         return current  # both trees empty; nothing to walk over
-    state = MetropolisState(current=current, best=current, rng=rng)
-    cur_cost = matching_cost(current, params)
-    best_cost = cur_cost
+    best = current
+    cur_cost = best_cost = matching_cost(current, params)
+    accepted = 0
     beta = params.beta
 
     for it in range(1, params.iterations + 1):
-        state.iteration = it
-        proposal = suggest_matching(g, state.current, params, rng)
+        proposal = suggest_matching(g, current, params, rng)
         prop_cost = matching_cost(proposal, params)
-        log_ratio = -beta * (prop_cost / proposal.size - cur_cost / state.current.size)
+        log_ratio = -beta * (prop_cost / proposal.size - cur_cost / current.size)
         accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
         if rng.random() < accept_prob:
-            state.current = proposal
+            current = proposal
             cur_cost = prop_cost
-            state.accepted_count += 1
+            accepted += 1
         if prop_cost < best_cost:
-            state.best = proposal
+            best = proposal
             best_cost = prop_cost
         if progress is not None:
             progress(it, cur_cost, best_cost)
 
-    return state.best
+    return best

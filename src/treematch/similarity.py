@@ -212,15 +212,3 @@ def propagate(
         out[(n, m)] = total
     return SimilarityTable(scores=out)
 
-
-def similarity_debug_dump(
-    index: TokenIndex, table: SimilarityTable, t1: LabeledTree, t2: LabeledTree
-) -> dict:
-    """JSON-ready diagnostic view: token multiplicities and xpath-keyed scores."""
-    return {
-        "token_counts": {t: len(nodes) for t, nodes in sorted(index.entries.items())},
-        "scores": [
-            {"t1": t1.node(n).xpath, "t2": t2.node(m).xpath, "score": s}
-            for (n, m), s in sorted(table.scores.items())
-        ],
-    }

@@ -2,17 +2,20 @@
 
 These deliberately avoid the library's index/DP machinery: the similarity
 oracle does pairwise token intersections, the edit-distance oracle is the
-plain recursive forest definition.
+plain recursive forest definition, and the Metropolis oracle is the walk as
+first written, over a graph of ``Edge`` objects with per-edge kill loops.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from treematch.graph import MatchGraph
-from treematch.similarity import SftmParams, threshold_cutoff
+from treematch.graph import Edge, MatchGraph, Matching, matching_cost
+from treematch.similarity import SftmParams, SimilarityTable, threshold_cutoff
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, tokenize_node
 from treematch.tree import LabeledTree
 
@@ -111,3 +114,192 @@ def enumerate_matching_costs(g: MatchGraph, params: SftmParams) -> list[float]:
             unmatched = (g.t1_size - r) + (g.t2_size - r)
             costs.append(edge_cost + w * unmatched)
     return costs
+
+
+# ---------------------------------------------------------------------------
+# Metropolis walk over a graph of Edge objects, with the kept prefix and each
+# chosen edge pruned by clearing the alive flag of every incident edge.
+
+@dataclass
+class ReferenceGraph:
+    """Edges sorted by (cost, n, m) plus per-node adjacency into that order."""
+
+    edges: tuple[Edge, ...]
+    t1_adjacency: tuple[tuple[int, ...], ...]
+    t2_adjacency: tuple[tuple[int, ...], ...]
+    t1_size: int
+    t2_size: int
+    _scratch: object = field(default=None, repr=False, compare=False)
+
+
+def reference_build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> ReferenceGraph:
+    edges = sorted(
+        (Edge(n=n, m=m, cost=1.0 / (1.0 + score)) for (n, m), score in sp.scores.items()),
+        key=lambda e: (e.cost, e.n, e.m),
+    )
+    t1_adj: list[list[int]] = [[] for _ in range(len(t1))]
+    t2_adj: list[list[int]] = [[] for _ in range(len(t2))]
+    for idx, edge in enumerate(edges):
+        t1_adj[edge.n].append(idx)
+        t2_adj[edge.m].append(idx)
+    return ReferenceGraph(
+        edges=tuple(edges),
+        t1_adjacency=tuple(tuple(a) for a in t1_adj),
+        t2_adjacency=tuple(tuple(a) for a in t2_adj),
+        t1_size=len(t1),
+        t2_size=len(t2),
+    )
+
+
+class _Scratch:
+    """Working arrays derived from a graph, shared across suggestion calls."""
+
+    def __init__(self, g: ReferenceGraph):
+        self.edge_n = [e.n for e in g.edges]
+        self.edge_m = [e.m for e in g.edges]
+        self.edge_cost = [e.cost for e in g.edges]
+        self.t1_incident = [list(a) for a in g.t1_adjacency]
+        self.t2_incident = [list(a) for a in g.t2_adjacency]
+        self.count = len(g.edges)
+        self.alive_template = b"\x01" * self.count
+        self.skip_base = list(range(1, self.count + 1))
+
+
+def _scratch_for(g: ReferenceGraph) -> _Scratch:
+    scratch = g._scratch
+    if scratch is None:
+        scratch = _Scratch(g)
+        g._scratch = scratch
+    return scratch  # type: ignore[return-value]
+
+
+def reference_initial_matching(g: ReferenceGraph) -> Matching:
+    t1_used = bytearray(g.t1_size)
+    t2_used = bytearray(g.t2_size)
+    pairs: list[tuple[int, int]] = []
+    costs: list[float] = []
+    for edge in g.edges:
+        if not t1_used[edge.n] and not t2_used[edge.m]:
+            t1_used[edge.n] = 1
+            t2_used[edge.m] = 1
+            pairs.append((edge.n, edge.m))
+            costs.append(edge.cost)
+    return Matching(
+        pairs=tuple(pairs),
+        pair_costs=tuple(costs),
+        unmatched_t1=frozenset(i for i in range(g.t1_size) if not t1_used[i]),
+        unmatched_t2=frozenset(i for i in range(g.t2_size) if not t2_used[i]),
+        t1_size=g.t1_size,
+        t2_size=g.t2_size,
+        _checked=True,
+    )
+
+
+def reference_suggest_matching(
+    g: ReferenceGraph, m_t: Matching, params: SftmParams, rng: random.Random
+) -> Matching:
+    scratch = _scratch_for(g)
+    edge_total = scratch.count
+    edge_n = scratch.edge_n
+    edge_m = scratch.edge_m
+    edge_cost = scratch.edge_cost
+    t1_incident = scratch.t1_incident
+    t2_incident = scratch.t2_incident
+
+    alive = bytearray(scratch.alive_template)
+    skip = scratch.skip_base.copy()
+    live = edge_total
+    t1_used = bytearray(g.t1_size)
+    t2_used = bytearray(g.t2_size)
+    pairs: list[tuple[int, int]] = []
+    costs: list[float] = []
+    gamma = params.gamma
+    rand = rng.random
+
+    def find_live(i: int) -> int:
+        # first live edge index >= i; compresses skip pointers over dead runs
+        j = i
+        while j < edge_total and not alive[j]:
+            j = skip[j]
+        while i < j:
+            nxt = skip[i]
+            skip[i] = j
+            i = nxt
+        return j
+
+    to_keep = rng.randint(0, len(m_t.pairs))
+    for k in range(to_keep):
+        n, m2 = m_t.pairs[k]
+        pairs.append((n, m2))
+        costs.append(m_t.pair_costs[k])
+        t1_used[n] = 1
+        t2_used[m2] = 1
+        for e in t1_incident[n]:
+            if alive[e]:
+                alive[e] = 0
+                live -= 1
+        for e in t2_incident[m2]:
+            if alive[e]:
+                alive[e] = 0
+                live -= 1
+
+    while live > 0:
+        pos = find_live(0)
+        chosen = -1
+        last = -1
+        while pos < edge_total:
+            last = pos
+            if rand() < gamma:
+                chosen = pos
+                break
+            pos = find_live(pos + 1)
+        if chosen < 0:
+            chosen = last  # scan exhausted: take the last remaining edge
+        n = edge_n[chosen]
+        m2 = edge_m[chosen]
+        pairs.append((n, m2))
+        costs.append(edge_cost[chosen])
+        t1_used[n] = 1
+        t2_used[m2] = 1
+        for e in t1_incident[n]:
+            if alive[e]:
+                alive[e] = 0
+                live -= 1
+        for e in t2_incident[m2]:
+            if alive[e]:
+                alive[e] = 0
+                live -= 1
+
+    return Matching(
+        pairs=tuple(pairs),
+        pair_costs=tuple(costs),
+        unmatched_t1=frozenset(i for i in range(g.t1_size) if not t1_used[i]),
+        unmatched_t2=frozenset(i for i in range(g.t2_size) if not t2_used[i]),
+        t1_size=g.t1_size,
+        t2_size=g.t2_size,
+        _checked=True,
+    )
+
+
+def reference_metropolis(g: ReferenceGraph, params: SftmParams) -> Matching:
+    rng = random.Random(params.seed)
+    current = reference_initial_matching(g)
+    if current.size == 0:
+        return current
+    best = current
+    cur_cost = matching_cost(current, params)
+    best_cost = cur_cost
+    beta = params.beta
+
+    for _ in range(params.iterations):
+        proposal = reference_suggest_matching(g, current, params, rng)
+        prop_cost = matching_cost(proposal, params)
+        log_ratio = -beta * (prop_cost / proposal.size - cur_cost / current.size)
+        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        if rng.random() < accept_prob:
+            current = proposal
+            cur_cost = prop_cost
+        if prop_cost < best_cost:
+            best = proposal
+            best_cost = prop_cost
+    return best

@@ -152,6 +152,22 @@ class TestBenchCommand:
                          for r in rows])
         assert outs[0] == outs[1]
 
+    def test_flat_tokens_change_rows(self, page_file, tmp_path):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.4", "--count", "3",
+              "--out-dir", str(corpus), "--seed", "4"])
+        outs = []
+        for name, flags in (("a.csv", []), ("b.csv", ["--flat-tokens"])):
+            out = tmp_path / name
+            main(["bench", str(corpus), "--out", str(out), "--iterations", "20", *flags])
+            rows = out.read_text().strip().split("\n")
+            drop = rows[0].split(",").index("elapsed_s")
+            outs.append([[v for i, v in enumerate(r.split(",")) if i != drop] for r in rows])
+        # same corpus and seed: only the token namespace differs, and on this
+        # corpus it changes the matching of the most mutated page
+        assert outs[0][:3] == outs[1][:3]
+        assert outs[0][3] != outs[1][3]
+
 
 class TestSweepCommand:
     def test_three_rows(self, page_file, tmp_path):

@@ -183,6 +183,16 @@ class TestMatchingCost:
         assert len(m.pairs) <= min(m.t1_size, m.t2_size)
 
 
+class TestFromPairs:
+    def test_equals_hand_built(self):
+        m = Matching.from_pairs([(0, 2), (1, 0)], [0.4, 0.6], 4, 3)
+        assert m == full_matching([(0, 2), (1, 0)], [0.4, 0.6], 4, 3)
+
+    def test_node_in_two_pairs_rejected(self):
+        with pytest.raises(NotFull):
+            Matching.from_pairs([(0, 0), (0, 1)], [0.5, 0.5], 2, 2)
+
+
 class TestSerialization:
     def test_json_shape(self):
         t1 = freeze(DraftNode(tag="div", children=[DraftNode(tag="p")]))

@@ -6,9 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_build_graph, reference_metropolis, reference_suggest_matching
 from strategies import tree_pairs
 from treematch.baselines import brute_force_optimal
 from treematch.graph import Matching, build_graph, matching_cost, validate_full
+from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import (
     EmptyMatching,
     initial_matching,
@@ -18,19 +20,19 @@ from treematch.optimize import (
 )
 from treematch.pipeline import match_trees_detailed
 from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
-from treematch.tree import DraftNode, freeze
+from treematch.tree import DraftNode, freeze, parse_html
 
 PARAMS = SftmParams()
 
 
-def graph_from_scores(scores: dict, t1_size: int, t2_size: int):
+def graph_from_scores(scores: dict, t1_size: int, t2_size: int, build=build_graph):
     def line(n):
         root = DraftNode(tag="r")
         for k in range(n - 1):
             root.children.append(DraftNode(tag=f"c{k}"))
         return freeze(root)
 
-    return build_graph(SimilarityTable(scores=scores), line(t1_size), line(t2_size))
+    return build(SimilarityTable(scores=scores), line(t1_size), line(t2_size))
 
 
 def cost_to_score(cost: float) -> float:
@@ -279,3 +281,56 @@ def test_progress_hook_reports_iterations():
     metropolis(g, SftmParams(iterations=5),
                progress=lambda it, cur, best: calls.append((it, cur, best)))
     assert [c[0] for c in calls] == [1, 2, 3, 4, 5]
+
+
+class TestAgainstReferenceWalk:
+    """The one-pass proposal against the walk with per-edge kill loops."""
+
+    @staticmethod
+    def assert_same_walk(t1, t2, params):
+        sp = propagate(initial_similarity(t1, t2, params), t1, t2, params)
+        g = build_graph(sp, t1, t2)
+        ref = reference_build_graph(sp, t1, t2)
+        assert g.edges == ref.edges
+        assert (g.t1_adjacency, g.t2_adjacency) == (ref.t1_adjacency, ref.t2_adjacency)
+        assert metropolis(g, params) == reference_metropolis(ref, params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tree_pairs(max_nodes=10),
+        st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_trees(self, pair, gamma, seed):
+        t1, t2 = pair
+        self.assert_same_walk(t1, t2, SftmParams(gamma=gamma, iterations=30, seed=seed))
+
+    @pytest.mark.parametrize("page", ["p00", "p04", "p08"])
+    @pytest.mark.parametrize("ratio", [0.1, 0.3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_corpus_mutants(self, corpus_pages, page, ratio, seed):
+        path = next(p for p in corpus_pages if p.name.startswith(page + "_"))
+        source = assign_signatures(parse_html(path.read_bytes()))
+        mutant, _ = mutate(source, ratio, seed)
+        self.assert_same_walk(source, mutant, SftmParams(seed=seed))
+
+    def test_passed_over_edge_chosen_or_dropped_later(self):
+        # cost order: (0,0) (1,0) (1,1) (2,2). Round 1 passes over the first
+        # three and takes (2,2); round 2 passes (0,0) again and takes (1,0),
+        # which kills both (0,0) and (1,1); round 3 finds nothing live.
+        costs = {(0, 0): 0.2, (1, 0): 0.3, (1, 1): 0.4, (2, 2): 0.5}
+        scores = {k: cost_to_score(c) for k, c in costs.items()}
+        g = graph_from_scores(scores, 3, 3)
+        ref = graph_from_scores(scores, 3, 3, build=reference_build_graph)
+        params = SftmParams(gamma=0.5)
+        empty = initial_matching(graph_from_scores({}, 3, 3), params)
+        draws = [0.9, 0.9, 0.9, 0.0, 0.9, 0.0]
+        rng = ScriptedRng(randints=[0], randoms=draws)
+        m = suggest_matching(g, empty, params, rng)
+        assert m.pairs == ((2, 2), (1, 0))
+        assert m.unmatched_t1 == frozenset({0})
+        assert m.unmatched_t2 == frozenset({1})
+        assert rng._randoms == []  # one draw per scanned live edge: all used
+        assert m == reference_suggest_matching(
+            ref, empty, params, ScriptedRng(randints=[0], randoms=draws)
+        )
