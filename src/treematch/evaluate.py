@@ -157,7 +157,9 @@ def _run_with_timeout(fn, timeout_s: float | None):
     """Run ``fn`` with a wall-clock cap; needs the main thread (signal-based).
 
     Returns (result, elapsed, timed_out); off the main thread the cap is not
-    enforced.
+    enforced. A run that returns at or past the cap also counts as timed
+    out: Python drops an exception raised while a gc callback runs, so the
+    alarm's exception can be lost.
     """
     use_alarm = (
         timeout_s is not None
@@ -176,12 +178,15 @@ def _run_with_timeout(fn, timeout_s: float | None):
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
         result = fn()
-        return result, time.perf_counter() - start, False
     except _TimeoutExpired:
         return None, time.perf_counter() - start, True
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    if elapsed >= timeout_s:
+        return None, elapsed, True
+    return result, elapsed, False
 
 
 def evaluate_pair(

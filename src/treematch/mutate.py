@@ -8,6 +8,35 @@ copy), wrap (new signature-less parent), unwrap (splice children into the
 node's place), swap (exchange two siblings). Attribute and content operators
 edit a node in place. All randomness comes from one seeded generator, so a
 (tree, ratio, seed) triple always produces the same mutant.
+
+Each operator makes its draws in this order:
+
+1. the kind: ``rng.choice(usable)``, where ``usable`` lists, in
+   ``MUTATION_KINDS`` order, every kind that has a target;
+2. the node: ``rng.choice(pool)``, where ``pool`` lists that kind's targets
+   in pre-order;
+3. the operator's own draws (swap partner, attribute, words, letters).
+
+A change to any pool's order or membership changes every later draw.
+
+``_Mutator`` updates the pools in place instead of rescanning the tree before
+each operator. After every operator:
+
+- ``nodes`` and ``sigs`` hold the draft's signed nodes in pre-order, and a
+  node's signed subtree is the slice starting at its position whose length
+  is its ``signed_count``;
+- one flag bytearray per kind is aligned with them: has-parent (shared by
+  duplicate and unwrap), swap (the parent has at least 2 children), and one
+  per attribute and text kind; wrap targets every signed node, and
+  remove_node every node with a parent whose signed count is at most the
+  number of nodes still to mutate (checked lazily);
+- ``parent_of`` and ``signed_count`` hold every signed node, keyed by
+  signature, and every wrapper and copy, keyed by ``id()`` and registered
+  when it is created (the id of an unregistered node may have belonged to a
+  node that died).
+
+Structural operators edit slices of the arrays; in-place operators recompute
+only their target's attribute and text flags, which can flip either way.
 """
 
 from __future__ import annotations
@@ -15,7 +44,9 @@ from __future__ import annotations
 import json
 import random
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .tree import DraftNode, LabeledTree, freeze, thaw
 
@@ -45,6 +76,7 @@ MUTATION_KINDS = (
 _STRUCTURAL_KINDS = frozenset(
     {"remove_node", "duplicate", "wrap", "unwrap", "swap"}
 )
+_CONTENT_KINDS = MUTATION_KINDS[5:]  # the in-place attribute and text operators
 
 # magnitudes for the partial text/attribute operators (the operators'
 # definition fixes only *what* changes, not how much)
@@ -102,13 +134,6 @@ def ground_truth(source: LabeledTree, mutant: LabeledTree) -> set[tuple[int, int
     return {(src[sig], dst[sig]) for sig in src.keys() & dst.keys()}
 
 
-def _signatures_in(node: DraftNode) -> list[str]:
-    found = [node.signature] if node.signature is not None else []
-    for child in node.children:
-        found.extend(_signatures_in(child))
-    return found
-
-
 def _random_word(rng: random.Random) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 8)))
 
@@ -118,6 +143,54 @@ def _drop_words(text: str, rng: random.Random) -> str:
     k = max(1, int(_REMOVE_WORD_FRACTION * len(words) + 0.5))
     doomed = set(rng.sample(range(len(words)), min(k, len(words))))
     return " ".join(w for i, w in enumerate(words) if i not in doomed)
+
+
+def _content_flags(node: DraftNode) -> tuple[bool, ...]:
+    """Whether ``node`` is a target of each of ``_CONTENT_KINDS``, in that order."""
+    attrs, text = node.attrs, node.text
+    has_text = bool(text)
+    return (
+        bool(attrs),
+        any(value.split() for _, value in attrs),
+        has_text,
+        has_text and any(ch.isalpha() for ch in text),  # type: ignore[union-attr]
+        has_text,
+        has_text and bool(text.split()),  # type: ignore[union-attr]
+    )
+
+
+def _key(node: DraftNode) -> str | int:
+    """Bookkeeping key: the signature, or ``id()`` for a registered unsigned node."""
+    return node.signature if node.signature is not None else id(node)
+
+
+class _Pool(Sequence):
+    """One kind's eligible signed nodes as pre-order ``(node, parent)`` entries.
+
+    A lazy view over the mutator's flags: truth reads them, and the position
+    list is built on first use.
+    """
+
+    def __init__(self, mutator: "_Mutator", kind: str, need: int):
+        self._mutator = mutator
+        self._kind = kind
+        self._need = need
+        self._positions: list[int] | None = None
+
+    def __bool__(self) -> bool:
+        return self._mutator.has_target(self._kind, self._need)
+
+    def positions(self) -> list[int]:
+        if self._positions is None:
+            self._positions = self._mutator.pool(self._kind, self._need)
+        return self._positions
+
+    def __len__(self) -> int:
+        return len(self.positions())
+
+    def __getitem__(self, k: int) -> tuple[DraftNode, DraftNode | None]:  # type: ignore[override]
+        node = self._mutator.nodes[self.positions()[k]]
+        return node, self._mutator.parent_of[node.signature]
 
 
 class _Mutator:
@@ -136,84 +209,122 @@ class _Mutator:
         self.mutated: set[str] = set()
         self.removed: set[str] = set()
         self.ops: list[MutationOp] = []
-        self._entries: list[tuple[DraftNode, DraftNode | None]] | None = None
-        self._signed_counts: dict[int, int] = {}
 
-    # -- bookkeeping ---------------------------------------------------
+        # pre-order walk of the draft; every node is signed at this point
+        nodes: list[DraftNode] = []
+        parents: list[DraftNode | None] = []
+        stack: list[tuple[DraftNode, DraftNode | None]] = [(self.root, None)]
+        while stack:
+            node, parent = stack.pop()
+            nodes.append(node)
+            parents.append(parent)
+            stack.extend((child, node) for child in reversed(node.children))
+        self.nodes = nodes
+        self.sigs: list[str] = [node.signature for node in nodes]  # type: ignore[misc]
+        self.parent_of: dict[str | int, DraftNode | None] = dict(zip(self.sigs, parents))
+        self.signed_count: dict[str | int, int] = {}
+        for node in reversed(nodes):
+            self.signed_count[_key(node)] = 1 + sum(
+                self.signed_count[_key(child)] for child in node.children
+            )
+        self._has_parent = bytearray(p is not None for p in parents)
+        self._swap = bytearray(p is not None and len(p.children) >= 2 for p in parents)
+        self._content = [bytearray(col) for col in zip(*map(_content_flags, nodes))]
+        self._flags = {
+            "duplicate": self._has_parent,
+            "unwrap": self._has_parent,
+            "swap": self._swap,
+            **dict(zip(_CONTENT_KINDS, self._content)),
+        }
+        self._arrays: list = [self.nodes, self.sigs, self._has_parent, self._swap, *self._content]
 
-    def entries(self) -> list[tuple[DraftNode, DraftNode | None]]:
-        if self._entries is None:
-            found: list[tuple[DraftNode, DraftNode | None]] = []
-            counts: dict[int, int] = {}
+    # -- pools -----------------------------------------------------------
 
-            def walk(node: DraftNode, parent: DraftNode | None) -> int:
-                found.append((node, parent))
-                signed = 1 if node.signature is not None else 0
-                for child in node.children:
-                    signed += walk(child, node)
-                counts[id(node)] = signed
-                return signed
+    def has_target(self, kind: str, need: int) -> bool:
+        if kind == "remove_node":
+            count = self.signed_count
+            return any(count[s] <= need for s in compress(self.sigs, self._has_parent))
+        if kind == "wrap":
+            return bool(self.sigs)
+        return 1 in self._flags[kind]
 
-            walk(self.root, None)
-            self._entries = found
-            self._signed_counts = counts
-        return self._entries
+    def pool(self, kind: str, need: int) -> list[int]:
+        """Pre-order positions of ``kind``'s targets."""
+        everyone = range(len(self.sigs))
+        if kind == "remove_node":
+            count, sigs = self.signed_count, self.sigs
+            return [i for i in compress(everyone, self._has_parent) if count[sigs[i]] <= need]
+        if kind == "wrap":
+            return list(everyone)
+        return list(compress(everyone, self._flags[kind]))
 
-    def _invalidate(self) -> None:
-        self._entries = None
+    def candidates(self) -> dict[str, _Pool]:
+        need = self.target - len(self.mutated)
+        return {kind: _Pool(self, kind, need) for kind in MUTATION_KINDS}
+
+    # -- bookkeeping -------------------------------------------------------
 
     def _note(self, kind: str, target: str, detail: dict, signatures: list[str]) -> None:
         self.ops.append(MutationOp(kind=kind, target=target, detail=detail))
         self.mutated.update(signatures)
 
-    # -- candidate scan --------------------------------------------------
+    def _register(self, node: DraftNode, parent: DraftNode | None, signed: int) -> None:
+        """Record a new unsigned node (wrapper or copy) the moment it exists."""
+        self.parent_of[id(node)] = parent
+        self.signed_count[id(node)] = signed
 
-    def candidates(self) -> dict[str, list[tuple[DraftNode, DraftNode | None]]]:
-        need = self.target - len(self.mutated)
-        out: dict[str, list[tuple[DraftNode, DraftNode | None]]] = {
-            kind: [] for kind in MUTATION_KINDS
-        }
-        for node, parent in self.entries():
-            if node.signature is None:
-                continue
-            entry = (node, parent)
-            if parent is not None:
-                if self._signed_counts[id(node)] <= need:
-                    out["remove_node"].append(entry)
-                out["duplicate"].append(entry)
-                out["unwrap"].append(entry)
-                if len(parent.children) >= 2:
-                    out["swap"].append(entry)
-            out["wrap"].append(entry)
-            if node.attrs:
-                out["attr_remove"].append(entry)
-                if any(value.split() for _, value in node.attrs):
-                    out["attr_remove_words"].append(entry)
-            if node.text:
-                out["content_replace_random"].append(entry)
-                out["content_remove"].append(entry)
-                if node.text.split():
-                    out["content_remove_words"].append(entry)
-                if any(ch.isalpha() for ch in node.text):
-                    out["content_change_letters"].append(entry)
-        return out
+    def _add_to_ancestors(self, node: DraftNode | None, delta: int) -> None:
+        while node is not None:
+            key = _key(node)
+            self.signed_count[key] += delta
+            node = self.parent_of[key]
+
+    def _reflag_swap(self, parent: DraftNode, idx: int, pos: int) -> None:
+        """Re-derive the swap flag of ``parent``'s signed children, given that
+        the segment of child slot ``idx`` starts at position ``pos``."""
+        flag = len(parent.children) >= 2
+        count, swap = self.signed_count, self._swap
+        start = pos
+        for child in parent.children[idx:]:
+            if child.signature is not None:
+                swap[start] = flag
+            start += count[_key(child)]
+        start = pos
+        for child in reversed(parent.children[:idx]):
+            start -= count[_key(child)]
+            if child.signature is not None:
+                swap[start] = flag
 
     # -- operators --------------------------------------------------------
 
     def apply(self, kind: str, node: DraftNode, parent: DraftNode | None) -> None:
+        """Apply one operator to a signed node whose current parent is ``parent``."""
+        self._apply_at(kind, self.sigs.index(node.signature), parent)  # type: ignore[arg-type]
+
+    def _apply_at(self, kind: str, pos: int, parent: DraftNode | None) -> None:
+        node = self.nodes[pos]
         sig = node.signature
         assert sig is not None
         rng = self.rng
         if kind == "remove_node":
             assert parent is not None
-            gone = _signatures_in(node)
-            parent.children.remove(node)
+            size = self.signed_count[sig]
+            gone = self.sigs[pos : pos + size]
+            idx = parent.children.index(node)
+            del parent.children[idx]
+            for array in self._arrays:
+                del array[pos : pos + size]
+            self._add_to_ancestors(parent, -size)
+            if len(parent.children) == 1:
+                self._reflag_swap(parent, idx, pos)
             self.removed.update(gone)
             self._note(kind, sig, {"subtree_signatures": gone}, gone)
         elif kind == "duplicate":
             assert parent is not None
             copy = node.copy_deep(keep_signatures=False)
             parent.children.insert(parent.children.index(node) + 1, copy)
+            self._register(copy, parent, 0)
+            self._swap[pos] = 1
             self._note(kind, sig, {}, [sig])
         elif kind == "wrap":
             wrapper = DraftNode(tag=_WRAPPER_TAG, children=[node])
@@ -221,20 +332,43 @@ class _Mutator:
                 self.root = wrapper
             else:
                 parent.children[parent.children.index(node)] = wrapper
+            self._register(wrapper, parent, self.signed_count[sig])
+            self.parent_of[sig] = wrapper
+            self._has_parent[pos] = 1
+            self._swap[pos] = 0
             self._note(kind, sig, {"wrapper_tag": _WRAPPER_TAG}, [sig])
         elif kind == "unwrap":
             assert parent is not None
             idx = parent.children.index(node)
             parent.children[idx : idx + 1] = node.children
+            for child in node.children:
+                self.parent_of[_key(child)] = parent
+            for array in self._arrays:
+                del array[pos]
+            self._add_to_ancestors(parent, -1)
+            self._reflag_swap(parent, idx, pos)
             self.removed.add(sig)
             self._note(kind, sig, {}, [sig])
         elif kind == "swap":
             assert parent is not None
-            others = [c for c in parent.children if c is not node]
+            kids = parent.children
+            others = [c for c in kids if c is not node]
             partner = rng.choice(others)
-            i = parent.children.index(node)
-            j = parent.children.index(partner)
-            parent.children[i], parent.children[j] = partner, node
+            i = kids.index(node)
+            # list.index compares by value, so an unsigned partner may resolve
+            # to an equal copy earlier in the list; the swap uses that slot.
+            j = kids.index(partner)
+            lo, hi = min(i, j), max(i, j)
+            count = self.signed_count
+            first, last = count[_key(kids[lo])], count[_key(kids[hi])]
+            between = sum(count[_key(c)] for c in kids[lo + 1 : hi])
+            start = pos if i == lo else pos - between - first
+            kids[i], kids[j] = partner, node
+            mid, end = start + first, start + first + between
+            for array in self._arrays:
+                array[start : end + last] = (
+                    array[end : end + last] + array[mid:end] + array[start:mid]
+                )
             touched = [sig] + ([partner.signature] if partner.signature else [])
             self._note(kind, sig, {"partner": partner.signature}, touched)
         elif kind == "attr_remove":
@@ -268,8 +402,9 @@ class _Mutator:
             self._note(kind, sig, {}, [sig])
         else:  # pragma: no cover - guarded by MUTATION_KINDS
             raise ValueError(f"unknown mutation kind {kind!r}")
-        if kind in _STRUCTURAL_KINDS:
-            self._invalidate()
+        if kind not in _STRUCTURAL_KINDS:
+            for array, flag in zip(self._content, _content_flags(node)):
+                array[pos] = flag
 
     def run(self) -> tuple[LabeledTree, MutationLog]:
         while len(self.mutated) < self.target:
@@ -280,8 +415,8 @@ class _Mutator:
                     f"{len(self.mutated)} of {self.target} nodes mutated, no target left"
                 )
             kind = self.rng.choice(usable)
-            node, parent = self.rng.choice(pools[kind])
-            self.apply(kind, node, parent)
+            pos = self.rng.choice(pools[kind].positions())
+            self._apply_at(kind, pos, self.parent_of[self.sigs[pos]])
         log = MutationLog(
             source_page=self.source_page,
             seed=self.seed,

@@ -37,13 +37,21 @@ class DraftNode:
     children: list["DraftNode"] = field(default_factory=list)
 
     def copy_deep(self, keep_signatures: bool = True) -> "DraftNode":
-        return DraftNode(
-            tag=self.tag,
-            attrs=list(self.attrs),
-            text=self.text,
-            signature=self.signature if keep_signatures else None,
-            children=[c.copy_deep(keep_signatures) for c in self.children],
-        )
+        def shallow(node: DraftNode) -> DraftNode:
+            return DraftNode(
+                tag=node.tag,
+                attrs=list(node.attrs),
+                text=node.text,
+                signature=node.signature if keep_signatures else None,
+            )
+
+        top = shallow(self)
+        stack = [(self, top)]
+        while stack:
+            original, copy = stack.pop()
+            copy.children = [shallow(c) for c in original.children]
+            stack.extend(zip(original.children, copy.children))
+        return top
 
 
 @dataclass(frozen=True)
@@ -141,17 +149,13 @@ def freeze(root: DraftNode) -> LabeledTree:
 def thaw(tree: LabeledTree) -> DraftNode:
     """Deep mutable copy of a tree, inverse of :func:`freeze` (ids/xpaths dropped)."""
 
-    def build(node_id: int) -> DraftNode:
-        node = tree.node(node_id)
-        return DraftNode(
-            tag=node.tag,
-            attrs=list(node.attributes),
-            text=node.text,
-            signature=node.signature,
-            children=[build(c) for c in node.children],
-        )
-
-    return build(tree.root)
+    drafts = [
+        DraftNode(tag=n.tag, attrs=list(n.attributes), text=n.text, signature=n.signature)
+        for n in tree
+    ]
+    for node, draft in zip(tree, drafts):
+        draft.children = [drafts[c] for c in node.children]
+    return drafts[tree.root]
 
 
 def ancestor(tree: LabeledTree, node_id: int, i: int) -> int | None:

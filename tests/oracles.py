@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's index/DP machinery: the similarity
 oracle does pairwise token intersections, the edit-distance oracle is the
-plain recursive forest definition, and the Metropolis oracle is the walk as
-first written, over a graph of ``Edge`` objects with per-edge kill loops.
+plain recursive forest definition, the Metropolis oracle is the walk as
+first written, over a graph of ``Edge`` objects with per-edge kill loops, and
+the mutation oracle rescans the whole draft tree for candidates before every
+operator.
 """
 
 from __future__ import annotations
@@ -11,13 +13,25 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from treematch.graph import Edge, MatchGraph, Matching, matching_cost
+from treematch.mutate import (
+    _CHANGE_LETTER_FRACTION,
+    _STRUCTURAL_KINDS,
+    _WRAPPER_TAG,
+    MUTATION_KINDS,
+    ExhaustedTargets,
+    MutationLog,
+    MutationOp,
+    _drop_words,
+    _random_word,
+)
 from treematch.similarity import SftmParams, SimilarityTable, threshold_cutoff
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, tokenize_node
-from treematch.tree import LabeledTree
+from treematch.tree import DraftNode, LabeledTree, freeze, thaw
 
 
 def brute_force_s0(
@@ -303,3 +317,194 @@ def reference_metropolis(g: ReferenceGraph, params: SftmParams) -> Matching:
             best = proposal
             best_cost = prop_cost
     return best
+
+
+def _signatures_in(node: DraftNode) -> list[str]:
+    """Signatures of a draft subtree in pre-order."""
+    found: list[str] = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current.signature is not None:
+            found.append(current.signature)
+        stack.extend(reversed(current.children))
+    return found
+
+
+class ReferenceMutator:
+    def __init__(self, tree: LabeledTree, ratio: float, seed: int, source_page: str):
+        if not 0.0 <= ratio <= 0.5:
+            raise ValueError(f"mutation ratio must be in [0, 0.5], got {ratio}")
+        for node in tree:
+            if node.signature is None:
+                raise ValueError(f"node {node.id} has no signature; sign the tree first")
+        self.ratio = ratio
+        self.seed = seed
+        self.source_page = source_page
+        self.target = int(ratio * len(tree) + 0.5)
+        self.root = thaw(tree)
+        self.rng = random.Random(seed)
+        self.mutated: set[str] = set()
+        self.removed: set[str] = set()
+        self.ops: list[MutationOp] = []
+        self._entries: list[tuple[DraftNode, DraftNode | None]] | None = None
+        self._signed_counts: dict[int, int] = {}
+
+    # -- bookkeeping ---------------------------------------------------
+
+    def entries(self) -> list[tuple[DraftNode, DraftNode | None]]:
+        if self._entries is None:
+            found: list[tuple[DraftNode, DraftNode | None]] = []
+            counts: dict[int, int] = {}
+
+            def walk(node: DraftNode, parent: DraftNode | None) -> int:
+                found.append((node, parent))
+                signed = 1 if node.signature is not None else 0
+                for child in node.children:
+                    signed += walk(child, node)
+                counts[id(node)] = signed
+                return signed
+
+            walk(self.root, None)
+            self._entries = found
+            self._signed_counts = counts
+        return self._entries
+
+    def _invalidate(self) -> None:
+        self._entries = None
+
+    def _note(self, kind: str, target: str, detail: dict, signatures: list[str]) -> None:
+        self.ops.append(MutationOp(kind=kind, target=target, detail=detail))
+        self.mutated.update(signatures)
+
+    # -- candidate scan --------------------------------------------------
+
+    def candidates(self) -> dict[str, list[tuple[DraftNode, DraftNode | None]]]:
+        need = self.target - len(self.mutated)
+        out: dict[str, list[tuple[DraftNode, DraftNode | None]]] = {
+            kind: [] for kind in MUTATION_KINDS
+        }
+        for node, parent in self.entries():
+            if node.signature is None:
+                continue
+            entry = (node, parent)
+            if parent is not None:
+                if self._signed_counts[id(node)] <= need:
+                    out["remove_node"].append(entry)
+                out["duplicate"].append(entry)
+                out["unwrap"].append(entry)
+                if len(parent.children) >= 2:
+                    out["swap"].append(entry)
+            out["wrap"].append(entry)
+            if node.attrs:
+                out["attr_remove"].append(entry)
+                if any(value.split() for _, value in node.attrs):
+                    out["attr_remove_words"].append(entry)
+            if node.text:
+                out["content_replace_random"].append(entry)
+                out["content_remove"].append(entry)
+                if node.text.split():
+                    out["content_remove_words"].append(entry)
+                if any(ch.isalpha() for ch in node.text):
+                    out["content_change_letters"].append(entry)
+        return out
+
+    # -- operators --------------------------------------------------------
+
+    def apply(self, kind: str, node: DraftNode, parent: DraftNode | None) -> None:
+        sig = node.signature
+        assert sig is not None
+        rng = self.rng
+        if kind == "remove_node":
+            assert parent is not None
+            gone = _signatures_in(node)
+            parent.children.remove(node)
+            self.removed.update(gone)
+            self._note(kind, sig, {"subtree_signatures": gone}, gone)
+        elif kind == "duplicate":
+            assert parent is not None
+            copy = node.copy_deep(keep_signatures=False)
+            parent.children.insert(parent.children.index(node) + 1, copy)
+            self._note(kind, sig, {}, [sig])
+        elif kind == "wrap":
+            wrapper = DraftNode(tag=_WRAPPER_TAG, children=[node])
+            if parent is None:
+                self.root = wrapper
+            else:
+                parent.children[parent.children.index(node)] = wrapper
+            self._note(kind, sig, {"wrapper_tag": _WRAPPER_TAG}, [sig])
+        elif kind == "unwrap":
+            assert parent is not None
+            idx = parent.children.index(node)
+            parent.children[idx : idx + 1] = node.children
+            self.removed.add(sig)
+            self._note(kind, sig, {}, [sig])
+        elif kind == "swap":
+            assert parent is not None
+            others = [c for c in parent.children if c is not node]
+            partner = rng.choice(others)
+            i = parent.children.index(node)
+            j = parent.children.index(partner)
+            parent.children[i], parent.children[j] = partner, node
+            touched = [sig] + ([partner.signature] if partner.signature else [])
+            self._note(kind, sig, {"partner": partner.signature}, touched)
+        elif kind == "attr_remove":
+            name = rng.choice([n for n, _ in node.attrs])
+            node.attrs = [(n, v) for n, v in node.attrs if n != name]
+            self._note(kind, sig, {"attribute": name}, [sig])
+        elif kind == "attr_remove_words":
+            name, value = rng.choice(
+                [(n, v) for n, v in node.attrs if v.split()]
+            )
+            shrunk = _drop_words(value, rng)
+            node.attrs = [(n, shrunk if n == name else v) for n, v in node.attrs]
+            self._note(kind, sig, {"attribute": name}, [sig])
+        elif kind == "content_replace_random":
+            count = max(1, len(node.text.split()))  # type: ignore[union-attr]
+            node.text = " ".join(_random_word(rng) for _ in range(count))
+            self._note(kind, sig, {"words": count}, [sig])
+        elif kind == "content_change_letters":
+            chars = list(node.text)  # type: ignore[arg-type]
+            letter_positions = [i for i, ch in enumerate(chars) if ch.isalpha()]
+            k = max(1, int(_CHANGE_LETTER_FRACTION * len(letter_positions) + 0.5))
+            for i in rng.sample(letter_positions, min(k, len(letter_positions))):
+                chars[i] = rng.choice(string.ascii_lowercase)
+            node.text = "".join(chars)
+            self._note(kind, sig, {"letters": k}, [sig])
+        elif kind == "content_remove":
+            node.text = None
+            self._note(kind, sig, {}, [sig])
+        elif kind == "content_remove_words":
+            node.text = _drop_words(node.text, rng) or None  # type: ignore[arg-type]
+            self._note(kind, sig, {}, [sig])
+        else:  # pragma: no cover - guarded by MUTATION_KINDS
+            raise ValueError(f"unknown mutation kind {kind!r}")
+        if kind in _STRUCTURAL_KINDS:
+            self._invalidate()
+
+    def run(self) -> tuple[LabeledTree, MutationLog]:
+        while len(self.mutated) < self.target:
+            pools = self.candidates()
+            usable = [kind for kind in MUTATION_KINDS if pools[kind]]
+            if not usable:
+                raise ExhaustedTargets(
+                    f"{len(self.mutated)} of {self.target} nodes mutated, no target left"
+                )
+            kind = self.rng.choice(usable)
+            node, parent = self.rng.choice(pools[kind])
+            self.apply(kind, node, parent)
+        log = MutationLog(
+            source_page=self.source_page,
+            seed=self.seed,
+            ratio=self.ratio,
+            ops=tuple(self.ops),
+            removed_signatures=frozenset(self.removed),
+        )
+        return freeze(self.root), log
+
+
+def reference_mutate(
+    tree: LabeledTree, ratio: float, seed: int, source_page: str = ""
+) -> tuple[LabeledTree, MutationLog]:
+    """The mutator as first written: a full candidate rescan before every operator."""
+    return ReferenceMutator(tree, ratio, seed, source_page).run()

@@ -9,10 +9,16 @@ from treematch.tree import DraftNode, LabeledTree, freeze
 TAGS = ("div", "p", "span", "a", "ul", "li", "h1", "table")
 CLASS_WORDS = ("nav", "bar", "btn", "row", "col", "card", "main", "wide")
 TEXT_WORDS = ("alpha", "beta", "gamma", "delta", "news", "item")
+DIGIT_WORDS = ("7", "42", "2020")
 
 
 @st.composite
-def draft_trees(draw, max_nodes: int = 12, with_attrs: bool = True) -> DraftNode:
+def draft_trees(
+    draw, max_nodes: int = 12, with_attrs: bool = True, edge_values: bool = False
+) -> DraftNode:
+    """Random draft trees; ``edge_values`` adds digit-only words to texts and
+    empty attribute values, which some text and attribute operators skip."""
+    text_words = TEXT_WORDS + DIGIT_WORDS if edge_values else TEXT_WORDS
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     parents = [draw(st.integers(min_value=0, max_value=k - 1)) for k in range(1, n)]
     nodes = []
@@ -24,10 +30,12 @@ def draft_trees(draw, max_nodes: int = 12, with_attrs: bool = True) -> DraftNode
                 attrs.append(("class", " ".join(words)))
             if draw(st.booleans()):
                 attrs.append(("id", f"node-{k}"))
+            if edge_values and draw(st.booleans()):
+                attrs.append(("title", ""))
         text = None
         if draw(st.integers(0, 3)) == 0:
             text = " ".join(
-                draw(st.lists(st.sampled_from(TEXT_WORDS), min_size=1, max_size=4))
+                draw(st.lists(st.sampled_from(text_words), min_size=1, max_size=4))
             )
         nodes.append(DraftNode(tag=draw(st.sampled_from(TAGS)), attrs=attrs, text=text))
     for k, parent in enumerate(parents, start=1):
@@ -35,8 +43,10 @@ def draft_trees(draw, max_nodes: int = 12, with_attrs: bool = True) -> DraftNode
     return nodes[0]
 
 
-def labeled_trees(max_nodes: int = 12, with_attrs: bool = True):
-    return draft_trees(max_nodes=max_nodes, with_attrs=with_attrs).map(freeze)
+def labeled_trees(max_nodes: int = 12, with_attrs: bool = True, edge_values: bool = False):
+    return draft_trees(
+        max_nodes=max_nodes, with_attrs=with_attrs, edge_values=edge_values
+    ).map(freeze)
 
 
 def tree_pairs(max_nodes: int = 12):

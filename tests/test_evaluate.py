@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from treematch.evaluate import (
     CorpusError,
     Degenerate,
     MutantBundle,
+    _run_with_timeout,
     discover_bundles,
     evaluate_pair,
     load_bundle,
@@ -181,6 +184,20 @@ class TestRunBenchmark:
                             SftmParams(iterations=2000), timeout_s=1e-4)
         assert row.timeout is True
         assert row.rate is None and row.mismatch is None and row.successful is None
+
+    def test_lost_alarm_still_counts_as_timeout(self):
+        # stands in for an alarm whose exception Python dropped (raised
+        # inside a gc callback): fn returns normally, but past the cap
+        def swallow_alarm():
+            signal.signal(signal.SIGALRM, lambda signum, frame: None)
+            time.sleep(0.05)
+            return "done"
+
+        before = signal.getsignal(signal.SIGALRM)
+        result, elapsed, timed_out = _run_with_timeout(swallow_alarm, 0.01)
+        assert timed_out is True and result is None and elapsed >= 0.01
+        assert signal.getsignal(signal.SIGALRM) is before
+        assert _run_with_timeout(lambda: "quick", 10.0)[::2] == ("quick", False)
 
     def test_malformed_bundle_strict_vs_skip(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)

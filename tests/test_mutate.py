@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CORPUS_DIR
+from oracles import ReferenceMutator, reference_mutate
 from strategies import labeled_trees
 from treematch.mutate import (
     MUTATION_KINDS,
@@ -18,7 +22,7 @@ from treematch.mutate import (
 from treematch.pipeline import match_trees
 from treematch.similarity import SftmParams
 from treematch.tokens import tokenize_node
-from treematch.tree import DraftNode, LabeledTree, freeze, serialize_tree_json
+from treematch.tree import DraftNode, LabeledTree, freeze, parse_html, serialize_tree_json
 
 
 def sample_page(width: int = 4) -> LabeledTree:
@@ -288,3 +292,101 @@ class TestLogSerialization:
         _, log = mutate(tree, 0.3, seed=9, source_page="page-x")
         again = mutation_log_from_json(mutation_log_to_json(log))
         assert again == log
+
+
+def _outcome(fn, tree, ratio, seed):
+    """(mutant JSON, log JSON) or the ExhaustedTargets message."""
+    try:
+        mutant, log = fn(tree, ratio, seed, "page")
+    except ExhaustedTargets as exc:
+        return ("exhausted", str(exc))
+    return serialize_tree_json(mutant), mutation_log_to_json(log)
+
+
+CORPUS_ORACLE_PAGES = ("p00", "p01", "p04", "p06", "p08", "p13")
+CORPUS_ORACLE_SEEDS = (0, 1, 2, 3, 100003, 100004, 100005, 100006)
+
+
+class TestAgainstReference:
+    """The incremental pools draw exactly what the full rescan drew."""
+
+    @pytest.mark.parametrize("ratio", (0.02, 0.1, 0.2, 0.3, 0.5))
+    @pytest.mark.parametrize("prefix", CORPUS_ORACLE_PAGES)
+    def test_corpus_bundles_byte_identical(self, prefix, ratio):
+        pages = sorted(CORPUS_DIR.glob(f"{prefix}_*.html"))
+        if not pages:
+            pytest.skip("bundled corpus not generated")
+        tree = assign_signatures(parse_html(pages[0].read_bytes()))
+        for seed in CORPUS_ORACLE_SEEDS:
+            assert _outcome(mutate, tree, ratio, seed) == _outcome(
+                reference_mutate, tree, ratio, seed
+            ), (prefix, ratio, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labeled_trees(max_nodes=24, edge_values=True),
+        st.sampled_from((0.1, 0.3, 0.5)),
+        st.integers(0, 10_000),
+    )
+    def test_random_trees_byte_identical(self, bare, ratio, seed):
+        tree = assign_signatures(bare)
+        assert _outcome(mutate, tree, ratio, seed) == _outcome(
+            reference_mutate, tree, ratio, seed
+        )
+
+    def test_exhaustion_message_matches(self):
+        tree = sample_page()
+        messages = []
+        for cls in (_Mutator, ReferenceMutator):
+            mutator = cls(tree, 0.5, seed=0, source_page="x")
+            mutator.candidates = lambda: {kind: [] for kind in MUTATION_KINDS}  # type: ignore
+            with pytest.raises(ExhaustedTargets) as info:
+                mutator.run()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_swap_with_value_equal_copy(self):
+        """``list.index`` finds the first copy equal to an unsigned partner;
+        the pools follow the slot the swap really used."""
+
+        class LastChoice(random.Random):
+            def choice(self, seq):
+                return seq[-1]
+
+        body = DraftNode(tag="body", children=[
+            DraftNode(tag="a", text="first"),
+            DraftNode(tag="ul", children=[DraftNode(tag="li", text="x"),
+                                          DraftNode(tag="li", text="y")]),
+        ])
+        tree = assign_signatures(freeze(DraftNode(tag="html", children=[body])))
+        results = []
+        for cls in (_Mutator, ReferenceMutator):
+            mutator = cls(tree, 0.5, seed=0, source_page="t")
+            mutator.rng = LastChoice(0)
+            pools = mutator.candidates()
+            ul, parent = next(e for e in pools["duplicate"] if e[0].tag == "ul")
+            anchor = next(n for n, _ in pools["duplicate"] if n.tag == "a")
+            mutator.apply("duplicate", ul, parent)
+            mutator.apply("duplicate", ul, parent)
+            # children: a, ul, copy, copy; the partner is the last copy, but
+            # list.index resolves it to the first one
+            mutator.apply("swap", anchor, parent)
+            assert [c.tag for c in parent.children] == ["ul", "ul", "a", "ul"]
+            mutator.rng = random.Random(5)
+            mutant, log = mutator.run()
+            results.append((serialize_tree_json(mutant), mutation_log_to_json(log)))
+        assert results[0] == results[1]
+
+
+class TestDeepTrees:
+    def test_deep_chain_mutates_deterministically(self):
+        depth = 800
+        tree = assign_signatures(parse_html("<div>" * depth + "</div>" * depth))
+        assert len(tree) == depth
+        for ratio in (0.2, 0.5):
+            first, log1 = mutate(tree, ratio, seed=0)
+            second, log2 = mutate(tree, ratio, seed=0)
+            assert first.nodes == second.nodes
+            assert mutation_log_to_json(log1) == mutation_log_to_json(log2)
+            kept = {n.signature for n in first if n.signature is not None}
+            assert kept | log1.removed_signatures == {n.signature for n in tree}
