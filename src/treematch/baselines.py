@@ -6,10 +6,17 @@ construction, which is exactly the restriction the similarity matcher is
 free of; it serves as the classical quality/time reference. It is a direct
 dynamic-programming implementation, quadratic tables and all, so expect
 minutes on trees beyond a few thousand nodes.
+
+One kernel, ``_ZsRun._fill``, writes the forest-distance table of a subtree
+pair into one buffer. The distance pass runs it for every keyroot pair; the
+backtrace reruns it for each pair it descends into and reads that buffer. A
+rerun writes the same top-left region with the same float operations, so
+it reproduces the table and the tree distances of the distance pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import MatchGraph, Matching
@@ -104,22 +111,20 @@ def _postorder_structure(tree: LabeledTree) -> tuple[list[int], list[int], list[
     ``lmd`` is expressed in postorder positions. Keyroots are the positions
     with a distinct leftmost descendant, ascending; the root is always last.
     """
+    # right-to-left pre-order, reversed, is left-to-right postorder
     order: list[int] = []
-    lmd_by_pos: list[int] = []
-
-    def walk(node_id: int) -> int:
-        node = tree.node(node_id)
-        first = None
-        for child in node.children:
-            child_lmd = walk(child)
-            if first is None:
-                first = child_lmd
-        pos = len(order)
+    stack = [tree.root]
+    while stack:
+        node_id = stack.pop()
         order.append(node_id)
-        lmd_by_pos.append(first if first is not None else pos)
-        return lmd_by_pos[pos]
-
-    walk(tree.root)
+        stack.extend(tree.node(node_id).children)
+    order.reverse()
+    pos_of = [0] * len(order)
+    lmd_by_pos: list[int] = []
+    for pos, node_id in enumerate(order):
+        pos_of[node_id] = pos
+        children = tree.node(node_id).children
+        lmd_by_pos.append(lmd_by_pos[pos_of[children[0]]] if children else pos)
     last_for_lmd: dict[int, int] = {}
     for pos, lmd in enumerate(lmd_by_pos):
         last_for_lmd[lmd] = pos
@@ -152,111 +157,74 @@ class _ZsRun:
         self.ci = float(cfg.insert_cost)
         self.cd = float(cfg.delete_cost)
         self.cr = float(cfg.relabel_cost)
-        self.td: list[list[float]] = []
-        self._forward()
+        n1, n2 = len(self.lab1), len(self.lab2)
+        self.td = [[0.0] * n2 for _ in range(n1)]
+        # one reusable forest-distance buffer; each subtree pair only touches
+        # its own top-left region before reading it
+        self.fd = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+        for i in self.kr1:
+            self._fill(i, self.kr2)
 
-    def _forward(self) -> None:
+    def _fill(self, i: int, js: Iterable[int]) -> None:
+        """Forest distances of subtree ``i`` against each subtree in ``js``.
+
+        Writes the tree distances of the pairs on both leftmost paths into
+        ``td``; the table of the last pair stays in ``fd``.
+        """
         lmd1, lmd2 = self.lmd1, self.lmd2
         lab1, lab2 = self.lab1, self.lab2
         ci, cd, cr = self.ci, self.cd, self.cr
-        n1, n2 = len(lab1), len(lab2)
-        td = [[0.0] * n2 for _ in range(n1)]
-        # one reusable forest-distance buffer; each keyroot pair only touches
-        # its own top-left region before reading it
-        fd = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
-        for i in self.kr1:
-            li = lmd1[i]
-            m = i - li + 2
-            ioff = li - 1
-            for j in self.kr2:
-                lj = lmd2[j]
-                n = j - lj + 2
-                joff = lj - 1
-                row0 = fd[0]
-                row0[0] = 0.0
-                for y in range(1, n):
-                    row0[y] = row0[y - 1] + ci
-                prev = row0
-                for x in range(1, m):
-                    xi = x + ioff
-                    cur = fd[x]
-                    cur[0] = prev[0] + cd
-                    lx = lmd1[xi]
-                    tdx = td[xi]
-                    labx = lab1[xi]
-                    if lx == li:
-                        for y in range(1, n):
-                            yj = y + joff
-                            best = prev[y] + cd
-                            left = cur[y - 1] + ci
-                            if left < best:
-                                best = left
-                            if lmd2[yj] == lj:
-                                diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cr)
-                                if diag < best:
-                                    best = diag
-                                cur[y] = best
-                                tdx[yj] = best
-                            else:
-                                sub = fd[lx - 1 - ioff][lmd2[yj] - 1 - joff] + tdx[yj]
-                                if sub < best:
-                                    best = sub
-                                cur[y] = best
-                    else:
-                        p_row = fd[lx - 1 - ioff]
-                        for y in range(1, n):
-                            yj = y + joff
-                            best = prev[y] + cd
-                            left = cur[y - 1] + ci
-                            if left < best:
-                                best = left
-                            sub = p_row[lmd2[yj] - 1 - joff] + tdx[yj]
+        td, fd = self.td, self.fd
+        li = lmd1[i]
+        m = i - li + 2
+        ioff = li - 1
+        for j in js:
+            lj = lmd2[j]
+            n = j - lj + 2
+            joff = lj - 1
+            row0 = fd[0]
+            row0[0] = 0.0
+            for y in range(1, n):
+                row0[y] = row0[y - 1] + ci
+            prev = row0
+            for x in range(1, m):
+                xi = x + ioff
+                cur = fd[x]
+                cur[0] = prev[0] + cd
+                lx = lmd1[xi]
+                tdx = td[xi]
+                labx = lab1[xi]
+                if lx == li:
+                    for y in range(1, n):
+                        yj = y + joff
+                        best = prev[y] + cd
+                        left = cur[y - 1] + ci
+                        if left < best:
+                            best = left
+                        if lmd2[yj] == lj:
+                            diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cr)
+                            if diag < best:
+                                best = diag
+                            cur[y] = best
+                            tdx[yj] = best
+                        else:
+                            sub = fd[lx - 1 - ioff][lmd2[yj] - 1 - joff] + tdx[yj]
                             if sub < best:
                                 best = sub
                             cur[y] = best
-                    prev = cur
-        self.td = td
-
-    def _forest_table(self, i: int, j: int) -> list[list[float]]:
-        """Recompute the forest-distance table of one subtree pair."""
-        lmd1, lmd2 = self.lmd1, self.lmd2
-        lab1, lab2 = self.lab1, self.lab2
-        ci, cd, cr = self.ci, self.cd, self.cr
-        td = self.td
-        li = lmd1[i]
-        lj = lmd2[j]
-        m = i - li + 2
-        n = j - lj + 2
-        ioff = li - 1
-        joff = lj - 1
-        fd = [[0.0] * n for _ in range(m)]
-        row0 = fd[0]
-        for y in range(1, n):
-            row0[y] = row0[y - 1] + ci
-        for x in range(1, m):
-            xi = x + ioff
-            cur = fd[x]
-            prev = fd[x - 1]
-            cur[0] = prev[0] + cd
-            lx = lmd1[xi]
-            tdx = td[xi]
-            labx = lab1[xi]
-            for y in range(1, n):
-                yj = y + joff
-                best = prev[y] + cd
-                left = cur[y - 1] + ci
-                if left < best:
-                    best = left
-                if lx == li and lmd2[yj] == lj:
-                    diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cr)
-                    if diag < best:
-                        best = diag
                 else:
-                    sub = fd[lx - 1 - ioff][lmd2[yj] - 1 - joff] + tdx[yj]
-                    if sub < best:
-                        best = sub
-                cur[y] = best
-        return fd
+                    p_row = fd[lx - 1 - ioff]
+                    for y in range(1, n):
+                        yj = y + joff
+                        best = prev[y] + cd
+                        left = cur[y - 1] + ci
+                        if left < best:
+                            best = left
+                        sub = p_row[lmd2[yj] - 1 - joff] + tdx[yj]
+                        if sub < best:
+                            best = sub
+                        cur[y] = best
+                prev = cur
 
     @property
     def distance(self) -> float:
@@ -277,7 +245,8 @@ class _ZsRun:
         out: list[tuple[int, int]],
         stack: list[tuple[int, int]],
     ) -> None:
-        fd = self._forest_table(i, j)
+        self._fill(i, (j,))
+        fd = self.fd
         lmd1, lmd2 = self.lmd1, self.lmd2
         li = lmd1[i]
         lj = lmd2[j]
@@ -326,13 +295,11 @@ def ted_match(t1: LabeledTree, t2: LabeledTree, cfg: TedCostConfig = TedCostConf
     order are preserved.
     """
     run = _ZsRun(t1, t2, cfg)
-    id_pairs = sorted(
-        (run.order1[x], run.order2[y]) for x, y in run.mapping()
+    # (t1 id, t2 id, relabel cost) of each mapped pair, in id order
+    mapped = sorted(
+        (run.order1[x], run.order2[y], 0.0 if run.lab1[x] == run.lab2[y] else run.cr)
+        for x, y in run.mapping()
     )
-    costs = []
-    for n, m in id_pairs:
-        a = t1.node(n)
-        b = t2.node(m)
-        same = a.tag == b.tag and a.attributes == b.attributes
-        costs.append(0.0 if same else float(cfg.relabel_cost))
-    return Matching.from_pairs(id_pairs, costs, len(t1), len(t2))
+    return Matching.from_pairs(
+        [(n, m) for n, m, _ in mapped], [c for _, _, c in mapped], len(t1), len(t2)
+    )

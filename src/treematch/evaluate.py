@@ -53,15 +53,10 @@ class Degenerate(ValueError):
 class QualityReport:
     """Per-pair matching quality relative to the signature ground truth."""
 
-    page: str = ""
-    algorithm: str = ""
-    mutation_ratio: float = 0.0
     mismatch: int = 0
     no_match: int = 0
     successful: int = 0
     successful_match_rate: float = 0.0
-    optimal_rate: float = 1.0
-    elapsed: float = 0.0
 
 
 def score_matching(
@@ -244,9 +239,16 @@ def evaluate_pair(
     )
 
 
-def _bench_task(args: tuple[str, str, SftmParams, float | None, TokenOptions]) -> BenchRow:
-    directory, algorithm, params, timeout_s, options = args
-    return evaluate_pair(load_bundle(Path(directory)), algorithm, params, timeout_s, options)
+def _bench_task(
+    args: tuple[str, Sequence[str], SftmParams, float | None, TokenOptions],
+) -> list[BenchRow] | CorpusError:
+    """Every algorithm on one bundle; a malformed bundle comes back as its error."""
+    directory, algorithms, params, timeout_s, options = args
+    try:
+        bundle = load_bundle(Path(directory))
+    except CorpusError as exc:
+        return exc
+    return [evaluate_pair(bundle, a, params, timeout_s, options) for a in algorithms]
 
 
 def run_benchmark(
@@ -261,37 +263,31 @@ def run_benchmark(
 ) -> list[BenchRow]:
     """Evaluate every bundle under ``corpus_dir`` with every algorithm.
 
-    Malformed bundles raise :class:`CorpusError` unless ``skip_malformed``,
-    in which case they are reported through ``warn`` and skipped.
+    Each bundle is loaded once. Malformed bundles raise :class:`CorpusError`
+    unless ``skip_malformed``, in which case they are reported through
+    ``warn`` and skipped; either happens in directory order.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    rows: list[BenchRow] = []
-    directories = discover_bundles(corpus_dir)
-
-    loadable: list[Path] = []
-    for directory in directories:
-        try:
-            load_bundle(directory)
-        except CorpusError as exc:
-            if not skip_malformed:
-                raise
-            if warn is not None:
-                warn(str(exc))
-            continue
-        loadable.append(directory)
-
     tasks = [
-        (str(directory), algorithm, params, timeout_s, options)
-        for directory in loadable
-        for algorithm in algorithms
+        (str(directory), tuple(algorithms), params, timeout_s, options)
+        for directory in discover_bundles(corpus_dir)
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_task, tasks, chunksize=1))
+            results = list(pool.map(_bench_task, tasks, chunksize=1))
     else:
-        rows = [_bench_task(task) for task in tasks]
+        results = map(_bench_task, tasks)
+    rows: list[BenchRow] = []
+    for result in results:
+        if isinstance(result, CorpusError):
+            if not skip_malformed:
+                raise result
+            if warn is not None:
+                warn(str(result))
+            continue
+        rows.extend(result)
     return rows
 
 

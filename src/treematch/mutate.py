@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import random
 import string
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import compress
 
@@ -164,35 +163,6 @@ def _key(node: DraftNode) -> str | int:
     return node.signature if node.signature is not None else id(node)
 
 
-class _Pool(Sequence):
-    """One kind's eligible signed nodes as pre-order ``(node, parent)`` entries.
-
-    A lazy view over the mutator's flags: truth reads them, and the position
-    list is built on first use.
-    """
-
-    def __init__(self, mutator: "_Mutator", kind: str, need: int):
-        self._mutator = mutator
-        self._kind = kind
-        self._need = need
-        self._positions: list[int] | None = None
-
-    def __bool__(self) -> bool:
-        return self._mutator.has_target(self._kind, self._need)
-
-    def positions(self) -> list[int]:
-        if self._positions is None:
-            self._positions = self._mutator.pool(self._kind, self._need)
-        return self._positions
-
-    def __len__(self) -> int:
-        return len(self.positions())
-
-    def __getitem__(self, k: int) -> tuple[DraftNode, DraftNode | None]:  # type: ignore[override]
-        node = self._mutator.nodes[self.positions()[k]]
-        return node, self._mutator.parent_of[node.signature]
-
-
 class _Mutator:
     def __init__(self, tree: LabeledTree, ratio: float, seed: int, source_page: str):
         if not 0.0 <= ratio <= 0.5:
@@ -258,10 +228,6 @@ class _Mutator:
             return list(everyone)
         return list(compress(everyone, self._flags[kind]))
 
-    def candidates(self) -> dict[str, _Pool]:
-        need = self.target - len(self.mutated)
-        return {kind: _Pool(self, kind, need) for kind in MUTATION_KINDS}
-
     # -- bookkeeping -------------------------------------------------------
 
     def _note(self, kind: str, target: str, detail: dict, signatures: list[str]) -> None:
@@ -297,14 +263,12 @@ class _Mutator:
 
     # -- operators --------------------------------------------------------
 
-    def apply(self, kind: str, node: DraftNode, parent: DraftNode | None) -> None:
-        """Apply one operator to a signed node whose current parent is ``parent``."""
-        self._apply_at(kind, self.sigs.index(node.signature), parent)  # type: ignore[arg-type]
-
-    def _apply_at(self, kind: str, pos: int, parent: DraftNode | None) -> None:
+    def apply(self, kind: str, pos: int) -> None:
+        """Apply one operator to the signed node at pre-order position ``pos``."""
         node = self.nodes[pos]
         sig = node.signature
         assert sig is not None
+        parent = self.parent_of[sig]
         rng = self.rng
         if kind == "remove_node":
             assert parent is not None
@@ -408,15 +372,14 @@ class _Mutator:
 
     def run(self) -> tuple[LabeledTree, MutationLog]:
         while len(self.mutated) < self.target:
-            pools = self.candidates()
-            usable = [kind for kind in MUTATION_KINDS if pools[kind]]
+            need = self.target - len(self.mutated)
+            usable = [kind for kind in MUTATION_KINDS if self.has_target(kind, need)]
             if not usable:
                 raise ExhaustedTargets(
                     f"{len(self.mutated)} of {self.target} nodes mutated, no target left"
                 )
             kind = self.rng.choice(usable)
-            pos = self.rng.choice(pools[kind].positions())
-            self._apply_at(kind, pos, self.parent_of[self.sigs[pos]])
+            self.apply(kind, self.rng.choice(self.pool(kind, need)))
         log = MutationLog(
             source_page=self.source_page,
             seed=self.seed,

@@ -37,11 +37,9 @@ class EmptyMatching(ValueError):
     """Objective of a matching with no edges at all (both trees empty)."""
 
 
-def initial_matching(
-    g: MatchGraph, params: SftmParams, rng: random.Random | None = None
-) -> Matching:
+def initial_matching(g: MatchGraph, params: SftmParams) -> Matching:
     """Greedy start: walk edges cheapest-first, take both-endpoints-free ones."""
-    del params, rng  # deterministic; kept for interface symmetry
+    del params  # deterministic; kept because callers pass it
     t1_used = bytearray(g.t1_size)
     t2_used = bytearray(g.t2_size)
     pairs: list[tuple[int, int]] = []
@@ -128,7 +126,7 @@ def metropolis(
 ) -> Matching:
     """Run the Metropolis walk and return the cheapest full matching seen."""
     rng = random.Random(params.seed)
-    current = initial_matching(g, params, rng)
+    current = initial_matching(g, params)
     if current.size == 0:
         return current  # both trees empty; nothing to walk over
     best = current

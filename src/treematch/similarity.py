@@ -128,23 +128,24 @@ def neighbor_scores(
 ) -> dict[int, float]:
     """Initial similarity of one second-tree node against all indexed nodes.
 
-    Each shared token adds its IDF to the token-holders' scores; only nodes
-    with a positive accumulated score appear in the result. When given,
-    ``contribution_log`` records each contributing token's index multiplicity.
+    Each shared token with a positive IDF adds it to the token-holders'
+    scores, so every score in the result is positive. When given,
+    ``contribution_log`` records each shared token's index multiplicity.
     """
     scores: dict[int, float] = {}
+    entries, t1_size = index.entries, index.t1_size
     for token in sorted(tokenize_node(t2, m, options)):
-        bucket = index.entries.get(token)
+        bucket = entries.get(token)
         if not bucket:
             continue
-        weight = math.log(index.t1_size / len(bucket))
         if contribution_log is not None:
             contribution_log[token] = len(bucket)
-        if weight == 0.0:
+        weight = math.log(t1_size / len(bucket))
+        if weight <= 0.0:
             continue
         for n in bucket:
             scores[n] = scores.get(n, 0.0) + weight
-    return {n: s for n, s in scores.items() if s > 0.0}
+    return scores
 
 
 def initial_similarity(
@@ -156,27 +157,10 @@ def initial_similarity(
 ) -> SimilarityTable:
     """Label-only similarity for every node pair that shares an indexed token."""
     index = apply_threshold(build_token_index(t1, options), params.alpha)
-    idf_by_token = {
-        t: math.log(index.t1_size / len(nodes)) for t, nodes in index.entries.items()
-    }
     table: dict[tuple[int, int], float] = {}
-    entries = index.entries
     for m in range(len(t2)):
-        acc: dict[int, float] = {}
-        for token in sorted(tokenize_node(t2, m, options)):
-            bucket = entries.get(token)
-            if not bucket:
-                continue
-            if contribution_log is not None:
-                contribution_log[token] = len(bucket)
-            weight = idf_by_token[token]
-            if weight == 0.0:
-                continue
-            for n in bucket:
-                acc[n] = acc.get(n, 0.0) + weight
-        for n, s in acc.items():
-            if s > 0.0:
-                table[(n, m)] = s
+        for n, s in neighbor_scores(t2, m, index, options, contribution_log).items():
+            table[(n, m)] = s
     return SimilarityTable(scores=table)
 
 

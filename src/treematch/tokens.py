@@ -35,6 +35,10 @@ class TokenOptions:
 
 DEFAULT_TOKEN_OPTIONS = TokenOptions()
 
+# prefixes of the tag, attribute-name, value-word, xpath and text tokens
+_PREFIXES = ("tag:", "attr:", "val:", "xpath:", "text:")
+_FLAT_PREFIXES = ("",) * 5
+
 
 def tokenize_node(
     tree: LabeledTree,
@@ -47,24 +51,15 @@ def tokenize_node(
     Duplicates collapse (set semantics). Text content is excluded unless
     ``options.include_content`` is set.
     """
+    tag, attr, val, xpath, text = _FLAT_PREFIXES if options.flat else _PREFIXES
     node = tree.node(node_id)
-    tokens: set[str] = set()
-    if options.flat:
-        tokens.add(node.tag)
-        for name, value in node.attributes:
-            tokens.add(name)
-            tokens.update(string_tokenize(value))
-        tokens.add(node.xpath)
-        if options.include_content and node.text:
-            tokens.update(string_tokenize(node.text))
-    else:
-        tokens.add("tag:" + node.tag)
-        for name, value in node.attributes:
-            tokens.add("attr:" + name)
-            for word in string_tokenize(value):
-                tokens.add("val:" + word)
-        tokens.add("xpath:" + node.xpath)
-        if options.include_content and node.text:
-            for word in string_tokenize(node.text):
-                tokens.add("text:" + word)
+    tokens = {tag + node.tag}
+    for name, value in node.attributes:
+        tokens.add(attr + name)
+        for word in string_tokenize(value):
+            tokens.add(val + word)
+    tokens.add(xpath + node.xpath)
+    if options.include_content and node.text:
+        for word in string_tokenize(node.text):
+            tokens.add(text + word)
     return frozenset(tokens)

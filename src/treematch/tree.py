@@ -18,6 +18,10 @@ class IngestError(ValueError):
     """The input document did not yield a root element."""
 
 
+class TooDeep(ValueError):
+    """The tree nests deeper than the JSON encoder can write."""
+
+
 class FormatError(ValueError):
     """JSON tree input violates the schema; ``path`` points at the bad element."""
 
@@ -111,39 +115,51 @@ def freeze(root: DraftNode) -> LabeledTree:
     An xpath segment gets a 1-based ``[k]`` rank suffix only when the node
     has at least one same-tag sibling.
     """
-    nodes: list[TreeNode | None] = []
-
-    def visit(draft: DraftNode, parent_id: int | None, xpath: str) -> int:
-        node_id = len(nodes)
-        nodes.append(None)  # placeholder until children are assigned
-
+    # pre-order walk: a node's id is its index in ``walk``
+    walk: list[tuple[DraftNode, int | None, str]] = []
+    child_ids: list[list[int]] = []
+    stack: list[tuple[DraftNode, int | None, str]] = [(root, None, "/" + root.tag)]
+    while stack:
+        draft, parent_id, xpath = entry = stack.pop()
+        node_id = len(walk)
+        walk.append(entry)
+        child_ids.append([])
+        if parent_id is not None:
+            child_ids[parent_id].append(node_id)
+        if not draft.children:
+            continue
         tag_counts: dict[str, int] = {}
         for child in draft.children:
             tag_counts[child.tag] = tag_counts.get(child.tag, 0) + 1
-        child_ids = []
         seen: dict[str, int] = {}
+        entries = []
         for child in draft.children:
-            seen[child.tag] = seen.get(child.tag, 0) + 1
-            rank = f"[{seen[child.tag]}]" if tag_counts[child.tag] >= 2 else ""
-            child_ids.append(visit(child, node_id, xpath + "/" + child.tag + rank))
+            tag = child.tag
+            if tag_counts[tag] >= 2:
+                seen[tag] = rank = seen.get(tag, 0) + 1
+                entries.append((child, node_id, f"{xpath}/{tag}[{rank}]"))
+            else:
+                entries.append((child, node_id, f"{xpath}/{tag}"))
+        stack.extend(reversed(entries))
 
+    nodes = []
+    for node_id, (draft, parent_id, xpath) in enumerate(walk):
         text = draft.text
         if text is not None:
             text = " ".join(text.split()) or None
-        nodes[node_id] = TreeNode(
-            id=node_id,
-            tag=draft.tag,
-            attributes=tuple(draft.attrs),
-            text=text,
-            parent=parent_id,
-            children=tuple(child_ids),
-            xpath=xpath,
-            signature=draft.signature,
+        nodes.append(
+            TreeNode(
+                id=node_id,
+                tag=draft.tag,
+                attributes=tuple(draft.attrs),
+                text=text,
+                parent=parent_id,
+                children=tuple(child_ids[node_id]),
+                xpath=xpath,
+                signature=draft.signature,
+            )
         )
-        return node_id
-
-    visit(root, None, "/" + root.tag)
-    return LabeledTree(tuple(nodes))  # type: ignore[arg-type]
+    return LabeledTree(tuple(nodes))
 
 
 def thaw(tree: LabeledTree) -> DraftNode:
@@ -212,7 +228,7 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.root: DraftNode | None = None
         self.stack: list[DraftNode] = []
-        self.texts: dict[int, list[str]] = {}
+        self.texts: dict[int, tuple[DraftNode, list[str]]] = {}
         self.done = False
 
     def _open(self, tag: str, attrs: list[tuple[str, str | None]], void: bool) -> None:
@@ -270,21 +286,14 @@ class _TreeBuilder(HTMLParser):
         top = self.stack[-1]
         if top.tag in _RAWTEXT_TAGS:
             return
-        self.texts.setdefault(id(top), []).append(data)
+        self.texts.setdefault(id(top), (top, []))[1].append(data)
 
     def finish(self) -> DraftNode:
         if self.root is None:
             raise IngestError("document contains no element")
-        _attach_texts(self.root, self.texts)
+        for node, pieces in self.texts.values():
+            node.text = "".join(pieces)
         return self.root
-
-
-def _attach_texts(node: DraftNode, texts: dict[int, list[str]]) -> None:
-    pieces = texts.get(id(node))
-    if pieces:
-        node.text = "".join(pieces)
-    for child in node.children:
-        _attach_texts(child, texts)
 
 
 def parse_html(document: bytes | str) -> LabeledTree:
@@ -347,10 +356,12 @@ def parse_tree_json(text: str | bytes) -> LabeledTree:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        obj = json.loads(text)
+        draft = _draft_from_json(json.loads(text), "$")
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", "$") from exc
-    return freeze(_draft_from_json(obj, "$"))
+    except RecursionError:
+        raise FormatError("nested too deeply to read", "$") from None
+    return freeze(draft)
 
 
 def _node_to_json(tree: LabeledTree, node_id: int) -> dict:
@@ -367,4 +378,9 @@ def _node_to_json(tree: LabeledTree, node_id: int) -> dict:
 
 
 def serialize_tree_json(tree: LabeledTree, indent: int | None = None) -> str:
-    return json.dumps(_node_to_json(tree, tree.root), ensure_ascii=False, indent=indent)
+    """Write a tree in the JSON tree format; raises :class:`TooDeep` when it
+    nests too deeply for the recursion limit (just under 500 levels by default)."""
+    try:
+        return json.dumps(_node_to_json(tree, tree.root), ensure_ascii=False, indent=indent)
+    except RecursionError:
+        raise TooDeep(f"{len(tree)}-node tree nests too deeply to write as JSON") from None

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CORPUS_DIR
 from oracles import enumerate_matching_costs, exhaustive_edit_distance
 from strategies import labeled_trees, tree_pairs
 from treematch.baselines import (
@@ -13,9 +16,10 @@ from treematch.baselines import (
     ted_match,
 )
 from treematch.graph import build_graph, matching_cost, validate_full
+from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import metropolis
 from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
-from treematch.tree import DraftNode, LabeledTree, freeze
+from treematch.tree import DraftNode, LabeledTree, freeze, parse_html
 
 PARAMS = SftmParams()
 
@@ -210,3 +214,40 @@ class TestTedMatch:
         m = ted_match(t1, t2, cfg)
         assert dict(zip(m.pairs, m.pair_costs))[(1, 1)] == pytest.approx(0.25)
         assert dict(zip(m.pairs, m.pair_costs))[(0, 0)] == 0.0
+
+
+# ted_match on corpus mutants (ratio 0.2): pair count, summed relabel cost,
+# first 16 hex digits of sha256(repr(pairs)), and ted_distance. Every value
+# is an integer or an exact float, so no libm difference can move them.
+PINNED_TED = [
+    ("p00", 0, 125, 6.0, "baadfd33f5e84d93", 24.0),
+    ("p00", 1, 121, 4.0, "17bbcc330bb8e803", 20.0),
+    ("p00", 2, 127, 4.0, "82a32a9a99027f5b", 24.0),
+    ("p01", 0, 165, 18.0, "c6b4ae5ee9e5d125", 41.0),
+    ("p01", 1, 162, 5.0, "481915f5a51e9a6e", 23.0),
+    ("p01", 2, 163, 10.0, "5a083d47650e0269", 39.0),
+]
+
+
+class TestTedOnCorpus:
+    @pytest.mark.parametrize("prefix,seed,count,relabel,digest,distance", PINNED_TED)
+    def test_pinned_mapping_and_distance(self, prefix, seed, count, relabel, digest, distance):
+        pages = sorted(CORPUS_DIR.glob(f"{prefix}_*.html"))
+        if not pages:
+            pytest.skip("bundled corpus not generated")
+        source = assign_signatures(parse_html(pages[0].read_bytes()))
+        mutant, _ = mutate(source, 0.2, seed)
+        m = ted_match(source, mutant)
+        assert len(m.pairs) == count
+        assert sum(m.pair_costs) == relabel
+        assert hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16] == digest
+        assert ted_distance(source, mutant) == distance
+
+
+def test_ted_distance_on_deep_chain():
+    depth = 3000
+    deep = parse_html("<div>" * depth + "</div>" * depth)
+    small = parse_html("<html><body><p>x</p></body></html>")
+    # relabel the three small nodes onto the chain, delete the rest
+    assert ted_distance(deep, small) == float(depth)
+    assert ted_distance(small, deep) == float(depth)

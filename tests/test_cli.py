@@ -99,6 +99,17 @@ class TestMutateCommand:
             assert b1.read_bytes() == b2.read_bytes()
 
 
+    def test_too_deep_page_fails_cleanly(self, tmp_path, capsys):
+        deep = tmp_path / "deep.html"
+        deep.write_text("<div>" * 600 + "</div>" * 600, encoding="utf-8")
+        code = main(["mutate", str(deep), "--ratio", "0.2", "--count", "1",
+                     "--out-dir", str(tmp_path / "bundles")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+
+
 class TestBenchCommand:
     def test_empty_corpus_header_only(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

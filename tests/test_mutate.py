@@ -136,7 +136,7 @@ class TestMutate:
     def test_exhaustion_guard(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=0, source_page="x")
-        mutator.candidates = lambda: {kind: [] for kind in MUTATION_KINDS}  # type: ignore
+        mutator.has_target = lambda kind, need: False  # type: ignore
         with pytest.raises(ExhaustedTargets):
             mutator.run()
 
@@ -144,10 +144,9 @@ class TestMutate:
 class TestOperators:
     def run_kind(self, kind: str, tree: LabeledTree, seed: int = 0):
         mutator = _Mutator(tree, 0.5, seed=seed, source_page="t")
-        pools = mutator.candidates()
-        assert pools[kind], f"no target for {kind}"
-        node, parent = pools[kind][0]
-        mutator.apply(kind, node, parent)
+        pool = mutator.pool(kind, mutator.target)
+        assert pool, f"no target for {kind}"
+        mutator.apply(kind, pool[0])
         from treematch.tree import freeze as _freeze
 
         return _freeze(mutator.root), mutator
@@ -156,12 +155,12 @@ class TestOperators:
         tree = sample_page()
         leaf_sig = None
         mutator = _Mutator(tree, 0.5, seed=0, source_page="t")
-        pools = mutator.candidates()
-        node, parent = next(
-            (n, p) for n, p in pools["remove_node"] if not n.children
+        pos = next(
+            i for i in mutator.pool("remove_node", mutator.target)
+            if not mutator.nodes[i].children
         )
-        leaf_sig = node.signature
-        mutator.apply("remove_node", node, parent)
+        leaf_sig = mutator.nodes[pos].signature
+        mutator.apply("remove_node", pos)
         mutant = freeze(mutator.root)
         assert len(mutant) == len(tree) - 1
         assert leaf_sig in mutator.removed
@@ -169,10 +168,12 @@ class TestOperators:
     def test_remove_subtree_records_all_signatures(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=0, source_page="t")
-        pools = mutator.candidates()
-        node, parent = max(pools["remove_node"], key=lambda e: len(e[0].children))
-        count = 1 + sum(1 for _ in _walk(node))
-        mutator.apply("remove_node", node, parent)
+        pos = max(
+            mutator.pool("remove_node", mutator.target),
+            key=lambda i: len(mutator.nodes[i].children),
+        )
+        count = 1 + sum(1 for _ in _walk(mutator.nodes[pos]))
+        mutator.apply("remove_node", pos)
         assert len(mutator.removed) == count
 
     def test_duplicate_copy_has_no_signatures(self):
@@ -199,10 +200,12 @@ class TestOperators:
     def test_unwrap_splices_children(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=0, source_page="t")
-        pools = mutator.candidates()
-        node, parent = next((n, p) for n, p in pools["unwrap"] if n.children)
+        pos = next(
+            i for i in mutator.pool("unwrap", mutator.target) if mutator.nodes[i].children
+        )
+        node = mutator.nodes[pos]
         child_sigs = [c.signature for c in node.children]
-        mutator.apply("unwrap", node, parent)
+        mutator.apply("unwrap", pos)
         mutant = freeze(mutator.root)
         assert len(mutant) == len(tree) - 1
         assert node.signature in mutator.removed
@@ -212,10 +215,10 @@ class TestOperators:
     def test_swap_preserves_node_set(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=3, source_page="t")
-        pools = mutator.candidates()
-        node, parent = pools["swap"][0]
+        pos = mutator.pool("swap", mutator.target)[0]
+        parent = mutator.parent_of[mutator.sigs[pos]]
         before = [c.signature for c in parent.children]
-        mutator.apply("swap", node, parent)
+        mutator.apply("swap", pos)
         after = [c.signature for c in parent.children]
         assert sorted(map(str, before)) == sorted(map(str, after))
         assert before != after
@@ -260,10 +263,11 @@ class TestGroundTruth:
     def test_after_removal(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=0, source_page="t")
-        node, parent = next(
-            (n, p) for n, p in mutator.candidates()["remove_node"] if not n.children
+        pos = next(
+            i for i in mutator.pool("remove_node", mutator.target)
+            if not mutator.nodes[i].children
         )
-        mutator.apply("remove_node", node, parent)
+        mutator.apply("remove_node", pos)
         truth = ground_truth(tree, freeze(mutator.root))
         assert len(truth) == len(tree) - 1
 
@@ -271,8 +275,7 @@ class TestGroundTruth:
         tree = sample_page()
         mutant, _ = mutate(tree, 0.0, seed=0)
         mutator = _Mutator(tree, 0.5, seed=0, source_page="t")
-        node, parent = mutator.candidates()["duplicate"][0]
-        mutator.apply("duplicate", node, parent)
+        mutator.apply("duplicate", mutator.pool("duplicate", mutator.target)[0])
         mutant = freeze(mutator.root)
         truth = ground_truth(tree, mutant)
         assert len(truth) == len(tree)
@@ -336,12 +339,14 @@ class TestAgainstReference:
 
     def test_exhaustion_message_matches(self):
         tree = sample_page()
+        mutator = _Mutator(tree, 0.5, seed=0, source_page="x")
+        mutator.has_target = lambda kind, need: False  # type: ignore
+        reference = ReferenceMutator(tree, 0.5, seed=0, source_page="x")
+        reference.candidates = lambda: {kind: [] for kind in MUTATION_KINDS}  # type: ignore
         messages = []
-        for cls in (_Mutator, ReferenceMutator):
-            mutator = cls(tree, 0.5, seed=0, source_page="x")
-            mutator.candidates = lambda: {kind: [] for kind in MUTATION_KINDS}  # type: ignore
+        for runner in (mutator, reference):
             with pytest.raises(ExhaustedTargets) as info:
-                mutator.run()
+                runner.run()
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -363,14 +368,22 @@ class TestAgainstReference:
         for cls in (_Mutator, ReferenceMutator):
             mutator = cls(tree, 0.5, seed=0, source_page="t")
             mutator.rng = LastChoice(0)
-            pools = mutator.candidates()
-            ul, parent = next(e for e in pools["duplicate"] if e[0].tag == "ul")
-            anchor = next(n for n, _ in pools["duplicate"] if n.tag == "a")
-            mutator.apply("duplicate", ul, parent)
-            mutator.apply("duplicate", ul, parent)
+            if cls is _Mutator:
+                pool = mutator.pool("duplicate", mutator.target)
+                ul = next(i for i in pool if mutator.nodes[i].tag == "ul")
+                anchor = next(i for i in pool if mutator.nodes[i].tag == "a")
+                parent = mutator.parent_of[mutator.sigs[ul]]
+                apply = mutator.apply
+            else:
+                pools = mutator.candidates()
+                ul, parent = next(e for e in pools["duplicate"] if e[0].tag == "ul")
+                anchor = next(n for n, _ in pools["duplicate"] if n.tag == "a")
+                apply = lambda kind, node, m=mutator, p=parent: m.apply(kind, node, p)
+            apply("duplicate", ul)
+            apply("duplicate", ul)
             # children: a, ul, copy, copy; the partner is the last copy, but
             # list.index resolves it to the first one
-            mutator.apply("swap", anchor, parent)
+            apply("swap", anchor)
             assert [c.tag for c in parent.children] == ["ul", "ul", "a", "ul"]
             mutator.rng = random.Random(5)
             mutant, log = mutator.run()

@@ -8,6 +8,7 @@ from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
+    TooDeep,
     ancestor,
     freeze,
     parse_html,
@@ -88,6 +89,14 @@ class TestParseHtml:
         assert tree.node(0).text == "a & b"
 
 
+    def test_deep_chain(self):
+        depth = 3000
+        tree = parse_html("<div>" * depth + "</div>" * depth)
+        assert len(tree) == depth
+        assert tree.node(depth - 1).parent == depth - 2
+        assert tree.node(depth - 1).xpath == "/div" * depth
+
+
 class TestJsonFormat:
     def test_single_node(self):
         tree = parse_tree_json('{"tag":"a","children":[]}')
@@ -128,6 +137,16 @@ class TestJsonFormat:
     def test_invalid_json(self):
         with pytest.raises(FormatError):
             parse_tree_json("{nope")
+
+    def test_too_deep_to_write_is_typed(self):
+        deep = parse_html("<div>" * 600 + "</div>" * 600)
+        with pytest.raises(TooDeep):
+            serialize_tree_json(deep)
+
+    def test_too_deep_to_read_is_format_error(self):
+        text = '{"tag":"a","children":[' * 600 + '{"tag":"b"}' + "]}" * 600
+        with pytest.raises(FormatError):
+            parse_tree_json(text)
 
     @given(labeled_trees(max_nodes=15))
     def test_round_trip_property(self, tree):
