@@ -44,8 +44,9 @@ def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
 
     w = params.no_match_cost
     # candidate edges per t1 node as (cost, m), cheapest first
+    adjacency = g.t1_adjacency
     options: list[list[tuple[float, int]]] = [
-        sorted((g.edge_cost[i], g.edge_m[i]) for i in g.t1_adjacency[n])
+        sorted((g.edge_cost[i], g.edge_m[i]) for i in adjacency[n])
         for n in range(g.t1_size)
     ]
     # delta of a pair relative to leaving both ends unmatched

@@ -100,10 +100,15 @@ class MutantBundle:
 def write_bundle(
     directory: Path, source: LabeledTree, mutant: LabeledTree, log: MutationLog
 ) -> None:
+    # serialise first, so a tree too deep to write leaves no directory behind
+    texts = (
+        (SOURCE_FILE, serialize_tree_json(source)),
+        (MUTANT_FILE, serialize_tree_json(mutant)),
+        (LOG_FILE, mutation_log_to_json(log)),
+    )
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / SOURCE_FILE).write_text(serialize_tree_json(source), encoding="utf-8")
-    (directory / MUTANT_FILE).write_text(serialize_tree_json(mutant), encoding="utf-8")
-    (directory / LOG_FILE).write_text(mutation_log_to_json(log), encoding="utf-8")
+    for name, text in texts:
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def load_bundle(directory: Path) -> MutantBundle:

@@ -8,18 +8,26 @@ by leaving it in the unmatched set (the no-match assignment), and is charged
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
-built per edge on the matching path.
+built per edge on the matching path. That order comes from two sorts on
+plain keys: one by the int ``n * len(t2) + m``, then a stable one by the
+float cost. Per-node adjacency is built on first access and cached, since
+the matching path never reads it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
 from typing import Iterable
 
 from .similarity import SftmParams, SimilarityTable
 from .tree import LabeledTree
+
+
+class NodeOutOfRange(ValueError):
+    """A similarity entry names a node id outside its tree."""
 
 
 class NotFull(ValueError):
@@ -39,15 +47,14 @@ class MatchGraph:
 
     Edge ``i`` joins t1 node ``edge_n[i]`` to t2 node ``edge_m[i]`` at cost
     ``edge_cost[i]``. ``t1_adjacency[n]`` and ``t2_adjacency[m]`` list the
-    indices of a node's edges in that order, cheapest first. The optimizer
-    reads the arrays directly; :attr:`edges` is a convenience view.
+    indices of a node's edges in that order, cheapest first; they are built
+    on first access. The optimizer reads the arrays directly; :attr:`edges`
+    is a convenience view.
     """
 
     edge_n: tuple[int, ...]
     edge_m: tuple[int, ...]
     edge_cost: tuple[float, ...]
-    t1_adjacency: tuple[tuple[int, ...], ...]
-    t2_adjacency: tuple[tuple[int, ...], ...]
     t1_size: int
     t2_size: int
 
@@ -56,25 +63,58 @@ class MatchGraph:
         """The edges as :class:`Edge` objects, built on each access."""
         return tuple(map(Edge, self.edge_n, self.edge_m, self.edge_cost))
 
+    @cached_property
+    def t1_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacency(self.edge_n, self.t1_size)
+
+    @cached_property
+    def t2_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacency(self.edge_m, self.t2_size)
+
+
+def _adjacency(ends: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    incident: list[list[int]] = [[] for _ in range(size)]
+    for idx, node in enumerate(ends):
+        incident[node].append(idx)
+    return tuple(map(tuple, incident))
+
 
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:
-    """One edge per positive similarity entry, cost 1/(1+score)."""
-    keyed = sorted((1.0 / (1.0 + score), n, m) for (n, m), score in sp.scores.items())
-    edge_cost, edge_n, edge_m = zip(*keyed) if keyed else ((), (), ())
-    t1_adj: list[list[int]] = [[] for _ in range(len(t1))]
-    t2_adj: list[list[int]] = [[] for _ in range(len(t2))]
-    for idx, n in enumerate(edge_n):
-        t1_adj[n].append(idx)
-    for idx, m in enumerate(edge_m):
-        t2_adj[m].append(idx)
+    """One edge per positive similarity entry, cost 1/(1+score).
+
+    Raises :class:`NodeOutOfRange` when an entry names a node outside
+    ``t1`` or ``t2``.
+    """
+    t1_size, t2_size = len(t1), len(t2)
+    ns: list[int] = []
+    ms: list[int] = []
+    keys: list[int] = []
+    costs: list[float] = []
+    for m, row in sp.rows.items():
+        if not row:
+            continue
+        if not 0 <= m < t2_size:
+            raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+        lo, hi = min(row), max(row)
+        if lo < 0 or hi >= t1_size:
+            bad = lo if lo < 0 else hi
+            raise NodeOutOfRange(f"t1 node {bad} outside a {t1_size}-node tree")
+        ns.extend(row)
+        ms.extend(repeat(m, len(row)))
+        keys.extend([n * t2_size + m for n in row])
+        costs.extend([1.0 / (1.0 + s) for s in row.values()])
+    # (n, m) order by the int key, then a stable sort by cost: (cost, n, m)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    order.sort(key=costs.__getitem__)
+    edge_n = tuple(map(ns.__getitem__, order))
+    edge_m = tuple(map(ms.__getitem__, order))
+    edge_cost = tuple(map(costs.__getitem__, order))
     return MatchGraph(
         edge_n=edge_n,
         edge_m=edge_m,
         edge_cost=edge_cost,
-        t1_adjacency=tuple(map(tuple, t1_adj)),
-        t2_adjacency=tuple(map(tuple, t2_adj)),
-        t1_size=len(t1),
-        t2_size=len(t2),
+        t1_size=t1_size,
+        t2_size=t2_size,
     )
 
 

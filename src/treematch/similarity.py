@@ -4,6 +4,11 @@ Pipeline: build an inverted index over the first tree's tokens, drop tokens
 that occur in too many nodes (sublinear threshold), score each second-tree
 node against the index with IDF weighting, then propagate scores up the
 parent chain so local topology counts too.
+
+The table is kept as one row per second-tree node: ``rows[m]`` maps each
+first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
+row per ``m`` and propagation rewrites a row at a time, so every lookup is
+keyed by a plain int and no tuple is built per pair.
 """
 
 from __future__ import annotations
@@ -73,15 +78,38 @@ class TokenIndex:
 
 @dataclass
 class SimilarityTable:
-    """Sparse (n, m) -> score table; absent means zero, stored scores are > 0."""
+    """Sparse similarity table, one row per second-tree node.
 
-    scores: dict[tuple[int, int], float] = field(default_factory=dict)
+    ``rows[m][n]`` is the score of the pair ``(n, m)``; an absent row or
+    entry means zero. Tables computed here never store an empty row, and
+    their stored scores are > 0.
+    """
+
+    rows: dict[int, dict[int, float]] = field(default_factory=dict)
+
+    @classmethod
+    def from_scores(cls, scores: dict[tuple[int, int], float]) -> SimilarityTable:
+        """The table holding a flat ``(n, m) -> score`` dict."""
+        rows: dict[int, dict[int, float]] = {}
+        for (n, m), score in scores.items():
+            row = rows.get(m)
+            if row is None:
+                rows[m] = {n: score}
+            else:
+                row[n] = score
+        return cls(rows=rows)
+
+    @property
+    def scores(self) -> dict[tuple[int, int], float]:
+        """The table as a flat ``(n, m) -> score`` dict, built on each access."""
+        return {(n, m): s for m, row in self.rows.items() for n, s in row.items()}
 
     def get(self, n: int, m: int) -> float:
-        return self.scores.get((n, m), 0.0)
+        row = self.rows.get(m)
+        return 0.0 if row is None else row.get(n, 0.0)
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return sum(map(len, self.rows.values()))
 
 
 def build_token_index(
@@ -157,11 +185,15 @@ def initial_similarity(
 ) -> SimilarityTable:
     """Label-only similarity for every node pair that shares an indexed token."""
     index = apply_threshold(build_token_index(t1, options), params.alpha)
-    table: dict[tuple[int, int], float] = {}
+    rows: dict[int, dict[int, float]] = {}
     for m in range(len(t2)):
-        for n, s in neighbor_scores(t2, m, index, options, contribution_log).items():
-            table[(n, m)] = s
-    return SimilarityTable(scores=table)
+        row = neighbor_scores(t2, m, index, options, contribution_log)
+        if row:
+            rows[m] = row
+    return SimilarityTable(rows=rows)
+
+
+_EMPTY_ROW: dict[int, float] = {}
 
 
 def propagate(
@@ -173,26 +205,39 @@ def propagate(
     """Blend each pair's score with its ancestors' scores, weighted per level.
 
     Only pairs with a positive initial score are kept; a missing ancestor or
-    an absent ancestor-pair score contributes nothing.
+    an absent ancestor-pair score contributes nothing. For each row ``m`` the
+    weight and ancestor row of every level are looked up once; each ``n``
+    then climbs its own parent chain alongside them.
     """
     weights = params.weights
-    depth = params.p
+    w0 = weights[0]
     parents1 = [node.parent for node in t1]
     parents2 = [node.parent for node in t2]
-    base = s0.scores
-    out: dict[tuple[int, int], float] = {}
-    for (n, m), score in base.items():
-        total = weights[0] * score
-        a: int | None = n
-        b: int | None = m
-        for i in range(1, depth + 1):
-            a = parents1[a]  # type: ignore[index]
-            b = parents2[b]  # type: ignore[index]
-            if a is None or b is None:
+    base = s0.rows
+    out: dict[int, dict[int, float]] = {}
+    for m, row in base.items():
+        # (weight, ancestor row) for levels 1..p of m, stopping at the root;
+        # trailing levels with an empty row add nothing, so they are dropped
+        levels: list[tuple[float, dict[int, float]]] = []
+        b = parents2[m]
+        for w in weights[1:]:
+            if b is None:
                 break
-            up = base.get((a, b))
-            if up is not None:
-                total += weights[i] * up
-        out[(n, m)] = total
-    return SimilarityTable(scores=out)
-
+            levels.append((w, base.get(b, _EMPTY_ROW)))
+            b = parents2[b]
+        while levels and not levels[-1][1]:
+            levels.pop()
+        blended: dict[int, float] = {}
+        for n, s in row.items():
+            total = w0 * s
+            a = n
+            for w, up_row in levels:
+                a = parents1[a]
+                if a is None:
+                    break
+                up = up_row.get(a)
+                if up is not None:
+                    total += w * up
+            blended[n] = total
+        out[m] = blended
+    return SimilarityTable(rows=out)

@@ -5,7 +5,8 @@ oracle does pairwise token intersections, the edit-distance oracle is the
 plain recursive forest definition, the Metropolis oracle is the walk as
 first written, over a graph of ``Edge`` objects with per-edge kill loops, and
 the mutation oracle rescans the whole draft tree for candidates before every
-operator.
+operator, and the similarity oracles keep the table as one flat
+``(n, m) -> score`` dict.
 """
 
 from __future__ import annotations
@@ -29,8 +30,15 @@ from treematch.mutate import (
     _drop_words,
     _random_word,
 )
-from treematch.similarity import SftmParams, SimilarityTable, threshold_cutoff
-from treematch.tokens import DEFAULT_TOKEN_OPTIONS, tokenize_node
+from treematch.similarity import (
+    SftmParams,
+    SimilarityTable,
+    apply_threshold,
+    build_token_index,
+    neighbor_scores,
+    threshold_cutoff,
+)
+from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, tokenize_node
 from treematch.tree import DraftNode, LabeledTree, freeze, thaw
 
 
@@ -59,6 +67,52 @@ def brute_force_s0(
             total += math.log(n1 / count)
         if total > 0.0:
             out[(n, m)] = total
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Initial similarity and propagation over one flat (n, m)-keyed dict, as first
+# written: a tuple key per pair and two ancestor-pair lookups per level.
+
+def reference_initial_similarity(
+    t1: LabeledTree,
+    t2: LabeledTree,
+    params: SftmParams,
+    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
+    contribution_log: dict[str, int] | None = None,
+) -> dict[tuple[int, int], float]:
+    index = apply_threshold(build_token_index(t1, options), params.alpha)
+    table: dict[tuple[int, int], float] = {}
+    for m in range(len(t2)):
+        for n, s in neighbor_scores(t2, m, index, options, contribution_log).items():
+            table[(n, m)] = s
+    return table
+
+
+def reference_propagate(
+    base: dict[tuple[int, int], float],
+    t1: LabeledTree,
+    t2: LabeledTree,
+    params: SftmParams,
+) -> dict[tuple[int, int], float]:
+    weights = params.weights
+    depth = params.p
+    parents1 = [node.parent for node in t1]
+    parents2 = [node.parent for node in t2]
+    out: dict[tuple[int, int], float] = {}
+    for (n, m), score in base.items():
+        total = weights[0] * score
+        a: int | None = n
+        b: int | None = m
+        for i in range(1, depth + 1):
+            a = parents1[a]  # type: ignore[index]
+            b = parents2[b]  # type: ignore[index]
+            if a is None or b is None:
+                break
+            up = base.get((a, b))
+            if up is not None:
+                total += weights[i] * up
+        out[(n, m)] = total
     return out
 
 

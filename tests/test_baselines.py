@@ -30,7 +30,7 @@ def graph_of(scores, t1_size, t2_size):
         root.children = [DraftNode(tag=f"c{k}") for k in range(n - 1)]
         return freeze(root)
 
-    return build_graph(SimilarityTable(scores=scores), line(t1_size), line(t2_size))
+    return build_graph(SimilarityTable.from_scores(scores), line(t1_size), line(t2_size))
 
 
 class TestBruteForce:

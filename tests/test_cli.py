@@ -108,6 +108,8 @@ class TestMutateCommand:
         err = capsys.readouterr().err
         assert any(line.startswith("error:") for line in err.splitlines())
         assert "Traceback" not in err
+        out_dir = tmp_path / "bundles"
+        assert not (out_dir.exists() and any(p.is_dir() for p in out_dir.iterdir()))
 
 
 class TestBenchCommand:

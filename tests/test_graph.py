@@ -9,6 +9,7 @@ from oracles import brute_force_s0
 from strategies import tree_pairs
 from treematch.graph import (
     Matching,
+    NodeOutOfRange,
     NotFull,
     build_graph,
     edge_count,
@@ -54,22 +55,48 @@ class TestBuildGraph:
 
     def test_cost_formula(self):
         t1, t2 = pair_of_single_nodes()
-        g = build_graph(SimilarityTable(scores={(0, 0): 1.0}), t1, t2)
+        g = build_graph(SimilarityTable.from_scores({(0, 0): 1.0}), t1, t2)
         assert g.edges[0].cost == pytest.approx(0.5)
 
     def test_zero_score_pairs_have_no_edge(self):
         t1, t2 = pair_of_single_nodes()
-        g = build_graph(SimilarityTable(scores={}), t1, t2)
+        g = build_graph(SimilarityTable.from_scores({}), t1, t2)
         assert edge_count(g) == 0  # absent pair means no edge, not cost 1
 
     def test_edges_sorted_by_cost_then_ids(self):
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
-        table = SimilarityTable(scores={(0, 0): 1.0, (1, 1): 3.0, (0, 1): 1.0, (1, 0): 0.5})
+        table = SimilarityTable.from_scores({(0, 0): 1.0, (1, 1): 3.0, (0, 1): 1.0, (1, 0): 0.5})
         g = build_graph(table, t1, t2)
         keys = [(e.cost, e.n, e.m) for e in g.edges]
         assert keys == sorted(keys)
         assert g.edges[0].cost == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("key", [(1, 0), (-1, 0)])
+    def test_t1_node_out_of_range_is_typed(self, key):
+        t1, t2 = pair_of_single_nodes()
+        table = SimilarityTable.from_scores({(0, 0): 1.0, key: 1.0})
+        with pytest.raises(NodeOutOfRange, match="t1 node"):
+            build_graph(table, t1, t2)
+
+    @pytest.mark.parametrize("key", [(0, 1), (0, -1)])
+    def test_t2_node_out_of_range_is_typed(self, key):
+        # without the check, (0, 1) would alias the int key of (1, 0)
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a"))
+        table = SimilarityTable.from_scores({(0, 0): 1.0, key: 1.0})
+        with pytest.raises(NodeOutOfRange, match="t2 node"):
+            build_graph(table, t1, t2)
+        assert issubclass(NodeOutOfRange, ValueError)
+
+    def test_adjacency_built_once(self):
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        g = build_graph(SimilarityTable.from_scores({(0, 0): 1.0, (1, 0): 2.0}), t1, t2)
+        assert g.t1_adjacency == ((1,), (0,))
+        assert g.t2_adjacency == ((0, 1), ())
+        assert g.t1_adjacency is g.t1_adjacency
+        assert g.t2_adjacency is g.t2_adjacency
 
     @settings(max_examples=25, deadline=None)
     @given(tree_pairs(max_nodes=10))

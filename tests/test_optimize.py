@@ -32,7 +32,7 @@ def graph_from_scores(scores: dict, t1_size: int, t2_size: int, build=build_grap
             root.children.append(DraftNode(tag=f"c{k}"))
         return freeze(root)
 
-    return build(SimilarityTable(scores=scores), line(t1_size), line(t2_size))
+    return build(SimilarityTable.from_scores(scores), line(t1_size), line(t2_size))
 
 
 def cost_to_score(cost: float) -> float:

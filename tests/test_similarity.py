@@ -223,6 +223,21 @@ class TestInitialSimilarity:
         assert "tag:p" not in log
 
 
+class TestSimilarityTable:
+    def test_from_scores_groups_rows_by_t2_node(self):
+        table = SimilarityTable.from_scores({(0, 1): 2.0, (3, 1): 0.5, (2, 0): 1.0})
+        assert table.rows == {1: {0: 2.0, 3: 0.5}, 0: {2: 1.0}}
+        assert table.scores == {(0, 1): 2.0, (3, 1): 0.5, (2, 0): 1.0}
+        assert len(table) == 3
+
+    def test_get_reads_absent_as_zero(self):
+        table = SimilarityTable.from_scores({(0, 1): 2.0})
+        assert table.get(0, 1) == 2.0
+        assert table.get(1, 1) == 0.0
+        assert table.get(0, 0) == 0.0
+        assert len(SimilarityTable()) == 0
+
+
 class TestPropagate:
     def chain_pair(self):
         t1 = tree_of(DraftNode(tag="a", children=[DraftNode(tag="b")]))
@@ -231,20 +246,20 @@ class TestPropagate:
 
     def test_depth_zero_is_identity(self):
         t1, t2 = self.chain_pair()
-        s0 = SimilarityTable(scores={(0, 0): 2.0, (1, 1): 1.0})
+        s0 = SimilarityTable.from_scores({(0, 0): 2.0, (1, 1): 1.0})
         params = SftmParams(p=0, weights=(1.0,))
         assert propagate(s0, t1, t2, params).scores == s0.scores
 
     def test_roots_have_no_ancestors(self):
         t1 = tree_of(DraftNode(tag="a"))
         t2 = tree_of(DraftNode(tag="a"))
-        s0 = SimilarityTable(scores={(0, 0): 2.0})
+        s0 = SimilarityTable.from_scores({(0, 0): 2.0})
         params = SftmParams(p=2, weights=(1.0, 0.5, 0.25))
         assert propagate(s0, t1, t2, params).scores == {(0, 0): 2.0}
 
     def test_chain_sum(self):
         t1, t2 = self.chain_pair()
-        s0 = SimilarityTable(scores={(0, 0): 1.0, (1, 1): 1.0})
+        s0 = SimilarityTable.from_scores({(0, 0): 1.0, (1, 1): 1.0})
         params = SftmParams(p=1, weights=(1.0, 0.5))
         result = propagate(s0, t1, t2, params)
         assert result.scores[(1, 1)] == pytest.approx(1.5)
@@ -253,14 +268,14 @@ class TestPropagate:
     def test_zero_s0_pairs_stay_excluded(self):
         t1, t2 = self.chain_pair()
         # children similar, parents similar, but no (child, parent) entry may appear
-        s0 = SimilarityTable(scores={(0, 0): 3.0})
+        s0 = SimilarityTable.from_scores({(0, 0): 3.0})
         params = SftmParams(p=1, weights=(1.0, 0.5))
         result = propagate(s0, t1, t2, params)
         assert set(result.scores) == {(0, 0)}
 
     def test_missing_ancestor_entry_contributes_zero(self):
         t1, t2 = self.chain_pair()
-        s0 = SimilarityTable(scores={(1, 1): 2.0})
+        s0 = SimilarityTable.from_scores({(1, 1): 2.0})
         params = SftmParams(p=2, weights=(1.0, 0.5, 0.25))
         assert propagate(s0, t1, t2, params).scores[(1, 1)] == pytest.approx(2.0)
 
@@ -293,8 +308,8 @@ class TestPropagate:
         perturbed[(div, div)] = 9.0
         perturbed[(p_, p_)] = 9.0
         params = SftmParams(p=1, weights=(1.0, 0.5))
-        sp_a = propagate(SimilarityTable(scores=base), t1, t2, params)
-        sp_b = propagate(SimilarityTable(scores=perturbed), t1, t2, params)
+        sp_a = propagate(SimilarityTable.from_scores(base), t1, t2, params)
+        sp_b = propagate(SimilarityTable.from_scores(perturbed), t1, t2, params)
         # the ul/li branch chains (depth 1) avoid the div branch entirely
         assert sp_a.scores[(ul, ul)] == sp_b.scores[(ul, ul)]
         assert sp_a.scores[(li, li)] == sp_b.scores[(li, li)]
