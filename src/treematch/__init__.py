@@ -21,7 +21,7 @@ from .evaluate import (
     sensitivity_sweep,
     write_bundle,
 )
-from .graph import Edge, MatchGraph, Matching, build_graph, edge_count, matching_cost, neighbors
+from .graph import Edge, MatchGraph, Matching, build_graph, edge_count, matching_cost
 from .mutate import MutationLog, MutationOp, assign_signatures, ground_truth, mutate
 from .optimize import initial_matching, metropolis, objective, suggest_matching
 from .pipeline import match_trees, match_trees_detailed
@@ -40,7 +40,6 @@ from .tokens import TokenOptions, string_tokenize, tokenize_node
 from .tree import (
     LabeledTree,
     TreeNode,
-    ancestor,
     parse_html,
     parse_tree_json,
     serialize_tree_json,
@@ -65,7 +64,6 @@ __all__ = [
     "TokenIndex",
     "TokenOptions",
     "TreeNode",
-    "ancestor",
     "apply_threshold",
     "assign_signatures",
     "brute_force_optimal",
@@ -83,7 +81,6 @@ __all__ = [
     "metropolis",
     "mutate",
     "neighbor_scores",
-    "neighbors",
     "objective",
     "optimal_rate",
     "parse_html",

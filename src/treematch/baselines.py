@@ -85,9 +85,9 @@ def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
 
     search(0, 0, 0.0)
 
-    pairs = [(n, m) for n, m, _ in best_pairs]
-    costs = [c for _, _, c in best_pairs]
-    return Matching.from_pairs(pairs, costs, g.t1_size, g.t2_size)
+    pairs = tuple((n, m) for n, m, _ in best_pairs)
+    costs = tuple(c for _, _, c in best_pairs)
+    return Matching(pairs, costs, g.t1_size, g.t2_size)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,6 @@ def ted_match(t1: LabeledTree, t2: LabeledTree, cfg: TedCostConfig = TedCostConf
         (run.order1[x], run.order2[y], 0.0 if run.lab1[x] == run.lab2[y] else run.cr)
         for x, y in run.mapping()
     )
-    return Matching.from_pairs(
-        [(n, m) for n, m, _ in mapped], [c for _, _, c in mapped], len(t1), len(t2)
+    return Matching(
+        tuple((n, m) for n, m, _ in mapped), tuple(c for _, _, c in mapped), len(t1), len(t2)
     )

@@ -161,8 +161,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
-    params, options = _params_from(args)
-    _echo_config("mutate", params, options)
+    print(f"[treematch mutate] seed={args.seed} ratio={args.ratio} count={args.count}",
+          file=sys.stderr)
     src = Path(args.src)
     try:
         tree = assign_signatures(_load_tree(src, args.format))
@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of mutants; ratios evenly span [0, ratio) (default 10)")
     p_mutate.add_argument("--out-dir", required=True, help="directory for bundles")
     p_mutate.add_argument("--format", choices=["auto", "html", "json"], default="auto")
-    _add_param_flags(p_mutate)
+    p_mutate.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                          help="mutation seed; mutant k is drawn with seed*100003+k "
+                          f"(default {_DEFAULTS.seed})")
     p_mutate.set_defaults(func=_cmd_mutate)
 
     p_bench = sub.add_parser("bench", help="evaluate algorithms over a bundle corpus")

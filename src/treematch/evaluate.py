@@ -15,7 +15,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,11 +30,6 @@ from .tree import FormatError, LabeledTree, parse_tree_json, serialize_tree_json
 SOURCE_FILE = "source.html.json"
 MUTANT_FILE = "mutant.html.json"
 LOG_FILE = "mutations.json"
-
-CSV_COLUMNS = (
-    "page,algorithm,n_nodes,mutation_ratio,elapsed_s,mismatch,no_match,"
-    "successful,rate,optimal_rate,alpha,seed,timeout"
-).split(",")
 
 ALGORITHMS = ("similarity", "ted")
 
@@ -149,6 +144,9 @@ class BenchRow:
     timeout: bool
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
+
+
 class _TimeoutExpired(Exception):
     pass
 
@@ -199,7 +197,6 @@ def evaluate_pair(
     """Match one (source, mutant) pair and score it; timing covers matching only."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    truth = ground_truth(bundle.source, bundle.mutant)
     d_size = len(bundle.source)
 
     if algorithm == "ted":
@@ -209,38 +206,31 @@ def evaluate_pair(
 
     matching, elapsed, timed_out = _run_with_timeout(task, timeout_s)
 
-    if timed_out:
-        return BenchRow(
-            page=bundle.log.source_page or bundle.name,
-            algorithm=algorithm,
-            n_nodes=d_size,
-            mutation_ratio=bundle.log.ratio,
-            elapsed_s=elapsed,
-            mismatch=None,
-            no_match=None,
-            successful=None,
-            rate=None,
-            optimal_rate=None,
-            alpha=params.alpha,
-            seed=params.seed,
-            timeout=True,
-        )
-
-    report = score_matching(matching, truth, d_size)
-    return BenchRow(
+    row = BenchRow(
         page=bundle.log.source_page or bundle.name,
         algorithm=algorithm,
         n_nodes=d_size,
         mutation_ratio=bundle.log.ratio,
         elapsed_s=elapsed,
+        mismatch=None,
+        no_match=None,
+        successful=None,
+        rate=None,
+        optimal_rate=None,
+        alpha=params.alpha,
+        seed=params.seed,
+        timeout=timed_out,
+    )
+    if timed_out:
+        return row
+    report = score_matching(matching, ground_truth(bundle.source, bundle.mutant), d_size)
+    return replace(
+        row,
         mismatch=report.mismatch,
         no_match=report.no_match,
         successful=report.successful,
         rate=report.successful_match_rate,
         optimal_rate=optimal_rate(d_size, bundle.log),
-        alpha=params.alpha,
-        seed=params.seed,
-        timeout=False,
     )
 
 
@@ -383,16 +373,7 @@ def write_bench_csv(rows: Sequence[BenchRow], path: Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    _cell(v)
-                    for v in (
-                        row.page, row.algorithm, row.n_nodes, row.mutation_ratio,
-                        row.elapsed_s, row.mismatch, row.no_match, row.successful,
-                        row.rate, row.optimal_rate, row.alpha, row.seed, row.timeout,
-                    )
-                ]
-            )
+            writer.writerow([_cell(getattr(row, name)) for name in CSV_COLUMNS])
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: Path) -> None:

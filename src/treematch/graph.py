@@ -3,8 +3,10 @@
 An edge exists only for node pairs with a positive propagated similarity;
 its cost is 1/(1+score), so better-scoring pairs are cheaper. A full
 matching covers every node of both trees exactly once, either by a pair or
-by leaving it in the unmatched set (the no-match assignment), and is charged
-``no_match_cost`` per unmatched node.
+by the no-match assignment, and is charged ``no_match_cost`` per unmatched
+node. A :class:`Matching` stores only its pairs and the two tree sizes; the
+unmatched sets are every node no pair covers, so they are derived, never
+stored.
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
@@ -17,10 +19,9 @@ the matching path never reads it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from typing import Iterable
+from itertools import repeat
 
 from .similarity import SftmParams, SimilarityTable
 from .tree import LabeledTree
@@ -122,99 +123,64 @@ def edge_count(g: MatchGraph) -> int:
     return len(g.edge_n)
 
 
-def neighbors(g: MatchGraph, side: str, node_id: int) -> list[Edge]:
-    """Edges incident to a node, cheapest first. ``side`` is "t1" or "t2"."""
-    if side == "t1":
-        adjacency = g.t1_adjacency
-    elif side == "t2":
-        adjacency = g.t2_adjacency
-    else:
-        raise ValueError(f"side must be 't1' or 't2', got {side!r}")
-    if not 0 <= node_id < len(adjacency):
-        return []
-    return [Edge(g.edge_n[i], g.edge_m[i], g.edge_cost[i]) for i in adjacency[node_id]]
-
-
 @dataclass(frozen=True)
 class Matching:
-    """A full matching: ordered selected pairs plus the unmatched remainder.
+    """A full matching: ordered selected pairs over trees of known sizes.
 
     ``pairs[k]`` is (t1 node, t2 node) and ``pair_costs[k]`` its edge cost.
     Pair order is meaningful to the optimizer's suggestion step and is
-    preserved.
+    preserved. Every node no pair covers takes the no-match assignment, so
+    :attr:`unmatched_t1` and :attr:`unmatched_t2` are derived from the pairs.
+
+    Construction raises :class:`NotFull` unless ``pair_costs`` lines up with
+    ``pairs``, every id is in range, and no node is in two pairs.
     """
 
     pairs: tuple[tuple[int, int], ...]
     pair_costs: tuple[float, ...]
-    unmatched_t1: frozenset[int]
-    unmatched_t2: frozenset[int]
     t1_size: int
     t2_size: int
-    _checked: bool = field(default=False, repr=False, compare=False)
+    # Ignored. Kept so ``replace(m, _checked=False)`` (as the benchmark in
+    # perfbench/ calls it) still works; that re-runs the check like any
+    # other construction.
+    _checked: InitVar[bool] = False
+
+    def __post_init__(self, _checked: bool) -> None:
+        pairs = self.pairs
+        if len(self.pair_costs) != len(pairs):
+            raise NotFull(f"{len(self.pair_costs)} costs for {len(pairs)} pairs")
+        used_t1 = bytearray(self.t1_size)
+        used_t2 = bytearray(self.t2_size)
+        try:
+            for n, m in pairs:
+                if n < 0 or m < 0:  # a negative index would wrap around
+                    raise IndexError
+                used_t1[n] = used_t2[m] = 1
+        except IndexError:
+            raise NotFull(
+                f"pair {(n, m)} outside a {self.t1_size}x{self.t2_size} node range"
+            ) from None
+        if used_t1.count(1) != len(pairs) or used_t2.count(1) != len(pairs):
+            raise NotFull("a node is in two pairs")
+
+    @property
+    def unmatched_t1(self) -> frozenset[int]:
+        return frozenset(range(self.t1_size)).difference(n for n, _ in self.pairs)
+
+    @property
+    def unmatched_t2(self) -> frozenset[int]:
+        return frozenset(range(self.t2_size)).difference(m for _, m in self.pairs)
 
     @property
     def size(self) -> int:
         """Edge count of the full matching, no-match assignments included."""
-        return len(self.pairs) + len(self.unmatched_t1) + len(self.unmatched_t2)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[int, int]],
-        costs: Iterable[float],
-        t1_size: int,
-        t2_size: int,
-    ) -> Matching:
-        """The full matching whose unmatched sets are every node no pair covers.
-
-        Raises :class:`NotFull` when a node is in two pairs or ``costs`` does
-        not line up with ``pairs``.
-        """
-        pairs = tuple(pairs)
-        costs = tuple(costs)
-        free_t1 = bytearray(b"\x01") * t1_size
-        free_t2 = bytearray(b"\x01") * t2_size
-        for n, m in pairs:
-            free_t1[n] = 0
-            free_t2[m] = 0
-        unmatched_t1 = frozenset(compress(range(t1_size), free_t1))
-        unmatched_t2 = frozenset(compress(range(t2_size), free_t2))
-        if (
-            len(costs) != len(pairs)
-            or len(pairs) + len(unmatched_t1) != t1_size
-            or len(pairs) + len(unmatched_t2) != t2_size
-        ):
-            raise NotFull("pairs do not form a matching over the given node ranges")
-        return cls(pairs, costs, unmatched_t1, unmatched_t2, t1_size, t2_size, _checked=True)
-
-
-def validate_full(m: Matching) -> None:
-    """Raise :class:`NotFull` unless every node is covered exactly once."""
-    if m._checked:
-        return
-    if len(m.pairs) != len(m.pair_costs):
-        raise NotFull("pair/cost length mismatch")
-    t1_seen = {n for n, _ in m.pairs}
-    t2_seen = {mm for _, mm in m.pairs}
-    if len(t1_seen) != len(m.pairs) or len(t2_seen) != len(m.pairs):
-        raise NotFull("a node appears in more than one pair")
-    if t1_seen & m.unmatched_t1 or t2_seen & m.unmatched_t2:
-        raise NotFull("a node is both matched and unmatched")
-    if len(m.pairs) + len(m.unmatched_t1) != m.t1_size:
-        raise NotFull(
-            f"t1 coverage {len(m.pairs)}+{len(m.unmatched_t1)} != {m.t1_size}"
-        )
-    if len(m.pairs) + len(m.unmatched_t2) != m.t2_size:
-        raise NotFull(
-            f"t2 coverage {len(m.pairs)}+{len(m.unmatched_t2)} != {m.t2_size}"
-        )
+        return self.t1_size + self.t2_size - len(self.pairs)
 
 
 def matching_cost(m: Matching, params: SftmParams) -> float:
     """Total cost: selected edge costs plus the no-match penalty per uncovered node."""
-    validate_full(m)
     return sum(m.pair_costs) + params.no_match_cost * (
-        len(m.unmatched_t1) + len(m.unmatched_t2)
+        m.t1_size + m.t2_size - 2 * len(m.pairs)
     )
 
 

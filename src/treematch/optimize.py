@@ -50,7 +50,7 @@ def initial_matching(g: MatchGraph, params: SftmParams) -> Matching:
             t2_used[m] = 1
             pairs.append((n, m))
             costs.append(cost)
-    return Matching.from_pairs(pairs, costs, g.t1_size, g.t2_size)
+    return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
 
 
 def suggest_matching(
@@ -110,7 +110,7 @@ def suggest_matching(
         t1_used[n] = 1
         t2_used[m] = 1
 
-    return Matching.from_pairs(pairs, costs, g.t1_size, g.t2_size)
+    return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
 
 
 def objective(m: Matching, params: SftmParams) -> float:

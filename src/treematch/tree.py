@@ -174,19 +174,6 @@ def thaw(tree: LabeledTree) -> DraftNode:
     return drafts[tree.root]
 
 
-def ancestor(tree: LabeledTree, node_id: int, i: int) -> int | None:
-    """The i-th ancestor of a node; i=0 is the node itself, None past the root."""
-    if i < 0:
-        raise ValueError(f"ancestor level must be >= 0, got {i}")
-    current: int | None = node_id
-    tree.node(node_id)  # bounds check
-    for _ in range(i):
-        if current is None:
-            return None
-        current = tree.node(current).parent
-    return current
-
-
 # ---------------------------------------------------------------------------
 # HTML ingestion
 

@@ -255,11 +255,8 @@ def reference_initial_matching(g: ReferenceGraph) -> Matching:
     return Matching(
         pairs=tuple(pairs),
         pair_costs=tuple(costs),
-        unmatched_t1=frozenset(i for i in range(g.t1_size) if not t1_used[i]),
-        unmatched_t2=frozenset(i for i in range(g.t2_size) if not t2_used[i]),
         t1_size=g.t1_size,
         t2_size=g.t2_size,
-        _checked=True,
     )
 
 
@@ -341,11 +338,8 @@ def reference_suggest_matching(
     return Matching(
         pairs=tuple(pairs),
         pair_costs=tuple(costs),
-        unmatched_t1=frozenset(i for i in range(g.t1_size) if not t1_used[i]),
-        unmatched_t2=frozenset(i for i in range(g.t2_size) if not t2_used[i]),
         t1_size=g.t1_size,
         t2_size=g.t2_size,
-        _checked=True,
     )
 
 

@@ -15,7 +15,7 @@ from treematch.baselines import (
     ted_distance,
     ted_match,
 )
-from treematch.graph import build_graph, matching_cost, validate_full
+from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import metropolis
 from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
@@ -75,7 +75,7 @@ class TestBruteForce:
         s = 1.0  # cost 0.5 each
         g = graph_of({(0, 0): s, (1, 1): s, (0, 1): s, (1, 0): s}, 2, 2)
         m = brute_force_optimal(g, PARAMS)
-        validate_full(m)
+        assert Matching(m.pairs, m.pair_costs, m.t1_size, m.t2_size) == m
         assert m.pairs == ((0, 0), (1, 1))
 
     @settings(max_examples=25, deadline=None)
@@ -172,13 +172,7 @@ class TestTedMatch:
         t1 = chain("a", "b")
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b"), DraftNode(tag="c")]))
         m = ted_match(t1, t2)
-        validate_full(
-            type(m)(
-                pairs=m.pairs, pair_costs=m.pair_costs,
-                unmatched_t1=m.unmatched_t1, unmatched_t2=m.unmatched_t2,
-                t1_size=m.t1_size, t2_size=m.t2_size,
-            )
-        )
+        assert Matching(m.pairs, m.pair_costs, m.t1_size, m.t2_size) == m
 
     @settings(max_examples=40, deadline=None)
     @given(tree_pairs(max_nodes=8))

@@ -90,6 +90,13 @@ class TestMutateCommand:
         dst = [(n.tag, n.attributes, n.text) for n in bundle.mutant]
         assert src == dst
 
+    def test_config_echoed(self, page_file, tmp_path, capsys):
+        main(["mutate", str(page_file), "--ratio", "0.1", "--count", "1",
+              "--out-dir", str(tmp_path / "bundles"), "--seed", "3"])
+        err = capsys.readouterr().err
+        assert "[treematch mutate] seed=3 ratio=0.1 count=1" in err
+        assert "alpha" not in err
+
     def test_byte_identical_with_same_seed(self, page_file, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         for d in (d1, d2):
@@ -197,7 +204,7 @@ class TestSweepCommand:
 
 
 class TestHelp:
-    @pytest.mark.parametrize("command", ["match", "mutate", "bench", "sweep"])
+    @pytest.mark.parametrize("command", ["match", "bench", "sweep"])
     def test_every_param_documented(self, command, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -208,3 +215,13 @@ class TestHelp:
                      "--flat-tokens", "--tokenize-content"):
             assert flag in text
         assert "default" in text
+
+    def test_mutate_takes_only_the_seed(self, page_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", str(page_file), "--out-dir", str(tmp_path), "--alpha", "0.9"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mutate", "--help"])
+        text = capsys.readouterr().out
+        assert "--seed" in text
+        assert "--alpha" not in text

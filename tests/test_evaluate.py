@@ -50,16 +50,7 @@ def page(width: int = 3):
 
 
 def matching_of(pairs, t1_size, t2_size):
-    matched_n = {n for n, _ in pairs}
-    matched_m = {m for _, m in pairs}
-    return Matching(
-        pairs=tuple(pairs),
-        pair_costs=tuple(0.5 for _ in pairs),
-        unmatched_t1=frozenset(set(range(t1_size)) - matched_n),
-        unmatched_t2=frozenset(set(range(t2_size)) - matched_m),
-        t1_size=t1_size,
-        t2_size=t2_size,
-    )
+    return Matching(tuple(pairs), tuple(0.5 for _ in pairs), t1_size, t2_size)
 
 
 def empty_log(ratio=0.0, removed=(), page_name="p"):
@@ -278,7 +269,10 @@ class TestCsv:
         rows = [
             BenchRow(page="p", algorithm="similarity", n_nodes=5, mutation_ratio=0.1,
                      elapsed_s=0.5, mismatch=None, no_match=None, successful=None,
-                     rate=None, optimal_rate=None, alpha=0.5, seed=0, timeout=True)
+                     rate=None, optimal_rate=None, alpha=0.5, seed=0, timeout=True),
+            BenchRow(page="q", algorithm="ted", n_nodes=7, mutation_ratio=0.2,
+                     elapsed_s=1.25, mismatch=1, no_match=2, successful=4,
+                     rate=4 / 7, optimal_rate=6 / 7, alpha=0.5, seed=3, timeout=False),
         ]
         out = tmp_path / "r.csv"
         write_bench_csv(rows, out)
@@ -287,6 +281,7 @@ class TestCsv:
                             "mismatch,no_match,successful,rate,optimal_rate,"
                             "alpha,seed,timeout")
         assert lines[1] == "p,similarity,5,0.1,0.5,,,,,,0.5,0,1"
+        assert lines[2] == "q,ted,7,0.2,1.25,1,2,4,0.5714285714285714,0.8571428571428571,0.5,3,0"
 
     def test_write_is_deterministic(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=2)

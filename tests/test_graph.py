@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from treematch.graph import (
     edge_count,
     matching_cost,
     matching_to_json,
-    neighbors,
 )
 from treematch.similarity import (
     SftmParams,
@@ -32,19 +32,6 @@ PARAMS = SftmParams()
 
 def pair_of_single_nodes():
     return freeze(DraftNode(tag="a")), freeze(DraftNode(tag="a"))
-
-
-def full_matching(pairs, costs, t1_size, t2_size):
-    matched_n = {n for n, _ in pairs}
-    matched_m = {m for _, m in pairs}
-    return Matching(
-        pairs=tuple(pairs),
-        pair_costs=tuple(costs),
-        unmatched_t1=frozenset(set(range(t1_size)) - matched_n),
-        unmatched_t2=frozenset(set(range(t2_size)) - matched_m),
-        t1_size=t1_size,
-        t2_size=t2_size,
-    )
 
 
 class TestBuildGraph:
@@ -109,11 +96,10 @@ class TestBuildGraph:
             for e in g.edges:
                 assert 0.0 < e.cost <= top < 1.0
         assert edge_count(g) == len(sp.scores)
-        for n in range(len(t1)):
-            for e in neighbors(g, "t1", n):
-                assert e.n == n
-        for m in range(len(t2)):
-            costs = [e.cost for e in neighbors(g, "t2", m)]
+        for n, incident in enumerate(g.t1_adjacency):
+            assert all(g.edge_n[i] == n for i in incident)
+        for incident in g.t2_adjacency:
+            costs = [g.edge_cost[i] for i in incident]
             assert costs == sorted(costs)
 
     @settings(max_examples=25, deadline=None)
@@ -155,76 +141,64 @@ class TestAccessors:
         t1, t2 = pair_of_single_nodes()
         assert edge_count(build_graph(SimilarityTable(), t1, t2)) == 0
 
-    def test_unknown_node_empty_list(self):
-        g, *_ = self.toy_graph()
-        assert neighbors(g, "t1", 99) == []
-        assert neighbors(g, "t2", -5) == []
-
-    def test_bad_side_rejected(self):
-        g, *_ = self.toy_graph()
-        with pytest.raises(ValueError):
-            neighbors(g, "left", 0)
-
 
 class TestMatchingCost:
     def test_three_perfect_pairs(self):
-        m = full_matching([(0, 0), (1, 1), (2, 2)], [0.5, 0.5, 0.5], 3, 3)
+        m = Matching(((0, 0), (1, 1), (2, 2)), (0.5, 0.5, 0.5), 3, 3)
         assert matching_cost(m, PARAMS) == pytest.approx(1.5)
 
     def test_everything_unmatched(self):
-        m = full_matching([], [], 2, 2)
+        m = Matching((), (), 2, 2)
         assert matching_cost(m, PARAMS) == pytest.approx(4.0)
 
     def test_mixed(self):
-        m = full_matching([(0, 1)], [0.5], 2, 2)
+        m = Matching(((0, 1),), (0.5,), 2, 2)
         assert matching_cost(m, PARAMS) == pytest.approx(2.5)
 
-    def test_not_full_missing_coverage(self):
-        m = Matching(
-            pairs=((0, 0),),
-            pair_costs=(0.5,),
-            unmatched_t1=frozenset(),
-            unmatched_t2=frozenset(),
-            t1_size=2,
-            t2_size=1,
-        )
-        with pytest.raises(NotFull):
-            matching_cost(m, PARAMS)
-
-    def test_not_full_duplicate_node(self):
-        m = Matching(
-            pairs=((0, 0), (0, 1)),
-            pair_costs=(0.5, 0.5),
-            unmatched_t1=frozenset({1}),
-            unmatched_t2=frozenset(),
-            t1_size=3,
-            t2_size=2,
-        )
-        with pytest.raises(NotFull):
-            matching_cost(m, PARAMS)
-
     def test_fullness_arithmetic(self):
-        m = full_matching([(0, 2), (1, 0)], [0.4, 0.6], 4, 3)
+        m = Matching(((0, 2), (1, 0)), (0.4, 0.6), 4, 3)
         assert len(m.pairs) + len(m.unmatched_t1) == m.t1_size
         assert len(m.pairs) + len(m.unmatched_t2) == m.t2_size
         assert len(m.pairs) <= min(m.t1_size, m.t2_size)
 
 
-class TestFromPairs:
-    def test_equals_hand_built(self):
-        m = Matching.from_pairs([(0, 2), (1, 0)], [0.4, 0.6], 4, 3)
-        assert m == full_matching([(0, 2), (1, 0)], [0.4, 0.6], 4, 3)
+class TestConstruction:
+    def test_unmatched_sets_derived(self):
+        m = Matching(((0, 2), (1, 0)), (0.4, 0.6), 4, 3)
+        assert m.unmatched_t1 == frozenset({2, 3})
+        assert m.unmatched_t2 == frozenset({1})
+        assert m.size == 5
 
-    def test_node_in_two_pairs_rejected(self):
+    @pytest.mark.parametrize(
+        "pairs, costs",
+        [
+            (((-1, 0),), (0.5,)),
+            (((0, -1),), (0.5,)),
+            (((5, 0),), (0.5,)),
+            (((0, 2),), (0.5,)),
+            (((0, 0), (0, 1)), (0.5, 0.5)),
+            (((0, 1), (2, 1)), (0.5, 0.5)),
+            (((0, 0), (1, 1)), (0.5,)),
+        ],
+        ids=["negative_t1", "negative_t2", "t1_past_end", "t2_past_end",
+             "t1_node_reused", "t2_node_reused", "misaligned_costs"],
+    )
+    def test_rejected(self, pairs, costs):
         with pytest.raises(NotFull):
-            Matching.from_pairs([(0, 0), (0, 1)], [0.5, 0.5], 2, 2)
+            Matching(pairs, costs, 3, 2)
+
+    def test_replace_rechecks(self):
+        m = Matching(((0, 1), (2, 0)), (0.4, 0.6), 3, 2)
+        assert replace(m, _checked=False) == m
+        with pytest.raises(NotFull):
+            replace(m, pairs=((0, 0), (0, 1)))
 
 
 class TestSerialization:
     def test_json_shape(self):
         t1 = freeze(DraftNode(tag="div", children=[DraftNode(tag="p")]))
         t2 = freeze(DraftNode(tag="div", children=[DraftNode(tag="b")]))
-        m = full_matching([(0, 0)], [0.25], 2, 2)
+        m = Matching(((0, 0),), (0.25,), 2, 2)
         obj = json.loads(matching_to_json(m, t1, t2))
         assert obj["pairs"] == [{"t1_xpath": "/div", "t2_xpath": "/div", "cost": 0.25}]
         assert obj["unmatched_t1"] == ["/div/p"]

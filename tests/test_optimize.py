@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_build_graph, reference_metropolis, reference_suggest_matching
 from strategies import tree_pairs
 from treematch.baselines import brute_force_optimal
-from treematch.graph import Matching, build_graph, matching_cost, validate_full
+from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import (
     EmptyMatching,
@@ -161,12 +161,7 @@ class TestSuggestMatching:
         m = initial_matching(g, PARAMS)
         for _ in range(5):
             m = suggest_matching(g, m, PARAMS, rng)
-            checked = Matching(
-                pairs=m.pairs, pair_costs=m.pair_costs,
-                unmatched_t1=m.unmatched_t1, unmatched_t2=m.unmatched_t2,
-                t1_size=m.t1_size, t2_size=m.t2_size,
-            )
-            validate_full(checked)
+            assert Matching(m.pairs, m.pair_costs, m.t1_size, m.t2_size) == m
             # selected pairs correspond to graph edges
             edge_set = {(e.n, e.m) for e in g.edges}
             assert set(m.pairs) <= edge_set
@@ -176,7 +171,6 @@ class TestObjective:
     def test_zero_cost_limit(self):
         m = Matching(
             pairs=((0, 0),), pair_costs=(0.0,),
-            unmatched_t1=frozenset(), unmatched_t2=frozenset(),
             t1_size=1, t2_size=1,
         )
         assert objective(m, PARAMS) == pytest.approx(1.0)
@@ -184,7 +178,6 @@ class TestObjective:
     def test_formula(self):
         m = Matching(
             pairs=((0, 0),), pair_costs=(0.5,),
-            unmatched_t1=frozenset(), unmatched_t2=frozenset(),
             t1_size=1, t2_size=1,
         )
         params = SftmParams(beta=1.0)
@@ -193,7 +186,6 @@ class TestObjective:
     def test_doubling_beta_squares(self):
         m = Matching(
             pairs=((0, 0), (1, 1)), pair_costs=(0.5, 0.25),
-            unmatched_t1=frozenset({2}), unmatched_t2=frozenset(),
             t1_size=3, t2_size=2,
         )
         f1 = objective(m, SftmParams(beta=2.0))
@@ -203,7 +195,6 @@ class TestObjective:
     def test_empty_matching_raises(self):
         m = Matching(
             pairs=(), pair_costs=(),
-            unmatched_t1=frozenset(), unmatched_t2=frozenset(),
             t1_size=0, t2_size=0,
         )
         with pytest.raises(EmptyMatching):
@@ -213,12 +204,10 @@ class TestObjective:
         # same size, lower cost implies objective ratio >= 1
         cheap = Matching(
             pairs=((0, 0),), pair_costs=(0.2,),
-            unmatched_t1=frozenset({1}), unmatched_t2=frozenset({1}),
             t1_size=2, t2_size=2,
         )
         dear = Matching(
             pairs=((0, 1),), pair_costs=(0.9,),
-            unmatched_t1=frozenset({1}), unmatched_t2=frozenset({0}),
             t1_size=2, t2_size=2,
         )
         assert objective(cheap, PARAMS) / objective(dear, PARAMS) >= 1.0

@@ -9,7 +9,6 @@ from treematch.tree import (
     FormatError,
     IngestError,
     TooDeep,
-    ancestor,
     freeze,
     parse_html,
     parse_tree_json,
@@ -158,43 +157,6 @@ class TestJsonFormat:
             (n.id, n.tag, n.attributes, n.text, n.parent, n.children, n.xpath, n.signature)
             for n in again
         ]
-
-
-class TestAncestor:
-    @pytest.fixture
-    def chain(self):
-        # depth 3: a > b > c > d
-        return freeze(
-            DraftNode(tag="a", children=[
-                DraftNode(tag="b", children=[
-                    DraftNode(tag="c", children=[DraftNode(tag="d")])
-                ])
-            ])
-        )
-
-    def test_identity(self, chain):
-        assert ancestor(chain, 3, 0) == 3
-
-    def test_grandparent(self, chain):
-        assert ancestor(chain, 3, 2) == 1
-
-    def test_past_root_is_none(self, chain):
-        assert ancestor(chain, 0, 1) is None
-        assert ancestor(chain, 3, 9) is None
-
-    def test_negative_level_rejected(self, chain):
-        with pytest.raises(ValueError):
-            ancestor(chain, 0, -1)
-
-    @given(labeled_trees(max_nodes=12))
-    def test_composition(self, tree):
-        for node in tree:
-            for i in range(3):
-                for j in range(3):
-                    mid = ancestor(tree, node.id, i)
-                    if mid is None:
-                        continue
-                    assert ancestor(tree, node.id, i + j) == ancestor(tree, mid, j)
 
 
 class TestInvariants:
