@@ -7,7 +7,7 @@ with tree-edit-distance and exhaustive baselines plus a mutation-based
 evaluation harness with signature ground truth.
 """
 
-from .baselines import TedCostConfig, brute_force_optimal, ted_distance, ted_match
+from .baselines import brute_force_optimal, ted_distance, ted_match
 from .evaluate import (
     BenchRow,
     MutantBundle,
@@ -60,7 +60,6 @@ __all__ = [
     "SftmParams",
     "SimilarityTable",
     "SweepRow",
-    "TedCostConfig",
     "TokenIndex",
     "TokenOptions",
     "TreeNode",

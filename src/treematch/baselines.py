@@ -5,7 +5,8 @@ The edit-distance matcher preserves ancestry and sibling order by
 construction, which is exactly the restriction the similarity matcher is
 free of; it serves as the classical quality/time reference. It is a direct
 dynamic-programming implementation, quadratic tables and all, so expect
-minutes on trees beyond a few thousand nodes.
+minutes on trees beyond a few thousand nodes. Insert, delete and relabel
+all cost 1.0 (unit costs); relabel compares (tag, attributes) for equality.
 
 One kernel, ``_ZsRun._fill``, writes the forest-distance table of a subtree
 pair into one buffer. The distance pass runs it for every keyroot pair; the
@@ -17,7 +18,6 @@ it reproduces the table and the tree distances of the distance pass.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .graph import MatchGraph, Matching
 from .similarity import SftmParams
@@ -93,17 +93,8 @@ def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
 # ---------------------------------------------------------------------------
 # Zhang-Shasha tree edit distance
 
-@dataclass(frozen=True)
-class TedCostConfig:
-    """Per-operation costs; relabel compares (tag, attributes) for equality."""
-
-    insert_cost: float = 1.0
-    delete_cost: float = 1.0
-    relabel_cost: float = 1.0
-
-    def __post_init__(self):
-        if min(self.insert_cost, self.delete_cost, self.relabel_cost) < 0:
-            raise ValueError("edit costs must be non-negative")
+# cost of one insert, delete or relabel
+_EDIT_COST = 1.0
 
 
 def _postorder_structure(tree: LabeledTree) -> tuple[list[int], list[int], list[int]]:
@@ -151,13 +142,10 @@ def _label_lists(
 class _ZsRun:
     """One distance computation with everything the backtrace needs."""
 
-    def __init__(self, t1: LabeledTree, t2: LabeledTree, cfg: TedCostConfig):
+    def __init__(self, t1: LabeledTree, t2: LabeledTree):
         self.order1, self.lmd1, self.kr1 = _postorder_structure(t1)
         self.order2, self.lmd2, self.kr2 = _postorder_structure(t2)
         self.lab1, self.lab2 = _label_lists(t1, self.order1, t2, self.order2)
-        self.ci = float(cfg.insert_cost)
-        self.cd = float(cfg.delete_cost)
-        self.cr = float(cfg.relabel_cost)
         n1, n2 = len(self.lab1), len(self.lab2)
         self.td = [[0.0] * n2 for _ in range(n1)]
         # one reusable forest-distance buffer; each subtree pair only touches
@@ -174,7 +162,7 @@ class _ZsRun:
         """
         lmd1, lmd2 = self.lmd1, self.lmd2
         lab1, lab2 = self.lab1, self.lab2
-        ci, cd, cr = self.ci, self.cd, self.cr
+        cost = _EDIT_COST
         td, fd = self.td, self.fd
         li = lmd1[i]
         m = i - li + 2
@@ -186,24 +174,24 @@ class _ZsRun:
             row0 = fd[0]
             row0[0] = 0.0
             for y in range(1, n):
-                row0[y] = row0[y - 1] + ci
+                row0[y] = row0[y - 1] + cost
             prev = row0
             for x in range(1, m):
                 xi = x + ioff
                 cur = fd[x]
-                cur[0] = prev[0] + cd
+                cur[0] = prev[0] + cost
                 lx = lmd1[xi]
                 tdx = td[xi]
                 labx = lab1[xi]
                 if lx == li:
                     for y in range(1, n):
                         yj = y + joff
-                        best = prev[y] + cd
-                        left = cur[y - 1] + ci
+                        best = prev[y] + cost
+                        left = cur[y - 1] + cost
                         if left < best:
                             best = left
                         if lmd2[yj] == lj:
-                            diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cr)
+                            diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cost)
                             if diag < best:
                                 best = diag
                             cur[y] = best
@@ -217,8 +205,8 @@ class _ZsRun:
                     p_row = fd[lx - 1 - ioff]
                     for y in range(1, n):
                         yj = y + joff
-                        best = prev[y] + cd
-                        left = cur[y - 1] + ci
+                        best = prev[y] + cost
+                        left = cur[y - 1] + cost
                         if left < best:
                             best = left
                         sub = p_row[lmd2[yj] - 1 - joff] + tdx[yj]
@@ -261,12 +249,12 @@ class _ZsRun:
             yj = y + joff
             cur = fd[x][y]
             if lmd1[xi] == li and lmd2[yj] == lj:
-                rel = 0.0 if self.lab1[xi] == self.lab2[yj] else self.cr
+                rel = 0.0 if self.lab1[xi] == self.lab2[yj] else _EDIT_COST
                 if cur == fd[x - 1][y - 1] + rel:
                     out.append((xi, yj))
                     x -= 1
                     y -= 1
-                elif cur == fd[x - 1][y] + self.cd:
+                elif cur == fd[x - 1][y] + _EDIT_COST:
                     x -= 1
                 else:
                     y -= 1
@@ -277,28 +265,28 @@ class _ZsRun:
                     stack.append((xi, yj))
                     x = p
                     y = q
-                elif cur == fd[x - 1][y] + self.cd:
+                elif cur == fd[x - 1][y] + _EDIT_COST:
                     x -= 1
                 else:
                     y -= 1
 
 
-def ted_distance(t1: LabeledTree, t2: LabeledTree, cfg: TedCostConfig = TedCostConfig()) -> float:
+def ted_distance(t1: LabeledTree, t2: LabeledTree) -> float:
     """Zhang-Shasha edit distance between two ordered labeled trees."""
-    return _ZsRun(t1, t2, cfg).distance
+    return _ZsRun(t1, t2).distance
 
 
-def ted_match(t1: LabeledTree, t2: LabeledTree, cfg: TedCostConfig = TedCostConfig()) -> Matching:
+def ted_match(t1: LabeledTree, t2: LabeledTree) -> Matching:
     """Matching induced by one optimal edit script.
 
     Matched pairs carry their relabel contribution as the pair cost. The
     result respects the edit-distance restrictions: ancestry and sibling
     order are preserved.
     """
-    run = _ZsRun(t1, t2, cfg)
+    run = _ZsRun(t1, t2)
     # (t1 id, t2 id, relabel cost) of each mapped pair, in id order
     mapped = sorted(
-        (run.order1[x], run.order2[y], 0.0 if run.lab1[x] == run.lab2[y] else run.cr)
+        (run.order1[x], run.order2[y], 0.0 if run.lab1[x] == run.lab2[y] else _EDIT_COST)
         for x, y in run.mapping()
     )
     return Matching(

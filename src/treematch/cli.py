@@ -3,8 +3,10 @@ run the benchmark, and sweep the threshold exponent.
 
 Every command echoes its effective configuration on startup, and CSV
 commands drop a ``<out>.config.json`` sidecar next to their output so every
-result file is self-describing. All commands are deterministic given the
-same inputs and seed, timing columns aside.
+result file is self-describing. TED reads only ``no_match_cost`` (in
+``best_cost``): ``match --algorithm ted`` echoes ``algorithm=ted`` and that
+value, and ``bench`` leaves TED rows' ``alpha`` and ``seed`` cells empty. All
+commands are deterministic given the same inputs and seed, timing aside.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import TedCostConfig, ted_match
+from .baselines import ted_match
 from .evaluate import (
     DEFAULT_TIMEOUT_S,
     run_benchmark,
@@ -83,9 +85,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _params_from(args: argparse.Namespace) -> tuple[SftmParams, TokenOptions]:
+def _params_from(args: argparse.Namespace) -> SftmParams:
     weights = tuple(float(w) for w in args.weights.split(",") if w != "")
-    params = SftmParams(
+    return SftmParams(
         alpha=args.alpha,
         p=args.prop_depth,
         weights=weights,
@@ -94,25 +96,22 @@ def _params_from(args: argparse.Namespace) -> tuple[SftmParams, TokenOptions]:
         iterations=args.iterations,
         no_match_cost=args.no_match_cost,
         seed=args.seed,
+        tokens=TokenOptions(flat=args.flat_tokens, include_content=args.tokenize_content),
     )
-    options = TokenOptions(flat=args.flat_tokens, include_content=args.tokenize_content)
-    return params, options
 
 
-def _echo_config(command: str, params: SftmParams, options: TokenOptions) -> None:
-    cfg = {**dataclasses.asdict(params), **dataclasses.asdict(options)}
+def _echo_config(command: str, params: SftmParams, algorithm: str = "similarity") -> None:
+    if algorithm == "ted":
+        cfg = {"algorithm": "ted", "no_match_cost": params.no_match_cost}
+    else:
+        cfg = dataclasses.asdict(params)
+        cfg.update(cfg.pop("tokens"))  # switches print last and unnested
     rendered = " ".join(f"{k}={v}" for k, v in cfg.items())
     print(f"[treematch {command}] {rendered}", file=sys.stderr)
 
 
-def _write_sidecar(out_path: Path, command: str, params: SftmParams,
-                   options: TokenOptions, extra: dict) -> None:
-    payload = {
-        "command": command,
-        "params": dataclasses.asdict(params),
-        "tokens": dataclasses.asdict(options),
-        **extra,
-    }
+def _write_sidecar(out_path: Path, command: str, params: SftmParams, extra: dict) -> None:
+    payload = {"command": command, "params": dataclasses.asdict(params), **extra}
     sidecar = Path(str(out_path) + ".config.json")
     sidecar.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -130,8 +129,8 @@ def _load_tree(path: Path, fmt: str) -> LabeledTree:
 # Commands
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    params, options = _params_from(args)
-    _echo_config("match", params, options)
+    params = _params_from(args)
+    _echo_config("match", params, args.algorithm)
     try:
         t1 = _load_tree(Path(args.src), args.format)
         t2 = _load_tree(Path(args.dst), args.format)
@@ -141,10 +140,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     if args.algorithm == "ted":
-        matching = ted_match(t1, t2, TedCostConfig())
+        matching = ted_match(t1, t2)
         edges = len(matching.pairs)
     else:
-        matching, graph = match_trees_detailed(t1, t2, params, options)
+        matching, graph = match_trees_detailed(t1, t2, params)
         edges = edge_count(graph)
     elapsed = time.perf_counter() - start
 
@@ -188,8 +187,8 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    params, options = _params_from(args)
-    _echo_config("bench", params, options)
+    params = _params_from(args)
+    _echo_config("bench", params)
     algorithms = tuple(a for a in args.algorithms.split(",") if a)
     timeout = None if args.timeout <= 0 else args.timeout
     failures = []
@@ -201,11 +200,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         skip_malformed=True,
         warn=lambda msg: (failures.append(msg), print(f"warning: {msg}", file=sys.stderr)),
-        options=options,
     )
     out = Path(args.out)
     write_bench_csv(rows, out)
-    _write_sidecar(out, "bench", params, options,
+    _write_sidecar(out, "bench", params,
                    {"algorithms": list(algorithms), "timeout_s": timeout, "jobs": args.jobs})
     print(f"wrote {out} rows={len(rows)} skipped={len(failures)}")
     if failures and not rows:
@@ -215,13 +213,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params, options = _params_from(args)
-    _echo_config("sweep", params, options)
+    params = _params_from(args)
+    _echo_config("sweep", params)
     alphas = [float(a) for a in args.alphas.split(",") if a]
-    rows = sensitivity_sweep(Path(args.corpus), alphas, params, options=options)
+    rows = sensitivity_sweep(Path(args.corpus), alphas, params)
     out = Path(args.out)
     write_sweep_csv(rows, out)
-    _write_sidecar(out, "sweep", params, options, {"alphas": alphas})
+    _write_sidecar(out, "sweep", params, {"alphas": alphas})
     print(f"wrote {out} rows={len(rows)}")
     return 0
 

@@ -19,12 +19,11 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .baselines import TedCostConfig, ted_match
+from .baselines import ted_match
 from .graph import Matching
 from .mutate import MutationLog, ground_truth, mutation_log_from_json, mutation_log_to_json
 from .pipeline import match_trees
 from .similarity import SftmParams
-from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
 from .tree import FormatError, LabeledTree, parse_tree_json, serialize_tree_json
 
 SOURCE_FILE = "source.html.json"
@@ -127,7 +126,8 @@ def discover_bundles(corpus_dir: Path) -> list[Path]:
 
 @dataclass
 class BenchRow:
-    """One CSV row; quality fields are None for timeout rows."""
+    """One CSV row; quality fields are None for timeout rows, and ``alpha``
+    and ``seed`` are None on TED rows, which read neither."""
 
     page: str
     algorithm: str
@@ -139,8 +139,8 @@ class BenchRow:
     successful: int | None
     rate: float | None
     optimal_rate: float | None
-    alpha: float
-    seed: int
+    alpha: float | None
+    seed: int | None
     timeout: bool
 
 
@@ -192,17 +192,17 @@ def evaluate_pair(
     algorithm: str,
     params: SftmParams,
     timeout_s: float | None = DEFAULT_TIMEOUT_S,
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
 ) -> BenchRow:
     """Match one (source, mutant) pair and score it; timing covers matching only."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
     d_size = len(bundle.source)
 
-    if algorithm == "ted":
-        task = lambda: ted_match(bundle.source, bundle.mutant, TedCostConfig())
+    ted = algorithm == "ted"
+    if ted:
+        task = lambda: ted_match(bundle.source, bundle.mutant)
     else:
-        task = lambda: match_trees(bundle.source, bundle.mutant, params, options)
+        task = lambda: match_trees(bundle.source, bundle.mutant, params)
 
     matching, elapsed, timed_out = _run_with_timeout(task, timeout_s)
 
@@ -217,8 +217,8 @@ def evaluate_pair(
         successful=None,
         rate=None,
         optimal_rate=None,
-        alpha=params.alpha,
-        seed=params.seed,
+        alpha=None if ted else params.alpha,
+        seed=None if ted else params.seed,
         timeout=timed_out,
     )
     if timed_out:
@@ -235,15 +235,15 @@ def evaluate_pair(
 
 
 def _bench_task(
-    args: tuple[str, Sequence[str], SftmParams, float | None, TokenOptions],
+    args: tuple[str, Sequence[str], SftmParams, float | None],
 ) -> list[BenchRow] | CorpusError:
     """Every algorithm on one bundle; a malformed bundle comes back as its error."""
-    directory, algorithms, params, timeout_s, options = args
+    directory, algorithms, params, timeout_s = args
     try:
         bundle = load_bundle(Path(directory))
     except CorpusError as exc:
         return exc
-    return [evaluate_pair(bundle, a, params, timeout_s, options) for a in algorithms]
+    return [evaluate_pair(bundle, a, params, timeout_s) for a in algorithms]
 
 
 def run_benchmark(
@@ -254,7 +254,6 @@ def run_benchmark(
     jobs: int = 1,
     skip_malformed: bool = False,
     warn=None,
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
 ) -> list[BenchRow]:
     """Evaluate every bundle under ``corpus_dir`` with every algorithm.
 
@@ -266,7 +265,7 @@ def run_benchmark(
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
     tasks = [
-        (str(directory), tuple(algorithms), params, timeout_s, options)
+        (str(directory), tuple(algorithms), params, timeout_s)
         for directory in discover_bundles(corpus_dir)
     ]
     if jobs > 1 and len(tasks) > 1:
@@ -298,38 +297,23 @@ class SweepRow:
 
 
 def sensitivity_sweep(
-    corpus_dir: Path,
-    alphas: Sequence[float],
-    params: SftmParams,
-    timeout_s: float | None = None,
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
+    corpus_dir: Path, alphas: Sequence[float], params: SftmParams
 ) -> list[SweepRow]:
-    """Mean match rate and mean elapsed time per threshold exponent."""
-    directories = discover_bundles(corpus_dir)
-    bundles = [load_bundle(d) for d in directories]
-    if not bundles:
-        return []
-    rows: list[SweepRow] = []
+    """Mean match rate and mean elapsed time per threshold exponent.
+
+    Each alpha is one :func:`run_benchmark` of the similarity matcher with
+    no timeout, so every bundle counts; an empty corpus gives no rows.
+    """
+    out: list[SweepRow] = []
     for alpha in alphas:
-        swept = replace(params, alpha=alpha)
-        rates = []
-        times = []
-        for bundle in bundles:
-            row = evaluate_pair(bundle, "similarity", swept, timeout_s, options)
-            if row.timeout:
-                continue
-            rates.append(row.rate)
-            times.append(row.elapsed_s)
-        count = len(rates)
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                pairs=count,
-                mean_rate=sum(rates) / count if count else 0.0,
-                mean_elapsed_s=sum(times) / count if count else 0.0,
-            )
-        )
-    return rows
+        rows = run_benchmark(corpus_dir, replace(params, alpha=alpha), timeout_s=None)
+        if not rows:
+            return []
+        count = len(rows)
+        mean_rate = sum(r.rate for r in rows) / count
+        mean_elapsed_s = sum(r.elapsed_s for r in rows) / count
+        out.append(SweepRow(alpha, count, mean_rate, mean_elapsed_s))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from .graph import MatchGraph, Matching, build_graph
-from .optimize import ProgressHook, metropolis
+from .optimize import metropolis
 from .similarity import SftmParams, initial_similarity, propagate
-from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
 from .tree import LabeledTree
 
 
@@ -13,21 +12,16 @@ def match_trees_detailed(
     t1: LabeledTree,
     t2: LabeledTree,
     params: SftmParams = SftmParams(),
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
-    progress: ProgressHook | None = None,
 ) -> tuple[Matching, MatchGraph]:
-    s0 = initial_similarity(t1, t2, params, options)
+    s0 = initial_similarity(t1, t2, params)
     sp = propagate(s0, t1, t2, params)
     g = build_graph(sp, t1, t2)
-    return metropolis(g, params, progress), g
+    return metropolis(g, params), g
 
 
 def match_trees(
-    t1: LabeledTree,
-    t2: LabeledTree,
-    params: SftmParams = SftmParams(),
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
+    t1: LabeledTree, t2: LabeledTree, params: SftmParams = SftmParams()
 ) -> Matching:
     """Match two trees and return the best full matching found."""
-    matching, _ = match_trees_detailed(t1, t2, params, options)
+    matching, _ = match_trees_detailed(t1, t2, params)
     return matching

@@ -33,7 +33,7 @@ class SftmParams:
     entry per propagation level 0..p. ``beta`` sharpens the optimizer's
     objective, ``gamma`` is the per-edge stop probability of the matching
     suggestion scan, and ``no_match_cost`` is the penalty for leaving a node
-    unmatched.
+    unmatched. ``tokens`` holds the tokenization switches of both trees.
     """
 
     alpha: float = 0.5
@@ -44,6 +44,7 @@ class SftmParams:
     iterations: int = 100
     no_match_cost: float = 1.0
     seed: int = 0
+    tokens: TokenOptions = DEFAULT_TOKEN_OPTIONS
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -180,10 +181,10 @@ def initial_similarity(
     t1: LabeledTree,
     t2: LabeledTree,
     params: SftmParams,
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
     contribution_log: dict[str, int] | None = None,
 ) -> SimilarityTable:
     """Label-only similarity for every node pair that shares an indexed token."""
+    options = params.tokens
     index = apply_threshold(build_token_index(t1, options), params.alpha)
     rows: dict[int, dict[int, float]] = {}
     for m in range(len(t2)):

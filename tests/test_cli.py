@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -60,6 +61,14 @@ class TestMatchCommand:
               "--out", str(tmp_path / "m.json"), "--alpha", "0.8"])
         err = capsys.readouterr().err
         assert "alpha=0.8" in err
+
+    def test_ted_echoes_only_what_it_reads(self, page_file, tmp_path, capsys):
+        code = main(["match", str(page_file), str(page_file), "--algorithm", "ted",
+                     "--alpha", "0.9", "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "[treematch match] algorithm=ted no_match_cost=1.0\n" in err
+        assert "alpha" not in err
 
     def test_empty_document_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "empty.html"
@@ -142,6 +151,34 @@ class TestBenchCommand:
         assert len(lines) == 1 + 2 * 2
         sidecar = json.loads((tmp_path / "r.csv.config.json").read_text())
         assert sidecar["params"]["iterations"] == 15
+
+    def test_ted_rows_leave_alpha_and_seed_empty(self, page_file, tmp_path):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.3", "--count", "2",
+              "--out-dir", str(corpus)])
+        out = tmp_path / "r.csv"
+        main(["bench", str(corpus), "--out", str(out), "--algorithms", "similarity,ted",
+              "--iterations", "15", "--alpha", "0.8", "--seed", "3"])
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert sorted(row["algorithm"] for row in rows) == ["similarity"] * 2 + ["ted"] * 2
+        for row in rows:
+            filled = row["algorithm"] == "similarity"
+            assert (row["alpha"], row["seed"]) == (("0.8", "3") if filled else ("", ""))
+
+    def test_sidecar_holds_the_token_switches(self, page_file, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "1",
+              "--out-dir", str(corpus)])
+        out = tmp_path / "r.csv"
+        main(["bench", str(corpus), "--out", str(out), "--iterations", "10",
+              "--flat-tokens", "--tokenize-content"])
+        assert ("[treematch bench] alpha=0.5 p=2 weights=(1.0, 0.5, 0.25) beta=4.0 "
+                "gamma=0.9 iterations=10 no_match_cost=1.0 seed=0 flat=True "
+                "include_content=True\n") in capsys.readouterr().err
+        sidecar = json.loads((tmp_path / "r.csv.config.json").read_text())
+        assert sidecar["params"]["tokens"] == {"flat": True, "include_content": True}
+        assert "tokens" not in sidecar
 
     def test_corrupt_bundle_skipped_with_warning(self, page_file, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import signal
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,8 @@ class TestRunBenchmark:
         assert {r.algorithm for r in rows} == {"similarity", "ted"}
         for row in rows:
             assert row.timeout is False
+            read = row.algorithm == "similarity"
+            assert (row.alpha, row.seed) == ((PARAMS.alpha, PARAMS.seed) if read else (None, None))
             assert row.successful + row.mismatch + row.no_match == row.n_nodes
 
     def test_identity_bundle_scores_one(self, tmp_path):
@@ -233,6 +236,22 @@ class TestSweep:
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
         rows = sensitivity_sweep(corpus, [0.3, 0.5, 0.8], PARAMS)
         assert [r.alpha for r in rows] == [0.3, 0.5, 0.8]
+
+    def test_means_are_the_bench_means(self, tmp_path):
+        corpus = make_corpus(tmp_path, pages=2, mutants=2)
+        for alpha in (0.3, 0.8):
+            [swept] = sensitivity_sweep(corpus, [alpha], PARAMS)
+            rows = run_benchmark(corpus, replace(PARAMS, alpha=alpha), timeout_s=None)
+            assert swept.pairs == len(rows) == 4
+            assert swept.mean_rate == sum(r.rate for r in rows) / len(rows)
+
+    def test_malformed_bundle_raises(self, tmp_path):
+        corpus = make_corpus(tmp_path, pages=1, mutants=1)
+        bad = corpus / "bad"
+        bad.mkdir()
+        (bad / "mutations.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(CorpusError):
+            sensitivity_sweep(corpus, [0.5], PARAMS)
 
 
 class TestScalingFit:

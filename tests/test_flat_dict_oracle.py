@@ -4,6 +4,7 @@ same edge arrays and adjacency."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -29,7 +30,7 @@ def hexed(scores: dict[tuple[int, int], float]) -> dict[tuple[int, int], str]:
 def assert_same_stages(t1, t2, params: SftmParams, options: TokenOptions) -> None:
     log: dict[str, int] = {}
     ref_log: dict[str, int] = {}
-    s0 = initial_similarity(t1, t2, params, options, log)
+    s0 = initial_similarity(t1, t2, replace(params, tokens=options), log)
     ref0 = reference_initial_similarity(t1, t2, params, options, ref_log)
     assert hexed(s0.scores) == hexed(ref0)
     assert log == ref_log
