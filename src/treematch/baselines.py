@@ -1,5 +1,5 @@
-"""Baselines: exhaustive optimal matching (tiny instances) and Zhang-Shasha
-tree edit distance with a matching extracted from the optimal edit script.
+"""Baseline: Zhang-Shasha tree edit distance with a matching extracted from
+the optimal edit script.
 
 The edit-distance matcher preserves ancestry and sibling order by
 construction, which is exactly the restriction the similarity matcher is
@@ -19,79 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graph import MatchGraph, Matching
-from .similarity import SftmParams
+from .graph import Matching
 from .tree import LabeledTree
-
-
-class TooLarge(ValueError):
-    """Instance exceeds the exhaustive-search guard."""
-
-
-_BRUTE_FORCE_LIMIT = 16
-_TIE_TOL = 1e-12
-
-
-def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
-    """Exhaustively enumerate full matchings built from the graph's edges.
-
-    Returns the minimum-cost one; exact cost ties are broken by the
-    lexicographically smallest pair list. Guarded to tiny instances.
-    """
-    total_nodes = g.t1_size + g.t2_size
-    if total_nodes > _BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{total_nodes} nodes exceeds the limit of {_BRUTE_FORCE_LIMIT}")
-
-    w = params.no_match_cost
-    # candidate edges per t1 node as (cost, m), cheapest first
-    adjacency = g.t1_adjacency
-    options: list[list[tuple[float, int]]] = [
-        sorted((g.edge_cost[i], g.edge_m[i]) for i in adjacency[n])
-        for n in range(g.t1_size)
-    ]
-    # delta of a pair relative to leaving both ends unmatched
-    node_best = [min([c - 2.0 * w for c, _ in opts] + [0.0]) for opts in options]
-    suffix_bound = [0.0] * (g.t1_size + 1)
-    for n in range(g.t1_size - 1, -1, -1):
-        suffix_bound[n] = suffix_bound[n + 1] + node_best[n]
-
-    best_delta = 0.0  # all-unmatched is always feasible
-    best_pairs: list[tuple[int, int, float]] = []
-    chosen: list[tuple[int, int, float]] = []
-
-    def search(n: int, used_t2: int, delta: float) -> None:
-        nonlocal best_delta, best_pairs
-        if delta + suffix_bound[n] > best_delta + _TIE_TOL:
-            return
-        if n == g.t1_size:
-            if delta < best_delta - _TIE_TOL:
-                best_delta = delta
-                best_pairs = list(chosen)
-            elif delta <= best_delta + _TIE_TOL:
-                cand = [(a, b) for a, b, _ in chosen]
-                cur = [(a, b) for a, b, _ in best_pairs]
-                if cand < cur:
-                    best_delta = min(best_delta, delta)
-                    best_pairs = list(chosen)
-            return
-        search(n + 1, used_t2, delta)  # leave n unmatched
-        for cost, m in options[n]:
-            bit = 1 << m
-            if used_t2 & bit:
-                continue
-            chosen.append((n, m, cost))
-            search(n + 1, used_t2 | bit, delta + cost - 2.0 * w)
-            chosen.pop()
-
-    search(0, 0, 0.0)
-
-    pairs = tuple((n, m) for n, m, _ in best_pairs)
-    costs = tuple(c for _, _, c in best_pairs)
-    return Matching(pairs, costs, g.t1_size, g.t2_size)
-
-
-# ---------------------------------------------------------------------------
-# Zhang-Shasha tree edit distance
 
 # cost of one insert, delete or relabel
 _EDIT_COST = 1.0

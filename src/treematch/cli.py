@@ -45,12 +45,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         f"first-tree nodes are ignored (default {_DEFAULTS.alpha})",
     )
     group.add_argument(
-        "--prop-depth", type=int, default=_DEFAULTS.p, metavar="P",
-        help=f"ancestor levels blended into each pair score (default {_DEFAULTS.p})",
-    )
-    group.add_argument(
         "--weights", type=str, default=",".join(str(w) for w in _DEFAULTS.weights),
-        help="comma-separated level weights w0..wP "
+        help="comma-separated level weights w0..wP; the count sets the depth: "
+        "P+1 weights blend P ancestor levels into each pair score "
         f"(default {','.join(str(w) for w in _DEFAULTS.weights)})",
     )
     group.add_argument(
@@ -89,7 +86,6 @@ def _params_from(args: argparse.Namespace) -> SftmParams:
     weights = tuple(float(w) for w in args.weights.split(",") if w != "")
     return SftmParams(
         alpha=args.alpha,
-        p=args.prop_depth,
         weights=weights,
         beta=args.beta,
         gamma=args.gamma,

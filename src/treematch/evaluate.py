@@ -1,4 +1,4 @@
-"""Scoring against ground truth plus the benchmark, sweep, and scaling fits.
+"""Scoring against ground truth plus the benchmark and the alpha sweep.
 
 On-disk corpus layout: one directory per mutant bundle containing
 ``source.html.json``, ``mutant.html.json`` (JSON tree schema, signatures
@@ -10,7 +10,6 @@ scoring are excluded.
 from __future__ import annotations
 
 import csv
-import math
 import signal
 import threading
 import time
@@ -37,10 +36,6 @@ DEFAULT_TIMEOUT_S = 450.0
 
 class CorpusError(ValueError):
     """A mutant bundle is missing files or does not parse."""
-
-
-class Degenerate(ValueError):
-    """Regression input carries no size variation."""
 
 
 @dataclass
@@ -314,29 +309,6 @@ def sensitivity_sweep(
         mean_elapsed_s = sum(r.elapsed_s for r in rows) / count
         out.append(SweepRow(alpha, count, mean_rate, mean_elapsed_s))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Scaling regression
-
-def scaling_fit(rows: Sequence[BenchRow]) -> tuple[float, float, float]:
-    """Least squares of elapsed seconds against n*ln(n); returns (slope,
-    intercept, r_squared)."""
-    xs = [row.n_nodes * math.log(row.n_nodes) for row in rows]
-    ys = [row.elapsed_s for row in rows]
-    n = len(xs)
-    if n == 0 or min(xs) == max(xs):
-        raise Degenerate("need at least two distinct sizes for a fit")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r_squared
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def matching_cost(m: Matching, params: SftmParams) -> float:
     )
 
 
-def matching_to_json(m: Matching, t1: LabeledTree, t2: LabeledTree, indent: int | None = 2) -> str:
+def matching_to_json(m: Matching, t1: LabeledTree, t2: LabeledTree) -> str:
     """Serialize a matching with xpaths rather than bare node ids."""
     obj = {
         "pairs": [
@@ -198,4 +198,4 @@ def matching_to_json(m: Matching, t1: LabeledTree, t2: LabeledTree, indent: int 
         "unmatched_t1": sorted(t1.node(n).xpath for n in m.unmatched_t1),
         "unmatched_t2": sorted(t2.node(mm).xpath for mm in m.unmatched_t2),
     }
-    return json.dumps(obj, ensure_ascii=False, indent=indent)
+    return json.dumps(obj, ensure_ascii=False, indent=2)

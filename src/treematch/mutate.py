@@ -285,7 +285,7 @@ class _Mutator:
             self._note(kind, sig, {"subtree_signatures": gone}, gone)
         elif kind == "duplicate":
             assert parent is not None
-            copy = node.copy_deep(keep_signatures=False)
+            copy = node.copy_deep()
             parent.children.insert(parent.children.index(node) + 1, copy)
             self._register(copy, parent, 0)
             self._swap[pos] = 1
@@ -400,7 +400,7 @@ def mutate(
 # ---------------------------------------------------------------------------
 # Log serialization (the third file of an on-disk mutant bundle)
 
-def mutation_log_to_json(log: MutationLog, indent: int | None = 2) -> str:
+def mutation_log_to_json(log: MutationLog) -> str:
     obj = {
         "source_page": log.source_page,
         "seed": log.seed,
@@ -411,7 +411,7 @@ def mutation_log_to_json(log: MutationLog, indent: int | None = 2) -> str:
         ],
         "removed_signatures": sorted(log.removed_signatures),
     }
-    return json.dumps(obj, ensure_ascii=False, indent=indent)
+    return json.dumps(obj, ensure_ascii=False, indent=2)
 
 
 def mutation_log_from_json(text: str) -> MutationLog:

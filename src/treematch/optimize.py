@@ -33,10 +33,6 @@ from .similarity import SftmParams
 ProgressHook = Callable[[int, float, float], None]
 
 
-class EmptyMatching(ValueError):
-    """Objective of a matching with no edges at all (both trees empty)."""
-
-
 def initial_matching(g: MatchGraph, params: SftmParams) -> Matching:
     """Greedy start: walk edges cheapest-first, take both-endpoints-free ones."""
     del params  # deterministic; kept because callers pass it
@@ -111,14 +107,6 @@ def suggest_matching(
         t2_used[m] = 1
 
     return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
-
-
-def objective(m: Matching, params: SftmParams) -> float:
-    """Normalized quality exp(-beta * cost / size), in (0, 1]."""
-    size = m.size
-    if size == 0:
-        raise EmptyMatching("matching covers no node at all")
-    return math.exp(-params.beta * matching_cost(m, params) / size)
 
 
 def metropolis(

@@ -20,24 +20,20 @@ from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, tokenize_node
 from .tree import LabeledTree
 
 
-class MissingToken(KeyError):
-    """Requested a token that is not in the index."""
-
-
 @dataclass(frozen=True)
 class SftmParams:
     """Tuning knobs for the whole matching pipeline.
 
     ``alpha`` sets the token-multiplicity cutoff f(N) = N**alpha; tokens held
-    by more than ceil(f(N)) first-tree nodes are ignored. ``weights`` has one
-    entry per propagation level 0..p. ``beta`` sharpens the optimizer's
+    by more than ceil(f(N)) first-tree nodes are ignored. ``weights`` holds
+    w0..wp, one per propagation level, so its length sets the depth
+    p = len(weights) - 1. ``beta`` sharpens the optimizer's
     objective, ``gamma`` is the per-edge stop probability of the matching
     suggestion scan, and ``no_match_cost`` is the penalty for leaving a node
     unmatched. ``tokens`` holds the tokenization switches of both trees.
     """
 
     alpha: float = 0.5
-    p: int = 2
     weights: tuple[float, ...] = (1.0, 0.5, 0.25)
     beta: float = 4.0
     gamma: float = 0.9
@@ -49,12 +45,8 @@ class SftmParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.p < 0:
-            raise ValueError(f"propagation depth must be >= 0, got {self.p}")
-        if len(self.weights) != self.p + 1:
-            raise ValueError(
-                f"need {self.p + 1} weights for depth {self.p}, got {len(self.weights)}"
-            )
+        if not self.weights:
+            raise ValueError("weights must hold at least w0")
         if self.weights[0] <= 0:
             raise ValueError("weight w0 must be > 0")
         if any(w < 0 for w in self.weights):
@@ -88,27 +80,6 @@ class SimilarityTable:
 
     rows: dict[int, dict[int, float]] = field(default_factory=dict)
 
-    @classmethod
-    def from_scores(cls, scores: dict[tuple[int, int], float]) -> SimilarityTable:
-        """The table holding a flat ``(n, m) -> score`` dict."""
-        rows: dict[int, dict[int, float]] = {}
-        for (n, m), score in scores.items():
-            row = rows.get(m)
-            if row is None:
-                rows[m] = {n: score}
-            else:
-                row[n] = score
-        return cls(rows=rows)
-
-    @property
-    def scores(self) -> dict[tuple[int, int], float]:
-        """The table as a flat ``(n, m) -> score`` dict, built on each access."""
-        return {(n, m): s for m, row in self.rows.items() for n, s in row.items()}
-
-    def get(self, n: int, m: int) -> float:
-        row = self.rows.get(m)
-        return 0.0 if row is None else row.get(n, 0.0)
-
     def __len__(self) -> int:
         return sum(map(len, self.rows.values()))
 
@@ -140,26 +111,17 @@ def apply_threshold(index: TokenIndex, alpha: float) -> TokenIndex:
     return TokenIndex(entries=entries, t1_size=index.t1_size)
 
 
-def idf(index: TokenIndex, token: str) -> float:
-    """log(N / multiplicity): how rare, hence how informative, a token is."""
-    nodes = index.entries.get(token)
-    if nodes is None:
-        raise MissingToken(token)
-    return math.log(index.t1_size / len(nodes))
-
-
 def neighbor_scores(
     t2: LabeledTree,
     m: int,
     index: TokenIndex,
     options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
-    contribution_log: dict[str, int] | None = None,
 ) -> dict[int, float]:
     """Initial similarity of one second-tree node against all indexed nodes.
 
-    Each shared token with a positive IDF adds it to the token-holders'
-    scores, so every score in the result is positive. When given,
-    ``contribution_log`` records each shared token's index multiplicity.
+    Each shared token adds its IDF, log(N / multiplicity), to the
+    token-holders' scores; a token with IDF 0 adds nothing, so every score
+    in the result is positive.
     """
     scores: dict[int, float] = {}
     entries, t1_size = index.entries, index.t1_size
@@ -167,8 +129,6 @@ def neighbor_scores(
         bucket = entries.get(token)
         if not bucket:
             continue
-        if contribution_log is not None:
-            contribution_log[token] = len(bucket)
         weight = math.log(t1_size / len(bucket))
         if weight <= 0.0:
             continue
@@ -181,14 +141,13 @@ def initial_similarity(
     t1: LabeledTree,
     t2: LabeledTree,
     params: SftmParams,
-    contribution_log: dict[str, int] | None = None,
 ) -> SimilarityTable:
     """Label-only similarity for every node pair that shares an indexed token."""
     options = params.tokens
     index = apply_threshold(build_token_index(t1, options), params.alpha)
     rows: dict[int, dict[int, float]] = {}
     for m in range(len(t2)):
-        row = neighbor_scores(t2, m, index, options, contribution_log)
+        row = neighbor_scores(t2, m, index, options)
         if row:
             rows[m] = row
     return SimilarityTable(rows=rows)
@@ -205,7 +164,8 @@ def propagate(
 ) -> SimilarityTable:
     """Blend each pair's score with its ancestors' scores, weighted per level.
 
-    Only pairs with a positive initial score are kept; a missing ancestor or
+    Weight ``weights[k]`` applies to the ancestor pair k levels up, so the
+    depth is ``len(weights) - 1``. Only pairs with a positive initial score are kept; a missing ancestor or
     an absent ancestor-pair score contributes nothing. For each row ``m`` the
     weight and ancestor row of every level are looked up once; each ``n``
     then climbs its own parent chain alongside them.
@@ -217,7 +177,7 @@ def propagate(
     base = s0.rows
     out: dict[int, dict[int, float]] = {}
     for m, row in base.items():
-        # (weight, ancestor row) for levels 1..p of m, stopping at the root;
+        # (weight, ancestor row) for each level above m, stopping at the root;
         # trailing levels with an empty row add nothing, so they are dropped
         levels: list[tuple[float, dict[int, float]]] = []
         b = parents2[m]

@@ -40,14 +40,11 @@ class DraftNode:
     signature: str | None = None
     children: list["DraftNode"] = field(default_factory=list)
 
-    def copy_deep(self, keep_signatures: bool = True) -> "DraftNode":
+    def copy_deep(self) -> "DraftNode":
+        """Copy of the whole subtree with every signature cleared."""
+
         def shallow(node: DraftNode) -> DraftNode:
-            return DraftNode(
-                tag=node.tag,
-                attrs=list(node.attrs),
-                text=node.text,
-                signature=node.signature if keep_signatures else None,
-            )
+            return DraftNode(tag=node.tag, attrs=list(node.attrs), text=node.text)
 
         top = shallow(self)
         stack = [(self, top)]
@@ -80,7 +77,7 @@ class TreeNode:
 class LabeledTree:
     """Immutable rooted ordered labeled tree.
 
-    Node ids are pre-order positions in ``[0, size)``; the root is node 0.
+    Node ids are pre-order positions in ``[0, len(tree))``; the root is node 0.
     """
 
     __slots__ = ("nodes",)
@@ -91,10 +88,6 @@ class LabeledTree:
     @property
     def root(self) -> int:
         return 0
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -364,10 +357,10 @@ def _node_to_json(tree: LabeledTree, node_id: int) -> dict:
     return obj
 
 
-def serialize_tree_json(tree: LabeledTree, indent: int | None = None) -> str:
+def serialize_tree_json(tree: LabeledTree) -> str:
     """Write a tree in the JSON tree format; raises :class:`TooDeep` when it
     nests too deeply for the recursion limit (just under 500 levels by default)."""
     try:
-        return json.dumps(_node_to_json(tree, tree.root), ensure_ascii=False, indent=indent)
+        return json.dumps(_node_to_json(tree, tree.root), ensure_ascii=False)
     except RecursionError:
         raise TooDeep(f"{len(tree)}-node tree nests too deeply to write as JSON") from None

@@ -3,10 +3,12 @@
 These deliberately avoid the library's index/DP machinery: the similarity
 oracle does pairwise token intersections, the edit-distance oracle is the
 plain recursive forest definition, the Metropolis oracle is the walk as
-first written, over a graph of ``Edge`` objects with per-edge kill loops, and
+first written, over a graph of ``Edge`` objects with per-edge kill loops,
 the mutation oracle rescans the whole draft tree for candidates before every
 operator, and the similarity oracles keep the table as one flat
-``(n, m) -> score`` dict.
+``(n, m) -> score`` dict. ``brute_force_optimal`` is the exact optimum of the
+walk's objective by exhaustive search, for graphs of at most 16 nodes;
+``enumerate_matching_costs`` checks it on toy graphs.
 """
 
 from __future__ import annotations
@@ -74,17 +76,29 @@ def brute_force_s0(
 # Initial similarity and propagation over one flat (n, m)-keyed dict, as first
 # written: a tuple key per pair and two ancestor-pair lookups per level.
 
+def table_from_scores(scores: dict[tuple[int, int], float]) -> SimilarityTable:
+    """The row-per-node table holding a flat ``(n, m) -> score`` dict."""
+    rows: dict[int, dict[int, float]] = {}
+    for (n, m), score in scores.items():
+        rows.setdefault(m, {})[n] = score
+    return SimilarityTable(rows=rows)
+
+
+def flat_scores(table: SimilarityTable) -> dict[tuple[int, int], float]:
+    """A table as one flat ``(n, m) -> score`` dict."""
+    return {(n, m): s for m, row in table.rows.items() for n, s in row.items()}
+
+
 def reference_initial_similarity(
     t1: LabeledTree,
     t2: LabeledTree,
     params: SftmParams,
     options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
-    contribution_log: dict[str, int] | None = None,
 ) -> dict[tuple[int, int], float]:
     index = apply_threshold(build_token_index(t1, options), params.alpha)
     table: dict[tuple[int, int], float] = {}
     for m in range(len(t2)):
-        for n, s in neighbor_scores(t2, m, index, options, contribution_log).items():
+        for n, s in neighbor_scores(t2, m, index, options).items():
             table[(n, m)] = s
     return table
 
@@ -96,7 +110,7 @@ def reference_propagate(
     params: SftmParams,
 ) -> dict[tuple[int, int], float]:
     weights = params.weights
-    depth = params.p
+    depth = len(weights) - 1
     parents1 = [node.parent for node in t1]
     parents2 = [node.parent for node in t2]
     out: dict[tuple[int, int], float] = {}
@@ -126,14 +140,9 @@ def _nested(tree: LabeledTree, node_id: int):
     )
 
 
-def exhaustive_edit_distance(
-    t1: LabeledTree,
-    t2: LabeledTree,
-    insert_cost: float = 1.0,
-    delete_cost: float = 1.0,
-    relabel_cost: float = 1.0,
-) -> float:
-    """Recursive forest edit distance straight from the definition.
+def exhaustive_edit_distance(t1: LabeledTree, t2: LabeledTree) -> float:
+    """Recursive forest edit distance straight from the definition, with
+    unit insert, delete and relabel costs.
 
     Exponential; only for tiny trees.
     """
@@ -145,14 +154,14 @@ def exhaustive_edit_distance(
         best = math.inf
         if f1:
             label, children = f1[-1]
-            best = min(best, delete_cost + dist(f1[:-1] + children, f2))
+            best = min(best, 1.0 + dist(f1[:-1] + children, f2))
         if f2:
             label, children = f2[-1]
-            best = min(best, insert_cost + dist(f1, f2[:-1] + children))
+            best = min(best, 1.0 + dist(f1, f2[:-1] + children))
         if f1 and f2:
             (lab1, kids1) = f1[-1]
             (lab2, kids2) = f2[-1]
-            rel = 0.0 if lab1 == lab2 else relabel_cost
+            rel = 0.0 if lab1 == lab2 else 1.0
             best = min(best, rel + dist(kids1, kids2) + dist(f1[:-1], f2[:-1]))
         return best
 
@@ -162,12 +171,14 @@ def exhaustive_edit_distance(
 
 
 # ---------------------------------------------------------------------------
+# Exhaustive optima of the walk's objective on toy graphs: the cost of every
+# full matching, and the cheapest one by branch and bound.
 
 def enumerate_matching_costs(g: MatchGraph, params: SftmParams) -> list[float]:
     """Cost of every full matching constructible from the graph's edges.
 
-    Iterates over every subset of pairwise-disjoint edges; for testing the
-    exhaustive optimizer on toy graphs only.
+    Iterates over every subset of pairwise-disjoint edges; for checking
+    ``brute_force_optimal`` on toy graphs only.
     """
     edges = list(g.edges)
     w = params.no_match_cost
@@ -182,6 +193,72 @@ def enumerate_matching_costs(g: MatchGraph, params: SftmParams) -> list[float]:
             unmatched = (g.t1_size - r) + (g.t2_size - r)
             costs.append(edge_cost + w * unmatched)
     return costs
+
+
+class TooLarge(ValueError):
+    """Instance exceeds the exhaustive-search guard."""
+
+
+_BRUTE_FORCE_LIMIT = 16
+_TIE_TOL = 1e-12
+
+
+def brute_force_optimal(g: MatchGraph, params: SftmParams) -> Matching:
+    """Exhaustively enumerate full matchings built from the graph's edges.
+
+    Returns the minimum-cost one; exact cost ties are broken by the
+    lexicographically smallest pair list. Guarded to tiny instances.
+    """
+    total_nodes = g.t1_size + g.t2_size
+    if total_nodes > _BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"{total_nodes} nodes exceeds the limit of {_BRUTE_FORCE_LIMIT}")
+
+    w = params.no_match_cost
+    # candidate edges per t1 node as (cost, m), cheapest first
+    adjacency = g.t1_adjacency
+    options: list[list[tuple[float, int]]] = [
+        sorted((g.edge_cost[i], g.edge_m[i]) for i in adjacency[n])
+        for n in range(g.t1_size)
+    ]
+    # delta of a pair relative to leaving both ends unmatched
+    node_best = [min([c - 2.0 * w for c, _ in opts] + [0.0]) for opts in options]
+    suffix_bound = [0.0] * (g.t1_size + 1)
+    for n in range(g.t1_size - 1, -1, -1):
+        suffix_bound[n] = suffix_bound[n + 1] + node_best[n]
+
+    best_delta = 0.0  # all-unmatched is always feasible
+    best_pairs: list[tuple[int, int, float]] = []
+    chosen: list[tuple[int, int, float]] = []
+
+    def search(n: int, used_t2: int, delta: float) -> None:
+        nonlocal best_delta, best_pairs
+        if delta + suffix_bound[n] > best_delta + _TIE_TOL:
+            return
+        if n == g.t1_size:
+            if delta < best_delta - _TIE_TOL:
+                best_delta = delta
+                best_pairs = list(chosen)
+            elif delta <= best_delta + _TIE_TOL:
+                cand = [(a, b) for a, b, _ in chosen]
+                cur = [(a, b) for a, b, _ in best_pairs]
+                if cand < cur:
+                    best_delta = min(best_delta, delta)
+                    best_pairs = list(chosen)
+            return
+        search(n + 1, used_t2, delta)  # leave n unmatched
+        for cost, m in options[n]:
+            bit = 1 << m
+            if used_t2 & bit:
+                continue
+            chosen.append((n, m, cost))
+            search(n + 1, used_t2 | bit, delta + cost - 2.0 * w)
+            chosen.pop()
+
+    search(0, 0, 0.0)
+
+    pairs = tuple((n, m) for n, m, _ in best_pairs)
+    costs = tuple(c for _, _, c in best_pairs)
+    return Matching(pairs, costs, g.t1_size, g.t2_size)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +279,7 @@ class ReferenceGraph:
 
 def reference_build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> ReferenceGraph:
     edges = sorted(
-        (Edge(n=n, m=m, cost=1.0 / (1.0 + score)) for (n, m), score in sp.scores.items()),
+        (Edge(n=n, m=m, cost=1.0 / (1.0 + s)) for (n, m), s in flat_scores(sp).items()),
         key=lambda e: (e.cost, e.n, e.m),
     )
     t1_adj: list[list[int]] = [[] for _ in range(len(t1))]
@@ -471,7 +548,7 @@ class ReferenceMutator:
             self._note(kind, sig, {"subtree_signatures": gone}, gone)
         elif kind == "duplicate":
             assert parent is not None
-            copy = node.copy_deep(keep_signatures=False)
+            copy = node.copy_deep()
             parent.children.insert(parent.children.index(node) + 1, copy)
             self._note(kind, sig, {}, [sig])
         elif kind == "wrap":

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from oracles import enumerate_matching_costs, exhaustive_edit_distance
-from strategies import labeled_trees, tree_pairs
-from treematch.baselines import (
+from oracles import (
     TooLarge,
     brute_force_optimal,
-    ted_distance,
-    ted_match,
+    enumerate_matching_costs,
+    exhaustive_edit_distance,
+    table_from_scores,
 )
+from strategies import labeled_trees, tree_pairs
+from treematch.baselines import ted_distance, ted_match
 from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import metropolis
-from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
+from treematch.similarity import SftmParams, initial_similarity, propagate
 from treematch.tree import DraftNode, LabeledTree, freeze, parse_html
 
 PARAMS = SftmParams()
@@ -29,7 +30,7 @@ def graph_of(scores, t1_size, t2_size):
         root.children = [DraftNode(tag=f"c{k}") for k in range(n - 1)]
         return freeze(root)
 
-    return build_graph(SimilarityTable.from_scores(scores), line(t1_size), line(t2_size))
+    return build_graph(table_from_scores(scores), line(t1_size), line(t2_size))
 
 
 class TestBruteForce:

@@ -8,6 +8,10 @@ import pytest
 
 from treematch.cli import build_parser, main
 from treematch.evaluate import load_bundle
+from treematch.graph import matching_to_json
+from treematch.pipeline import match_trees
+from treematch.similarity import SftmParams
+from treematch.tree import parse_html
 
 PAGE = """
 <html>
@@ -76,6 +80,22 @@ class TestMatchCommand:
         code = main(["match", str(bad), str(bad), "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    def test_one_weight_runs_depth_zero(self, page_file, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["match", str(page_file), str(page_file), "--weights", "1.0",
+                     "--out", str(out)])
+        assert code == 0
+        assert "[treematch match] alpha=0.5 weights=(1.0,) beta=4.0 " in capsys.readouterr().err
+        tree = parse_html(page_file.read_bytes())
+        matching = match_trees(tree, tree, SftmParams(weights=(1.0,)))
+        assert out.read_text() == matching_to_json(matching, tree, tree) + "\n"
+
+    def test_no_weights_exits_one(self, page_file, tmp_path, capsys):
+        code = main(["match", str(page_file), str(page_file), "--weights", "",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestMutateCommand:
     def test_ratios_span_evenly(self, page_file, tmp_path):
@@ -93,7 +113,7 @@ class TestMutateCommand:
         main(["mutate", str(page_file), "--ratio", "0", "--count", "1",
               "--out-dir", str(out_dir)])
         bundle = load_bundle(next(out_dir.iterdir()))
-        assert (bundle.source.size == bundle.mutant.size)
+        assert len(bundle.source) == len(bundle.mutant)
         assert bundle.log.ops == ()
         src = [(n.tag, n.attributes, n.text) for n in bundle.source]
         dst = [(n.tag, n.attributes, n.text) for n in bundle.mutant]
@@ -173,11 +193,13 @@ class TestBenchCommand:
         out = tmp_path / "r.csv"
         main(["bench", str(corpus), "--out", str(out), "--iterations", "10",
               "--flat-tokens", "--tokenize-content"])
-        assert ("[treematch bench] alpha=0.5 p=2 weights=(1.0, 0.5, 0.25) beta=4.0 "
+        assert ("[treematch bench] alpha=0.5 weights=(1.0, 0.5, 0.25) beta=4.0 "
                 "gamma=0.9 iterations=10 no_match_cost=1.0 seed=0 flat=True "
                 "include_content=True\n") in capsys.readouterr().err
         sidecar = json.loads((tmp_path / "r.csv.config.json").read_text())
         assert sidecar["params"]["tokens"] == {"flat": True, "include_content": True}
+        assert sidecar["params"]["weights"] == [1.0, 0.5, 0.25]
+        assert "p" not in sidecar["params"]
         assert "tokens" not in sidecar
 
     def test_corrupt_bundle_skipped_with_warning(self, page_file, tmp_path, capsys):
@@ -242,12 +264,21 @@ class TestSweepCommand:
 
 class TestHelp:
     @pytest.mark.parametrize("command", ["match", "bench", "sweep"])
+    def test_prop_depth_is_not_a_flag(self, command, tmp_path, capsys):
+        # the count of --weights sets the depth; there is no second setting
+        paths = ["a.html", "b.html"] if command == "match" else [str(tmp_path), "--out", "r.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *paths, "--prop-depth", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prop-depth 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["match", "bench", "sweep"])
     def test_every_param_documented(self, command, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--help"])
         text = capsys.readouterr().out
-        for flag in ("--alpha", "--prop-depth", "--weights", "--beta", "--gamma",
+        for flag in ("--alpha", "--weights", "--beta", "--gamma",
                      "--iterations", "--no-match-cost", "--seed",
                      "--flat-tokens", "--tokenize-content"):
             assert flag in text

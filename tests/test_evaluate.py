@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import signal
 import time
 from dataclasses import replace
@@ -11,7 +10,6 @@ import pytest
 from treematch.evaluate import (
     BenchRow,
     CorpusError,
-    Degenerate,
     MutantBundle,
     _run_with_timeout,
     discover_bundles,
@@ -19,7 +17,6 @@ from treematch.evaluate import (
     load_bundle,
     optimal_rate,
     run_benchmark,
-    scaling_fit,
     score_matching,
     sensitivity_sweep,
     write_bench_csv,
@@ -252,35 +249,6 @@ class TestSweep:
         (bad / "mutations.json").write_text("{}", encoding="utf-8")
         with pytest.raises(CorpusError):
             sensitivity_sweep(corpus, [0.5], PARAMS)
-
-
-class TestScalingFit:
-    def row(self, n, elapsed):
-        return BenchRow(
-            page="p", algorithm="similarity", n_nodes=n, mutation_ratio=0.0,
-            elapsed_s=elapsed, mismatch=0, no_match=0, successful=n, rate=1.0,
-            optimal_rate=1.0, alpha=0.5, seed=0, timeout=False,
-        )
-
-    def test_exact_linear_data(self):
-        rows = [self.row(n, 2e-6 * n * math.log(n) + 0.01) for n in
-                (100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600, 51200)]
-        slope, intercept, r2 = scaling_fit(rows)
-        assert r2 == pytest.approx(1.0)
-        assert slope == pytest.approx(2e-6, rel=1e-9)
-        assert intercept == pytest.approx(0.01, rel=1e-6)
-
-    def test_constant_times(self):
-        rows = [self.row(n, 0.5) for n in (100, 1000, 10000)]
-        slope, _, _ = scaling_fit(rows)
-        assert slope == pytest.approx(0.0, abs=1e-15)
-
-    def test_degenerate(self):
-        rows = [self.row(500, 0.1), self.row(500, 0.2)]
-        with pytest.raises(Degenerate):
-            scaling_fit(rows)
-        with pytest.raises(Degenerate):
-            scaling_fit([])
 
 
 class TestCsv:

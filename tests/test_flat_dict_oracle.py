@@ -11,11 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from oracles import reference_build_graph, reference_initial_similarity, reference_propagate
+from oracles import (
+    flat_scores,
+    reference_build_graph,
+    reference_initial_similarity,
+    reference_propagate,
+    table_from_scores,
+)
 from strategies import tree_pairs
 from treematch.graph import build_graph
 from treematch.mutate import assign_signatures, mutate
-from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
+from treematch.similarity import SftmParams, initial_similarity, propagate
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
 from treematch.tree import parse_html
 
@@ -28,21 +34,18 @@ def hexed(scores: dict[tuple[int, int], float]) -> dict[tuple[int, int], str]:
 
 
 def assert_same_stages(t1, t2, params: SftmParams, options: TokenOptions) -> None:
-    log: dict[str, int] = {}
-    ref_log: dict[str, int] = {}
-    s0 = initial_similarity(t1, t2, replace(params, tokens=options), log)
-    ref0 = reference_initial_similarity(t1, t2, params, options, ref_log)
-    assert hexed(s0.scores) == hexed(ref0)
-    assert log == ref_log
+    s0 = initial_similarity(t1, t2, replace(params, tokens=options))
+    ref0 = reference_initial_similarity(t1, t2, params, options)
+    assert hexed(flat_scores(s0)) == hexed(ref0)
     assert len(s0) == len(ref0)
     assert all(row for row in s0.rows.values())
 
     sp = propagate(s0, t1, t2, params)
     ref_p = reference_propagate(ref0, t1, t2, params)
-    assert hexed(sp.scores) == hexed(ref_p)
+    assert hexed(flat_scores(sp)) == hexed(ref_p)
 
     g = build_graph(sp, t1, t2)
-    ref = reference_build_graph(SimilarityTable.from_scores(ref_p), t1, t2)
+    ref = reference_build_graph(table_from_scores(ref_p), t1, t2)
     assert g.edge_n == tuple(e.n for e in ref.edges)
     assert g.edge_m == tuple(e.m for e in ref.edges)
     assert [c.hex() for c in g.edge_cost] == [e.cost.hex() for e in ref.edges]
@@ -75,7 +78,7 @@ def sftm_params(draw) -> SftmParams:
     w0 = draw(st.sampled_from([0.5, 1.0, 2.0]))
     rest = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=p, max_size=p))
     alpha = draw(st.sampled_from([0.5, 1.0]))
-    return SftmParams(alpha=alpha, p=p, weights=(w0, *rest))
+    return SftmParams(alpha=alpha, weights=(w0, *rest))
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_s0
+from oracles import brute_force_s0, flat_scores, table_from_scores
 from strategies import tree_pairs
 from treematch.graph import (
     Matching,
@@ -42,18 +42,18 @@ class TestBuildGraph:
 
     def test_cost_formula(self):
         t1, t2 = pair_of_single_nodes()
-        g = build_graph(SimilarityTable.from_scores({(0, 0): 1.0}), t1, t2)
+        g = build_graph(table_from_scores({(0, 0): 1.0}), t1, t2)
         assert g.edges[0].cost == pytest.approx(0.5)
 
     def test_zero_score_pairs_have_no_edge(self):
         t1, t2 = pair_of_single_nodes()
-        g = build_graph(SimilarityTable.from_scores({}), t1, t2)
+        g = build_graph(table_from_scores({}), t1, t2)
         assert edge_count(g) == 0  # absent pair means no edge, not cost 1
 
     def test_edges_sorted_by_cost_then_ids(self):
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
-        table = SimilarityTable.from_scores({(0, 0): 1.0, (1, 1): 3.0, (0, 1): 1.0, (1, 0): 0.5})
+        table = table_from_scores({(0, 0): 1.0, (1, 1): 3.0, (0, 1): 1.0, (1, 0): 0.5})
         g = build_graph(table, t1, t2)
         keys = [(e.cost, e.n, e.m) for e in g.edges]
         assert keys == sorted(keys)
@@ -62,7 +62,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("key", [(1, 0), (-1, 0)])
     def test_t1_node_out_of_range_is_typed(self, key):
         t1, t2 = pair_of_single_nodes()
-        table = SimilarityTable.from_scores({(0, 0): 1.0, key: 1.0})
+        table = table_from_scores({(0, 0): 1.0, key: 1.0})
         with pytest.raises(NodeOutOfRange, match="t1 node"):
             build_graph(table, t1, t2)
 
@@ -71,7 +71,7 @@ class TestBuildGraph:
         # without the check, (0, 1) would alias the int key of (1, 0)
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="a"))
-        table = SimilarityTable.from_scores({(0, 0): 1.0, key: 1.0})
+        table = table_from_scores({(0, 0): 1.0, key: 1.0})
         with pytest.raises(NodeOutOfRange, match="t2 node"):
             build_graph(table, t1, t2)
         assert issubclass(NodeOutOfRange, ValueError)
@@ -79,7 +79,7 @@ class TestBuildGraph:
     def test_adjacency_built_once(self):
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
-        g = build_graph(SimilarityTable.from_scores({(0, 0): 1.0, (1, 0): 2.0}), t1, t2)
+        g = build_graph(table_from_scores({(0, 0): 1.0, (1, 0): 2.0}), t1, t2)
         assert g.t1_adjacency == ((1,), (0,))
         assert g.t2_adjacency == ((0, 1), ())
         assert g.t1_adjacency is g.t1_adjacency
@@ -91,11 +91,12 @@ class TestBuildGraph:
         t1, t2 = pair
         sp = propagate(initial_similarity(t1, t2, PARAMS), t1, t2, PARAMS)
         g = build_graph(sp, t1, t2)
-        if sp.scores:
-            top = 1.0 / (1.0 + min(sp.scores.values()))
+        scores = flat_scores(sp)
+        if scores:
+            top = 1.0 / (1.0 + min(scores.values()))
             for e in g.edges:
                 assert 0.0 < e.cost <= top < 1.0
-        assert edge_count(g) == len(sp.scores)
+        assert edge_count(g) == len(scores)
         for n, incident in enumerate(g.t1_adjacency):
             assert all(g.edge_n[i] == n for i in incident)
         for incident in g.t2_adjacency:
@@ -127,13 +128,13 @@ class TestAccessors:
                 DraftNode(tag="b"),
             ])
         )
-        params = SftmParams(alpha=1.0, p=0, weights=(1.0,))
+        params = SftmParams(alpha=1.0, weights=(1.0,))
         table = initial_similarity(t1, t2, params)
         return build_graph(table, t1, t2), t1, t2, table
 
     def test_edge_multiset_matches_nonzero_pairs(self):
         g, t1, t2, table = self.toy_graph()
-        assert {(e.n, e.m) for e in g.edges} == set(table.scores)
+        assert {(e.n, e.m) for e in g.edges} == set(flat_scores(table))
         oracle = brute_force_s0(t1, t2, 1.0)
         assert {(e.n, e.m) for e in g.edges} == set(oracle)
 

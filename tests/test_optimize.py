@@ -1,25 +1,23 @@
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_build_graph, reference_metropolis, reference_suggest_matching
+from oracles import (
+    brute_force_optimal,
+    reference_build_graph,
+    reference_metropolis,
+    reference_suggest_matching,
+    table_from_scores,
+)
 from strategies import tree_pairs
-from treematch.baselines import brute_force_optimal
 from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
-from treematch.optimize import (
-    EmptyMatching,
-    initial_matching,
-    metropolis,
-    objective,
-    suggest_matching,
-)
+from treematch.optimize import initial_matching, metropolis, suggest_matching
 from treematch.pipeline import match_trees_detailed
-from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
+from treematch.similarity import SftmParams, initial_similarity, propagate
 from treematch.tree import DraftNode, freeze, parse_html
 
 PARAMS = SftmParams()
@@ -32,7 +30,7 @@ def graph_from_scores(scores: dict, t1_size: int, t2_size: int, build=build_grap
             root.children.append(DraftNode(tag=f"c{k}"))
         return freeze(root)
 
-    return build(SimilarityTable.from_scores(scores), line(t1_size), line(t2_size))
+    return build(table_from_scores(scores), line(t1_size), line(t2_size))
 
 
 def cost_to_score(cost: float) -> float:
@@ -165,52 +163,6 @@ class TestSuggestMatching:
             # selected pairs correspond to graph edges
             edge_set = {(e.n, e.m) for e in g.edges}
             assert set(m.pairs) <= edge_set
-
-
-class TestObjective:
-    def test_zero_cost_limit(self):
-        m = Matching(
-            pairs=((0, 0),), pair_costs=(0.0,),
-            t1_size=1, t2_size=1,
-        )
-        assert objective(m, PARAMS) == pytest.approx(1.0)
-
-    def test_formula(self):
-        m = Matching(
-            pairs=((0, 0),), pair_costs=(0.5,),
-            t1_size=1, t2_size=1,
-        )
-        params = SftmParams(beta=1.0)
-        assert objective(m, params) == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_doubling_beta_squares(self):
-        m = Matching(
-            pairs=((0, 0), (1, 1)), pair_costs=(0.5, 0.25),
-            t1_size=3, t2_size=2,
-        )
-        f1 = objective(m, SftmParams(beta=2.0))
-        f2 = objective(m, SftmParams(beta=4.0))
-        assert f2 == pytest.approx(f1**2, rel=1e-12)
-
-    def test_empty_matching_raises(self):
-        m = Matching(
-            pairs=(), pair_costs=(),
-            t1_size=0, t2_size=0,
-        )
-        with pytest.raises(EmptyMatching):
-            objective(m, PARAMS)
-
-    def test_acceptance_certain_for_cheaper_same_size(self):
-        # same size, lower cost implies objective ratio >= 1
-        cheap = Matching(
-            pairs=((0, 0),), pair_costs=(0.2,),
-            t1_size=2, t2_size=2,
-        )
-        dear = Matching(
-            pairs=((0, 1),), pair_costs=(0.9,),
-            t1_size=2, t2_size=2,
-        )
-        assert objective(cheap, PARAMS) / objective(dear, PARAMS) >= 1.0
 
 
 class TestMetropolis:

@@ -5,16 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_s0
+from oracles import brute_force_s0, flat_scores, table_from_scores
 from strategies import labeled_trees, tree_pairs
 from treematch.similarity import (
-    MissingToken,
     SftmParams,
-    SimilarityTable,
     TokenIndex,
     apply_threshold,
     build_token_index,
-    idf,
     initial_similarity,
     neighbor_scores,
     propagate,
@@ -33,15 +30,15 @@ class TestParams:
     def test_defaults_valid(self):
         params = SftmParams()
         assert params.alpha == 0.5
-        assert len(params.weights) == params.p + 1
+        assert params.weights == (1.0, 0.5, 0.25)  # depth 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"alpha": 0.0},
             {"alpha": 1.5},
-            {"p": 1},  # weights length mismatch
-            {"p": 1, "weights": (0.0, 1.0)},  # w0 must be positive
+            {"weights": ()},  # no w0, so no depth
+            {"weights": (0.0, 1.0)},  # w0 must be positive
             {"weights": (1.0, -0.5, 0.25)},
             {"beta": 0.0},
             {"gamma": 1.5},
@@ -109,32 +106,38 @@ class TestThreshold:
         assert set(kept.entries) == {"a", "b"}
 
 
+def token_weight(tree, index: TokenIndex, token: str) -> float:
+    """What ``token`` alone adds to the score of the nodes that carry it."""
+    holders = index.entries[token]
+    holder = min(holders)
+    single = TokenIndex(entries={token: holders}, t1_size=index.t1_size)
+    return neighbor_scores(tree, holder, single).get(holder, 0.0)
+
+
 class TestIdf:
+    """The IDF weight log(N / multiplicity) that ``neighbor_scores`` adds."""
+
     def test_formula(self):
-        index = TokenIndex(entries={"t": set(range(10))}, t1_size=100)
-        assert idf(index, "t") == pytest.approx(math.log(10.0), rel=1e-12)
+        index = TokenIndex(entries={"tag:p": set(range(10))}, t1_size=100)
+        t2 = tree_of(DraftNode(tag="p"))
+        assert neighbor_scores(t2, 0, index) == {n: math.log(10.0) for n in range(10)}
 
     def test_ubiquitous_token_is_zero(self):
-        index = TokenIndex(entries={"t": set(range(64))}, t1_size=64)
-        assert idf(index, "t") == 0.0
+        index = TokenIndex(entries={"tag:p": set(range(64))}, t1_size=64)
+        assert neighbor_scores(tree_of(DraftNode(tag="p")), 0, index) == {}
 
     def test_singleton_tree(self):
-        index = TokenIndex(entries={"t": {0}}, t1_size=1)
-        assert idf(index, "t") == 0.0
-
-    def test_missing_token(self):
-        index = TokenIndex(entries={}, t1_size=3)
-        with pytest.raises(MissingToken):
-            idf(index, "nope")
+        index = TokenIndex(entries={"tag:p": {0}}, t1_size=1)
+        assert neighbor_scores(tree_of(DraftNode(tag="p")), 0, index) == {}
 
     @given(labeled_trees(max_nodes=20))
     def test_monotone_in_rarity(self, tree):
         index = build_token_index(tree)
-        tokens = sorted(index.entries)
-        for a in tokens:
-            for b in tokens:
+        weight = {t: token_weight(tree, index, t) for t in index.entries}
+        for a in weight:
+            for b in weight:
                 if len(index.entries[a]) < len(index.entries[b]):
-                    assert idf(index, a) > idf(index, b)
+                    assert weight[a] > weight[b]
 
 
 class TestNeighborScores:
@@ -154,18 +157,11 @@ class TestNeighborScores:
         t2 = tree_of(DraftNode(tag="p", attrs=[("class", "x")]))
         index = build_token_index(t1)
         scores = neighbor_scores(t2, 0, index)
-        # node 1 shares tag:p and val:x and attr:class; node 2 shares tag:p
-        expected_1 = idf(index, "tag:p") + idf(index, "attr:class") + idf(index, "val:x")
+        # node 1 shares tag:p (in 2 of 3 nodes), attr:class and val:x (1 of
+        # 3 each); node 2 shares tag:p
+        expected_1 = math.log(3 / 2) + 2 * math.log(3)
         assert scores[1] == pytest.approx(expected_1, rel=1e-12)
-        assert scores[2] == pytest.approx(idf(index, "tag:p"), rel=1e-12)
-
-    def test_contribution_log_records_multiplicity(self):
-        t1 = tree_of(DraftNode(tag="div", children=[DraftNode(tag="p"), DraftNode(tag="p")]))
-        t2 = tree_of(DraftNode(tag="p"))
-        index = apply_threshold(build_token_index(t1), 1.0)
-        log: dict[str, int] = {}
-        neighbor_scores(t2, 0, index, contribution_log=log)
-        assert log["tag:p"] == 2
+        assert scores[2] == pytest.approx(math.log(3 / 2), rel=1e-12)
 
 
 class TestInitialSimilarity:
@@ -173,69 +169,48 @@ class TestInitialSimilarity:
         # every token of a 1-node tree has multiplicity N=1, so IDF = 0 and
         # no strictly positive score exists
         t = tree_of(DraftNode(tag="p"))
-        assert initial_similarity(t, t, EXACT).scores == {}
+        assert initial_similarity(t, t, EXACT).rows == {}
 
     def test_identical_two_node_trees(self):
         t = tree_of(DraftNode(tag="div", children=[DraftNode(tag="p")]))
         table = initial_similarity(t, t, EXACT)
         # each node's tag and xpath tokens are singletons: ln(2) + ln(2)
-        assert table.get(0, 0) == pytest.approx(2 * math.log(2), rel=1e-12)
-        assert table.get(1, 1) == pytest.approx(2 * math.log(2), rel=1e-12)
-        assert table.get(0, 1) == 0.0
+        expected = {(0, 0): 2 * math.log(2), (1, 1): 2 * math.log(2)}
+        assert flat_scores(table) == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_trees_empty(self):
         t1 = tree_of(DraftNode(tag="div"))
         t2 = tree_of(DraftNode(tag="table"))
-        assert initial_similarity(t1, t2, EXACT).scores == {}
+        assert initial_similarity(t1, t2, EXACT).rows == {}
 
     @settings(max_examples=40, deadline=None)
     @given(tree_pairs(max_nodes=12))
     def test_matches_brute_force_alpha_one(self, pair):
         t1, t2 = pair
-        table = initial_similarity(t1, t2, EXACT)
+        scores = flat_scores(initial_similarity(t1, t2, EXACT))
         oracle = brute_force_s0(t1, t2, 1.0)
-        assert set(table.scores) == set(oracle)
-        for key, value in oracle.items():
-            assert table.scores[key] == pytest.approx(value, rel=1e-12)
+        assert scores == pytest.approx(oracle, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(tree_pairs(max_nodes=12))
     def test_matches_brute_force_default_alpha(self, pair):
         t1, t2 = pair
         params = SftmParams()
-        table = initial_similarity(t1, t2, params)
+        scores = flat_scores(initial_similarity(t1, t2, params))
         oracle = brute_force_s0(t1, t2, params.alpha)
-        assert set(table.scores) == set(oracle)
-        for key, value in oracle.items():
-            assert table.scores[key] == pytest.approx(value, rel=1e-12)
+        assert scores == pytest.approx(oracle, rel=1e-12)
 
     def test_threshold_soundness_instrumented(self):
         t = tree_of(
             DraftNode(tag="div", children=[DraftNode(tag="p") for _ in range(8)])
         )
         params = SftmParams(alpha=0.5)
-        log: dict[str, int] = {}
-        initial_similarity(t, t, params, contribution_log=log)
-        cutoff = threshold_cutoff(len(t), params.alpha)
-        assert log  # something contributed
-        assert all(count <= cutoff for count in log.values())
-        # tag:p sits in 8 nodes > cutoff 3 and must not have contributed
-        assert "tag:p" not in log
-
-
-class TestSimilarityTable:
-    def test_from_scores_groups_rows_by_t2_node(self):
-        table = SimilarityTable.from_scores({(0, 1): 2.0, (3, 1): 0.5, (2, 0): 1.0})
-        assert table.rows == {1: {0: 2.0, 3: 0.5}, 0: {2: 1.0}}
-        assert table.scores == {(0, 1): 2.0, (3, 1): 0.5, (2, 0): 1.0}
-        assert len(table) == 3
-
-    def test_get_reads_absent_as_zero(self):
-        table = SimilarityTable.from_scores({(0, 1): 2.0})
-        assert table.get(0, 1) == 2.0
-        assert table.get(1, 1) == 0.0
-        assert table.get(0, 0) == 0.0
-        assert len(SimilarityTable()) == 0
+        rows = initial_similarity(t, t, params).rows
+        assert threshold_cutoff(len(t), params.alpha) == 3
+        # tag:p sits in 8 nodes > cutoff 3 and must not contribute: a p node
+        # scores only its own xpath, ln(9), and no other p node
+        for m in range(1, 9):
+            assert rows[m] == {m: math.log(9)}
 
 
 class TestPropagate:
@@ -246,38 +221,37 @@ class TestPropagate:
 
     def test_depth_zero_is_identity(self):
         t1, t2 = self.chain_pair()
-        s0 = SimilarityTable.from_scores({(0, 0): 2.0, (1, 1): 1.0})
-        params = SftmParams(p=0, weights=(1.0,))
-        assert propagate(s0, t1, t2, params).scores == s0.scores
+        s0 = table_from_scores({(0, 0): 2.0, (1, 1): 1.0})
+        params = SftmParams(weights=(1.0,))
+        assert propagate(s0, t1, t2, params) == s0
 
     def test_roots_have_no_ancestors(self):
         t1 = tree_of(DraftNode(tag="a"))
         t2 = tree_of(DraftNode(tag="a"))
-        s0 = SimilarityTable.from_scores({(0, 0): 2.0})
-        params = SftmParams(p=2, weights=(1.0, 0.5, 0.25))
-        assert propagate(s0, t1, t2, params).scores == {(0, 0): 2.0}
+        s0 = table_from_scores({(0, 0): 2.0})
+        params = SftmParams(weights=(1.0, 0.5, 0.25))
+        assert flat_scores(propagate(s0, t1, t2, params)) == {(0, 0): 2.0}
 
     def test_chain_sum(self):
         t1, t2 = self.chain_pair()
-        s0 = SimilarityTable.from_scores({(0, 0): 1.0, (1, 1): 1.0})
-        params = SftmParams(p=1, weights=(1.0, 0.5))
-        result = propagate(s0, t1, t2, params)
-        assert result.scores[(1, 1)] == pytest.approx(1.5)
-        assert result.scores[(0, 0)] == pytest.approx(1.0)
+        s0 = table_from_scores({(0, 0): 1.0, (1, 1): 1.0})
+        params = SftmParams(weights=(1.0, 0.5))
+        result = flat_scores(propagate(s0, t1, t2, params))
+        assert result[(1, 1)] == pytest.approx(1.5)
+        assert result[(0, 0)] == pytest.approx(1.0)
 
     def test_zero_s0_pairs_stay_excluded(self):
         t1, t2 = self.chain_pair()
         # children similar, parents similar, but no (child, parent) entry may appear
-        s0 = SimilarityTable.from_scores({(0, 0): 3.0})
-        params = SftmParams(p=1, weights=(1.0, 0.5))
-        result = propagate(s0, t1, t2, params)
-        assert set(result.scores) == {(0, 0)}
+        s0 = table_from_scores({(0, 0): 3.0})
+        params = SftmParams(weights=(1.0, 0.5))
+        assert set(flat_scores(propagate(s0, t1, t2, params))) == {(0, 0)}
 
     def test_missing_ancestor_entry_contributes_zero(self):
         t1, t2 = self.chain_pair()
-        s0 = SimilarityTable.from_scores({(1, 1): 2.0})
-        params = SftmParams(p=2, weights=(1.0, 0.5, 0.25))
-        assert propagate(s0, t1, t2, params).scores[(1, 1)] == pytest.approx(2.0)
+        s0 = table_from_scores({(1, 1): 2.0})
+        params = SftmParams(weights=(1.0, 0.5, 0.25))
+        assert flat_scores(propagate(s0, t1, t2, params))[(1, 1)] == pytest.approx(2.0)
 
     @settings(max_examples=30, deadline=None)
     @given(tree_pairs(max_nodes=10))
@@ -285,11 +259,12 @@ class TestPropagate:
         t1, t2 = pair
         params = SftmParams()
         s0 = initial_similarity(t1, t2, params)
-        sp = propagate(s0, t1, t2, params)
-        assert set(sp.scores) == set(s0.scores)
-        for key, base in s0.scores.items():
-            assert sp.scores[key] >= params.weights[0] * base - 1e-12
-            assert math.isfinite(sp.scores[key])
+        base_scores = flat_scores(s0)
+        scores = flat_scores(propagate(s0, t1, t2, params))
+        assert set(scores) == set(base_scores)
+        for key, base in base_scores.items():
+            assert scores[key] >= params.weights[0] * base - 1e-12
+            assert math.isfinite(scores[key])
 
     def test_propagation_locality(self):
         # a pair's propagated score depends only on score entries along its
@@ -307,11 +282,11 @@ class TestPropagate:
         perturbed = dict(base)
         perturbed[(div, div)] = 9.0
         perturbed[(p_, p_)] = 9.0
-        params = SftmParams(p=1, weights=(1.0, 0.5))
-        sp_a = propagate(SimilarityTable.from_scores(base), t1, t2, params)
-        sp_b = propagate(SimilarityTable.from_scores(perturbed), t1, t2, params)
+        params = SftmParams(weights=(1.0, 0.5))
+        sp_a = flat_scores(propagate(table_from_scores(base), t1, t2, params))
+        sp_b = flat_scores(propagate(table_from_scores(perturbed), t1, t2, params))
         # the ul/li branch chains (depth 1) avoid the div branch entirely
-        assert sp_a.scores[(ul, ul)] == sp_b.scores[(ul, ul)]
-        assert sp_a.scores[(li, li)] == sp_b.scores[(li, li)]
+        assert sp_a[(ul, ul)] == sp_b[(ul, ul)]
+        assert sp_a[(li, li)] == sp_b[(li, li)]
         # while the perturbed branch did move
-        assert sp_a.scores[(p_, p_)] != sp_b.scores[(p_, p_)]
+        assert sp_a[(p_, p_)] != sp_b[(p_, p_)]
