@@ -83,7 +83,10 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> SftmParams:
-    weights = tuple(float(w) for w in args.weights.split(",") if w != "")
+    items = args.weights.split(",")
+    if "" in items:  # a stray comma would silently change the depth
+        raise ValueError(f"--weights {args.weights!r} has an empty item")
+    weights = tuple(map(float, items))
     return SftmParams(
         alpha=args.alpha,
         weights=weights,

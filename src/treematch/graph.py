@@ -13,12 +13,15 @@ sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
 built per edge on the matching path. That order comes from two sorts on
 plain keys: one by the int ``n * len(t2) + m``, then a stable one by the
 float cost. Per-node adjacency is built on first access and cached, since
-the matching path never reads it.
+the matching path never reads it. The optimizer reads per-node edge chains
+instead: for each node of the smaller tree, its edge indices linked in
+that order, kept in two compact ``array('i')``s built on first access.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import repeat
@@ -44,13 +47,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class MatchGraph:
-    """Edges as parallel arrays sorted by (cost, n, m), plus per-node adjacency.
+    """Edges as parallel arrays sorted by (cost, n, m), plus per-node views.
 
     Edge ``i`` joins t1 node ``edge_n[i]`` to t2 node ``edge_m[i]`` at cost
     ``edge_cost[i]``. ``t1_adjacency[n]`` and ``t2_adjacency[m]`` list the
-    indices of a node's edges in that order, cheapest first; they are built
-    on first access. The optimizer reads the arrays directly; :attr:`edges`
-    is a convenience view.
+    indices of a node's edges in that order, cheapest first. :attr:`chains`
+    links the same indices for the nodes of the smaller tree (t1 on a tie),
+    which is what the optimizer walks. The views are built on first access
+    and cached on the graph. :attr:`edges` is a convenience view.
     """
 
     edge_n: tuple[int, ...]
@@ -72,12 +76,39 @@ class MatchGraph:
     def t2_adjacency(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.edge_m, self.t2_size)
 
+    @property
+    def chains_on_t1(self) -> bool:
+        """Whether :attr:`chains` run over t1, the smaller tree or a tie."""
+        return self.t1_size <= self.t2_size
+
+    @cached_property
+    def chains(self) -> tuple[array, array]:
+        """``(first, nxt)``: each chain-side node's edges, linked in edge order.
+
+        ``first[u]`` is the index of node ``u``'s cheapest edge and
+        ``nxt[e]`` the index of the next edge of edge ``e``'s node; both
+        hold the edge count where there is none.
+        """
+        return _chains(self.edge_n if self.chains_on_t1 else self.edge_m,
+                       min(self.t1_size, self.t2_size))
+
 
 def _adjacency(ends: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
     incident: list[list[int]] = [[] for _ in range(size)]
     for idx, node in enumerate(ends):
         incident[node].append(idx)
     return tuple(map(tuple, incident))
+
+
+def _chains(ends: tuple[int, ...], size: int) -> tuple[array, array]:
+    end = len(ends)
+    first = [end] * size
+    nxt = [end] * end
+    for idx in range(end - 1, -1, -1):
+        node = ends[idx]
+        nxt[idx] = first[node]
+        first[node] = idx
+    return array("i", first), array("i", nxt)
 
 
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:

@@ -7,17 +7,27 @@ with probability ``gamma``. Costs are fixed up front and never recomputed.
 Acceptance uses the standard Metropolis rule on the normalized objective
 exp(-beta * cost / size); the best matching seen is returned.
 
-A proposal makes one forward pass over the graph's cost-ordered edge arrays.
-An edge is live while neither endpoint is used, judged on demand from two
-per-tree byte flags, so keeping a pair costs O(1) and no incident edges are
-visited. Each scan round first revisits, in order, the live edges an earlier
-round passed over, then resumes the pass where it stopped. That visits the
-live edges in the same order as a fresh scan from the cheapest one would.
+A proposal keeps a pair in O(1): an edge is live while neither endpoint is
+used, judged on demand from two per-tree byte flags, so no incident edge is
+visited. Its scan reaches the live edges through the graph's per-node edge
+chains over the smaller tree (:attr:`MatchGraph.chains`). Each unused node
+of that side has a cursor on the first of its edges that may still be live,
+and a byte array of the edge count plus one marks the cursors. The frontier
+jumps to the next mark with ``bytearray.find``, a memchr that only moves
+forward, so one proposal sweeps the array once in C. A chain node that is
+used drops its cursor, so all its dead edges are skipped at once; a cursor
+whose edge has a used other end steps down its chain past such edges, and
+those steps are the only dead edges a proposal visits. Each scan round first
+revisits, in order, the live edges an earlier round passed over, then
+resumes the frontier. The live edges are therefore visited in the order of a
+fresh scan from the cheapest one, the scan over every edge that
+``tests/oracles.py`` keeps, and the greedy start takes each one it reaches.
 
 Everything is driven by one seeded generator; per proposal the draw order is
 the kept-prefix length first, then one uniform draw per scanned live edge
 (no draw when a scan runs out and falls back to the last live edge), then
-one acceptance draw per iteration. Runs reproduce bit-for-bit given
+one acceptance draw per iteration. Dead edges draw nothing, so skipping
+them leaves the draws as they were. Runs reproduce bit-for-bit given
 (graph, params, seed).
 """
 
@@ -25,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graph import MatchGraph, Matching, matching_cost
 from .similarity import SftmParams
@@ -33,19 +43,56 @@ from .similarity import SftmParams
 ProgressHook = Callable[[int, float, float], None]
 
 
+def _live_edges(g: MatchGraph, t1_used: bytearray, t2_used: bytearray) -> Iterator[int]:
+    """Yield the index of each live edge (both endpoints unused), in edge order.
+
+    An edge is judged when the scan reaches it, so pairs the caller takes
+    between two yields count. Each unused chain-side node has a cursor on the
+    first of its edges at or past the scan that may still be live; ``head``
+    marks the cursors and ``head.find`` jumps to the next one.
+    """
+    if g.chains_on_t1:
+        ends, others, used, other_used = g.edge_n, g.edge_m, t1_used, t2_used
+    else:
+        ends, others, used, other_used = g.edge_m, g.edge_n, t2_used, t1_used
+    first, nxt = g.chains
+    end = len(nxt)
+    head = bytearray(end + 1)
+    for node, idx in enumerate(first):
+        if not used[node]:
+            head[idx] = 1
+    head[end] = 1  # sentinel: find() stops here whatever the chains hold
+    find = head.find
+    idx = find(1)
+    while idx != end:
+        head[idx] = 0
+        node = ends[idx]
+        if not used[node]:  # else the caller took the node: a stale cursor
+            if not other_used[others[idx]]:
+                yield idx
+            if not used[node]:
+                # move the cursor past the edges whose other end is used
+                later = nxt[idx]
+                while later != end and other_used[others[later]]:
+                    later = nxt[later]
+                head[later] = 1
+        idx = find(1, idx + 1)
+
+
 def initial_matching(g: MatchGraph, params: SftmParams) -> Matching:
     """Greedy start: walk edges cheapest-first, take both-endpoints-free ones."""
     del params  # deterministic; kept because callers pass it
     t1_used = bytearray(g.t1_size)
     t2_used = bytearray(g.t2_size)
+    edge_n, edge_m, edge_cost = g.edge_n, g.edge_m, g.edge_cost
     pairs: list[tuple[int, int]] = []
     costs: list[float] = []
-    for n, m, cost in zip(g.edge_n, g.edge_m, g.edge_cost):
-        if not t1_used[n] and not t2_used[m]:
-            t1_used[n] = 1
-            t2_used[m] = 1
-            pairs.append((n, m))
-            costs.append(cost)
+    for idx in _live_edges(g, t1_used, t2_used):  # each one is taken
+        n = edge_n[idx]
+        m = edge_m[idx]
+        t1_used[n] = t2_used[m] = 1
+        pairs.append((n, m))
+        costs.append(edge_cost[idx])
     return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
 
 
@@ -71,19 +118,20 @@ def suggest_matching(
 
     gamma = params.gamma
     rand = rng.random
-    # edges not yet reached by any scan, cheapest first
-    frontier = zip(g.edge_n, g.edge_m, g.edge_cost)
+    edge_n, edge_m, edge_cost = g.edge_n, g.edge_m, g.edge_cost
+    # live edges not yet reached by any scan, cheapest first
+    frontier = _live_edges(g, t1_used, t2_used)
     # edges some round scanned and passed over, in edge order; every live edge
     # behind the frontier is in here, but entries may have died since
-    pending: list[tuple[int, int, float]] = []
+    pending: list[int] = []
 
     while True:
-        # one scan round; a break out of either loop leaves (n, m, cost) on
-        # the chosen edge
+        # one scan round; a break out of either loop leaves idx on the
+        # chosen edge
         i = 0
         while i < len(pending):
-            n, m, cost = pending[i]
-            if t1_used[n] or t2_used[m]:
+            idx = pending[i]
+            if t1_used[edge_n[idx]] or t2_used[edge_m[idx]]:
                 del pending[i]
             elif rand() < gamma:
                 del pending[i]
@@ -91,20 +139,19 @@ def suggest_matching(
             else:
                 i += 1
         else:  # nothing chosen behind the frontier: resume the forward pass
-            for n, m, cost in frontier:
-                if t1_used[n] or t2_used[m]:
-                    continue
+            for idx in frontier:
                 if rand() < gamma:
                     break
-                pending.append((n, m, cost))
+                pending.append(idx)
             else:
                 if not pending:
                     break  # no live edge left
-                n, m, cost = pending.pop()  # scan exhausted: take the last live edge
+                idx = pending.pop()  # scan exhausted: take the last live edge
+        n = edge_n[idx]
+        m = edge_m[idx]
         pairs.append((n, m))
-        costs.append(cost)
-        t1_used[n] = 1
-        t2_used[m] = 1
+        costs.append(edge_cost[idx])
+        t1_used[n] = t2_used[m] = 1
 
     return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
 

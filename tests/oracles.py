@@ -4,6 +4,8 @@ These deliberately avoid the library's index/DP machinery: the similarity
 oracle does pairwise token intersections, the edit-distance oracle is the
 plain recursive forest definition, the Metropolis oracle is the walk as
 first written, over a graph of ``Edge`` objects with per-edge kill loops,
+the scan oracles are the greedy start and proposal as one forward pass that
+steps over every edge, as they were before the per-node edge chains,
 the mutation oracle rescans the whole draft tree for candidates before every
 operator, and the similarity oracles keep the table as one flat
 ``(n, m) -> score`` dict. ``brute_force_optimal`` is the exact optimum of the
@@ -432,6 +434,110 @@ def reference_metropolis(g: ReferenceGraph, params: SftmParams) -> Matching:
 
     for _ in range(params.iterations):
         proposal = reference_suggest_matching(g, current, params, rng)
+        prop_cost = matching_cost(proposal, params)
+        log_ratio = -beta * (prop_cost / proposal.size - cur_cost / current.size)
+        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        if rng.random() < accept_prob:
+            current = proposal
+            cur_cost = prop_cost
+        if prop_cost < best_cost:
+            best = proposal
+            best_cost = prop_cost
+    return best
+
+
+# ---------------------------------------------------------------------------
+# The greedy start and proposal as one forward pass over the whole edge array,
+# stepping over every edge, dead or alive; kept verbatim from before the
+# per-node edge chains.
+
+def scan_initial_matching(g: MatchGraph, params: SftmParams) -> Matching:
+    """Greedy start: walk edges cheapest-first, take both-endpoints-free ones."""
+    del params  # deterministic; kept because callers pass it
+    t1_used = bytearray(g.t1_size)
+    t2_used = bytearray(g.t2_size)
+    pairs: list[tuple[int, int]] = []
+    costs: list[float] = []
+    for n, m, cost in zip(g.edge_n, g.edge_m, g.edge_cost):
+        if not t1_used[n] and not t2_used[m]:
+            t1_used[n] = 1
+            t2_used[m] = 1
+            pairs.append((n, m))
+            costs.append(cost)
+    return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
+
+
+def scan_suggest_matching(
+    g: MatchGraph, m_t: Matching, params: SftmParams, rng: random.Random
+) -> Matching:
+    """Propose a full matching related to ``m_t``.
+
+    Keeps a uniform-random number of ``m_t``'s pairs in stored order, then
+    repeatedly scans the live edges (both endpoints unused) cheapest first,
+    selecting each scanned edge with probability ``gamma`` and falling back
+    to the last live edge when a scan runs out. Nodes left with no selected
+    edge become unmatched.
+    """
+    t1_used = bytearray(g.t1_size)
+    t2_used = bytearray(g.t2_size)
+    to_keep = rng.randint(0, len(m_t.pairs))
+    pairs = list(m_t.pairs[:to_keep])
+    costs = list(m_t.pair_costs[:to_keep])
+    for n, m in pairs:
+        t1_used[n] = 1
+        t2_used[m] = 1
+
+    gamma = params.gamma
+    rand = rng.random
+    # edges not yet reached by any scan, cheapest first
+    frontier = zip(g.edge_n, g.edge_m, g.edge_cost)
+    # edges some round scanned and passed over, in edge order; every live edge
+    # behind the frontier is in here, but entries may have died since
+    pending: list[tuple[int, int, float]] = []
+
+    while True:
+        # one scan round; a break out of either loop leaves (n, m, cost) on
+        # the chosen edge
+        i = 0
+        while i < len(pending):
+            n, m, cost = pending[i]
+            if t1_used[n] or t2_used[m]:
+                del pending[i]
+            elif rand() < gamma:
+                del pending[i]
+                break
+            else:
+                i += 1
+        else:  # nothing chosen behind the frontier: resume the forward pass
+            for n, m, cost in frontier:
+                if t1_used[n] or t2_used[m]:
+                    continue
+                if rand() < gamma:
+                    break
+                pending.append((n, m, cost))
+            else:
+                if not pending:
+                    break  # no live edge left
+                n, m, cost = pending.pop()  # scan exhausted: take the last live edge
+        pairs.append((n, m))
+        costs.append(cost)
+        t1_used[n] = 1
+        t2_used[m] = 1
+
+    return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
+
+
+def scan_metropolis(g: MatchGraph, params: SftmParams) -> Matching:
+    """``metropolis`` with the one-pass greedy start and proposal."""
+    rng = random.Random(params.seed)
+    current = scan_initial_matching(g, params)
+    if current.size == 0:
+        return current
+    best = current
+    cur_cost = best_cost = matching_cost(current, params)
+    beta = params.beta
+    for _ in range(params.iterations):
+        proposal = scan_suggest_matching(g, current, params, rng)
         prop_cost = matching_cost(proposal, params)
         log_ratio = -beta * (prop_cost / proposal.size - cur_cost / current.size)
         accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)

@@ -13,7 +13,7 @@ from oracles import (
     exhaustive_edit_distance,
     table_from_scores,
 )
-from strategies import labeled_trees, tree_pairs
+from strategies import tree_pairs
 from treematch.baselines import ted_distance, ted_match
 from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate

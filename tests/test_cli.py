@@ -96,6 +96,15 @@ class TestMatchCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", ["1.0,,0.5", "1.0,0.5,", ",1.0"])
+    def test_empty_weight_item_exits_one(self, page_file, tmp_path, capsys, weights):
+        out = tmp_path / "m.json"
+        code = main(["match", str(page_file), str(page_file), "--weights", weights,
+                     "--out", str(out)])
+        assert code == 1
+        assert f"error: --weights {weights!r} has an empty item" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMutateCommand:
     def test_ratios_span_evenly(self, page_file, tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from treematch.evaluate import (
     BenchRow,
     CorpusError,
-    MutantBundle,
     _run_with_timeout,
     discover_bundles,
     evaluate_pair,

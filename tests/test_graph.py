@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from oracles import brute_force_s0, flat_scores, table_from_scores
 from strategies import tree_pairs
 from treematch.graph import (
+    MatchGraph,
     Matching,
     NodeOutOfRange,
     NotFull,
@@ -85,6 +86,23 @@ class TestBuildGraph:
         assert g.t1_adjacency is g.t1_adjacency
         assert g.t2_adjacency is g.t2_adjacency
 
+    def test_chains_built_once(self):
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        g = build_graph(table_from_scores({(0, 0): 1.0, (1, 0): 2.0}), t1, t2)
+        assert g.chains_on_t1  # a tie goes to t1
+        first, nxt = g.chains
+        # edge 0 is (1, 0), edge 1 is (0, 0); each t1 node has one edge
+        assert (first.tolist(), nxt.tolist()) == ([1, 0], [2, 2])
+        assert g.chains is g.chains
+
+    def test_chains_of_empty_graph(self):
+        for t1_size, t2_size in ((0, 0), (0, 3), (2, 0), (2, 3)):
+            g = MatchGraph((), (), (), t1_size, t2_size)
+            first, nxt = g.chains
+            assert first.tolist() == [0] * min(t1_size, t2_size)
+            assert nxt.tolist() == []
+
     @settings(max_examples=25, deadline=None)
     @given(tree_pairs(max_nodes=10))
     def test_cost_bounds_and_adjacency(self, pair):
@@ -102,6 +120,16 @@ class TestBuildGraph:
         for incident in g.t2_adjacency:
             costs = [g.edge_cost[i] for i in incident]
             assert costs == sorted(costs)
+        # each chain links its node's adjacency in order, ending at E
+        adjacency = g.t1_adjacency if g.chains_on_t1 else g.t2_adjacency
+        first, nxt = g.chains
+        assert len(first) == min(len(t1), len(t2))
+        for node, incident in enumerate(adjacency):
+            chain, idx = [], first[node]
+            while idx != edge_count(g):
+                chain.append(idx)
+                idx = nxt[idx]
+            assert tuple(chain) == incident
 
     @settings(max_examples=25, deadline=None)
     @given(tree_pairs(max_nodes=10))

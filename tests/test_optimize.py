@@ -10,10 +10,13 @@ from oracles import (
     reference_build_graph,
     reference_metropolis,
     reference_suggest_matching,
+    scan_initial_matching,
+    scan_metropolis,
+    scan_suggest_matching,
     table_from_scores,
 )
 from strategies import tree_pairs
-from treematch.graph import Matching, build_graph, matching_cost
+from treematch.graph import MatchGraph, Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import initial_matching, metropolis, suggest_matching
 from treematch.pipeline import match_trees_detailed
@@ -275,3 +278,104 @@ class TestAgainstReferenceWalk:
         assert m == reference_suggest_matching(
             ref, empty, params, ScriptedRng(randints=[0], randoms=draws)
         )
+
+
+@st.composite
+def scored_graphs(draw, relation):
+    """Graphs of at most 9 nodes a side whose t1 is smaller than, the size
+    of or larger than t2; costs take a few values, so ties are common."""
+    t1_size = draw(st.integers(1, 6))
+    t2_size = t1_size + {"smaller": draw(st.integers(1, 3)), "equal": 0,
+                         "larger": -draw(st.integers(0, t1_size - 1))}[relation]
+    if relation == "larger" and t2_size == t1_size:
+        t1_size += 1
+    pairs = [(n, m) for n in range(t1_size) for m in range(t2_size)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    scores = {pair: draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) for pair in chosen}
+    return graph_from_scores(scores, t1_size, t2_size)
+
+
+class TestAgainstScanWalk:
+    """The chain walk against the one-pass scan over every edge."""
+
+    @staticmethod
+    def assert_same_proposals(g, params, proposals):
+        current = initial_matching(g, params)
+        assert current == scan_initial_matching(g, params)
+        rng, scan_rng = random.Random(params.seed), random.Random(params.seed)
+        for _ in range(proposals):
+            proposal = suggest_matching(g, current, params, rng)
+            assert proposal == scan_suggest_matching(g, current, params, scan_rng)
+            assert rng.getstate() == scan_rng.getstate()
+            current = proposal
+        assert metropolis(g, params) == scan_metropolis(g, params)
+
+    @pytest.mark.parametrize("relation", ["smaller", "equal", "larger"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs(self, relation, data):
+        g = data.draw(scored_graphs(relation))
+        assert g.chains_on_t1 == (relation != "larger")
+        params = SftmParams(
+            gamma=data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])),
+            iterations=10,
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+        )
+        self.assert_same_proposals(g, params, 10)
+
+    @pytest.mark.parametrize(
+        "page, ratio, seed, on_t1",
+        [("p06", 0.3, 1, True), ("p11", 0.2, 2, False)],
+        ids=["mutant-larger", "mutant-smaller"],
+    )
+    def test_corpus_mutants(self, corpus_pages, page, ratio, seed, on_t1):
+        path = next(p for p in corpus_pages if p.name.startswith(page + "_"))
+        source = assign_signatures(parse_html(path.read_bytes()))
+        mutant, _ = mutate(source, ratio, seed)
+        params = SftmParams(seed=seed, iterations=10)
+        g = match_trees_detailed(source, mutant, params)[1]
+        assert g.chains_on_t1 == on_t1
+        self.assert_same_proposals(g, params, 10)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_stale_cursor_of_a_node_taken_from_pending(self, transpose):
+        # cost order: (0,0) (1,1) (0,2); the chains run over the two-node
+        # tree. Round 1 passes over (0,0), which moves node 0's cursor ahead
+        # to (0,2), and takes (1,1). Round 2 takes (0,0) from pending, so the
+        # cursor on (0,2) is stale; round 3 must drop it, not take (0,2).
+        costs = {(0, 0): 0.2, (1, 1): 0.3, (0, 2): 0.4}
+        sizes = (2, 3)
+        if transpose:
+            costs = {(m, n): c for (n, m), c in costs.items()}
+            sizes = (3, 2)
+        g = graph_from_scores({k: cost_to_score(c) for k, c in costs.items()}, *sizes)
+        assert g.chains_on_t1 != transpose
+        params = SftmParams(gamma=0.5)
+        empty = initial_matching(graph_from_scores({}, *sizes), params)
+        draws = [0.9, 0.0, 0.0]
+        rng = ScriptedRng(randints=[0], randoms=draws)
+        m = suggest_matching(g, empty, params, rng)
+        pairs = ((1, 1), (0, 0))
+        assert m.pairs == (tuple(p[::-1] for p in pairs) if transpose else pairs)
+        assert rng._randoms == []
+        assert m == scan_suggest_matching(
+            g, empty, params, ScriptedRng(randints=[0], randoms=draws)
+        )
+
+    def test_every_chain_ends_in_a_take(self):
+        # cost order: (0,0) (1,1) (1,0). Each t1 node's chain stops at the
+        # edge taken, so no cursor walks off a chain onto the end byte, and
+        # only the sentinel stops the scan behind (1,0)
+        g = graph_from_scores({(0, 0): 2.0, (1, 1): 1.0, (1, 0): 0.5}, 2, 2)
+        greedy = initial_matching(g, PARAMS)
+        assert greedy.pairs == ((0, 0), (1, 1))
+        rng = ScriptedRng(randints=[0], randoms=[0.0, 0.0])
+        assert suggest_matching(g, greedy, PARAMS, rng) == greedy
+
+    def test_empty_trees(self):
+        for sizes in ((0, 0), (0, 2), (2, 0)):
+            g = MatchGraph((), (), (), *sizes)
+            greedy = initial_matching(g, PARAMS)
+            assert greedy.pairs == ()
+            assert suggest_matching(g, greedy, PARAMS, random.Random(1)) == greedy
+            assert metropolis(g, PARAMS) == greedy
