@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -80,6 +81,12 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         "--tokenize-content", action="store_true",
         help="also derive tokens from each node's text content",
     )
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _params_from(args: argparse.Namespace) -> SftmParams:
@@ -189,7 +196,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _params_from(args)
     _echo_config("bench", params)
     algorithms = tuple(a for a in args.algorithms.split(",") if a)
-    timeout = None if args.timeout <= 0 else args.timeout
+    # <= 0 disables the cap; run_benchmark rejects values it cannot wait for
+    timeout = None if math.isfinite(args.timeout) and args.timeout <= 0 else args.timeout
     failures = []
     rows = run_benchmark(
         Path(args.corpus),
@@ -260,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algorithms", default="similarity",
                          help="comma-separated: similarity,ted (default similarity)")
     p_bench.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                         help=f"per-pair timeout in seconds, <=0 disables "
-                         f"(default {DEFAULT_TIMEOUT_S})")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+                         help="per-pair timeout in seconds: each pair runs in a child "
+                         f"process, killed at the cap; <=0 disables (default {DEFAULT_TIMEOUT_S})")
+    p_bench.add_argument("--jobs", type=_positive_int, default=1,
+                         help="parallel workers, at least 1 (default 1)")
     _add_param_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

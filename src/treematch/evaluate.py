@@ -4,14 +4,15 @@ On-disk corpus layout: one directory per mutant bundle containing
 ``source.html.json``, ``mutant.html.json`` (JSON tree schema, signatures
 included) and ``mutations.json`` (the mutation log). Benchmarks time the
 matching pipeline only (index, similarity, graph, search); parsing and
-scoring are excluded.
+scoring are excluded. Each pair is matched in a child process, which is
+killed when the per-pair cap runs out.
 """
 
 from __future__ import annotations
 
 import csv
-import signal
-import threading
+import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -32,6 +33,7 @@ LOG_FILE = "mutations.json"
 ALGORITHMS = ("similarity", "ted")
 
 DEFAULT_TIMEOUT_S = 450.0
+_MAX_TIMEOUT_S = 2_147_483.0  # poll() waits at most INT_MAX milliseconds
 
 
 class CorpusError(ValueError):
@@ -142,44 +144,43 @@ class BenchRow:
 CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
-class _TimeoutExpired(Exception):
-    pass
+def _check_timeout(timeout_s: float | None) -> None:
+    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s <= _MAX_TIMEOUT_S):
+        raise ValueError(f"timeout {timeout_s!r} s is not finite or above {_MAX_TIMEOUT_S:.0f} s")
 
 
-def _run_with_timeout(fn, timeout_s: float | None):
-    """Run ``fn`` with a wall-clock cap; needs the main thread (signal-based).
-
-    Returns (result, elapsed, timed_out); off the main thread the cap is not
-    enforced. A run that returns at or past the cap also counts as timed
-    out: Python drops an exception raised while a gc callback runs, so the
-    alarm's exception can be lost.
-    """
-    use_alarm = (
-        timeout_s is not None
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
+def _child_main(conn, fn, args) -> None:
+    """Time ``fn(*args)`` and send back ``(result, elapsed)``, or the exception."""
     start = time.perf_counter()
-    if not use_alarm:
-        result = fn()
-        return result, time.perf_counter() - start, False
-
-    def handler(signum, frame):
-        raise _TimeoutExpired()
-
-    previous = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        result = fn()
-    except _TimeoutExpired:
-        return None, time.perf_counter() - start, True
+        conn.send((fn(*args), time.perf_counter() - start))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _run_in_child(fn, args: tuple, timeout_s: float | None):
+    """Run module-level ``fn(*args)`` in a child process killed at the cap; return
+    (result, elapsed, timed_out). ``elapsed`` is the child's time for the call, or
+    the wait when the cap ran out. The child's exception is raised here."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(target=_child_main, args=(sender, fn, args))
+    child.start()
+    sender.close()
+    start = time.perf_counter()
+    try:
+        if not receiver.poll(timeout_s):
+            return None, time.perf_counter() - start, True
+        outcome = receiver.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"child exited with code {child.exitcode} and no result") from None
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    elapsed = time.perf_counter() - start
-    if elapsed >= timeout_s:
-        return None, elapsed, True
-    return result, elapsed, False
+        child.kill()
+        child.join()
+        receiver.close()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return (*outcome, False)
 
 
 def evaluate_pair(
@@ -188,19 +189,15 @@ def evaluate_pair(
     params: SftmParams,
     timeout_s: float | None = DEFAULT_TIMEOUT_S,
 ) -> BenchRow:
-    """Match one (source, mutant) pair and score it; timing covers matching only."""
+    """Match one (source, mutant) pair in a child process, killed after ``timeout_s``
+    (None: no cap), and score it; timing covers matching only."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
+    _check_timeout(timeout_s)
     d_size = len(bundle.source)
-
     ted = algorithm == "ted"
-    if ted:
-        task = lambda: ted_match(bundle.source, bundle.mutant)
-    else:
-        task = lambda: match_trees(bundle.source, bundle.mutant, params)
-
-    matching, elapsed, timed_out = _run_with_timeout(task, timeout_s)
-
+    args = (bundle.source, bundle.mutant) if ted else (bundle.source, bundle.mutant, params)
+    matching, elapsed, timed_out = _run_in_child(ted_match if ted else match_trees, args, timeout_s)
     row = BenchRow(
         page=bundle.log.source_page or bundle.name,
         algorithm=algorithm,
@@ -259,6 +256,9 @@ def run_benchmark(
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
+    _check_timeout(timeout_s)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (str(directory), tuple(algorithms), params, timeout_s)
         for directory in discover_bundles(corpus_dir)

@@ -168,6 +168,43 @@ class TestBenchCommand:
         assert len(lines) == 1
         assert lines[0].startswith("page,algorithm,")
 
+    @pytest.mark.parametrize("timeout", ["inf", "-inf", "nan", "1e30"])
+    def test_timeout_it_cannot_wait_for_exits_one(self, tmp_path, capsys, timeout):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = tmp_path / "r.csv"
+        code = main(["bench", str(corpus), "--out", str(out), f"--timeout={timeout}"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == err[-1:]
+        assert err[-1].startswith("error: timeout ")
+        assert not out.exists() and not (tmp_path / "r.csv.config.json").exists()
+
+    def test_timeout_zero_disables_the_cap(self, page_file, tmp_path):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "1",
+              "--out-dir", str(corpus)])
+        out = tmp_path / "r.csv"
+        code = main(["bench", str(corpus), "--out", str(out), "--iterations", "10",
+                     "--timeout", "0"])
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert [row["timeout"] for row in csv.DictReader(handle)] == ["0"]
+        sidecar = json.loads((tmp_path / "r.csv.config.json").read_text())
+        assert sidecar["timeout_s"] is None
+
+    @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+    def test_fewer_than_one_job_is_a_usage_error(self, tmp_path, capsys, jobs):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(corpus), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert (f"argument --jobs: expected an integer of at least 1, got {jobs!r}"
+                in capsys.readouterr().err)
+        assert not out.exists() and not (tmp_path / "r.csv.config.json").exists()
+
     def test_two_algorithms_two_rows_per_pair(self, page_file, tmp_path):
         corpus = tmp_path / "corpus"
         main(["mutate", str(page_file), "--ratio", "0.3", "--count", "2",

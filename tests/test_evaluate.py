@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 import signal
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 from treematch.evaluate import (
     BenchRow,
     CorpusError,
-    _run_with_timeout,
+    _run_in_child,
     discover_bundles,
     evaluate_pair,
     load_bundle,
@@ -21,7 +24,7 @@ from treematch.evaluate import (
     write_bench_csv,
     write_bundle,
 )
-from treematch.graph import Matching
+from treematch.graph import Matching, NodeOutOfRange
 from treematch.mutate import MutationLog, assign_signatures, ground_truth, mutate
 from treematch.similarity import SftmParams
 from treematch.tree import DraftNode, freeze
@@ -48,6 +51,17 @@ def page(width: int = 3):
 
 def matching_of(pairs, t1_size, t2_size):
     return Matching(tuple(pairs), tuple(0.5 for _ in pairs), t1_size, t2_size)
+
+
+def swallow_alarm():
+    # installs its own SIGALRM handler, then outlives the cap
+    signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    time.sleep(0.05)
+    return "done"
+
+
+def fail_with(exc):
+    raise exc
 
 
 def empty_log(ratio=0.0, removed=(), page_name="p"):
@@ -175,19 +189,53 @@ class TestRunBenchmark:
         assert row.timeout is True
         assert row.rate is None and row.mismatch is None and row.successful is None
 
-    def test_lost_alarm_still_counts_as_timeout(self):
-        # stands in for an alarm whose exception Python dropped (raised
-        # inside a gc callback): fn returns normally, but past the cap
-        def swallow_alarm():
-            signal.signal(signal.SIGALRM, lambda signum, frame: None)
-            time.sleep(0.05)
-            return "done"
-
+    def test_own_alarm_handler_still_times_out(self):
         before = signal.getsignal(signal.SIGALRM)
-        result, elapsed, timed_out = _run_with_timeout(swallow_alarm, 0.01)
+        result, elapsed, timed_out = _run_in_child(swallow_alarm, (), 0.01)
         assert timed_out is True and result is None and elapsed >= 0.01
         assert signal.getsignal(signal.SIGALRM) is before
-        assert _run_with_timeout(lambda: "quick", 10.0)[::2] == ("quick", False)
+        assert _run_in_child(str, ("quick",), 10.0)[::2] == ("quick", False)
+
+    def test_cap_holds_off_the_main_thread(self, tmp_path):
+        corpus = make_corpus(tmp_path, pages=1, mutants=1)
+        bundle = load_bundle(discover_bundles(corpus)[0])
+        rows = []
+        worker = threading.Thread(target=lambda: rows.append(evaluate_pair(
+            bundle, "similarity", SftmParams(iterations=2000), timeout_s=1e-4)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [row.timeout for row in rows] == [True]
+
+    def test_timed_out_child_is_killed_and_reaped(self):
+        start = time.perf_counter()
+        result, elapsed, timed_out = _run_in_child(time.sleep, (30,), 0.05)
+        assert (result, timed_out) == (None, True) and 0.05 <= elapsed < 5
+        assert time.perf_counter() - start < 5
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_reaches_the_caller(self):
+        with pytest.raises(NodeOutOfRange, match="node 9"):
+            _run_in_child(fail_with, (NodeOutOfRange("node 9 is out of range"),), None)
+
+    def test_child_dying_without_a_result_names_its_exit_code(self):
+        with pytest.raises(RuntimeError, match="exited with code 3 and no result"):
+            _run_in_child(os._exit, (3,), None)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("timeout_s", [float("inf"), float("-inf"), float("nan"), 1e30])
+    def test_timeout_it_cannot_wait_for_rejected(self, tmp_path, timeout_s):
+        corpus = make_corpus(tmp_path, pages=1, mutants=1)
+        bundle = load_bundle(discover_bundles(corpus)[0])
+        with pytest.raises(ValueError, match="not finite or above"):
+            evaluate_pair(bundle, "similarity", PARAMS, timeout_s=timeout_s)
+        with pytest.raises(ValueError, match="not finite or above"):
+            run_benchmark(corpus, PARAMS, timeout_s=timeout_s)
+
+    def test_fewer_than_one_job_rejected(self, tmp_path):
+        corpus = make_corpus(tmp_path, pages=1, mutants=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            run_benchmark(corpus, PARAMS, jobs=0)
 
     def test_malformed_bundle_strict_vs_skip(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
