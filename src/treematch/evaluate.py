@@ -2,10 +2,12 @@
 
 On-disk corpus layout: one directory per mutant bundle containing
 ``source.html.json``, ``mutant.html.json`` (JSON tree schema, signatures
-included) and ``mutations.json`` (the mutation log). Benchmarks time the
-matching pipeline only (index, similarity, graph, search); parsing and
-scoring are excluded. Each pair is matched in a child process, which is
-killed when the per-pair cap runs out.
+included) and ``mutations.json`` (the mutation log). Each (bundle,
+algorithm) pair runs in a child process that loads the bundle, then matches
+and scores it; no tree crosses the process boundary. The per-pair cap starts
+once the child has loaded its bundle and covers the match and its scoring.
+``elapsed_s`` is the match alone (index, similarity, graph, search). Loading
+is linear in the bundle and has no cap.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .baselines import ted_match
 from .graph import Matching
@@ -141,36 +143,79 @@ class BenchRow:
     timeout: bool
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
-
-
-def _check_timeout(timeout_s: float | None) -> None:
-    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s <= _MAX_TIMEOUT_S):
+def timeout_cap(timeout_s: float | None) -> float | None:
+    """Read a per-pair cap in seconds: None or a finite value <= 0 gives None (no
+    cap); a value that is not finite or is above what poll() can wait for raises
+    ValueError."""
+    if timeout_s is None:
+        return None
+    if not (math.isfinite(timeout_s) and timeout_s <= _MAX_TIMEOUT_S):
         raise ValueError(f"timeout {timeout_s!r} s is not finite or above {_MAX_TIMEOUT_S:.0f} s")
+    return timeout_s if timeout_s > 0 else None
 
 
-def _child_main(conn, fn, args) -> None:
-    """Time ``fn(*args)`` and send back ``(result, elapsed)``, or the exception."""
-    start = time.perf_counter()
+def _pair_main(conn, directory: Path, algorithm: str, params: SftmParams) -> None:
+    """Child side of one pair: load the bundle, send the unscored row, time the
+    match alone, then score it and send the scored row. An exception is sent in
+    place of either row."""
     try:
-        conn.send((fn(*args), time.perf_counter() - start))
+        bundle = load_bundle(directory)
+        source, mutant, d_size = bundle.source, bundle.mutant, len(bundle.source)
+        ted = algorithm == "ted"
+        row = BenchRow(
+            page=bundle.log.source_page or bundle.name,
+            algorithm=algorithm,
+            n_nodes=d_size,
+            mutation_ratio=bundle.log.ratio,
+            elapsed_s=0.0,
+            mismatch=None,
+            no_match=None,
+            successful=None,
+            rate=None,
+            optimal_rate=None,
+            alpha=None if ted else params.alpha,
+            seed=None if ted else params.seed,
+            timeout=True,
+        )
+        conn.send(row)
+        start = time.perf_counter()
+        matching = ted_match(source, mutant) if ted else match_trees(source, mutant, params)
+        elapsed = time.perf_counter() - start
+        report = score_matching(matching, ground_truth(source, mutant), d_size)
+        conn.send(replace(
+            row, elapsed_s=elapsed, timeout=False, mismatch=report.mismatch,
+            no_match=report.no_match, successful=report.successful,
+            rate=report.successful_match_rate, optimal_rate=optimal_rate(d_size, bundle.log),
+        ))
     except Exception as exc:
         conn.send(exc)
 
 
-def _run_in_child(fn, args: tuple, timeout_s: float | None):
-    """Run module-level ``fn(*args)`` in a child process killed at the cap; return
-    (result, elapsed, timed_out). ``elapsed`` is the child's time for the call, or
-    the wait when the cap ran out. The child's exception is raised here."""
+def evaluate_pair(
+    directory: Path,
+    algorithm: str,
+    params: SftmParams,
+    timeout_s: float | None = DEFAULT_TIMEOUT_S,
+) -> BenchRow:
+    """Load, match and score one bundle in a child process killed at the cap (see
+    :func:`timeout_cap`), which starts once the bundle is loaded. A timed-out
+    row has ``elapsed_s`` set to the wait. The child's exception is raised here;
+    a child that dies with no row raises ``RuntimeError`` naming its exit code."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
+    timeout_s = timeout_cap(timeout_s)
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.Process(target=_child_main, args=(sender, fn, args))
+    child = multiprocessing.Process(target=_pair_main, args=(sender, directory, algorithm, params))
     child.start()
     sender.close()
-    start = time.perf_counter()
     try:
-        if not receiver.poll(timeout_s):
-            return None, time.perf_counter() - start, True
         outcome = receiver.recv()
+        if not isinstance(outcome, Exception):
+            start = time.perf_counter()
+            if receiver.poll(timeout_s):
+                outcome = receiver.recv()
+            else:
+                outcome = replace(outcome, elapsed_s=time.perf_counter() - start)
     except EOFError:
         child.join()
         raise RuntimeError(f"child exited with code {child.exitcode} and no result") from None
@@ -180,50 +225,7 @@ def _run_in_child(fn, args: tuple, timeout_s: float | None):
         receiver.close()
     if isinstance(outcome, Exception):
         raise outcome
-    return (*outcome, False)
-
-
-def evaluate_pair(
-    bundle: MutantBundle,
-    algorithm: str,
-    params: SftmParams,
-    timeout_s: float | None = DEFAULT_TIMEOUT_S,
-) -> BenchRow:
-    """Match one (source, mutant) pair in a child process, killed after ``timeout_s``
-    (None: no cap), and score it; timing covers matching only."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    _check_timeout(timeout_s)
-    d_size = len(bundle.source)
-    ted = algorithm == "ted"
-    args = (bundle.source, bundle.mutant) if ted else (bundle.source, bundle.mutant, params)
-    matching, elapsed, timed_out = _run_in_child(ted_match if ted else match_trees, args, timeout_s)
-    row = BenchRow(
-        page=bundle.log.source_page or bundle.name,
-        algorithm=algorithm,
-        n_nodes=d_size,
-        mutation_ratio=bundle.log.ratio,
-        elapsed_s=elapsed,
-        mismatch=None,
-        no_match=None,
-        successful=None,
-        rate=None,
-        optimal_rate=None,
-        alpha=None if ted else params.alpha,
-        seed=None if ted else params.seed,
-        timeout=timed_out,
-    )
-    if timed_out:
-        return row
-    report = score_matching(matching, ground_truth(bundle.source, bundle.mutant), d_size)
-    return replace(
-        row,
-        mismatch=report.mismatch,
-        no_match=report.no_match,
-        successful=report.successful,
-        rate=report.successful_match_rate,
-        optimal_rate=optimal_rate(d_size, bundle.log),
-    )
+    return outcome
 
 
 def _bench_task(
@@ -232,10 +234,9 @@ def _bench_task(
     """Every algorithm on one bundle; a malformed bundle comes back as its error."""
     directory, algorithms, params, timeout_s = args
     try:
-        bundle = load_bundle(Path(directory))
+        return [evaluate_pair(directory, a, params, timeout_s) for a in algorithms]
     except CorpusError as exc:
         return exc
-    return [evaluate_pair(bundle, a, params, timeout_s) for a in algorithms]
 
 
 def run_benchmark(
@@ -244,37 +245,33 @@ def run_benchmark(
     algorithms: Sequence[str] = ("similarity",),
     timeout_s: float | None = DEFAULT_TIMEOUT_S,
     jobs: int = 1,
-    skip_malformed: bool = False,
-    warn=None,
+    on_malformed: Callable[[str], object] | None = None,
 ) -> list[BenchRow]:
-    """Evaluate every bundle under ``corpus_dir`` with every algorithm.
+    """Evaluate every bundle under ``corpus_dir`` with every algorithm, each
+    pair through :func:`evaluate_pair` in a pool of ``jobs`` workers.
 
-    Each bundle is loaded once. Malformed bundles raise :class:`CorpusError`
-    unless ``skip_malformed``, in which case they are reported through
-    ``warn`` and skipped; either happens in directory order.
+    Malformed bundles are handled in directory order: with ``on_malformed``
+    None the first one raises :class:`CorpusError`; otherwise its message is
+    passed to ``on_malformed`` and the bundle is skipped.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    _check_timeout(timeout_s)
+    timeout_s = timeout_cap(timeout_s)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (str(directory), tuple(algorithms), params, timeout_s)
         for directory in discover_bundles(corpus_dir)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bench_task, tasks, chunksize=1))
-    else:
-        results = map(_bench_task, tasks)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(_bench_task, tasks, chunksize=1))
     rows: list[BenchRow] = []
     for result in results:
         if isinstance(result, CorpusError):
-            if not skip_malformed:
+            if on_malformed is None:
                 raise result
-            if warn is not None:
-                warn(str(result))
+            on_malformed(str(result))
             continue
         rows.extend(result)
     return rows
@@ -324,19 +321,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_bench_csv(rows: Sequence[BenchRow], path: Path) -> None:
+def write_csv(rows: Sequence[BenchRow | SweepRow], path: Path, row_type: type) -> None:
+    """One header of ``row_type``'s field names, then one line per row."""
+    columns = [f.name for f in fields(row_type)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(getattr(row, name)) for name in CSV_COLUMNS])
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["alpha", "pairs", "mean_rate", "mean_elapsed_s"])
-        for row in rows:
-            writer.writerow(
-                [_cell(row.alpha), row.pairs, _cell(row.mean_rate), _cell(row.mean_elapsed_s)]
-            )
+            writer.writerow([_cell(getattr(row, name)) for name in columns])

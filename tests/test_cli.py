@@ -60,6 +60,17 @@ class TestMatchCommand:
         assert code == 0
         assert json.loads(out.read_text())["unmatched_t1"] == []
 
+    @pytest.mark.parametrize("algorithm", ["similarity", "ted"])
+    def test_only_the_graph_matcher_reports_edges(self, page_file, tmp_path, capsys, algorithm):
+        # TED builds no graph, so its summary has no edge count
+        code = main(["match", str(page_file), str(page_file), "--algorithm", algorithm,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        keys = [item.split("=")[0] for item in capsys.readouterr().out.split()]
+        edges = ["edges"] if algorithm == "similarity" else []
+        assert keys == ["t1_nodes", "t2_nodes", *edges, "pairs", "unmatched_t1",
+                        "unmatched_t2", "best_cost", "elapsed_s", "out"]
+
     def test_config_echoed(self, page_file, tmp_path, capsys):
         main(["match", str(page_file), str(page_file),
               "--out", str(tmp_path / "m.json"), "--alpha", "0.8"])

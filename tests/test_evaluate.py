@@ -3,6 +3,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from dataclasses import replace
@@ -13,7 +16,7 @@ import pytest
 from treematch.evaluate import (
     BenchRow,
     CorpusError,
-    _run_in_child,
+    SweepRow,
     discover_bundles,
     evaluate_pair,
     load_bundle,
@@ -21,15 +24,19 @@ from treematch.evaluate import (
     run_benchmark,
     score_matching,
     sensitivity_sweep,
-    write_bench_csv,
+    timeout_cap,
     write_bundle,
+    write_csv,
 )
-from treematch.graph import Matching, NodeOutOfRange
+from treematch.graph import Matching
 from treematch.mutate import MutationLog, assign_signatures, ground_truth, mutate
 from treematch.similarity import SftmParams
 from treematch.tree import DraftNode, freeze
 
 PARAMS = SftmParams(iterations=20)
+# about 25 s of walking on the small test pages: far past every cap used here
+LONG_WALK = SftmParams(iterations=10**6)
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def page(width: int = 3):
@@ -51,17 +58,6 @@ def page(width: int = 3):
 
 def matching_of(pairs, t1_size, t2_size):
     return Matching(tuple(pairs), tuple(0.5 for _ in pairs), t1_size, t2_size)
-
-
-def swallow_alarm():
-    # installs its own SIGALRM handler, then outlives the cap
-    signal.signal(signal.SIGALRM, lambda signum, frame: None)
-    time.sleep(0.05)
-    return "done"
-
-
-def fail_with(exc):
-    raise exc
 
 
 def empty_log(ratio=0.0, removed=(), page_name="p"):
@@ -183,54 +179,99 @@ class TestRunBenchmark:
 
     def test_timeout_row_has_no_quality_fields(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
-        bundle = load_bundle(discover_bundles(corpus)[0])
-        row = evaluate_pair(bundle, "similarity",
+        row = evaluate_pair(discover_bundles(corpus)[0], "similarity",
                             SftmParams(iterations=2000), timeout_s=1e-4)
         assert row.timeout is True
         assert row.rate is None and row.mismatch is None and row.successful is None
 
-    def test_own_alarm_handler_still_times_out(self):
-        before = signal.getsignal(signal.SIGALRM)
-        result, elapsed, timed_out = _run_in_child(swallow_alarm, (), 0.01)
-        assert timed_out is True and result is None and elapsed >= 0.01
-        assert signal.getsignal(signal.SIGALRM) is before
-        assert _run_in_child(str, ("quick",), 10.0)[::2] == ("quick", False)
+    def test_own_alarm_handler_still_times_out(self, tmp_path):
+        # the cap is no SIGALRM: an alarm the caller arms and swallows changes nothing
+        [directory] = discover_bundles(make_corpus(tmp_path, pages=1, mutants=1))
+        alarms = []
+        handler = lambda signum, frame: alarms.append(signum)
+        before = signal.signal(signal.SIGALRM, handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.01)
+            row = evaluate_pair(directory, "similarity", LONG_WALK, timeout_s=0.05)
+            assert row.timeout is True and row.elapsed_s >= 0.05
+            assert signal.getsignal(signal.SIGALRM) is handler
+            assert alarms == [signal.SIGALRM]
+            quick = evaluate_pair(directory, "similarity", PARAMS, timeout_s=10.0)
+            assert quick.timeout is False and quick.rate is not None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, before)
 
     def test_cap_holds_off_the_main_thread(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
-        bundle = load_bundle(discover_bundles(corpus)[0])
         rows = []
         worker = threading.Thread(target=lambda: rows.append(evaluate_pair(
-            bundle, "similarity", SftmParams(iterations=2000), timeout_s=1e-4)))
+            discover_bundles(corpus)[0], "similarity", LONG_WALK, timeout_s=1e-4)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
         assert [row.timeout for row in rows] == [True]
 
-    def test_timed_out_child_is_killed_and_reaped(self):
+    def test_timed_out_child_is_killed_and_reaped(self, tmp_path):
+        [directory] = discover_bundles(make_corpus(tmp_path, pages=1, mutants=1))
         start = time.perf_counter()
-        result, elapsed, timed_out = _run_in_child(time.sleep, (30,), 0.05)
-        assert (result, timed_out) == (None, True) and 0.05 <= elapsed < 5
+        row = evaluate_pair(directory, "similarity", LONG_WALK, timeout_s=0.05)
+        assert row.timeout is True and 0.05 <= row.elapsed_s < 5
         assert time.perf_counter() - start < 5
         assert multiprocessing.active_children() == []
 
-    def test_child_exception_reaches_the_caller(self):
-        with pytest.raises(NodeOutOfRange, match="node 9"):
-            _run_in_child(fail_with, (NodeOutOfRange("node 9 is out of range"),), None)
+    def test_child_exception_reaches_the_caller(self, tmp_path):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "mutations.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(CorpusError, match="bad bundle"):
+            evaluate_pair(bad, "similarity", PARAMS, timeout_s=None)
+        assert multiprocessing.active_children() == []
 
-    def test_child_dying_without_a_result_names_its_exit_code(self):
-        with pytest.raises(RuntimeError, match="exited with code 3 and no result"):
-            _run_in_child(os._exit, (3,), None)
+    def test_child_dying_without_a_result_names_its_exit_code(self, tmp_path):
+        [directory] = discover_bundles(make_corpus(tmp_path, pages=1, mutants=1))
+
+        def kill_the_child():
+            deadline = time.monotonic() + 30
+            while not multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # let it load the bundle and start walking
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_the_child)
+        killer.start()
+        try:
+            with pytest.raises(RuntimeError, match="exited with code -9 and no result"):
+                evaluate_pair(directory, "similarity", LONG_WALK, timeout_s=None)
+        finally:
+            killer.join(timeout=60)
+        assert not killer.is_alive()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("timeout_s", [float("inf"), float("-inf"), float("nan"), 1e30])
     def test_timeout_it_cannot_wait_for_rejected(self, tmp_path, timeout_s):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
-        bundle = load_bundle(discover_bundles(corpus)[0])
         with pytest.raises(ValueError, match="not finite or above"):
-            evaluate_pair(bundle, "similarity", PARAMS, timeout_s=timeout_s)
+            evaluate_pair(discover_bundles(corpus)[0], "similarity", PARAMS, timeout_s=timeout_s)
         with pytest.raises(ValueError, match="not finite or above"):
             run_benchmark(corpus, PARAMS, timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("timeout_s", [0, 0.0, -1.0, -1e30])
+    def test_non_positive_timeout_means_no_cap(self, tmp_path, timeout_s):
+        corpus = make_corpus(tmp_path, pages=1, mutants=1)
+        assert timeout_cap(timeout_s) is None
+        row = evaluate_pair(discover_bundles(corpus)[0], "similarity", PARAMS, timeout_s=timeout_s)
+        assert row.timeout is False and row.rate is not None
+        rows = run_benchmark(corpus, PARAMS, timeout_s=timeout_s)
+        assert [r.timeout for r in rows] == [False]
+
+    def test_timeout_cap_values(self):
+        assert timeout_cap(None) is None
+        assert timeout_cap(2.5) == 2.5
+        assert timeout_cap(2_147_483.0) == 2_147_483.0
+        with pytest.raises(ValueError, match="not finite or above"):
+            timeout_cap(2_147_484.0)
 
     def test_fewer_than_one_job_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
@@ -245,10 +286,10 @@ class TestRunBenchmark:
         with pytest.raises(CorpusError):
             run_benchmark(corpus, PARAMS, timeout_s=None)
         warnings: list[str] = []
-        rows = run_benchmark(corpus, PARAMS, timeout_s=None,
-                             skip_malformed=True, warn=warnings.append)
-        assert len(rows) == 1
-        assert len(warnings) == 1
+        rows = run_benchmark(corpus, PARAMS, algorithms=("similarity", "ted"),
+                             timeout_s=None, on_malformed=warnings.append)
+        assert len(rows) == 2
+        assert len(warnings) == 1 and warnings[0].startswith(f"bad bundle {bad}")
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)
@@ -261,6 +302,69 @@ class TestRunBenchmark:
         par = run_benchmark(corpus, PARAMS, timeout_s=None, jobs=2)
         strip = lambda rows: [(r.page, r.algorithm, r.rate, r.successful) for r in rows]
         assert strip(seq) == strip(par)
+
+
+# Each start method runs in a fresh interpreter, since an interpreter sets it once.
+START_METHOD_RUN = textwrap.dedent("""
+    import multiprocessing, sys
+    from dataclasses import replace
+    from treematch.evaluate import run_benchmark
+    from treematch.similarity import SftmParams
+    multiprocessing.set_start_method(sys.argv[1])
+    corpus = sys.argv[2]
+    runs = [run_benchmark(corpus, SftmParams(iterations=20), ("similarity", "ted"),
+                          timeout_s=None, jobs=jobs) for jobs in (1, 2)]
+    one, two = ([replace(row, elapsed_s=0.0) for row in rows] for rows in runs)
+    assert one == two and len(one) == 4, (one, two)
+    assert not any(row.timeout for row in one), one
+    capped = run_benchmark(corpus, SftmParams(iterations=10**6), timeout_s=0.05, jobs=2)
+    assert [row.timeout for row in capped] == [True, True], capped
+    assert all(row.rate is None and 0.05 <= row.elapsed_s < 5 for row in capped), capped
+    print("ok", multiprocessing.get_start_method())
+""")
+
+# The child of a spawn or forkserver start imports the main module again;
+# here that import exits at once, before the child can send anything.
+DIES_AT_START_UP = textwrap.dedent("""
+    import multiprocessing, os, sys, time
+    if __name__ != "__main__":
+        os._exit(3)
+    from treematch.evaluate import evaluate_pair
+    from treematch.similarity import SftmParams
+    multiprocessing.set_start_method(sys.argv[1])
+    start = time.perf_counter()
+    try:
+        evaluate_pair(sys.argv[2], "similarity", SftmParams(), timeout_s=3)
+    except RuntimeError as exc:
+        print(exc, f"after {time.perf_counter() - start:.2f} s")
+""")
+
+
+def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
+class TestStartMethods:
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_rows_and_cap_hold(self, tmp_path, method):
+        corpus = make_corpus(tmp_path, pages=2, mutants=1)
+        done = run_python(["-c", START_METHOD_RUN, method, str(corpus)], timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"ok {method}\n"
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_child_dying_at_start_up_names_its_exit_code(self, tmp_path, method):
+        [directory] = discover_bundles(make_corpus(tmp_path, pages=1, mutants=1))
+        script = tmp_path / "main.py"
+        script.write_text(DIES_AT_START_UP, encoding="utf-8")
+        done = run_python([str(script), method, str(directory)], timeout=60)
+        assert done.returncode == 0, done.stderr
+        message, _, waited = done.stdout.partition(" after ")
+        assert message == "child exited with code 3 and no result"
+        assert float(waited.split()[0]) < 10
 
 
 class TestSweep:
@@ -309,7 +413,7 @@ class TestCsv:
                      rate=4 / 7, optimal_rate=6 / 7, alpha=0.5, seed=3, timeout=False),
         ]
         out = tmp_path / "r.csv"
-        write_bench_csv(rows, out)
+        write_csv(rows, out, BenchRow)
         lines = out.read_text().strip().split("\n")
         assert lines[0] == ("page,algorithm,n_nodes,mutation_ratio,elapsed_s,"
                             "mismatch,no_match,successful,rate,optimal_rate,"
@@ -317,10 +421,21 @@ class TestCsv:
         assert lines[1] == "p,similarity,5,0.1,0.5,,,,,,0.5,0,1"
         assert lines[2] == "q,ted,7,0.2,1.25,1,2,4,0.5714285714285714,0.8571428571428571,0.5,3,0"
 
+    def test_sweep_header_and_cells(self, tmp_path):
+        rows = [SweepRow(alpha=0.3, pairs=4, mean_rate=2 / 3, mean_elapsed_s=0.125),
+                SweepRow(alpha=1.0, pairs=12, mean_rate=1.0, mean_elapsed_s=1e-05)]
+        out = tmp_path / "s.csv"
+        write_csv(rows, out, SweepRow)
+        assert out.read_bytes() == (b"alpha,pairs,mean_rate,mean_elapsed_s\r\n"
+                                    b"0.3,4,0.6666666666666666,0.125\r\n"
+                                    b"1.0,12,1.0,1e-05\r\n")
+        write_csv([], out, SweepRow)
+        assert out.read_bytes() == b"alpha,pairs,mean_rate,mean_elapsed_s\r\n"
+
     def test_write_is_deterministic(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=2)
         rows = run_benchmark(corpus, PARAMS, timeout_s=None)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_bench_csv(rows, a)
-        write_bench_csv(rows, b)
+        write_csv(rows, a, BenchRow)
+        write_csv(rows, b, BenchRow)
         assert a.read_bytes() == b.read_bytes()
