@@ -10,7 +10,8 @@ the mutation oracle rescans the whole draft tree for candidates before every
 operator, and the similarity oracles keep the table as one flat
 ``(n, m) -> score`` dict. ``brute_force_optimal`` is the exact optimum of the
 walk's objective by exhaustive search, for graphs of at most 16 nodes;
-``enumerate_matching_costs`` checks it on toy graphs.
+``enumerate_matching_costs`` checks it on toy graphs. ``ReferenceZsRun`` is
+Zhang-Shasha as first written, always decomposing along leftmost paths.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import math
 import random
 import string
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -170,6 +172,201 @@ def exhaustive_edit_distance(t1: LabeledTree, t2: LabeledTree) -> float:
     result = dist((_nested(t1, t1.root),), (_nested(t2, t2.root),))
     dist.cache_clear()
     return result
+
+
+# ---------------------------------------------------------------------------
+# Zhang-Shasha as it ran before the distance pass chose its direction: the
+# leftmost-path decomposition only, with the backtrace of the library.
+
+def _reference_postorder(tree: LabeledTree) -> tuple[list[int], list[int], list[int]]:
+    """Postorder node ids, leftmost-leaf-descendant indices, and keyroots.
+
+    ``lmd`` is expressed in postorder positions. Keyroots are the positions
+    with a distinct leftmost descendant, ascending; the root is always last.
+    """
+    # right-to-left pre-order, reversed, is left-to-right postorder
+    order: list[int] = []
+    stack = [tree.root]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(tree.node(node_id).children)
+    order.reverse()
+    pos_of = [0] * len(order)
+    lmd_by_pos: list[int] = []
+    for pos, node_id in enumerate(order):
+        pos_of[node_id] = pos
+        children = tree.node(node_id).children
+        lmd_by_pos.append(lmd_by_pos[pos_of[children[0]]] if children else pos)
+    last_for_lmd: dict[int, int] = {}
+    for pos, lmd in enumerate(lmd_by_pos):
+        last_for_lmd[lmd] = pos
+    return order, lmd_by_pos, sorted(last_for_lmd.values())
+
+
+def _reference_labels(
+    t1: LabeledTree, order1: list[int], t2: LabeledTree, order2: list[int]
+) -> tuple[list[int], list[int]]:
+    interned: dict[tuple, int] = {}
+
+    def build(tree: LabeledTree, order: list[int]) -> list[int]:
+        out = []
+        for node_id in order:
+            node = tree.node(node_id)
+            key = (node.tag, node.attributes)
+            out.append(interned.setdefault(key, len(interned)))
+        return out
+
+    return build(t1, order1), build(t2, order2)
+
+
+class ReferenceZsRun:
+    """One left-to-right distance computation and its backtrace."""
+
+    def __init__(self, t1: LabeledTree, t2: LabeledTree):
+        self.order1, self.lmd1, self.kr1 = _reference_postorder(t1)
+        self.order2, self.lmd2, self.kr2 = _reference_postorder(t2)
+        self.lab1, self.lab2 = _reference_labels(t1, self.order1, t2, self.order2)
+        n1, n2 = len(self.lab1), len(self.lab2)
+        self.td = [[0.0] * n2 for _ in range(n1)]
+        # one reusable forest-distance buffer; each subtree pair only touches
+        # its own top-left region before reading it
+        self.fd = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+        for i in self.kr1:
+            self._fill(i, self.kr2)
+
+    def _fill(self, i: int, js: Iterable[int]) -> None:
+        """Forest distances of subtree ``i`` against each subtree in ``js``.
+
+        Writes the tree distances of the pairs on both leftmost paths into
+        ``td``; the table of the last pair stays in ``fd``.
+        """
+        lmd1, lmd2 = self.lmd1, self.lmd2
+        lab1, lab2 = self.lab1, self.lab2
+        cost = 1.0
+        td, fd = self.td, self.fd
+        li = lmd1[i]
+        m = i - li + 2
+        ioff = li - 1
+        for j in js:
+            lj = lmd2[j]
+            n = j - lj + 2
+            joff = lj - 1
+            row0 = fd[0]
+            row0[0] = 0.0
+            for y in range(1, n):
+                row0[y] = row0[y - 1] + cost
+            prev = row0
+            for x in range(1, m):
+                xi = x + ioff
+                cur = fd[x]
+                cur[0] = prev[0] + cost
+                lx = lmd1[xi]
+                tdx = td[xi]
+                labx = lab1[xi]
+                if lx == li:
+                    for y in range(1, n):
+                        yj = y + joff
+                        best = prev[y] + cost
+                        left = cur[y - 1] + cost
+                        if left < best:
+                            best = left
+                        if lmd2[yj] == lj:
+                            diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cost)
+                            if diag < best:
+                                best = diag
+                            cur[y] = best
+                            tdx[yj] = best
+                        else:
+                            sub = fd[lx - 1 - ioff][lmd2[yj] - 1 - joff] + tdx[yj]
+                            if sub < best:
+                                best = sub
+                            cur[y] = best
+                else:
+                    p_row = fd[lx - 1 - ioff]
+                    for y in range(1, n):
+                        yj = y + joff
+                        best = prev[y] + cost
+                        left = cur[y - 1] + cost
+                        if left < best:
+                            best = left
+                        sub = p_row[lmd2[yj] - 1 - joff] + tdx[yj]
+                        if sub < best:
+                            best = sub
+                        cur[y] = best
+                prev = cur
+
+    @property
+    def distance(self) -> float:
+        return self.td[-1][-1]
+
+    def mapping(self) -> list[tuple[int, int]]:
+        """Matched (postorder1, postorder2) positions of one optimal script."""
+        pairs: list[tuple[int, int]] = []
+        stack = [(len(self.order1) - 1, len(self.order2) - 1)]
+        while stack:
+            self._extract(*stack.pop(), pairs, stack)
+        return pairs
+
+    def _extract(
+        self,
+        i: int,
+        j: int,
+        out: list[tuple[int, int]],
+        stack: list[tuple[int, int]],
+    ) -> None:
+        self._fill(i, (j,))
+        fd = self.fd
+        lmd1, lmd2 = self.lmd1, self.lmd2
+        li = lmd1[i]
+        lj = lmd2[j]
+        ioff = li - 1
+        joff = lj - 1
+        x = i - ioff
+        y = j - joff
+        # walk the table backwards, preferring the matching branch on ties
+        while x > 0 and y > 0:
+            xi = x + ioff
+            yj = y + joff
+            cur = fd[x][y]
+            if lmd1[xi] == li and lmd2[yj] == lj:
+                rel = 0.0 if self.lab1[xi] == self.lab2[yj] else 1.0
+                if cur == fd[x - 1][y - 1] + rel:
+                    out.append((xi, yj))
+                    x -= 1
+                    y -= 1
+                elif cur == fd[x - 1][y] + 1.0:
+                    x -= 1
+                else:
+                    y -= 1
+            else:
+                p = lmd1[xi] - 1 - ioff
+                q = lmd2[yj] - 1 - joff
+                if cur == fd[p][q] + self.td[xi][yj]:
+                    stack.append((xi, yj))
+                    x = p
+                    y = q
+                elif cur == fd[x - 1][y] + 1.0:
+                    x -= 1
+                else:
+                    y -= 1
+
+
+def reference_ted_table(t1: LabeledTree, t2: LabeledTree) -> list[list[float]]:
+    """Every subtree distance, indexed by left-to-right postorder positions."""
+    return ReferenceZsRun(t1, t2).td
+
+
+def reference_ted_match(t1: LabeledTree, t2: LabeledTree) -> Matching:
+    """``ted_match`` of the left-to-right run."""
+    run = ReferenceZsRun(t1, t2)
+    mapped = sorted(
+        (run.order1[x], run.order2[y], 0.0 if run.lab1[x] == run.lab2[y] else 1.0)
+        for x, y in run.mapping()
+    )
+    return Matching(
+        tuple((n, m) for n, m, _ in mapped), tuple(c for _, _, c in mapped), len(t1), len(t2)
+    )
 
 
 # ---------------------------------------------------------------------------

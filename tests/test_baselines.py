@@ -11,15 +11,17 @@ from oracles import (
     brute_force_optimal,
     enumerate_matching_costs,
     exhaustive_edit_distance,
+    reference_ted_match,
+    reference_ted_table,
     table_from_scores,
 )
 from strategies import tree_pairs
-from treematch.baselines import ted_distance, ted_match
+from treematch.baselines import _postorder_structure, _ZsRun, ted_distance, ted_match
 from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import metropolis
 from treematch.similarity import SftmParams, initial_similarity, propagate
-from treematch.tree import DraftNode, LabeledTree, freeze, parse_html
+from treematch.tree import DraftNode, LabeledTree, freeze, parse_html, thaw
 
 PARAMS = SftmParams()
 
@@ -133,6 +135,58 @@ class TestTedDistance:
         assert ted_distance(t1, t2) == pytest.approx(ted_distance(t2, t1))
 
 
+def mirrored(tree: LabeledTree) -> LabeledTree:
+    """``tree`` with every child list reversed."""
+    root = thaw(tree)
+    stack = [root]
+    while stack:
+        draft = stack.pop()
+        draft.children.reverse()
+        stack.extend(draft.children)
+    return freeze(root)
+
+
+class TestTedDirection:
+    """The distance pass may run mirrored; nothing it returns may show it."""
+
+    @staticmethod
+    def assert_like_left_to_right(t1: LabeledTree, t2: LabeledTree) -> bool:
+        run, table = _ZsRun(t1, t2), reference_ted_table(t1, t2)
+        assert run.td == table
+        assert ted_distance(t1, t2) == table[-1][-1]
+        got, want = ted_match(t1, t2), reference_ted_match(t1, t2)
+        assert got.pairs == want.pairs
+        assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
+        return run.mirrored
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_pairs(max_nodes=10))
+    def test_tables_and_matchings_equal_left_to_right_oracle(self, pair):
+        t1, t2 = pair
+        (left1, right1), (left2, right2) = _postorder_structure(t1), _postorder_structure(t2)
+        left_cells, right_cells = left1.span * left2.span, right1.span * right2.span
+        # mirroring both trees swaps the two counts, so one of the two runs
+        # goes each way unless they tie, when both run left to right
+        directions = {
+            self.assert_like_left_to_right(t1, t2),
+            self.assert_like_left_to_right(mirrored(t1), mirrored(t2)),
+        }
+        assert directions == ({False} if left_cells == right_cells else {False, True})
+
+    def test_rightmost_chain_runs_mirrored(self):
+        # a root whose deep branch is its last child: the leftmost paths are
+        # short, so left to right every node of the branch is a keyroot
+        deep = DraftNode(tag="a")
+        node = deep
+        for _ in range(4):
+            node.children = [DraftNode(tag="x"), DraftNode(tag="y")]
+            node = node.children[-1]
+        t1 = freeze(deep)
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="x"), DraftNode(tag="z")]))
+        assert self.assert_like_left_to_right(t1, t2)
+        assert not self.assert_like_left_to_right(mirrored(t1), mirrored(t2))
+
+
 def descendants(tree: LabeledTree, node_id: int) -> set[int]:
     out = set()
     stack = list(tree.node(node_id).children)
@@ -225,6 +279,37 @@ class TestTedOnCorpus:
         assert sum(m.pair_costs) == relabel
         assert hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16] == digest
         assert ted_distance(source, mutant) == distance
+
+
+# The same mutants with every child list reversed in both trees, so the
+# left-to-right pass is the cheaper one; pinned from the left-to-right-only
+# implementation.
+PINNED_TED_MIRRORED = [
+    ("p00", 0, 125, 6.0, "211742f4b33f1ed0", 24.0),
+    ("p00", 1, 121, 4.0, "5acfde437e03ea6f", 20.0),
+    ("p00", 2, 127, 4.0, "fd1dcf1b22d9c133", 24.0),
+    ("p01", 0, 165, 18.0, "b2e45f74685b4a29", 41.0),
+    ("p01", 1, 162, 5.0, "eb3baf51b5326c14", 23.0),
+    ("p01", 2, 163, 10.0, "ff8709a8de518ba9", 39.0),
+]
+
+
+@pytest.mark.parametrize("prefix,seed,count,relabel,digest,distance", PINNED_TED_MIRRORED)
+def test_pinned_mirrored_mapping_and_distance(prefix, seed, count, relabel, digest, distance):
+    pages = sorted(CORPUS_DIR.glob(f"{prefix}_*.html"))
+    if not pages:
+        pytest.skip("bundled corpus not generated")
+    source = assign_signatures(parse_html(pages[0].read_bytes()))
+    mutant, _ = mutate(source, 0.2, seed)
+    # the pinned pair itself runs mirrored, its mirror left to right
+    assert _ZsRun(source, mutant).mirrored
+    source, mutant = mirrored(source), mirrored(mutant)
+    assert not _ZsRun(source, mutant).mirrored
+    m = ted_match(source, mutant)
+    assert len(m.pairs) == count
+    assert sum(m.pair_costs) == relabel
+    assert hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16] == digest
+    assert ted_distance(source, mutant) == distance
 
 
 def test_ted_distance_on_deep_chain():

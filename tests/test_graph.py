@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -94,6 +95,10 @@ class TestBuildGraph:
         first, nxt = g.chains
         # edge 0 is (1, 0), edge 1 is (0, 0); each t1 node has one edge
         assert (first.tolist(), nxt.tolist()) == ([1, 0], [2, 2])
+        # packed in one go, byte for byte what array("i", list) builds
+        assert first.tobytes() == array("i", [1, 0]).tobytes()
+        assert nxt.tobytes() == array("i", [2, 2]).tobytes()
+        assert first.typecode == nxt.typecode == "i"
         assert g.chains is g.chains
 
     def test_chains_of_empty_graph(self):
