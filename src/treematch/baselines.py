@@ -98,28 +98,19 @@ def _label_ids(t1: LabeledTree, t2: LabeledTree) -> tuple[list[int], list[int]]:
     return build(t1), build(t2)
 
 
-def _reordered(
-    td: list[list[float]],
-    src1: list[int],
-    dst1: list[int],
-    src2: list[int],
-    dst2: list[int],
-) -> list[list[float]]:
-    """``td`` moved from ``src`` postorder positions to ``dst`` ones.
+def _reordered(td: list[list[float]], order1: list[int], order2: list[int]) -> list[list[float]]:
+    """``td`` moved from mirrored postorder positions to the ``order`` ones.
 
+    Node ids are pre-order and mirrored postorder is pre-order reversed, so
+    node ``v`` of an ``n``-node tree sits at mirrored position ``n - 1 - v``.
     Each row of ``td`` is dropped once it is copied, so the two tables
     together never hold much more than one.
     """
-    pos1 = [0] * len(src1)
-    for pos, node_id in enumerate(src1):
-        pos1[node_id] = pos
-    pos2 = [0] * len(src2)
-    for pos, node_id in enumerate(src2):
-        pos2[node_id] = pos
-    columns = [pos2[node_id] for node_id in dst2]
+    last1, last2 = len(order1) - 1, len(order2) - 1
+    columns = [last2 - node_id for node_id in order2]
     out = []
-    for node_id in dst1:
-        row = pos1[node_id]
+    for node_id in order1:
+        row = last1 - node_id
         out.append(list(map(td[row].__getitem__, columns)))
         td[row] = None  # type: ignore[call-overload]
     return out
@@ -152,7 +143,7 @@ class _ZsRun:
             self._fill(i, self.kr2)
         if self.mirrored:
             self._orient(left1, left2, ids1, ids2)
-            self.td = _reordered(self.td, right1.order, left1.order, right2.order, left2.order)
+            self.td = _reordered(self.td, left1.order, left2.order)
 
     def _orient(
         self, s1: _Structure, s2: _Structure, ids1: list[int], ids2: list[int]

@@ -11,6 +11,14 @@ that loads its own bundle; the ``--timeout`` cap starts once it is loaded
 (loading is linear in the bundle and has no cap) and covers the match and its
 scoring, while ``elapsed_s`` is the match alone. All commands are
 deterministic given the same inputs and seed, timing aside.
+
+Usage errors (an unknown flag or choice, ``--jobs`` or ``--count`` below 1)
+exit 2. ``main`` turns an ``OSError``, a ``ValueError`` (which covers
+``FormatError``, ``IngestError``, ``CorpusError`` and ``TooDeep``) or
+``ExhaustedTargets`` into one ``error:`` line and exit 1; ``bench`` and
+``sweep`` check their lists, corpus and output directory before any pair
+runs. ``evaluate_pair``'s ``RuntimeError`` for a child that died with no row
+is not caught and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .mutate import ExhaustedTargets, assign_signatures, mutate
 from .pipeline import match_trees_detailed
 from .similarity import SftmParams
 from .tokens import TokenOptions
-from .tree import FormatError, IngestError, LabeledTree, parse_html, parse_tree_json
+from .tree import LabeledTree, parse_html, parse_tree_json
 
 _DEFAULTS = SftmParams()
 
@@ -127,6 +135,18 @@ def _write_sidecar(out_path: Path, command: str, params: SftmParams, extra: dict
     sidecar.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _csv_inputs(args: argparse.Namespace, listed: str, flag: str) -> tuple[list[str], Path, Path]:
+    """The ``flag`` list, corpus and CSV path of bench or sweep, checked before any pair runs."""
+    items = [item for item in listed.split(",") if item]
+    if not items:
+        raise ValueError(f"{flag} {listed!r} lists nothing")
+    if not Path(args.corpus).is_dir():
+        raise NotADirectoryError(f"corpus {args.corpus!r} is not a directory")
+    if not Path(args.out).parent.is_dir():
+        raise FileNotFoundError(f"--out {args.out!r} is in no existing directory")
+    return items, Path(args.corpus), Path(args.out)
+
+
 def _load_tree(path: Path, fmt: str) -> LabeledTree:
     if fmt == "auto":
         fmt = "json" if path.suffix.lower() == ".json" else "html"
@@ -142,12 +162,8 @@ def _load_tree(path: Path, fmt: str) -> LabeledTree:
 def _cmd_match(args: argparse.Namespace) -> int:
     params = _params_from(args)
     _echo_config("match", params, args.algorithm)
-    try:
-        t1 = _load_tree(Path(args.src), args.format)
-        t2 = _load_tree(Path(args.dst), args.format)
-    except (OSError, IngestError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    t1 = _load_tree(Path(args.src), args.format)
+    t2 = _load_tree(Path(args.dst), args.format)
 
     start = time.perf_counter()
     if args.algorithm == "ted":
@@ -174,11 +190,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     print(f"[treematch mutate] seed={args.seed} ratio={args.ratio} count={args.count}",
           file=sys.stderr)
     src = Path(args.src)
-    try:
-        tree = assign_signatures(_load_tree(src, args.format))
-    except (OSError, IngestError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    tree = assign_signatures(_load_tree(src, args.format))
 
     out_dir = Path(args.out_dir)
     page = src.stem
@@ -186,11 +198,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     for k in range(count):
         ratio = args.ratio * k / count
         seed = args.seed * 100003 + k
-        try:
-            mutant, log = mutate(tree, ratio, seed, source_page=page)
-        except ExhaustedTargets as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        mutant, log = mutate(tree, ratio, seed, source_page=page)
         bundle_dir = out_dir / f"{page}__m{k:02d}"
         write_bundle(bundle_dir, tree, mutant, log)
         print(f"wrote {bundle_dir} ratio={ratio:.4f} ops={len(log.ops)}")
@@ -200,21 +208,20 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     params = _params_from(args)
     _echo_config("bench", params)
-    algorithms = tuple(a for a in args.algorithms.split(",") if a)
+    algorithms, corpus, out = _csv_inputs(args, args.algorithms, "--algorithms")
     timeout = timeout_cap(args.timeout)
     failures = []
     rows = run_benchmark(
-        Path(args.corpus),
+        corpus,
         params,
         algorithms=algorithms,
         timeout_s=timeout,
         jobs=args.jobs,
         on_malformed=lambda msg: (failures.append(msg), print(f"warning: {msg}", file=sys.stderr)),
     )
-    out = Path(args.out)
     write_csv(rows, out, BenchRow)
     _write_sidecar(out, "bench", params,
-                   {"algorithms": list(algorithms), "timeout_s": timeout, "jobs": args.jobs})
+                   {"algorithms": algorithms, "timeout_s": timeout, "jobs": args.jobs})
     print(f"wrote {out} rows={len(rows)} skipped={len(failures)}")
     if failures and not rows:
         print("error: every bundle in the corpus was malformed", file=sys.stderr)
@@ -225,9 +232,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
     _echo_config("sweep", params)
-    alphas = [float(a) for a in args.alphas.split(",") if a]
-    rows = sensitivity_sweep(Path(args.corpus), alphas, params)
-    out = Path(args.out)
+    listed, corpus, out = _csv_inputs(args, args.alphas, "--alphas")
+    alphas = [float(a) for a in listed]
+    rows = sensitivity_sweep(corpus, alphas, params)
     write_csv(rows, out, SweepRow)
     _write_sidecar(out, "sweep", params, {"alphas": alphas})
     print(f"wrote {out} rows={len(rows)}")
@@ -256,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mutate.add_argument("src", help="source document (HTML or JSON tree)")
     p_mutate.add_argument("--ratio", type=float, default=0.5,
                           help="top of the mutation-ratio range (default 0.5)")
-    p_mutate.add_argument("--count", type=int, default=10,
-                          help="number of mutants; ratios evenly span [0, ratio) (default 10)")
+    p_mutate.add_argument("--count", type=_positive_int, default=10,
+                          help="number of mutants, at least 1; ratios evenly span [0, ratio) "
+                          "(default 10)")
     p_mutate.add_argument("--out-dir", required=True, help="directory for bundles")
     p_mutate.add_argument("--format", choices=["auto", "html", "json"], default="auto")
     p_mutate.add_argument("--seed", type=int, default=_DEFAULTS.seed,
@@ -295,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError, ExhaustedTargets) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,13 @@
 """Metropolis search for a low-cost full matching on the sparse graph.
 
-The walk starts from a greedy matching and repeatedly proposes a related
-matching: keep a random-length prefix of the current pairs, then complete by
-scanning the remaining edges in cost order, stopping on each scanned edge
-with probability ``gamma``. Costs are fixed up front and never recomputed.
-Acceptance uses the standard Metropolis rule on the normalized objective
-exp(-beta * cost / size); the best matching seen is returned.
+The walk repeatedly proposes a related matching: keep a random-length prefix
+of the current pairs, then complete by scanning the remaining edges in cost
+order, stopping on each scanned edge with probability ``gamma``. It starts
+from the greedy matching, the proposal from the empty matching at ``gamma``
+1, which takes every live edge it scans, cheapest first. Costs are fixed up
+front and never recomputed. Acceptance uses the standard Metropolis rule on
+the normalized objective exp(-beta * cost / size); the best matching seen is
+returned.
 
 A proposal keeps a pair in O(1): an edge is live while neither endpoint is
 used, judged on demand from two per-tree byte flags, so no incident edge is
@@ -21,20 +23,22 @@ those steps are the only dead edges a proposal visits. Each scan round first
 revisits, in order, the live edges an earlier round passed over, then
 resumes the frontier. The live edges are therefore visited in the order of a
 fresh scan from the cheapest one, the scan over every edge that
-``tests/oracles.py`` keeps, and the greedy start takes each one it reaches.
+``tests/oracles.py`` keeps.
 
-Everything is driven by one seeded generator; per proposal the draw order is
-the kept-prefix length first, then one uniform draw per scanned live edge
-(no draw when a scan runs out and falls back to the last live edge), then
-one acceptance draw per iteration. Dead edges draw nothing, so skipping
-them leaves the draws as they were. Runs reproduce bit-for-bit given
-(graph, params, seed).
+The walk is driven by one seeded generator (the greedy start draws from
+its own, and at ``gamma`` 1 no draw changes what it takes); per proposal
+the draw order is the kept-prefix length first, then one uniform draw per
+scanned live edge (no draw when a scan runs out and falls back to the last
+live edge), then one acceptance draw per iteration. Dead edges draw
+nothing, so skipping them leaves the draws as they were. Runs reproduce
+bit-for-bit given (graph, params, seed).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from typing import Callable, Iterator
 
 from .graph import MatchGraph, Matching, matching_cost
@@ -80,20 +84,9 @@ def _live_edges(g: MatchGraph, t1_used: bytearray, t2_used: bytearray) -> Iterat
 
 
 def initial_matching(g: MatchGraph, params: SftmParams) -> Matching:
-    """Greedy start: walk edges cheapest-first, take both-endpoints-free ones."""
-    del params  # deterministic; kept because callers pass it
-    t1_used = bytearray(g.t1_size)
-    t2_used = bytearray(g.t2_size)
-    edge_n, edge_m, edge_cost = g.edge_n, g.edge_m, g.edge_cost
-    pairs: list[tuple[int, int]] = []
-    costs: list[float] = []
-    for idx in _live_edges(g, t1_used, t2_used):  # each one is taken
-        n = edge_n[idx]
-        m = edge_m[idx]
-        t1_used[n] = t2_used[m] = 1
-        pairs.append((n, m))
-        costs.append(edge_cost[idx])
-    return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
+    """Greedy start: the proposal from the empty matching at ``gamma`` 1."""
+    empty = Matching((), (), g.t1_size, g.t2_size)
+    return suggest_matching(g, empty, replace(params, gamma=1.0), random.Random(0))
 
 
 def suggest_matching(

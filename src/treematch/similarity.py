@@ -49,16 +49,16 @@ class SftmParams:
             raise ValueError("weights must hold at least w0")
         if self.weights[0] <= 0:
             raise ValueError("weight w0 must be > 0")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise ValueError(f"weights must be finite and non-negative, got {self.weights}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.no_match_cost <= 0:
-            raise ValueError(f"no_match_cost must be > 0, got {self.no_match_cost}")
+        if not 0 < self.no_match_cost < math.inf:
+            raise ValueError(f"no_match_cost must be finite and > 0, got {self.no_match_cost}")
 
 
 @dataclass

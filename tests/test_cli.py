@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from treematch import cli
 from treematch.cli import build_parser, main
 from treematch.evaluate import load_bundle
 from treematch.graph import matching_to_json
@@ -27,6 +28,14 @@ PAGE = """
  </body>
 </html>
 """
+
+
+def only_error_line(err: str) -> str:
+    """The one ``error:`` line of ``err``, which must be its last line."""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:], err
+    assert "Traceback" not in err
+    return lines[-1]
 
 
 @pytest.fixture
@@ -116,6 +125,21 @@ class TestMatchCommand:
         assert f"error: --weights {weights!r} has an empty item" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--weights", "1.0,nan"], ["--no-match-cost", "nan"],
+                                      ["--beta", "inf"]])
+    def test_non_finite_param_exits_one(self, page_file, tmp_path, capsys, flag):
+        out = tmp_path / "m.json"
+        code = main(["match", str(page_file), str(page_file), *flag, "--out", str(out)])
+        assert code == 1
+        assert "finite" in only_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unwritable_out_exits_one(self, page_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.json"
+        code = main(["match", str(page_file), str(page_file), "--out", str(out)])
+        assert code == 1
+        assert str(out) in only_error_line(capsys.readouterr().err)
+
 
 class TestMutateCommand:
     def test_ratios_span_evenly(self, page_file, tmp_path):
@@ -166,6 +190,16 @@ class TestMutateCommand:
         assert "Traceback" not in err
         out_dir = tmp_path / "bundles"
         assert not (out_dir.exists() and any(p.is_dir() for p in out_dir.iterdir()))
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_a_usage_error(self, page_file, tmp_path, capsys, count):
+        out_dir = tmp_path / "bundles"
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", str(page_file), "--count", count, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert (f"argument --count: expected an integer of at least 1, got {count!r}"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
 
 
 class TestBenchCommand:
@@ -317,6 +351,49 @@ class TestSweepCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "alpha,pairs,mean_rate,mean_elapsed_s"
         assert len(lines) == 4
+
+
+class TestCsvInputsCheckedFirst:
+    """bench and sweep reject their inputs with one error line before any pair runs."""
+
+    LIST_FLAG = {"bench": "--algorithms", "sweep": "--alphas"}
+
+    @pytest.fixture(autouse=True)
+    def no_pair_runs(self, monkeypatch):
+        def run(*args, **kwargs):
+            pytest.fail("a pair ran")
+
+        monkeypatch.setattr(cli, "run_benchmark", run)
+        monkeypatch.setattr(cli, "sensitivity_sweep", run)
+
+    def rejected(self, command, corpus, out, capsys, *flags) -> str:
+        code = main([command, str(corpus), "--out", str(out), *flags])
+        assert code == 1
+        assert not out.exists() and not Path(str(out) + ".config.json").exists()
+        return only_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    @pytest.mark.parametrize("listed", ["", ","])
+    def test_empty_list(self, tmp_path, capsys, command, listed):
+        flag = self.LIST_FLAG[command]
+        line = self.rejected(command, tmp_path, tmp_path / "r.csv", capsys, f"{flag}={listed}")
+        assert line == f"error: {flag} {listed!r} lists nothing"
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_corpus_not_a_directory(self, page_file, tmp_path, capsys, command, kind):
+        corpus = page_file if kind == "file" else tmp_path / "missing"
+        line = self.rejected(command, corpus, tmp_path / "r.csv", capsys)
+        assert line == f"error: corpus {str(corpus)!r} is not a directory"
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_out_in_missing_directory(self, page_file, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "1",
+              "--out-dir", str(corpus)])
+        out = tmp_path / "missing" / "r.csv"
+        line = self.rejected(command, corpus, out, capsys)
+        assert line == f"error: --out {str(out)!r} is in no existing directory"
 
 
 class TestHelp:

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_DIR
 from oracles import ReferenceMutator, reference_mutate
+from pin_reference_mutants import (
+    PAGES,
+    PINNED_FILE,
+    RATIOS,
+    SEEDS,
+    case_key,
+    digest,
+    outcome,
+    page_tree,
+)
 from strategies import labeled_trees
 from treematch.mutate import (
     MUTATION_KINDS,
@@ -297,33 +307,25 @@ class TestLogSerialization:
         assert again == log
 
 
-def _outcome(fn, tree, ratio, seed):
-    """(mutant JSON, log JSON) or the ExhaustedTargets message."""
-    try:
-        mutant, log = fn(tree, ratio, seed, "page")
-    except ExhaustedTargets as exc:
-        return ("exhausted", str(exc))
-    return serialize_tree_json(mutant), mutation_log_to_json(log)
-
-
-CORPUS_ORACLE_PAGES = ("p00", "p01", "p04", "p06", "p08", "p13")
-CORPUS_ORACLE_SEEDS = (0, 1, 2, 3, 100003, 100004, 100005, 100006)
+PINNED = json.loads(PINNED_FILE.read_text(encoding="utf-8"))
+LIVE_REFERENCE_PAGES = ("p00", "p01")  # small enough to rerun the reference each time
 
 
 class TestAgainstReference:
     """The incremental pools draw exactly what the full rescan drew."""
 
-    @pytest.mark.parametrize("ratio", (0.02, 0.1, 0.2, 0.3, 0.5))
-    @pytest.mark.parametrize("prefix", CORPUS_ORACLE_PAGES)
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("prefix", PAGES)
     def test_corpus_bundles_byte_identical(self, prefix, ratio):
-        pages = sorted(CORPUS_DIR.glob(f"{prefix}_*.html"))
-        if not pages:
-            pytest.skip("bundled corpus not generated")
-        tree = assign_signatures(parse_html(pages[0].read_bytes()))
-        for seed in CORPUS_ORACLE_SEEDS:
-            assert _outcome(mutate, tree, ratio, seed) == _outcome(
-                reference_mutate, tree, ratio, seed
-            ), (prefix, ratio, seed)
+        """Every case against the reference's digest, pinned by
+        ``pin_reference_mutants.py``; the small pages also against the live
+        reference, so a drift in the oracle itself still shows."""
+        tree = page_tree(prefix)
+        for seed in SEEDS:
+            got = outcome(mutate, tree, ratio, seed)
+            assert digest(got) == PINNED[case_key(prefix, ratio, seed)], (prefix, ratio, seed)
+            if prefix in LIVE_REFERENCE_PAGES:
+                assert got == outcome(reference_mutate, tree, ratio, seed), (prefix, ratio, seed)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -333,7 +335,7 @@ class TestAgainstReference:
     )
     def test_random_trees_byte_identical(self, bare, ratio, seed):
         tree = assign_signatures(bare)
-        assert _outcome(mutate, tree, ratio, seed) == _outcome(
+        assert outcome(mutate, tree, ratio, seed) == outcome(
             reference_mutate, tree, ratio, seed
         )
 

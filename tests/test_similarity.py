@@ -44,6 +44,15 @@ class TestParams:
             {"gamma": 1.5},
             {"iterations": 0},
             {"no_match_cost": 0.0},
+            # a NaN passes every ordering check, and an infinite cost or
+            # sharpness can make the acceptance ratio NaN
+            {"beta": math.nan},
+            {"beta": math.inf},
+            {"no_match_cost": math.nan},
+            {"no_match_cost": math.inf},
+            {"weights": (math.nan,)},
+            {"weights": (1.0, math.nan)},
+            {"weights": (1.0, 0.5, math.inf)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
