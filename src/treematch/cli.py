@@ -144,6 +144,8 @@ def _csv_inputs(args: argparse.Namespace, listed: str, flag: str) -> tuple[list[
         raise NotADirectoryError(f"corpus {args.corpus!r} is not a directory")
     if not Path(args.out).parent.is_dir():
         raise FileNotFoundError(f"--out {args.out!r} is in no existing directory")
+    if Path(args.out).is_dir():
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
     return items, Path(args.corpus), Path(args.out)
 
 

@@ -116,7 +116,11 @@ def load_bundle(directory: Path) -> MutantBundle:
 
 
 def discover_bundles(corpus_dir: Path) -> list[Path]:
+    """Every bundle directory under ``corpus_dir``, sorted; raises
+    :class:`NotADirectoryError` when ``corpus_dir`` is not a directory."""
     corpus_dir = Path(corpus_dir)
+    if not corpus_dir.is_dir():
+        raise NotADirectoryError(f"corpus {str(corpus_dir)!r} is not a directory")
     return sorted(p.parent for p in corpus_dir.glob(f"**/{LOG_FILE}"))
 
 

@@ -10,12 +10,14 @@ stored.
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
-built per edge on the matching path. That order comes from two sorts on
-plain keys: one by the int ``n * len(t2) + m``, then a stable one by the
-float cost. Per-node adjacency is built on first access and cached, since
-the matching path never reads it. The optimizer reads per-node edge chains
-instead: for each node of the smaller tree, its edge indices linked in
-that order, kept in two compact ``array('i')``s built on first access.
+built per edge on the matching path. That order comes from grouping the int
+keys ``n * len(t2) + m``, which sort as (n, m) does, by cost: scores that
+round to one cost share a group, the distinct costs are sorted, and each
+group is sorted by key. Per-node adjacency is built on first access and
+cached, since the matching path never reads it. The optimizer reads
+per-node edge chains instead: for each node of the smaller tree, its edge
+indices linked in that order, kept in two compact ``array('i')``s built on
+first access.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from __future__ import annotations
 import json
 import struct
 from array import array
+from collections import defaultdict
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from operator import floordiv, mod
 
 from .similarity import SftmParams, SimilarityTable
 from .tree import LabeledTree
@@ -126,10 +130,8 @@ def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchG
     ``t1`` or ``t2``.
     """
     t1_size, t2_size = len(t1), len(t2)
-    ns: list[int] = []
-    ms: list[int] = []
-    keys: list[int] = []
-    costs: list[float] = []
+    # edge keys n * t2_size + m, grouped by score; a key sorts as (n, m) does
+    by_score: defaultdict[float, list[int]] = defaultdict(list)
     for m, row in sp.rows.items():
         if not row:
             continue
@@ -139,20 +141,19 @@ def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchG
         if lo < 0 or hi >= t1_size:
             bad = lo if lo < 0 else hi
             raise NodeOutOfRange(f"t1 node {bad} outside a {t1_size}-node tree")
-        ns.extend(row)
-        ms.extend(repeat(m, len(row)))
-        keys.extend([n * t2_size + m for n in row])
-        costs.extend([1.0 / (1.0 + s) for s in row.values()])
-    # (n, m) order by the int key, then a stable sort by cost: (cost, n, m)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    order.sort(key=costs.__getitem__)
-    edge_n = tuple(map(ns.__getitem__, order))
-    edge_m = tuple(map(ms.__getitem__, order))
-    edge_cost = tuple(map(costs.__getitem__, order))
+        for n, score in row.items():
+            by_score[score].append(n * t2_size + m)
+    # distinct scores can round to one cost; their keys then sort together
+    by_cost: defaultdict[float, list[int]] = defaultdict(list)
+    for score, keys in by_score.items():
+        by_cost[1.0 / (1.0 + score)].extend(keys)
+    costs = sorted(by_cost)
+    groups = [sorted(by_cost[cost]) for cost in costs]
+    edge_keys = list(chain.from_iterable(groups))
     return MatchGraph(
-        edge_n=edge_n,
-        edge_m=edge_m,
-        edge_cost=edge_cost,
+        edge_n=tuple(map(floordiv, edge_keys, repeat(t2_size))),
+        edge_m=tuple(map(mod, edge_keys, repeat(t2_size))),
+        edge_cost=tuple(chain.from_iterable(map(repeat, costs, map(len, groups)))),
         t1_size=t1_size,
         t2_size=t2_size,
     )

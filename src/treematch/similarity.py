@@ -5,6 +5,13 @@ that occur in too many nodes (sublinear threshold), score each second-tree
 node against the index with IDF weighting, then propagate scores up the
 parent chain so local topology counts too.
 
+Nodes that share a label (tag and attributes, plus text when content is
+tokenized) share every token but their xpath, so :func:`initial_similarity`
+tokenizes each distinct label of both trees once, and each node adds only
+its xpath token. A node's tokens are kept in sorted order, the order its
+IDF weights are summed in, so the scores equal those of
+:func:`neighbor_scores`, which tokenizes the node on its own, to the bit.
+
 The table is kept as one row per second-tree node: ``rows[m]`` maps each
 first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
 row per ``m`` and propagation rewrites a row at a time, so every lookup is
@@ -14,9 +21,17 @@ keyed by a plain int and no tuple is built per pair.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, tokenize_node
+from .tokens import (
+    DEFAULT_TOKEN_OPTIONS,
+    TokenOptions,
+    label_tokens,
+    tokenize_node,
+    xpath_token,
+)
 from .tree import LabeledTree
 
 
@@ -88,15 +103,19 @@ def build_token_index(
     t1: LabeledTree, options: TokenOptions = DEFAULT_TOKEN_OPTIONS
 ) -> TokenIndex:
     """Index every node of the first tree under each of its tokens."""
+    return _index((sorted(tokenize_node(t1, node.id, options)) for node in t1), len(t1))
+
+
+def _index(token_lists: Iterable[list[str]], t1_size: int) -> TokenIndex:
     entries: dict[str, set[int]] = {}
-    for node in t1:
-        for token in sorted(tokenize_node(t1, node.id, options)):
+    for node_id, tokens in enumerate(token_lists):
+        for token in tokens:
             bucket = entries.get(token)
             if bucket is None:
-                entries[token] = {node.id}
+                entries[token] = {node_id}
             else:
-                bucket.add(node.id)
-    return TokenIndex(entries=entries, t1_size=len(t1))
+                bucket.add(node_id)
+    return TokenIndex(entries=entries, t1_size=t1_size)
 
 
 def threshold_cutoff(t1_size: int, alpha: float) -> int:
@@ -123,9 +142,15 @@ def neighbor_scores(
     token-holders' scores; a token with IDF 0 adds nothing, so every score
     in the result is positive.
     """
+    return _scores(sorted(tokenize_node(t2, m, options)), index)
+
+
+def _scores(tokens: list[str], index: TokenIndex) -> dict[int, float]:
+    # IDF weights are added in sorted token order, so every caller sums the
+    # same floats in the same order
     scores: dict[int, float] = {}
     entries, t1_size = index.entries, index.t1_size
-    for token in sorted(tokenize_node(t2, m, options)):
+    for token in tokens:
         bucket = entries.get(token)
         if not bucket:
             continue
@@ -137,6 +162,41 @@ def neighbor_scores(
     return scores
 
 
+def node_tokens(
+    tree: LabeledTree,
+    options: TokenOptions,
+    labels: dict[tuple, tuple[list[str], set[str]]],
+) -> Iterator[list[str]]:
+    """Each node's tokens in sorted order, in node order: the same lists as
+    ``sorted(tokenize_node(tree, n, options))``.
+
+    ``labels`` maps each node label seen so far, tag and attributes (and
+    text with ``options.include_content``), to its tokens, sorted and as a
+    set; passing one dict for both trees tokenizes each label once. A node
+    then adds only its xpath token. In the namespaced mode that token sorts
+    after every label token, since ``xpath:`` sorts after the other
+    prefixes; in the flat mode it is placed by bisection unless the label
+    already holds it.
+    """
+    flat, content = options.flat, options.include_content
+    for node in tree:
+        text = node.text if content else None
+        key = (node.tag, node.attributes, text)
+        label = labels.get(key)
+        if label is None:
+            words = label_tokens(node.tag, node.attributes, text, options)
+            label = labels[key] = (sorted(words), words)
+        ordered, words = label
+        xpath = xpath_token(node.xpath, options)
+        if not flat:
+            yield [*ordered, xpath]
+        elif xpath in words:
+            yield ordered
+        else:
+            at = bisect_left(ordered, xpath)
+            yield [*ordered[:at], xpath, *ordered[at:]]
+
+
 def initial_similarity(
     t1: LabeledTree,
     t2: LabeledTree,
@@ -144,10 +204,11 @@ def initial_similarity(
 ) -> SimilarityTable:
     """Label-only similarity for every node pair that shares an indexed token."""
     options = params.tokens
-    index = apply_threshold(build_token_index(t1, options), params.alpha)
+    labels: dict[tuple, tuple[list[str], set[str]]] = {}
+    index = apply_threshold(_index(node_tokens(t1, options, labels), len(t1)), params.alpha)
     rows: dict[int, dict[int, float]] = {}
-    for m in range(len(t2)):
-        row = neighbor_scores(t2, m, index, options)
+    for m, tokens in enumerate(node_tokens(t2, options, labels)):
+        row = _scores(tokens, index)
         if row:
             rows[m] = row
     return SimilarityTable(rows=rows)

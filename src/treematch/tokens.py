@@ -35,9 +35,11 @@ class TokenOptions:
 
 DEFAULT_TOKEN_OPTIONS = TokenOptions()
 
-# prefixes of the tag, attribute-name, value-word, xpath and text tokens
-_PREFIXES = ("tag:", "attr:", "val:", "xpath:", "text:")
-_FLAT_PREFIXES = ("",) * 5
+# prefixes of the tag, attribute-name, value-word and text tokens; the xpath
+# prefix sorts after all of them
+_PREFIXES = ("tag:", "attr:", "val:", "text:")
+_FLAT_PREFIXES = ("",) * 4
+_XPATH_PREFIX = "xpath:"
 
 
 def tokenize_node(
@@ -51,15 +53,32 @@ def tokenize_node(
     Duplicates collapse (set semantics). Text content is excluded unless
     ``options.include_content`` is set.
     """
-    tag, attr, val, xpath, text = _FLAT_PREFIXES if options.flat else _PREFIXES
     node = tree.node(node_id)
-    tokens = {tag + node.tag}
-    for name, value in node.attributes:
+    tokens = label_tokens(node.tag, node.attributes, node.text, options)
+    tokens.add(xpath_token(node.xpath, options))
+    return frozenset(tokens)
+
+
+def label_tokens(
+    tag: str,
+    attributes: tuple[tuple[str, str], ...],
+    text: str | None,
+    options: TokenOptions,
+) -> set[str]:
+    """The tokens of a node label, which are all of a node's tokens but its
+    xpath. ``text`` is read only when ``options.include_content`` is set."""
+    tag_, attr, val, text_ = _FLAT_PREFIXES if options.flat else _PREFIXES
+    tokens = {tag_ + tag}
+    for name, value in attributes:
         tokens.add(attr + name)
         for word in string_tokenize(value):
             tokens.add(val + word)
-    tokens.add(xpath + node.xpath)
-    if options.include_content and node.text:
-        for word in string_tokenize(node.text):
-            tokens.add(text + word)
-    return frozenset(tokens)
+    if options.include_content and text:
+        for word in string_tokenize(text):
+            tokens.add(text_ + word)
+    return tokens
+
+
+def xpath_token(xpath: str, options: TokenOptions) -> str:
+    """The token of a node's absolute xpath."""
+    return xpath if options.flat else _XPATH_PREFIX + xpath

@@ -2,8 +2,11 @@
 
 Trees are immutable after construction. Node ids are dense pre-order indices,
 so ``tree.node(0)`` is always the root. Mutable :class:`DraftNode` trees are
-the working representation for builders (the HTML parser, the JSON reader,
-the mutation engine); :func:`freeze` turns a draft into a ``LabeledTree``.
+the working representation of the HTML parser and the mutation engine;
+:func:`freeze` turns a draft into a ``LabeledTree``. The JSON reader builds no
+drafts: it checks and reads the decoded document in one pre-order pass. Both
+list each node's fields in pre-order and end in one step that assigns the
+xpaths and builds the nodes.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from itertools import repeat
 from typing import Iterator
 
 
@@ -102,57 +106,57 @@ class LabeledTree:
         return f"LabeledTree(size={len(self.nodes)}, root_tag={self.nodes[0].tag!r})"
 
 
-def freeze(root: DraftNode) -> LabeledTree:
-    """Assign pre-order ids and xpaths to a draft tree and seal it.
+# a node's tag, attributes, raw text, signature and parent id
+_Row = tuple[str, tuple[tuple[str, str], ...], str | None, str | None, int | None]
 
-    An xpath segment gets a 1-based ``[k]`` rank suffix only when the node
-    has at least one same-tag sibling.
-    """
-    # pre-order walk: a node's id is its index in ``walk``
-    walk: list[tuple[DraftNode, int | None, str]] = []
-    child_ids: list[list[int]] = []
-    stack: list[tuple[DraftNode, int | None, str]] = [(root, None, "/" + root.tag)]
+
+def freeze(root: DraftNode) -> LabeledTree:
+    """Assign pre-order ids and xpaths to a draft tree and seal it."""
+    rows: list[_Row] = []
+    stack: list[tuple[DraftNode, int | None]] = [(root, None)]
     while stack:
-        draft, parent_id, xpath = entry = stack.pop()
-        node_id = len(walk)
-        walk.append(entry)
-        child_ids.append([])
-        if parent_id is not None:
-            child_ids[parent_id].append(node_id)
-        if not draft.children:
+        draft, parent_id = stack.pop()
+        node_id = len(rows)
+        rows.append((draft.tag, tuple(draft.attrs), draft.text, draft.signature, parent_id))
+        if draft.children:
+            stack.extend(zip(reversed(draft.children), repeat(node_id)))
+    return _seal(rows)
+
+
+def _seal(rows: list[_Row]) -> LabeledTree:
+    """Build the tree from one row per node, listed in pre-order.
+
+    Children are listed in id order, which is sibling order. An xpath
+    segment gets a 1-based ``[k]`` rank suffix only when the node has at
+    least one same-tag sibling. Text is whitespace-collapsed, and text that
+    collapses to nothing becomes ``None``.
+    """
+    tags, attrs, texts, signatures, parents = zip(*rows)
+    size = len(tags)
+    children: list[list[int]] = [[] for _ in range(size)]
+    for node_id in range(1, size):
+        children[parents[node_id]].append(node_id)  # type: ignore[index]
+    xpaths = [""] * size
+    xpaths[0] = "/" + tags[0]
+    for node_id, kids in enumerate(children):
+        if not kids:
             continue
+        prefix = xpaths[node_id] + "/"
+        kid_tags = [tags[c] for c in kids]
         tag_counts: dict[str, int] = {}
-        for child in draft.children:
-            tag_counts[child.tag] = tag_counts.get(child.tag, 0) + 1
+        for tag in kid_tags:
+            tag_counts[tag] = tag_counts.get(tag, 0) + 1
         seen: dict[str, int] = {}
-        entries = []
-        for child in draft.children:
-            tag = child.tag
+        for c, tag in zip(kids, kid_tags):
             if tag_counts[tag] >= 2:
                 seen[tag] = rank = seen.get(tag, 0) + 1
-                entries.append((child, node_id, f"{xpath}/{tag}[{rank}]"))
+                xpaths[c] = f"{prefix}{tag}[{rank}]"
             else:
-                entries.append((child, node_id, f"{xpath}/{tag}"))
-        stack.extend(reversed(entries))
-
-    nodes = []
-    for node_id, (draft, parent_id, xpath) in enumerate(walk):
-        text = draft.text
-        if text is not None:
-            text = " ".join(text.split()) or None
-        nodes.append(
-            TreeNode(
-                id=node_id,
-                tag=draft.tag,
-                attributes=tuple(draft.attrs),
-                text=text,
-                parent=parent_id,
-                children=tuple(child_ids[node_id]),
-                xpath=xpath,
-                signature=draft.signature,
-            )
-        )
-    return LabeledTree(tuple(nodes))
+                xpaths[c] = prefix + tag
+    texts = [text if text is None else " ".join(text.split()) or None for text in texts]
+    return LabeledTree(tuple(map(
+        TreeNode, range(size), tags, attrs, texts, parents, map(tuple, children), xpaths, signatures
+    )))
 
 
 def thaw(tree: LabeledTree) -> DraftNode:
@@ -296,52 +300,76 @@ def parse_html(document: bytes | str) -> LabeledTree:
 # {"tag": str, "attrs": {name: value, ...}?, "text": str?, "signature": str?,
 #  "children": [...]?}  recursively, UTF-8.
 
-def _draft_from_json(obj: object, path: str) -> DraftNode:
-    if not isinstance(obj, dict):
-        raise FormatError(f"expected object, got {type(obj).__name__}", path)
-    if "tag" not in obj:
-        raise FormatError("missing required field 'tag'", path)
-    tag = obj["tag"]
-    if not isinstance(tag, str) or not tag:
-        raise FormatError("'tag' must be a non-empty string", path)
-
-    attrs_obj = obj.get("attrs", {})
-    if not isinstance(attrs_obj, dict):
-        raise FormatError("'attrs' must be an object", path + ".attrs")
-    attrs = []
-    for name, value in attrs_obj.items():
-        if not isinstance(value, str):
-            raise FormatError("attribute values must be strings", f"{path}.attrs.{name}")
-        attrs.append((name, value))
-
-    text = obj.get("text")
-    if text is not None and not isinstance(text, str):
-        raise FormatError("'text' must be a string", path + ".text")
-    signature = obj.get("signature")
-    if signature is not None and not isinstance(signature, str):
-        raise FormatError("'signature' must be a string", path + ".signature")
-
-    children_obj = obj.get("children", [])
-    if not isinstance(children_obj, list):
-        raise FormatError("'children' must be an array", path + ".children")
-    children = [
-        _draft_from_json(child, f"{path}.children[{k}]")
-        for k, child in enumerate(children_obj)
-    ]
-    return DraftNode(tag=tag, attrs=attrs, text=text, signature=signature, children=children)
+_NO_ATTRS: dict = {}
+_NO_CHILDREN: list = []
 
 
 def parse_tree_json(text: str | bytes) -> LabeledTree:
-    """Read a tree from the JSON tree format; round-trips with :func:`serialize_tree_json`."""
+    """Read a tree from the JSON tree format; round-trips with :func:`serialize_tree_json`.
+
+    Raises :class:`FormatError` for the first node, in pre-order, that
+    violates the schema; its ``path`` reads like ``$.children[0].attrs``.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        draft = _draft_from_json(json.loads(text), "$")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", "$") from exc
     except RecursionError:
         raise FormatError("nested too deeply to read", "$") from None
-    return freeze(draft)
+    rows: list[_Row] = []
+    stack: list[tuple[object, int | None]] = [(doc, None)]
+    while stack:
+        obj, parent_id = stack.pop()
+        if not isinstance(obj, dict):
+            raise _format_error(rows, parent_id, f"expected object, got {type(obj).__name__}")
+        if "tag" not in obj:
+            raise _format_error(rows, parent_id, "missing required field 'tag'")
+        tag = obj["tag"]
+        if not isinstance(tag, str) or not tag:
+            raise _format_error(rows, parent_id, "'tag' must be a non-empty string")
+        attrs_obj = obj.get("attrs", _NO_ATTRS)
+        if not isinstance(attrs_obj, dict):
+            raise _format_error(rows, parent_id, "'attrs' must be an object", ".attrs")
+        attrs = tuple(attrs_obj.items())
+        for name, value in attrs:
+            if not isinstance(value, str):
+                raise _format_error(rows, parent_id, "attribute values must be strings",
+                                    f".attrs.{name}")
+        node_text = obj.get("text")
+        if node_text is not None and not isinstance(node_text, str):
+            raise _format_error(rows, parent_id, "'text' must be a string", ".text")
+        signature = obj.get("signature")
+        if signature is not None and not isinstance(signature, str):
+            raise _format_error(rows, parent_id, "'signature' must be a string", ".signature")
+        children = obj.get("children", _NO_CHILDREN)
+        if not isinstance(children, list):
+            raise _format_error(rows, parent_id, "'children' must be an array", ".children")
+        node_id = len(rows)
+        rows.append((tag, attrs, node_text, signature, parent_id))
+        if children:
+            stack.extend(zip(reversed(children), repeat(node_id)))
+    return _seal(rows)
+
+
+def _format_error(
+    rows: list[_Row], parent_id: int | None, message: str, suffix: str = ""
+) -> FormatError:
+    """The error at the node after ``rows``, a child of ``parent_id``; its
+    path is rebuilt from the parents of the nodes read so far."""
+    parents = [row[4] for row in rows] + [parent_id]
+    ranks: list[int] = []
+    child_counts: dict[int | None, int] = {}
+    for parent in parents:
+        ranks.append(child_counts.get(parent, 0))
+        child_counts[parent] = ranks[-1] + 1
+    steps = []
+    node_id = len(rows)
+    while (parent := parents[node_id]) is not None:
+        steps.append(f".children[{ranks[node_id]}]")
+        node_id = parent
+    return FormatError(message, "$" + "".join(reversed(steps)) + suffix)
 
 
 def _node_to_json(tree: LabeledTree, node_id: int) -> dict:

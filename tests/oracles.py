@@ -12,11 +12,16 @@ operator, and the similarity oracles keep the table as one flat
 walk's objective by exhaustive search, for graphs of at most 16 nodes;
 ``enumerate_matching_costs`` checks it on toy graphs. ``ReferenceZsRun`` is
 Zhang-Shasha as first written, always decomposing along leftmost paths.
+``reference_parse_tree_json`` and ``reference_freeze`` are the tree readers as
+first written: a recursive JSON reader that builds a ``DraftNode`` and a path
+string per node, and a freeze that assigns xpaths while it walks the drafts.
+``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import string
@@ -45,7 +50,7 @@ from treematch.similarity import (
     threshold_cutoff,
 )
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, tokenize_node
-from treematch.tree import DraftNode, LabeledTree, freeze, thaw
+from treematch.tree import DraftNode, FormatError, LabeledTree, TreeNode, freeze, thaw
 
 
 def brute_force_s0(
@@ -936,3 +941,102 @@ def reference_mutate(
 ) -> tuple[LabeledTree, MutationLog]:
     """The mutator as first written: a full candidate rescan before every operator."""
     return ReferenceMutator(tree, ratio, seed, source_page).run()
+
+
+# ---------------------------------------------------------------------------
+# The JSON reader and freeze as first written: one DraftNode and one path
+# string per JSON object, read recursively, then xpaths assigned while the
+# draft tree is walked.
+
+def reference_freeze(root: DraftNode) -> LabeledTree:
+    walk: list[tuple[DraftNode, int | None, str]] = []
+    child_ids: list[list[int]] = []
+    stack: list[tuple[DraftNode, int | None, str]] = [(root, None, "/" + root.tag)]
+    while stack:
+        draft, parent_id, xpath = entry = stack.pop()
+        node_id = len(walk)
+        walk.append(entry)
+        child_ids.append([])
+        if parent_id is not None:
+            child_ids[parent_id].append(node_id)
+        if not draft.children:
+            continue
+        tag_counts: dict[str, int] = {}
+        for child in draft.children:
+            tag_counts[child.tag] = tag_counts.get(child.tag, 0) + 1
+        seen: dict[str, int] = {}
+        entries = []
+        for child in draft.children:
+            tag = child.tag
+            if tag_counts[tag] >= 2:
+                seen[tag] = rank = seen.get(tag, 0) + 1
+                entries.append((child, node_id, f"{xpath}/{tag}[{rank}]"))
+            else:
+                entries.append((child, node_id, f"{xpath}/{tag}"))
+        stack.extend(reversed(entries))
+
+    nodes = []
+    for node_id, (draft, parent_id, xpath) in enumerate(walk):
+        text = draft.text
+        if text is not None:
+            text = " ".join(text.split()) or None
+        nodes.append(
+            TreeNode(
+                id=node_id,
+                tag=draft.tag,
+                attributes=tuple(draft.attrs),
+                text=text,
+                parent=parent_id,
+                children=tuple(child_ids[node_id]),
+                xpath=xpath,
+                signature=draft.signature,
+            )
+        )
+    return LabeledTree(tuple(nodes))
+
+
+def _reference_draft_from_json(obj: object, path: str) -> DraftNode:
+    if not isinstance(obj, dict):
+        raise FormatError(f"expected object, got {type(obj).__name__}", path)
+    if "tag" not in obj:
+        raise FormatError("missing required field 'tag'", path)
+    tag = obj["tag"]
+    if not isinstance(tag, str) or not tag:
+        raise FormatError("'tag' must be a non-empty string", path)
+
+    attrs_obj = obj.get("attrs", {})
+    if not isinstance(attrs_obj, dict):
+        raise FormatError("'attrs' must be an object", path + ".attrs")
+    attrs = []
+    for name, value in attrs_obj.items():
+        if not isinstance(value, str):
+            raise FormatError("attribute values must be strings", f"{path}.attrs.{name}")
+        attrs.append((name, value))
+
+    text = obj.get("text")
+    if text is not None and not isinstance(text, str):
+        raise FormatError("'text' must be a string", path + ".text")
+    signature = obj.get("signature")
+    if signature is not None and not isinstance(signature, str):
+        raise FormatError("'signature' must be a string", path + ".signature")
+
+    children_obj = obj.get("children", [])
+    if not isinstance(children_obj, list):
+        raise FormatError("'children' must be an array", path + ".children")
+    children = [
+        _reference_draft_from_json(child, f"{path}.children[{k}]")
+        for k, child in enumerate(children_obj)
+    ]
+    return DraftNode(tag=tag, attrs=attrs, text=text, signature=signature, children=children)
+
+
+def reference_parse_tree_json(text: str | bytes) -> LabeledTree:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        draft = _reference_draft_from_json(json.loads(text), "$")
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}", "$") from exc
+    except RecursionError:
+        raise FormatError("nested too deeply to read", "$") from None
+    return reference_freeze(draft)

@@ -395,6 +395,22 @@ class TestCsvInputsCheckedFirst:
         line = self.rejected(command, corpus, out, capsys)
         assert line == f"error: --out {str(out)!r} is in no existing directory"
 
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_out_is_a_directory(self, page_file, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "1",
+              "--out-dir", str(corpus)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([command, str(corpus), "--out", str(out)])
+        assert code == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            f"error: --out {str(out)!r} is a directory"
+        )
+        assert list(out.iterdir()) == []
+        assert not Path(str(out) + ".config.json").exists()
+
 
 class TestHelp:
     @pytest.mark.parametrize("command", ["match", "bench", "sweep"])

@@ -133,6 +133,23 @@ class TestBundles:
         found = discover_bundles(tmp_path)
         assert [p.name for p in found] == ["a1", "m5", "z9"]
 
+    def test_empty_corpus_has_no_bundles(self, tmp_path):
+        assert discover_bundles(tmp_path) == []
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_corpus_not_a_directory_raises(self, tmp_path, kind):
+        corpus = tmp_path / "corpus"
+        if kind == "file":
+            corpus.write_text("not a corpus")
+        message = f"corpus {str(corpus)!r} is not a directory"
+        with pytest.raises(NotADirectoryError) as err:
+            discover_bundles(corpus)
+        assert str(err.value) == message
+        with pytest.raises(NotADirectoryError):
+            run_benchmark(corpus, PARAMS, timeout_s=None)
+        with pytest.raises(NotADirectoryError):
+            sensitivity_sweep(corpus, [0.5], PARAMS)
+
 
 def make_corpus(tmp_path: Path, pages: int = 2, mutants: int = 2) -> Path:
     corpus = tmp_path / "corpus"

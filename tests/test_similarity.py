@@ -3,8 +3,9 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from conftest import CORPUS_DIR
 from oracles import brute_force_s0, flat_scores, table_from_scores
 from strategies import labeled_trees, tree_pairs
 from treematch.similarity import (
@@ -14,10 +15,12 @@ from treematch.similarity import (
     build_token_index,
     initial_similarity,
     neighbor_scores,
+    node_tokens,
     propagate,
     threshold_cutoff,
 )
-from treematch.tree import DraftNode, freeze
+from treematch.tokens import TokenOptions, tokenize_node
+from treematch.tree import DraftNode, freeze, parse_html
 
 EXACT = SftmParams(alpha=1.0)
 
@@ -220,6 +223,84 @@ class TestInitialSimilarity:
         # scores only its own xpath, ln(9), and no other p node
         for m in range(1, 9):
             assert rows[m] == {m: math.log(9)}
+
+
+TOKEN_MODES = {
+    "namespaced": TokenOptions(),
+    "flat": TokenOptions(flat=True),
+    "content": TokenOptions(include_content=True),
+    "flat_content": TokenOptions(flat=True, include_content=True),
+}
+
+# attribute names that sort below "/" ("!", "#id", "") or spell an xpath
+# ("/a", "/a/div"), so a flat xpath token lands inside a label's tokens or
+# repeats one of them
+ODD_NAMES = ("!", "#id", "", "/a", "/a/div", "/div", "class", "Z")
+
+
+@st.composite
+def odd_label_trees(draw, max_nodes: int = 10):
+    n = draw(st.integers(1, max_nodes))
+    parents = [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    nodes = []
+    for _ in range(n):
+        names = draw(st.lists(st.sampled_from(ODD_NAMES), max_size=3, unique=True))
+        values = st.sampled_from(("", "x", "a-b", "/a", "div 2"))
+        attrs = [(name, draw(values)) for name in names]
+        text = draw(st.sampled_from((None, "", "a", "x y", "div")))
+        nodes.append(DraftNode(tag=draw(st.sampled_from(("a", "div", "x"))),
+                               attrs=attrs, text=text))
+    for k, parent in enumerate(parents, start=1):
+        nodes[parent].children.append(nodes[k])
+    return freeze(nodes[0])
+
+
+def sorted_tokens(tree, options):
+    return [sorted(tokenize_node(tree, n, options)) for n in range(len(tree))]
+
+
+class TestNodeTokens:
+    """Per-label token lists against per-node ``sorted(tokenize_node(...))``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(odd_label_trees(), odd_label_trees()), st.sampled_from(sorted(TOKEN_MODES)))
+    def test_equal_sorted_tokenize_node(self, pair, mode):
+        options = TOKEN_MODES[mode]
+        labels: dict = {}
+        for tree in pair:
+            assert list(node_tokens(tree, options, labels)) == sorted_tokens(tree, options)
+
+    @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
+    @pytest.mark.parametrize("page", ["p04", "p13"])
+    def test_corpus_pages(self, corpus_pages, page, mode):
+        tree = parse_html(next(CORPUS_DIR.glob(page + "_*.html")).read_bytes())
+        options = TOKEN_MODES[mode]
+        labels: dict = {}
+        assert list(node_tokens(tree, options, labels)) == sorted_tokens(tree, options)
+        assert len(labels) < len(tree)
+
+    def test_flat_xpath_placed_among_label_tokens(self):
+        tree = freeze(DraftNode(tag="a", attrs=[("!", ""), ("b", "")]))
+        assert list(node_tokens(tree, TOKEN_MODES["flat"], {})) == [["!", "/a", "a", "b"]]
+
+    def test_flat_xpath_equal_to_a_label_token_is_kept_once(self):
+        tree = freeze(DraftNode(tag="a", attrs=[("/a", "")]))
+        assert list(node_tokens(tree, TOKEN_MODES["flat"], {})) == [["/a", "a"]]
+
+    def test_one_label_tokenized_once_across_trees(self):
+        t1 = freeze(DraftNode(tag="p", children=[DraftNode(tag="p"), DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="b", children=[DraftNode(tag="p")]))
+        labels: dict = {}
+        for tree in (t1, t2):
+            list(node_tokens(tree, TOKEN_MODES["namespaced"], labels))
+        assert sorted(labels) == [("b", (), None), ("p", (), None)]
+
+    def test_text_is_part_of_the_label_only_with_content(self):
+        tree = freeze(DraftNode(tag="p", children=[DraftNode(tag="p", text="x")]))
+        for mode, count in (("namespaced", 1), ("content", 2)):
+            labels: dict = {}
+            list(node_tokens(tree, TOKEN_MODES[mode], labels))
+            assert len(labels) == count
 
 
 class TestPropagate:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given
+import json
 
-from strategies import draft_trees, labeled_trees
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import reference_freeze, reference_parse_tree_json
+from strategies import draft_trees, labeled_trees, signed_tree
 from treematch.tree import (
     DraftNode,
     FormatError,
@@ -186,3 +189,109 @@ class TestInvariants:
     def test_ids_are_preorder(self):
         tree = parse_html(b"<a><b><c/></b><d/></a>")
         assert [(n.id, n.tag) for n in tree] == [(0, "a"), (1, "b"), (2, "c"), (3, "d")]
+
+
+def _node_rows(tree):
+    return [
+        (n.id, n.tag, n.attributes, n.text, n.parent, n.children, n.xpath, n.signature)
+        for n in tree
+    ]
+
+
+def _read(reader, text):
+    """A reader's tree as node tuples, or its error message and path."""
+    try:
+        return _node_rows(reader(text))
+    except FormatError as exc:
+        return str(exc), exc.path
+
+
+def _preorder(obj: dict) -> list[dict]:
+    out, stack = [], [obj]
+    while stack:
+        current = stack.pop()
+        out.append(current)
+        stack.extend(reversed(current.get("children", [])))
+    return out
+
+
+# each breaks one field of one node object; the last two are valid nulls
+_CORRUPTIONS = {
+    "attrs null": lambda o: o.__setitem__("attrs", None),
+    "attrs array": lambda o: o.__setitem__("attrs", [["k", "v"]]),
+    "attr value int": lambda o: o.setdefault("attrs", {}).__setitem__("x.y", 3),
+    "attr value null": lambda o: o.setdefault("attrs", {}).__setitem__("k", None),
+    "children null": lambda o: o.__setitem__("children", None),
+    "children object": lambda o: o.__setitem__("children", {}),
+    "child int": lambda o: o.setdefault("children", []).append(7),
+    "child string": lambda o: o.setdefault("children", []).insert(0, "div"),
+    "child array": lambda o: o.setdefault("children", []).append([]),
+    "child null": lambda o: o.setdefault("children", []).append(None),
+    "tag missing": lambda o: o.pop("tag"),
+    "tag empty": lambda o: o.__setitem__("tag", ""),
+    "tag int": lambda o: o.__setitem__("tag", 1),
+    "tag null": lambda o: o.__setitem__("tag", None),
+    "text int": lambda o: o.__setitem__("text", 3),
+    "signature list": lambda o: o.__setitem__("signature", ["s"]),
+    "text null": lambda o: o.__setitem__("text", None),
+    "signature null": lambda o: o.__setitem__("signature", None),
+}
+
+
+@st.composite
+def malformed_documents(draw) -> str:
+    """A random tree's JSON with one to three of its nodes corrupted."""
+    obj = json.loads(serialize_tree_json(draw(labeled_trees(max_nodes=12, edge_values=True))))
+    nodes = _preorder(obj)
+    indexes = st.integers(0, len(nodes) - 1)
+    for k in draw(st.lists(indexes, min_size=1, max_size=3, unique=True)):
+        _CORRUPTIONS[draw(st.sampled_from(sorted(_CORRUPTIONS)))](nodes[k])
+    return json.dumps(obj)
+
+
+class TestReaderOracle:
+    """The one-pass JSON reader and freeze against the draft-based readers
+    kept in ``oracles.py``."""
+
+    @settings(max_examples=50)
+    @given(draft_trees(max_nodes=25, edge_values=True))
+    def test_freeze_equals_reference(self, draft):
+        assert _node_rows(freeze(draft)) == _node_rows(reference_freeze(draft))
+
+    def test_freeze_collapses_blank_text(self):
+        draft = DraftNode(tag="a", text=" \n ", children=[DraftNode(tag="b", text=" x  y ")])
+        assert _node_rows(freeze(draft)) == _node_rows(reference_freeze(draft))
+        assert [n.text for n in freeze(draft)] == [None, "x y"]
+
+    @settings(max_examples=50)
+    @given(labeled_trees(max_nodes=25, edge_values=True))
+    def test_valid_documents(self, tree):
+        text = serialize_tree_json(signed_tree(tree))
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+
+    @settings(max_examples=120)
+    @given(malformed_documents())
+    def test_malformed_documents(self, text):
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"tag":"a","attrs":null}', "$.attrs"),
+        ('{"tag":"a","children":null}', "$.children"),
+        ('{"tag":"a","children":[{"tag":"b"},{"tag":"c","attrs":{"k":1}}]}',
+         "$.children[1].attrs.k"),
+        ('{"tag":"a","children":[{"tag":"b","children":[{"tag":"c"},3]}]}',
+         "$.children[0].children[1]"),
+        ('{"tag":"a","children":[{"tag":"b","children":[{"tag":""}]},{"tag":"c"}]}',
+         "$.children[0].children[0]"),
+        ('[{"tag":"a"}]', "$"),
+        ('{"tag":"a","children":[' * 600 + '{"tag":"b"}' + "]}" * 600, "$"),
+    ])
+    def test_error_paths(self, text, path):
+        with pytest.raises(FormatError) as err:
+            parse_tree_json(text)
+        assert err.value.path == path
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+
+    def test_null_text_and_signature_read_as_absent(self):
+        text = '{"tag":"a","text":null,"signature":null,"attrs":{},"children":[]}'
+        assert _read(parse_tree_json, text) == [(0, "a", (), None, None, (), "/a", None)]
