@@ -103,7 +103,7 @@ def build_token_index(
     t1: LabeledTree, options: TokenOptions = DEFAULT_TOKEN_OPTIONS
 ) -> TokenIndex:
     """Index every node of the first tree under each of its tokens."""
-    return _index((sorted(tokenize_node(t1, node.id, options)) for node in t1), len(t1))
+    return _index(node_tokens(t1, options, {}), len(t1))
 
 
 def _index(token_lists: Iterable[list[str]], t1_size: int) -> TokenIndex:

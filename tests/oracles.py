@@ -44,8 +44,8 @@ from treematch.mutate import (
 from treematch.similarity import (
     SftmParams,
     SimilarityTable,
+    TokenIndex,
     apply_threshold,
-    build_token_index,
     neighbor_scores,
     threshold_cutoff,
 )
@@ -104,7 +104,12 @@ def reference_initial_similarity(
     params: SftmParams,
     options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
 ) -> dict[tuple[int, int], float]:
-    index = apply_threshold(build_token_index(t1, options), params.alpha)
+    # the index as first written, from each node's own sorted token set
+    entries: dict[str, set[int]] = {}
+    for n in range(len(t1)):
+        for token in sorted(tokenize_node(t1, n, options)):
+            entries.setdefault(token, set()).add(n)
+    index = apply_threshold(TokenIndex(entries=entries, t1_size=len(t1)), params.alpha)
     table: dict[tuple[int, int], float] = {}
     for m in range(len(t2)):
         for n, s in neighbor_scores(t2, m, index, options).items():

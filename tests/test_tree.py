@@ -284,7 +284,6 @@ class TestReaderOracle:
         ('{"tag":"a","children":[{"tag":"b","children":[{"tag":""}]},{"tag":"c"}]}',
          "$.children[0].children[0]"),
         ('[{"tag":"a"}]', "$"),
-        ('{"tag":"a","children":[' * 600 + '{"tag":"b"}' + "]}" * 600, "$"),
     ])
     def test_error_paths(self, text, path):
         with pytest.raises(FormatError) as err:
