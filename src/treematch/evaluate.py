@@ -105,7 +105,13 @@ def write_bundle(
 
 
 def load_bundle(directory: Path) -> MutantBundle:
+    """Read a bundle; raises :class:`CorpusError` if one of its three files is
+    missing, is not a regular file (so no FIFO can block the read) or does
+    not parse."""
     directory = Path(directory)
+    for name in (SOURCE_FILE, MUTANT_FILE, LOG_FILE):
+        if not (directory / name).is_file():
+            raise CorpusError(f"bad bundle {directory}: {name} is not a regular file")
     try:
         source = parse_tree_json((directory / SOURCE_FILE).read_text(encoding="utf-8"))
         mutant = parse_tree_json((directory / MUTANT_FILE).read_text(encoding="utf-8"))

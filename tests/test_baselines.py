@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, build
 from oracles import (
     TooLarge,
     brute_force_optimal,
@@ -15,7 +15,7 @@ from oracles import (
     reference_ted_table,
     table_from_scores,
 )
-from strategies import tree_pairs
+from strategies import labeled_trees, tree_pairs
 from treematch.baselines import _postorder_structure, _ZsRun, ted_distance, ted_match
 from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
@@ -185,6 +185,82 @@ class TestTedDirection:
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="x"), DraftNode(tag="z")]))
         assert self.assert_like_left_to_right(t1, t2)
         assert not self.assert_like_left_to_right(mirrored(t1), mirrored(t2))
+
+
+class TestTedLeafKeyroots:
+    """Pairs with a leaf keyroot are written in closed form; the kernel runs
+    only on pairs of inner keyroots."""
+
+    @staticmethod
+    def assert_both_directions(t1: LabeledTree, t2: LabeledTree) -> None:
+        TestTedDirection.assert_like_left_to_right(t1, t2)
+        TestTedDirection.assert_like_left_to_right(mirrored(t1), mirrored(t2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_trees(max_nodes=12, with_attrs=False),
+           labeled_trees(max_nodes=12, with_attrs=False))
+    def test_tag_only_pairs_equal_left_to_right_oracle(self, t1, t2):
+        # eight tags and no attributes: a leaf's label is often in the other
+        # tree and often not
+        self.assert_both_directions(t1, t2)
+
+    @pytest.mark.parametrize("tag", ["p", "b"], ids=["present", "absent"])
+    def test_one_node_tree_on_either_side(self, tag):
+        tree = freeze(build("div", build("p", build("a")), build("span"), build("ul", build("li"))))
+        one = freeze(build(tag))
+        self.assert_both_directions(tree, one)
+        self.assert_both_directions(one, tree)
+        assert ted_distance(tree, one) == ted_distance(one, tree) == (5.0 if tag == "p" else 6.0)
+
+    @pytest.mark.parametrize("t2_tag,distance", [("a", 0.0), ("b", 1.0)])
+    def test_two_one_node_trees(self, t2_tag, distance):
+        t1, t2 = freeze(build("a")), freeze(build(t2_tag))
+        self.assert_both_directions(t1, t2)
+        assert ted_distance(t1, t2) == distance
+        assert ted_match(t1, t2).pair_costs == (distance,)
+
+    def test_star_against_chain(self):
+        star = freeze(build("ul", *(build(tag) for tag in ("li", "a", "li", "p", "li"))))
+        line = chain("ul", "li", "p", "li")
+        self.assert_both_directions(star, line)
+        self.assert_both_directions(line, star)
+
+    def test_only_inner_keyroot_is_the_root(self):
+        # left to right, the inner child shares the root's leftmost leaf, so
+        # every other keyroot is a leaf
+        t1 = freeze(build("div", build("ul", build("li"), build("li")), build("p"), build("a")))
+        t2 = freeze(build("div", build("ul", build("li")), build("a")))
+        for tree in (t1, t2):
+            left, _ = _postorder_structure(tree)
+            assert [k for k in left.keyroots if left.lmd[k] != k] == [len(tree) - 1]
+        self.assert_both_directions(t1, t2)
+        self.assert_both_directions(t2, t1)
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["mirrored-pass", "left-to-right-pass"])
+    def test_kernel_never_gets_a_leaf_keyroot(self, monkeypatch, mirror):
+        pages = sorted(CORPUS_DIR.glob("p00_*.html"))
+        if not pages:
+            pytest.skip("bundled corpus not generated")
+        source = assign_signatures(parse_html(pages[0].read_bytes()))
+        mutant, _ = mutate(source, 0.2, 0)
+        if mirror:
+            source, mutant = mirrored(source), mirrored(mutant)
+        calls: list[tuple[int, list[int]]] = []
+        fill = _ZsRun._fill
+
+        def spy(run: _ZsRun, i: int, js) -> None:
+            js = list(js)
+            assert run.lmd1[i] != i and all(run.lmd2[j] != j for j in js)
+            calls.append((i, js))
+            fill(run, i, js)
+
+        monkeypatch.setattr(_ZsRun, "_fill", spy)
+        run = _ZsRun(source, mutant)
+        assert run.mirrored is not mirror
+        # one call per inner keyroot of t1, against every inner keyroot of t2
+        pass1, pass2 = (s[run.mirrored] for s in map(_postorder_structure, (source, mutant)))
+        inner1, inner2 = ([k for k in s.keyroots if s.lmd[k] != k] for s in (pass1, pass2))
+        assert calls == [(i, inner2) for i in inner1]
 
 
 def descendants(tree: LabeledTree, node_id: int) -> set[int]:

@@ -125,6 +125,21 @@ class TestBundles:
         with pytest.raises(CorpusError):
             load_bundle(tmp_path / "broken")
 
+    @pytest.mark.parametrize("name", ["source.html.json", "mutant.html.json", "mutations.json"])
+    def test_fifo_in_place_of_a_file_raises(self, tmp_path, name):
+        source = page()
+        mutant, log = mutate(source, 0.25, seed=3, source_page="pg")
+        write_bundle(tmp_path / "b0", source, mutant, log)
+        (tmp_path / "b0" / name).unlink()
+        os.mkfifo(tmp_path / "b0" / name)
+        # in a child with a cap: a read of the FIFO would block forever
+        load = ("import sys\nfrom treematch.evaluate import CorpusError, load_bundle\n"
+                "try:\n    load_bundle(sys.argv[1])\n"
+                "except CorpusError as exc:\n    print(exc)\n")
+        done = run_python(["-c", load, str(tmp_path / "b0")], timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"bad bundle {tmp_path / 'b0'}: {name} is not a regular file\n"
+
     def test_discover_sorted(self, tmp_path):
         source = page()
         for name in ("z9", "a1", "m5"):
