@@ -6,14 +6,14 @@ construction, which is exactly the restriction the similarity matcher is
 free of; it serves as the classical quality/time reference. It is a direct
 dynamic-programming implementation, quadratic tables and all, so expect
 minutes on trees beyond a few thousand nodes. Insert, delete and relabel
-all cost 1.0 (unit costs); relabel compares (tag, attributes) for equality.
+all cost 1 (unit costs); relabel compares (tag, attributes) for equality.
+Every table cell is thus an int no larger than n1 + n2; only the distance
+and the pair costs the API returns are floats.
 
 One kernel, ``_ZsRun._fill``, writes the forest-distance table of a subtree
-pair into one buffer. The distance pass runs it for every pair of inner
-keyroots; the backtrace reruns it for each pair it descends into and reads
-that buffer. A rerun writes the same top-left region with the same float
-operations, so it reproduces the table and the tree distances of the
-distance pass.
+pair into one buffer, in one loop over its cells. The distance pass runs it
+for every pair of inner keyroots; the backtrace reruns it for each pair it
+descends into and reads that buffer.
 
 Over every keyroot pair the kernel would fill S1 x S2 forest cells, where
 S is the summed size of a tree's keyroot subtrees. Zhang and Shasha
@@ -22,10 +22,9 @@ decompose along leftmost paths; the same kernel run on both trees mirrored
 which on each bundled corpus page fills 46-64% of the left-to-right count.
 The pass runs in whichever direction fills fewer (left to right on a tie);
 a mirrored tree-distance table is then reordered into left-to-right
-postorder. Mirroring both trees leaves every subtree distance the same,
-and with unit costs each one is an exact small integer, so the table, the
-distance and the backtrace, which always runs left to right, do not depend
-on the direction.
+postorder. Mirroring both trees leaves every subtree distance the same, so
+the table, the distance and the backtrace, which always runs left to
+right, do not depend on the direction.
 
 Most keyroots are leaves, and a keyroot pair with a leaf writes only
 distances from a subtree T to a single node. Under unit costs that
@@ -37,8 +36,7 @@ closed form, with one forward pass over postorder per distinct leaf label,
 then runs the kernel on the inner keyroot pairs in the same ascending
 order, so every cell a pair reads is already written. On each corpus page
 against itself that leaves 11-18% of the keyroot pairs and 78-83% of the
-forest cells. Each closed-form cell is the exact integer the kernel would
-have written, so the table and the matching are the same to the bit.
+forest cells.
 """
 
 from __future__ import annotations
@@ -48,9 +46,6 @@ from typing import NamedTuple
 
 from .graph import Matching
 from .tree import LabeledTree
-
-# cost of one insert, delete or relabel
-_EDIT_COST = 1.0
 
 
 class _Structure(NamedTuple):
@@ -121,7 +116,7 @@ def _leaves_by_label(keyroots: list[int], lmd: list[int], lab: list[int]) -> dic
     return out
 
 
-def _to_one_node(lab: list[int], lmd: list[int], label: int) -> list[float]:
+def _to_one_node(lab: list[int], lmd: list[int], label: int) -> list[int]:
     """Unit-cost distance from each subtree to a single node labelled ``label``.
 
     Subtree ``x`` is the positions ``lmd[x]..x``; it holds the label when the
@@ -134,11 +129,11 @@ def _to_one_node(lab: list[int], lmd: list[int], label: int) -> list[float]:
     for x, (lx, lab_x) in enumerate(zip(lmd, lab)):
         if lab_x == label:
             last = x
-        out.append(float(x - lx + (last < lx)))
+        out.append(x - lx + (last < lx))
     return out
 
 
-def _reordered(td: list[list[float]], order1: list[int], order2: list[int]) -> list[list[float]]:
+def _reordered(td: list[list[int]], order1: list[int], order2: list[int]) -> list[list[int]]:
     """``td`` moved from mirrored postorder positions to the ``order`` ones.
 
     Node ids are pre-order and mirrored postorder is pre-order reversed, so
@@ -163,8 +158,8 @@ class _ZsRun:
     forest cells (``mirrored`` says which); either way ``td`` ends up in
     left-to-right postorder positions, as do ``order``, ``lmd`` and ``lab``,
     and the backtrace reads only those. The mirrored pass computes each tree
-    distance on the mirrored subtrees, which is the same exact integer, so
-    ``td`` and the matching are those of the left-to-right pass.
+    distance on the mirrored subtrees, which is the same distance, so ``td``
+    and the matching are those of the left-to-right pass.
 
     Every ``td`` cell of a keyroot pair with a leaf (its whole row when the
     leaf is in t1, its whole column when in t2) is a distance to one node,
@@ -180,10 +175,10 @@ class _ZsRun:
         self.mirrored = right1.span * right2.span < left1.span * left2.span
         pass1, pass2 = (right1, right2) if self.mirrored else (left1, left2)
         self._orient(pass1, pass2, ids1, ids2)
-        self.td = td = [[0.0] * n2 for _ in range(n1)]
+        self.td = td = [[0] * n2 for _ in range(n1)]
         # one reusable forest-distance buffer; each subtree pair only touches
         # its own top-left region before reading it
-        self.fd = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+        self.fd = [[0] * (n2 + 1) for _ in range(n1 + 1)]
         # a pair with a leaf keyroot writes only distances to one node: write
         # them in closed form, leaf rows of t1 first, then leaf columns of t2
         for label, leaves in _leaves_by_label(self.kr1, self.lmd1, self.lab1).items():
@@ -220,7 +215,6 @@ class _ZsRun:
         """
         lmd1, lmd2 = self.lmd1, self.lmd2
         lab1, lab2 = self.lab1, self.lab2
-        cost = _EDIT_COST
         td, fd = self.td, self.fd
         li = lmd1[i]
         m = i - li + 2
@@ -229,53 +223,40 @@ class _ZsRun:
             lj = lmd2[j]
             n = j - lj + 2
             joff = lj - 1
-            row0 = fd[0]
-            row0[0] = 0.0
-            for y in range(1, n):
-                row0[y] = row0[y - 1] + cost
-            prev = row0
+            fd[0][:n] = range(n)
+            prev = fd[0]
             for x in range(1, m):
                 xi = x + ioff
                 cur = fd[x]
-                cur[0] = prev[0] + cost
+                cur[0] = x
                 lx = lmd1[xi]
+                on_path = lx == li
+                # the row before subtree xi; row 0 when xi is on the path
+                p_row = fd[lx - 1 - ioff]
                 tdx = td[xi]
                 labx = lab1[xi]
-                if lx == li:
-                    for y in range(1, n):
-                        yj = y + joff
-                        best = prev[y] + cost
-                        left = cur[y - 1] + cost
-                        if left < best:
-                            best = left
-                        if lmd2[yj] == lj:
-                            diag = prev[y - 1] + (0.0 if labx == lab2[yj] else cost)
-                            if diag < best:
-                                best = diag
-                            cur[y] = best
-                            tdx[yj] = best
-                        else:
-                            sub = fd[lx - 1 - ioff][lmd2[yj] - 1 - joff] + tdx[yj]
-                            if sub < best:
-                                best = sub
-                            cur[y] = best
-                else:
-                    p_row = fd[lx - 1 - ioff]
-                    for y in range(1, n):
-                        yj = y + joff
-                        best = prev[y] + cost
-                        left = cur[y - 1] + cost
-                        if left < best:
-                            best = left
-                        sub = p_row[lmd2[yj] - 1 - joff] + tdx[yj]
+                for y in range(1, n):
+                    yj = y + joff
+                    best = prev[y] + 1
+                    left = cur[y - 1] + 1
+                    if left < best:
+                        best = left
+                    ly = lmd2[yj]
+                    if on_path and ly == lj:
+                        diag = prev[y - 1] + (labx != lab2[yj])
+                        if diag < best:
+                            best = diag
+                        tdx[yj] = best
+                    else:
+                        sub = p_row[ly - 1 - joff] + tdx[yj]
                         if sub < best:
                             best = sub
-                        cur[y] = best
+                    cur[y] = best
                 prev = cur
 
     @property
     def distance(self) -> float:
-        return self.td[-1][-1]
+        return float(self.td[-1][-1])
 
     def mapping(self) -> list[tuple[int, int]]:
         """Matched (postorder1, postorder2) positions of one optimal script."""
@@ -307,12 +288,11 @@ class _ZsRun:
             yj = y + joff
             cur = fd[x][y]
             if lmd1[xi] == li and lmd2[yj] == lj:
-                rel = 0.0 if self.lab1[xi] == self.lab2[yj] else _EDIT_COST
-                if cur == fd[x - 1][y - 1] + rel:
+                if cur == fd[x - 1][y - 1] + (self.lab1[xi] != self.lab2[yj]):
                     out.append((xi, yj))
                     x -= 1
                     y -= 1
-                elif cur == fd[x - 1][y] + _EDIT_COST:
+                elif cur == fd[x - 1][y] + 1:
                     x -= 1
                 else:
                     y -= 1
@@ -323,7 +303,7 @@ class _ZsRun:
                     stack.append((xi, yj))
                     x = p
                     y = q
-                elif cur == fd[x - 1][y] + _EDIT_COST:
+                elif cur == fd[x - 1][y] + 1:
                     x -= 1
                 else:
                     y -= 1
@@ -344,7 +324,7 @@ def ted_match(t1: LabeledTree, t2: LabeledTree) -> Matching:
     run = _ZsRun(t1, t2)
     # (t1 id, t2 id, relabel cost) of each mapped pair, in id order
     mapped = sorted(
-        (run.order1[x], run.order2[y], 0.0 if run.lab1[x] == run.lab2[y] else _EDIT_COST)
+        (run.order1[x], run.order2[y], float(run.lab1[x] != run.lab2[y]))
         for x, y in run.mapping()
     )
     return Matching(

@@ -23,7 +23,6 @@ first access.
 from __future__ import annotations
 
 import json
-import struct
 from array import array
 from collections import defaultdict
 from dataclasses import InitVar, dataclass
@@ -113,14 +112,7 @@ def _chains(ends: tuple[int, ...], size: int) -> tuple[array, array]:
         node = ends[idx]
         nxt[idx] = first[node]
         first[node] = idx
-    return _int_array(first), _int_array(nxt)
-
-
-def _int_array(values: list[int]) -> array:
-    # one C-level pack converts faster than array("i", values) item by item
-    out = array("i")
-    out.frombytes(struct.pack(f"{len(values)}i", *values))
-    return out
+    return array("i", first), array("i", nxt)
 
 
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:

@@ -21,7 +21,6 @@ keyed by a plain int and no tuple is built per pair.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -175,8 +174,8 @@ def node_tokens(
     set; passing one dict for both trees tokenizes each label once. A node
     then adds only its xpath token. In the namespaced mode that token sorts
     after every label token, since ``xpath:`` sorts after the other
-    prefixes; in the flat mode it is placed by bisection unless the label
-    already holds it.
+    prefixes; in the flat mode it may sort anywhere, or repeat a label
+    token, so it is sorted in with the label's set.
     """
     flat, content = options.flat, options.include_content
     for node in tree:
@@ -188,13 +187,7 @@ def node_tokens(
             label = labels[key] = (sorted(words), words)
         ordered, words = label
         xpath = xpath_token(node.xpath, options)
-        if not flat:
-            yield [*ordered, xpath]
-        elif xpath in words:
-            yield ordered
-        else:
-            at = bisect_left(ordered, xpath)
-            yield [*ordered[:at], xpath, *ordered[at:]]
+        yield sorted(words | {xpath}) if flat else [*ordered, xpath]
 
 
 def initial_similarity(

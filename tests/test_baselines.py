@@ -153,7 +153,9 @@ class TestTedDirection:
     def assert_like_left_to_right(t1: LabeledTree, t2: LabeledTree) -> bool:
         run, table = _ZsRun(t1, t2), reference_ted_table(t1, t2)
         assert run.td == table
-        assert ted_distance(t1, t2) == table[-1][-1]
+        distance = ted_distance(t1, t2)
+        assert distance == table[-1][-1]
+        assert type(distance) is float
         got, want = ted_match(t1, t2), reference_ted_match(t1, t2)
         assert got.pairs == want.pairs
         assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
