@@ -106,8 +106,8 @@ def write_bundle(
 
 def load_bundle(directory: Path) -> MutantBundle:
     """Read a bundle; raises :class:`CorpusError` if one of its three files is
-    missing, is not a regular file (so no FIFO can block the read) or does
-    not parse."""
+    missing, is not a regular file (so no FIFO can block the read), does not
+    parse, or is valid JSON of the wrong shape."""
     directory = Path(directory)
     for name in (SOURCE_FILE, MUTANT_FILE, LOG_FILE):
         if not (directory / name).is_file():
@@ -116,7 +116,7 @@ def load_bundle(directory: Path) -> MutantBundle:
         source = parse_tree_json((directory / SOURCE_FILE).read_text(encoding="utf-8"))
         mutant = parse_tree_json((directory / MUTANT_FILE).read_text(encoding="utf-8"))
         log = mutation_log_from_json((directory / LOG_FILE).read_text(encoding="utf-8"))
-    except (OSError, FormatError, KeyError, ValueError) as exc:
+    except (OSError, FormatError, KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"bad bundle {directory}: {exc}") from exc
     return MutantBundle(name=directory.name, source=source, mutant=mutant, log=log)
 

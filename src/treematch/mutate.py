@@ -19,21 +19,23 @@ Each operator makes its draws in this order:
 
 A change to any pool's order or membership changes every later draw.
 
-``_Mutator`` updates the pools in place instead of rescanning the tree before
-each operator. After every operator:
+``_Mutator`` takes its drafts, in pre-order, from :func:`thaw`, and each
+node's parent and signed count from the tree's parent ids. It then updates
+the pools in place instead of rescanning the tree before each operator.
+After every operator:
 
-- ``nodes`` and ``sigs`` hold the draft's signed nodes in pre-order, and a
-  node's signed subtree is the slice starting at its position whose length
-  is its ``signed_count``;
+- ``nodes`` holds the draft's signed nodes in pre-order, and a node's signed
+  subtree is the slice starting at its position whose length is its
+  ``signed_count``;
 - one flag bytearray per kind is aligned with them: has-parent (shared by
   duplicate and unwrap), swap (the parent has at least 2 children), and one
   per attribute and text kind; wrap targets every signed node, and
   remove_node every node with a parent whose signed count is at most the
   number of nodes still to mutate (checked lazily);
-- ``parent_of`` and ``signed_count`` hold every signed node, keyed by
-  signature, and every wrapper and copy, keyed by ``id()`` and registered
-  when it is created (the id of an unregistered node may have belonged to a
-  node that died).
+- ``parent_of`` and ``signed_count`` key each signed node, wrapper and copy
+  by ``id()``. A wrapper or copy is registered when it is created, so it
+  overwrites the entries of a dead node whose id it reuses before anything
+  reads them.
 
 Structural operators edit slices of the arrays; in-place operators recompute
 only their target's attribute and text flags, which can flip either way.
@@ -44,7 +46,7 @@ from __future__ import annotations
 import json
 import random
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from .tree import DraftNode, LabeledTree, freeze, thaw
@@ -111,7 +113,7 @@ def assign_signatures(tree: LabeledTree) -> LabeledTree:
     matchers never see them.
     """
     return LabeledTree(
-        tuple(replace(node, signature=f"s{node.id:05d}") for node in tree)
+        tuple(node._replace(signature=f"s{node.id:05d}") for node in tree)
     )
 
 
@@ -158,11 +160,6 @@ def _content_flags(node: DraftNode) -> tuple[bool, ...]:
     )
 
 
-def _key(node: DraftNode) -> str | int:
-    """Bookkeeping key: the signature, or ``id()`` for a registered unsigned node."""
-    return node.signature if node.signature is not None else id(node)
-
-
 class _Mutator:
     def __init__(self, tree: LabeledTree, ratio: float, seed: int, source_page: str):
         if not 0.0 <= ratio <= 0.5:
@@ -174,56 +171,49 @@ class _Mutator:
         self.seed = seed
         self.source_page = source_page
         self.target = int(ratio * len(tree) + 0.5)
-        self.root = thaw(tree)
+        drafts = self.nodes = thaw(tree)
+        self.root = drafts[0]
         self.rng = random.Random(seed)
         self.mutated: set[str] = set()
         self.removed: set[str] = set()
         self.ops: list[MutationOp] = []
 
-        # pre-order walk of the draft; every node is signed at this point
-        nodes: list[DraftNode] = []
-        parents: list[DraftNode | None] = []
-        stack: list[tuple[DraftNode, DraftNode | None]] = [(self.root, None)]
-        while stack:
-            node, parent = stack.pop()
-            nodes.append(node)
-            parents.append(parent)
-            stack.extend((child, node) for child in reversed(node.children))
-        self.nodes = nodes
-        self.sigs: list[str] = [node.signature for node in nodes]  # type: ignore[misc]
-        self.parent_of: dict[str | int, DraftNode | None] = dict(zip(self.sigs, parents))
-        self.signed_count: dict[str | int, int] = {}
-        for node in reversed(nodes):
-            self.signed_count[_key(node)] = 1 + sum(
-                self.signed_count[_key(child)] for child in node.children
-            )
+        # every node is signed at this point, and a child's id is above its parent's
+        parent_ids = [node.parent for node in tree]
+        signed = [1] * len(drafts)
+        for node_id in range(len(drafts) - 1, 0, -1):
+            signed[parent_ids[node_id]] += signed[node_id]  # type: ignore[index]
+        parents = [None, *map(drafts.__getitem__, parent_ids[1:])]
+        keys = list(map(id, drafts))
+        self.parent_of: dict[int, DraftNode | None] = dict(zip(keys, parents))
+        self.signed_count: dict[int, int] = dict(zip(keys, signed))
         self._has_parent = bytearray(p is not None for p in parents)
         self._swap = bytearray(p is not None and len(p.children) >= 2 for p in parents)
-        self._content = [bytearray(col) for col in zip(*map(_content_flags, nodes))]
+        self._content = [bytearray(col) for col in zip(*map(_content_flags, drafts))]
         self._flags = {
             "duplicate": self._has_parent,
             "unwrap": self._has_parent,
             "swap": self._swap,
             **dict(zip(_CONTENT_KINDS, self._content)),
         }
-        self._arrays: list = [self.nodes, self.sigs, self._has_parent, self._swap, *self._content]
+        self._arrays: list = [self.nodes, self._has_parent, self._swap, *self._content]
 
     # -- pools -----------------------------------------------------------
 
     def has_target(self, kind: str, need: int) -> bool:
         if kind == "remove_node":
             count = self.signed_count
-            return any(count[s] <= need for s in compress(self.sigs, self._has_parent))
+            return any(count[id(n)] <= need for n in compress(self.nodes, self._has_parent))
         if kind == "wrap":
-            return bool(self.sigs)
+            return bool(self.nodes)
         return 1 in self._flags[kind]
 
     def pool(self, kind: str, need: int) -> list[int]:
         """Pre-order positions of ``kind``'s targets."""
-        everyone = range(len(self.sigs))
+        everyone = range(len(self.nodes))
         if kind == "remove_node":
-            count, sigs = self.signed_count, self.sigs
-            return [i for i in compress(everyone, self._has_parent) if count[sigs[i]] <= need]
+            count, nodes = self.signed_count, self.nodes
+            return [i for i in compress(everyone, self._has_parent) if count[id(nodes[i])] <= need]
         if kind == "wrap":
             return list(everyone)
         return list(compress(everyone, self._flags[kind]))
@@ -241,7 +231,7 @@ class _Mutator:
 
     def _add_to_ancestors(self, node: DraftNode | None, delta: int) -> None:
         while node is not None:
-            key = _key(node)
+            key = id(node)
             self.signed_count[key] += delta
             node = self.parent_of[key]
 
@@ -254,10 +244,10 @@ class _Mutator:
         for child in parent.children[idx:]:
             if child.signature is not None:
                 swap[start] = flag
-            start += count[_key(child)]
+            start += count[id(child)]
         start = pos
         for child in reversed(parent.children[:idx]):
-            start -= count[_key(child)]
+            start -= count[id(child)]
             if child.signature is not None:
                 swap[start] = flag
 
@@ -268,12 +258,13 @@ class _Mutator:
         node = self.nodes[pos]
         sig = node.signature
         assert sig is not None
-        parent = self.parent_of[sig]
+        key = id(node)
+        parent = self.parent_of[key]
         rng = self.rng
         if kind == "remove_node":
             assert parent is not None
-            size = self.signed_count[sig]
-            gone = self.sigs[pos : pos + size]
+            size = self.signed_count[key]
+            gone = [n.signature for n in self.nodes[pos : pos + size]]
             idx = parent.children.index(node)
             del parent.children[idx]
             for array in self._arrays:
@@ -296,8 +287,8 @@ class _Mutator:
                 self.root = wrapper
             else:
                 parent.children[parent.children.index(node)] = wrapper
-            self._register(wrapper, parent, self.signed_count[sig])
-            self.parent_of[sig] = wrapper
+            self._register(wrapper, parent, self.signed_count[key])
+            self.parent_of[key] = wrapper
             self._has_parent[pos] = 1
             self._swap[pos] = 0
             self._note(kind, sig, {"wrapper_tag": _WRAPPER_TAG}, [sig])
@@ -306,7 +297,7 @@ class _Mutator:
             idx = parent.children.index(node)
             parent.children[idx : idx + 1] = node.children
             for child in node.children:
-                self.parent_of[_key(child)] = parent
+                self.parent_of[id(child)] = parent
             for array in self._arrays:
                 del array[pos]
             self._add_to_ancestors(parent, -1)
@@ -324,8 +315,8 @@ class _Mutator:
             j = kids.index(partner)
             lo, hi = min(i, j), max(i, j)
             count = self.signed_count
-            first, last = count[_key(kids[lo])], count[_key(kids[hi])]
-            between = sum(count[_key(c)] for c in kids[lo + 1 : hi])
+            first, last = count[id(kids[lo])], count[id(kids[hi])]
+            between = sum(count[id(c)] for c in kids[lo + 1 : hi])
             start = pos if i == lo else pos - between - first
             kids[i], kids[j] = partner, node
             mid, end = start + first, start + first + between

@@ -1,12 +1,12 @@
 """Rooted ordered labeled trees, with ingestion from HTML and a JSON tree format.
 
 Trees are immutable after construction. Node ids are dense pre-order indices,
-so ``tree.node(0)`` is always the root. Mutable :class:`DraftNode` trees are
-the working representation of the HTML parser and the mutation engine;
-:func:`freeze` turns a draft into a ``LabeledTree``. The JSON reader builds no
-drafts: it checks and reads the decoded document in one pre-order pass. Both
-list each node's fields in pre-order and end in one step that assigns the
-xpaths and builds the nodes.
+so ``tree.node(0)`` is always the root. The HTML and JSON readers build no
+intermediate nodes: each lists one row of fields per element in pre-order, as
+the elements arrive, and ends in one step that assigns the xpaths and builds
+the nodes. Mutable :class:`DraftNode` trees belong to the mutation engine and
+to trees built by hand; :func:`thaw` turns a tree into drafts and
+:func:`freeze` turns drafts back into a ``LabeledTree``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class IngestError(ValueError):
@@ -36,7 +36,7 @@ class FormatError(ValueError):
 
 @dataclass
 class DraftNode:
-    """Mutable node used while building or rewriting a tree."""
+    """Mutable node of a tree being rewritten by the mutator or built by hand."""
 
     tag: str
     attrs: list[tuple[str, str]] = field(default_factory=list)
@@ -59,9 +59,8 @@ class DraftNode:
         return top
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One element of a :class:`LabeledTree`.
+class TreeNode(NamedTuple):
+    """One element of a :class:`LabeledTree`; an immutable named tuple.
 
     ``attributes`` preserves source order. ``text`` is the node's own
     (direct) text content, whitespace-collapsed, or ``None``. ``signature``
@@ -159,16 +158,16 @@ def _seal(rows: list[_Row]) -> LabeledTree:
     )))
 
 
-def thaw(tree: LabeledTree) -> DraftNode:
-    """Deep mutable copy of a tree, inverse of :func:`freeze` (ids/xpaths dropped)."""
-
+def thaw(tree: LabeledTree) -> list[DraftNode]:
+    """Deep mutable copy of a tree, inverse of :func:`freeze` (ids/xpaths
+    dropped): the drafts indexed by node id, so the root is ``[0]``."""
     drafts = [
         DraftNode(tag=n.tag, attrs=list(n.attributes), text=n.text, signature=n.signature)
         for n in tree
     ]
     for node, draft in zip(tree, drafts):
         draft.children = [drafts[c] for c in node.children]
-    return drafts[tree.root]
+    return drafts
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +204,28 @@ class _TreeBuilder(HTMLParser):
 
     Comments, doctype, and processing instructions are dropped; script/style
     text is excluded; stray end tags are ignored; duplicate attributes keep
-    the first occurrence (as browsers do).
+    the first occurrence (as browsers do). Elements open in pre-order, so
+    each gets its row, and its id, the moment it opens. Once the root has
+    closed the stack stays empty, and every later event is ignored.
     """
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.root: DraftNode | None = None
-        self.stack: list[DraftNode] = []
-        self.texts: dict[int, tuple[DraftNode, list[str]]] = {}
-        self.done = False
+        self.rows: list[_Row] = []
+        self.stack: list[int] = []  # ids of the open elements
+        self.texts: dict[int, list[str]] = {}
 
     def _open(self, tag: str, attrs: list[tuple[str, str | None]], void: bool) -> None:
-        if self.done:
-            return
-        if not self.stack and self.root is not None:
-            return  # extra top-level element after the root closed
-        while self.stack:
-            top = self.stack[-1]
-            closers = _IMPLIED_CLOSE.get(top.tag)
-            if closers is not None and tag in closers:
-                self.stack.pop()
-                if not self.stack:
-                    self.done = True
-                    return
-            else:
+        rows, stack = self.rows, self.stack
+        if not stack and rows:
+            return  # the root has closed
+        while stack:
+            closers = _IMPLIED_CLOSE.get(rows[stack[-1]][0])
+            if closers is None or tag not in closers:
                 break
+            stack.pop()
+            if not stack:
+                return
         seen: set[str] = set()
         clean_attrs = []
         for name, value in attrs:
@@ -237,15 +233,10 @@ class _TreeBuilder(HTMLParser):
                 continue
             seen.add(name)
             clean_attrs.append((name, value if value is not None else ""))
-        node = DraftNode(tag=tag, attrs=clean_attrs)
-        if self.stack:
-            self.stack[-1].children.append(node)
-        else:
-            self.root = node
+        node_id = len(rows)
+        rows.append((tag, tuple(clean_attrs), None, None, stack[-1] if stack else None))
         if not (void or tag in _VOID_TAGS):
-            self.stack.append(node)
-        elif not self.stack and self.root is node:
-            self.done = True  # void root, e.g. "<br>"
+            stack.append(node_id)
 
     def handle_starttag(self, tag, attrs):
         self._open(tag, attrs, void=False)
@@ -254,30 +245,29 @@ class _TreeBuilder(HTMLParser):
         self._open(tag, attrs, void=True)
 
     def handle_endtag(self, tag):
-        if self.done or not self.stack:
-            return
-        for depth in range(len(self.stack) - 1, -1, -1):
-            if self.stack[depth].tag == tag:
-                del self.stack[depth:]
-                if not self.stack:
-                    self.done = True
+        rows, stack = self.rows, self.stack
+        for depth in range(len(stack) - 1, -1, -1):
+            if rows[stack[depth]][0] == tag:
+                del stack[depth:]
                 return
         # stray end tag: no matching open element, ignore
 
     def handle_data(self, data):
-        if self.done or not self.stack:
+        if not self.stack:
             return
         top = self.stack[-1]
-        if top.tag in _RAWTEXT_TAGS:
+        if self.rows[top][0] in _RAWTEXT_TAGS:
             return
-        self.texts.setdefault(id(top), (top, []))[1].append(data)
+        self.texts.setdefault(top, []).append(data)
 
-    def finish(self) -> DraftNode:
-        if self.root is None:
+    def finish(self) -> list[_Row]:
+        if not self.rows:
             raise IngestError("document contains no element")
-        for node, pieces in self.texts.values():
-            node.text = "".join(pieces)
-        return self.root
+        rows = self.rows
+        for node_id, pieces in self.texts.items():
+            tag, attrs, _, signature, parent = rows[node_id]
+            rows[node_id] = (tag, attrs, "".join(pieces), signature, parent)
+        return rows
 
 
 def parse_html(document: bytes | str) -> LabeledTree:
@@ -291,7 +281,7 @@ def parse_html(document: bytes | str) -> LabeledTree:
     builder = _TreeBuilder()
     builder.feed(document)
     builder.close()
-    return freeze(builder.finish())
+    return _seal(builder.finish())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ Zhang-Shasha as first written, always decomposing along leftmost paths.
 ``reference_parse_tree_json`` and ``reference_freeze`` are the tree readers as
 first written: a recursive JSON reader that builds a ``DraftNode`` and a path
 string per node, and a freeze that assigns xpaths while it walks the drafts.
+``reference_parse_html`` is the HTML reader that builds a ``DraftNode`` per
+element and then freezes the drafts.
 ``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
 """
 
@@ -28,6 +30,7 @@ import string
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from html.parser import HTMLParser
 
 from treematch.graph import Edge, MatchGraph, Matching, matching_cost
 from treematch.mutate import (
@@ -50,7 +53,18 @@ from treematch.similarity import (
     threshold_cutoff,
 )
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, tokenize_node
-from treematch.tree import DraftNode, FormatError, LabeledTree, TreeNode, freeze, thaw
+from treematch.tree import (
+    _IMPLIED_CLOSE,
+    _RAWTEXT_TAGS,
+    _VOID_TAGS,
+    DraftNode,
+    FormatError,
+    IngestError,
+    LabeledTree,
+    TreeNode,
+    freeze,
+    thaw,
+)
 
 
 def brute_force_s0(
@@ -780,7 +794,7 @@ class ReferenceMutator:
         self.seed = seed
         self.source_page = source_page
         self.target = int(ratio * len(tree) + 0.5)
-        self.root = thaw(tree)
+        self.root = thaw(tree)[0]
         self.rng = random.Random(seed)
         self.mutated: set[str] = set()
         self.removed: set[str] = set()
@@ -1045,3 +1059,87 @@ def reference_parse_tree_json(text: str | bytes) -> LabeledTree:
     except RecursionError:
         raise FormatError("nested too deeply to read", "$") from None
     return reference_freeze(draft)
+
+
+class _ReferenceTreeBuilder(HTMLParser):
+    """The HTML tree builder as first written: one ``DraftNode`` per element,
+    and a stack of the open drafts."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root: DraftNode | None = None
+        self.stack: list[DraftNode] = []
+        self.texts: dict[int, tuple[DraftNode, list[str]]] = {}
+        self.done = False
+
+    def _open(self, tag: str, attrs: list[tuple[str, str | None]], void: bool) -> None:
+        if self.done:
+            return
+        if not self.stack and self.root is not None:
+            return  # extra top-level element after the root closed
+        while self.stack:
+            top = self.stack[-1]
+            closers = _IMPLIED_CLOSE.get(top.tag)
+            if closers is not None and tag in closers:
+                self.stack.pop()
+                if not self.stack:
+                    self.done = True
+                    return
+            else:
+                break
+        seen: set[str] = set()
+        clean_attrs = []
+        for name, value in attrs:
+            if name in seen:
+                continue
+            seen.add(name)
+            clean_attrs.append((name, value if value is not None else ""))
+        node = DraftNode(tag=tag, attrs=clean_attrs)
+        if self.stack:
+            self.stack[-1].children.append(node)
+        else:
+            self.root = node
+        if not (void or tag in _VOID_TAGS):
+            self.stack.append(node)
+        elif not self.stack and self.root is node:
+            self.done = True  # void root, e.g. "<br>"
+
+    def handle_starttag(self, tag, attrs):
+        self._open(tag, attrs, void=False)
+
+    def handle_startendtag(self, tag, attrs):
+        self._open(tag, attrs, void=True)
+
+    def handle_endtag(self, tag):
+        if self.done or not self.stack:
+            return
+        for depth in range(len(self.stack) - 1, -1, -1):
+            if self.stack[depth].tag == tag:
+                del self.stack[depth:]
+                if not self.stack:
+                    self.done = True
+                return
+
+    def handle_data(self, data):
+        if self.done or not self.stack:
+            return
+        top = self.stack[-1]
+        if top.tag in _RAWTEXT_TAGS:
+            return
+        self.texts.setdefault(id(top), (top, []))[1].append(data)
+
+    def finish(self) -> DraftNode:
+        if self.root is None:
+            raise IngestError("document contains no element")
+        for node, pieces in self.texts.values():
+            node.text = "".join(pieces)
+        return self.root
+
+
+def reference_parse_html(document: bytes | str) -> LabeledTree:
+    if isinstance(document, bytes):
+        document = document.decode("utf-8", errors="replace")
+    builder = _ReferenceTreeBuilder()
+    builder.feed(document)
+    builder.close()
+    return freeze(builder.finish())

@@ -137,7 +137,7 @@ class TestTedDistance:
 
 def mirrored(tree: LabeledTree) -> LabeledTree:
     """``tree`` with every child list reversed."""
-    root = thaw(tree)
+    root = thaw(tree)[0]
     stack = [root]
     while stack:
         draft = stack.pop()

@@ -306,6 +306,22 @@ class TestBenchCommand:
         assert "warning" in capsys.readouterr().err
         assert len(out.read_text().strip().split("\n")) == 2
 
+    def test_bundle_with_log_of_the_wrong_shape_skipped_with_warning(
+        self, page_file, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "2",
+              "--out-dir", str(corpus)])
+        bad = sorted(p.parent for p in corpus.glob("**/mutations.json"))[0]
+        (bad / "mutations.json").write_text("[]", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        code = main(["bench", str(corpus), "--out", str(out), "--iterations", "10"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert f"warning: bad bundle {bad}: " in captured.err
+        assert "rows=1 skipped=1" in captured.out
+        assert len(out.read_text().strip().split("\n")) == 2
+
     def test_deterministic_quality_columns(self, page_file, tmp_path):
         corpus = tmp_path / "corpus"
         main(["mutate", str(page_file), "--ratio", "0.4", "--count", "3",

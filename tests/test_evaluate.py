@@ -125,6 +125,20 @@ class TestBundles:
         with pytest.raises(CorpusError):
             load_bundle(tmp_path / "broken")
 
+    @pytest.mark.parametrize("log", [
+        "[]",
+        "null",
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": [], "removed_signatures": 7}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": ["swap"], "removed_signatures": []}',
+    ])
+    def test_log_of_the_wrong_shape_raises(self, tmp_path, log):
+        source = page()
+        mutant, good = mutate(source, 0.25, seed=3, source_page="pg")
+        write_bundle(tmp_path / "b0", source, mutant, good)
+        (tmp_path / "b0" / "mutations.json").write_text(log)
+        with pytest.raises(CorpusError, match="bad bundle"):
+            load_bundle(tmp_path / "b0")
+
     @pytest.mark.parametrize("name", ["source.html.json", "mutant.html.json", "mutations.json"])
     def test_fifo_in_place_of_a_file_raises(self, tmp_path, name):
         source = page()

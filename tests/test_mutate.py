@@ -67,6 +67,14 @@ class TestAssignSignatures:
         again = assign_signatures(tree)
         assert [n.signature for n in tree] == [n.signature for n in again]
 
+    def test_changes_only_the_signature(self):
+        bare = parse_html(b"<div id='a' class='b c'><p>one  two</p><p/><br></div>")
+        signed = assign_signatures(bare)
+        for before, after in zip(bare, signed, strict=True):
+            assert before.signature is None
+            assert after.signature == f"s{after.id:05d}"
+            assert after._replace(signature=None) == before
+
     def test_invisible_to_tokenizer_and_matcher(self):
         bare = freeze(DraftNode(tag="div", children=[
             DraftNode(tag="p", attrs=[("class", "x")]), DraftNode(tag="b")
@@ -226,7 +234,7 @@ class TestOperators:
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=3, source_page="t")
         pos = mutator.pool("swap", mutator.target)[0]
-        parent = mutator.parent_of[mutator.sigs[pos]]
+        parent = mutator.parent_of[id(mutator.nodes[pos])]
         before = [c.signature for c in parent.children]
         mutator.apply("swap", pos)
         after = [c.signature for c in parent.children]
@@ -374,7 +382,7 @@ class TestAgainstReference:
                 pool = mutator.pool("duplicate", mutator.target)
                 ul = next(i for i in pool if mutator.nodes[i].tag == "ul")
                 anchor = next(i for i in pool if mutator.nodes[i].tag == "a")
-                parent = mutator.parent_of[mutator.sigs[ul]]
+                parent = mutator.parent_of[id(mutator.nodes[ul])]
                 apply = mutator.apply
             else:
                 pools = mutator.candidates()

@@ -5,19 +5,36 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_freeze, reference_parse_tree_json
+from oracles import reference_freeze, reference_parse_html, reference_parse_tree_json
 from strategies import draft_trees, labeled_trees, signed_tree
 from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
     TooDeep,
+    TreeNode,
     freeze,
     parse_html,
     parse_tree_json,
     serialize_tree_json,
     thaw,
 )
+
+
+# malformed and edge-case documents, each read by both HTML builders
+_HTML_SNIPPETS = [
+    b"<div><p>one<p>two</div>",  # unclosed p
+    b"<ul><li>a<li>b</ul>",  # unclosed li
+    b"<table><tr><td>a<td>b<tr><th>c</table>",  # unclosed cells and rows
+    b"<div><b><i>x</b>y</div>tail",  # mismatched end tags
+    b"</q><div>a</span>b</div>",  # stray end tags
+    b"<br>",  # void root
+    b"<img src='x.png'/>text</img><p>after</p>",  # void root, self-closed, then more
+    b"<p>a</p><div>b</div>",  # second top-level element
+    b"<p>a<div>b</div>",  # the root closed by an implied end
+    # comments and rawtext
+    b"<div><!-- note --><script>var x = 1;</script><style>p{}</style><p>t</p>u</div>",
+]
 
 
 class TestParseHtml:
@@ -90,6 +107,15 @@ class TestParseHtml:
         tree = parse_html(b"<p>a &amp; b</p>")
         assert tree.node(0).text == "a & b"
 
+    @pytest.mark.parametrize("document", _HTML_SNIPPETS)
+    def test_snippet_equals_reference(self, document):
+        assert _node_rows(parse_html(document)) == _node_rows(reference_parse_html(document))
+
+    def test_corpus_equals_reference(self, corpus_pages):
+        for path in corpus_pages:
+            document = path.read_bytes()
+            got, want = parse_html(document), reference_parse_html(document)
+            assert _node_rows(got) == _node_rows(want), path.name
 
     def test_deep_chain(self):
         depth = 3000
@@ -97,6 +123,22 @@ class TestParseHtml:
         assert len(tree) == depth
         assert tree.node(depth - 1).parent == depth - 2
         assert tree.node(depth - 1).xpath == "/div" * depth
+
+
+class TestTreeNode:
+    def test_fields_cannot_be_assigned(self):
+        node = parse_html(b"<p class='x'>hi</p>").node(0)
+        for name in TreeNode._fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        assert node.tag == "p"
+
+    def test_equal_nodes_hash_equal(self):
+        one, two = (parse_html(b"<div class='c'><p>hi</p><p/></div>") for _ in range(2))
+        for a, b in zip(one, two, strict=True):
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+        assert len(set(one) | set(two)) == len(one)
 
 
 class TestJsonFormat:
@@ -183,7 +225,7 @@ class TestInvariants:
     @given(draft_trees(max_nodes=15))
     def test_thaw_freeze_round_trip(self, draft):
         tree = freeze(draft)
-        again = freeze(thaw(tree))
+        again = freeze(thaw(tree)[0])
         assert serialize_tree_json(tree) == serialize_tree_json(again)
 
     def test_ids_are_preorder(self):
