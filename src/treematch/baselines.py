@@ -20,6 +20,7 @@ S is the summed size of a tree's keyroot subtrees. Zhang and Shasha
 decompose along leftmost paths; the same kernel run on both trees mirrored
 (every child list reversed) decomposes along rightmost paths instead,
 which on each bundled corpus page fills 46-64% of the left-to-right count.
+Both decompositions are read off the node ids and subtree sizes alone.
 The pass runs in whichever direction fills fewer (left to right on a tie);
 a mirrored tree-distance table is then reordered into left-to-right
 postorder. Mirroring both trees leaves every subtree distance the same, so
@@ -45,7 +46,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .graph import Matching
-from .tree import LabeledTree
+from .tree import LabeledTree, subtree_sizes
 
 
 class _Structure(NamedTuple):
@@ -63,36 +64,33 @@ class _Structure(NamedTuple):
 
 
 def _postorder_structure(tree: LabeledTree) -> tuple[_Structure, _Structure]:
-    """Left-to-right and mirrored structure of ``tree``.
+    """Left-to-right and mirrored structure of ``tree``, from ids and sizes.
 
-    The mirrored one is the left-to-right structure of the tree with every
-    child list reversed: its postorder visits children right to left and its
-    leftmost leaves are the tree's rightmost ones. The root is always the
-    last position and the last keyroot.
+    Mirrored (every child list reversed) postorder is pre-order reversed, so
+    node ``v`` sits at ``n - 1 - v``; left to right, after its descendants and
+    the earlier non-ancestors, at ``v + size - 1 - depth``. A subtree ends at
+    its root, so position ``p``'s leftmost leaf is ``p - size + 1``. A node is
+    a keyroot unless it is its parent's first child (left to right) or last
+    child (mirrored); the root is always the last position and keyroot.
     """
-    structures = []
-    for mirrored in (False, True):
-        # right-to-left pre-order, reversed, is left-to-right postorder
-        order: list[int] = []
-        stack = [tree.root]
-        while stack:
-            node_id = stack.pop()
-            order.append(node_id)
-            children = tree.node(node_id).children
-            stack.extend(children[::-1] if mirrored else children)
-        order.reverse()
-        first = -1 if mirrored else 0
-        pos_of = [0] * len(order)
-        lmd_by_pos: list[int] = []
-        for pos, node_id in enumerate(order):
-            pos_of[node_id] = pos
-            children = tree.node(node_id).children
-            lmd_by_pos.append(lmd_by_pos[pos_of[children[first]]] if children else pos)
-        last_for_lmd: dict[int, int] = {}
-        for pos, lmd in enumerate(lmd_by_pos):
-            last_for_lmd[lmd] = pos
-        structures.append(_Structure(order, lmd_by_pos, sorted(last_for_lmd.values())))
-    return structures[0], structures[1]
+    size = subtree_sizes(tree)
+    n = len(size)
+    depth = [0] * n
+    order = [0] * n  # node 0, the root, is last
+    not_first = [True] * n  # keyroots left to right
+    not_last = [True] * n  # keyroots mirrored
+    for node in tree.nodes[1:]:
+        v, parent = node.id, node.parent
+        depth[v] = d = depth[parent] + 1
+        order[v + size[v] - 1 - d] = v
+        not_first[v] = v != parent + 1
+        not_last[v] = v + size[v] != parent + size[parent]
+
+    def structure(order: list[int], keyroot: list[bool]) -> _Structure:
+        lmd = [p - size[v] + 1 for p, v in enumerate(order)]
+        return _Structure(order, lmd, [p for p, v in enumerate(order) if keyroot[v]])
+
+    return structure(order, not_first), structure(list(range(n - 1, -1, -1)), not_last)
 
 
 def _label_ids(t1: LabeledTree, t2: LabeledTree) -> tuple[list[int], list[int]]:

@@ -107,7 +107,8 @@ def write_bundle(
 def load_bundle(directory: Path) -> MutantBundle:
     """Read a bundle; raises :class:`CorpusError` if one of its three files is
     missing, is not a regular file (so no FIFO can block the read), does not
-    parse, or is valid JSON of the wrong shape."""
+    parse, or is valid JSON of the wrong shape, or when its log removes a
+    signature that the source tree does not carry."""
     directory = Path(directory)
     for name in (SOURCE_FILE, MUTANT_FILE, LOG_FILE):
         if not (directory / name).is_file():
@@ -118,6 +119,10 @@ def load_bundle(directory: Path) -> MutantBundle:
         log = mutation_log_from_json((directory / LOG_FILE).read_text(encoding="utf-8"))
     except (OSError, FormatError, KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"bad bundle {directory}: {exc}") from exc
+    unknown = log.removed_signatures.difference(node.signature for node in source)
+    if unknown:
+        raise CorpusError(f"bad bundle {directory}: removed signature {min(unknown)!r} "
+                          "is not in the source tree")
     return MutantBundle(name=directory.name, source=source, mutant=mutant, log=log)
 
 
@@ -136,21 +141,22 @@ def discover_bundles(corpus_dir: Path) -> list[Path]:
 @dataclass
 class BenchRow:
     """One CSV row; quality fields are None for timeout rows, and ``alpha``
-    and ``seed`` are None on TED rows, which read neither."""
+    and ``seed`` are None on TED rows, which read neither. The defaults are
+    the row of a pair that has not been scored: a timeout."""
 
     page: str
     algorithm: str
     n_nodes: int
     mutation_ratio: float
-    elapsed_s: float
-    mismatch: int | None
-    no_match: int | None
-    successful: int | None
-    rate: float | None
-    optimal_rate: float | None
-    alpha: float | None
-    seed: int | None
-    timeout: bool
+    elapsed_s: float = 0.0
+    mismatch: int | None = None
+    no_match: int | None = None
+    successful: int | None = None
+    rate: float | None = None
+    optimal_rate: float | None = None
+    alpha: float | None = None
+    seed: int | None = None
+    timeout: bool = True
 
 
 def timeout_cap(timeout_s: float | None) -> float | None:
@@ -177,15 +183,8 @@ def _pair_main(conn, directory: Path, algorithm: str, params: SftmParams) -> Non
             algorithm=algorithm,
             n_nodes=d_size,
             mutation_ratio=bundle.log.ratio,
-            elapsed_s=0.0,
-            mismatch=None,
-            no_match=None,
-            successful=None,
-            rate=None,
-            optimal_rate=None,
             alpha=None if ted else params.alpha,
             seed=None if ted else params.seed,
-            timeout=True,
         )
         conn.send(row)
         start = time.perf_counter()

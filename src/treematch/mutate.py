@@ -20,7 +20,8 @@ Each operator makes its draws in this order:
 A change to any pool's order or membership changes every later draw.
 
 ``_Mutator`` takes its drafts, in pre-order, from :func:`thaw`, and each
-node's parent and signed count from the tree's parent ids. It then updates
+node's parent from the tree's parent ids. Every source node is signed, so a
+node's signed count starts as its subtree size. The mutator then updates
 the pools in place instead of rescanning the tree before each operator.
 After every operator:
 
@@ -48,8 +49,9 @@ import random
 import string
 from dataclasses import dataclass
 from itertools import compress
+from typing import Any, Callable
 
-from .tree import DraftNode, LabeledTree, freeze, thaw
+from .tree import DraftNode, LabeledTree, freeze, subtree_sizes, thaw
 
 
 class ExhaustedTargets(RuntimeError):
@@ -178,15 +180,11 @@ class _Mutator:
         self.removed: set[str] = set()
         self.ops: list[MutationOp] = []
 
-        # every node is signed at this point, and a child's id is above its parent's
-        parent_ids = [node.parent for node in tree]
-        signed = [1] * len(drafts)
-        for node_id in range(len(drafts) - 1, 0, -1):
-            signed[parent_ids[node_id]] += signed[node_id]  # type: ignore[index]
-        parents = [None, *map(drafts.__getitem__, parent_ids[1:])]
+        parents = [None] + [drafts[node.parent] for node in tree.nodes[1:]]  # type: ignore[index]
         keys = list(map(id, drafts))
         self.parent_of: dict[int, DraftNode | None] = dict(zip(keys, parents))
-        self.signed_count: dict[int, int] = dict(zip(keys, signed))
+        # every node is signed at this point: a signed count is a subtree size
+        self.signed_count: dict[int, int] = dict(zip(keys, subtree_sizes(tree)))
         self._has_parent = bytearray(p is not None for p in parents)
         self._swap = bytearray(p is not None and len(p.children) >= 2 for p in parents)
         self._content = [bytearray(col) for col in zip(*map(_content_flags, drafts))]
@@ -405,15 +403,48 @@ def mutation_log_to_json(log: MutationLog) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2)
 
 
+def _log_field(owner: object, path: str, name: str, ok: Callable[[Any], bool], want: str) -> Any:
+    """``owner[name]`` of a log read from JSON, once ``ok`` holds of it; ``path``
+    names ``owner`` in the ``ValueError`` raised otherwise."""
+    if not isinstance(owner, dict):
+        raise ValueError(f"mutation log {path or 'root'} must be an object, got {owner!r:.60}")
+    where = f"{path}.{name}" if path else name
+    if name not in owner:
+        raise ValueError(f"mutation log field {where} is missing")
+    value = owner[name]
+    if not ok(value):
+        raise ValueError(f"mutation log field {where} must be {want}, got {value!r:.60}")
+    return value
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
 def mutation_log_from_json(text: str) -> MutationLog:
+    """Read a log written by :func:`mutation_log_to_json`; raises ``ValueError``
+    naming a field that is missing or of the wrong type or range."""
     obj = json.loads(text)
+    ops = _log_field(obj, "", "ops", lambda v: isinstance(v, list), "a list")
     return MutationLog(
-        source_page=obj["source_page"],
-        seed=obj["seed"],
-        ratio=obj["ratio"],
-        ops=tuple(
-            MutationOp(kind=o["kind"], target=o["target"], detail=o["detail"])
-            for o in obj["ops"]
+        source_page=_log_field(obj, "", "source_page", _is_str, "a string"),
+        seed=_log_field(obj, "", "seed", lambda v: type(v) is int, "an int"),
+        ratio=_log_field(
+            obj, "", "ratio", lambda v: type(v) in (int, float) and 0 <= v <= 0.5,
+            "a finite number in [0, 0.5]",
         ),
-        removed_signatures=frozenset(obj["removed_signatures"]),
+        ops=tuple(
+            MutationOp(
+                kind=_log_field(op, f"ops[{k}]", "kind", MUTATION_KINDS.__contains__,
+                                "one of MUTATION_KINDS"),
+                target=_log_field(op, f"ops[{k}]", "target", _is_str, "a string"),
+                detail=_log_field(op, f"ops[{k}]", "detail", lambda v: isinstance(v, dict),
+                                  "an object"),
+            )
+            for k, op in enumerate(ops)
+        ),
+        removed_signatures=frozenset(_log_field(
+            obj, "", "removed_signatures",
+            lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings",
+        )),
     )

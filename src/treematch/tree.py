@@ -105,6 +105,14 @@ class LabeledTree:
         return f"LabeledTree(size={len(self.nodes)}, root_tag={self.nodes[0].tag!r})"
 
 
+def subtree_sizes(tree: LabeledTree) -> list[int]:
+    """Subtree size by node id: ``v``'s subtree is the ids ``v .. v + size - 1``."""
+    size = [1] * len(tree)
+    for node in tree.nodes[:0:-1]:  # children before parents
+        size[node.parent] += size[node.id]  # type: ignore[index]
+    return size
+
+
 # a node's tag, attributes, raw text, signature and parent id
 _Row = tuple[str, tuple[tuple[str, str], ...], str | None, str | None, int | None]
 
@@ -207,6 +215,8 @@ class _TreeBuilder(HTMLParser):
     the first occurrence (as browsers do). Elements open in pre-order, so
     each gets its row, and its id, the moment it opens. Once the root has
     closed the stack stays empty, and every later event is ignored.
+    ``HTMLParser`` reports ``<x/>`` as a start tag and an end tag, which
+    pops the element if it was pushed (it is then on top) and else is stray.
     """
 
     def __init__(self) -> None:
@@ -215,7 +225,7 @@ class _TreeBuilder(HTMLParser):
         self.stack: list[int] = []  # ids of the open elements
         self.texts: dict[int, list[str]] = {}
 
-    def _open(self, tag: str, attrs: list[tuple[str, str | None]], void: bool) -> None:
+    def handle_starttag(self, tag, attrs):
         rows, stack = self.rows, self.stack
         if not stack and rows:
             return  # the root has closed
@@ -226,23 +236,13 @@ class _TreeBuilder(HTMLParser):
             stack.pop()
             if not stack:
                 return
-        seen: set[str] = set()
-        clean_attrs = []
+        clean_attrs: dict[str, str] = {}
         for name, value in attrs:
-            if name in seen:
-                continue
-            seen.add(name)
-            clean_attrs.append((name, value if value is not None else ""))
+            clean_attrs.setdefault(name, value or "")
         node_id = len(rows)
-        rows.append((tag, tuple(clean_attrs), None, None, stack[-1] if stack else None))
-        if not (void or tag in _VOID_TAGS):
+        rows.append((tag, tuple(clean_attrs.items()), None, None, stack[-1] if stack else None))
+        if tag not in _VOID_TAGS:
             stack.append(node_id)
-
-    def handle_starttag(self, tag, attrs):
-        self._open(tag, attrs, void=False)
-
-    def handle_startendtag(self, tag, attrs):
-        self._open(tag, attrs, void=True)
 
     def handle_endtag(self, tag):
         rows, stack = self.rows, self.stack

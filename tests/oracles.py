@@ -11,7 +11,9 @@ operator, and the similarity oracles keep the table as one flat
 ``(n, m) -> score`` dict. ``brute_force_optimal`` is the exact optimum of the
 walk's objective by exhaustive search, for graphs of at most 16 nodes;
 ``enumerate_matching_costs`` checks it on toy graphs. ``ReferenceZsRun`` is
-Zhang-Shasha as first written, always decomposing along leftmost paths.
+Zhang-Shasha as first written, always decomposing along leftmost paths, and
+``reference_postorder_structure`` its two path decompositions as first
+written, by a stack walk of the tree in each direction.
 ``reference_parse_tree_json`` and ``reference_freeze`` are the tree readers as
 first written: a recursive JSON reader that builds a ``DraftNode`` and a path
 string per node, and a freeze that assigns xpaths while it walks the drafts.
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from html.parser import HTMLParser
 
+from treematch.baselines import _Structure
 from treematch.graph import Edge, MatchGraph, Matching, matching_cost
 from treematch.mutate import (
     _CHANGE_LETTER_FRACTION,
@@ -196,6 +199,43 @@ def exhaustive_edit_distance(t1: LabeledTree, t2: LabeledTree) -> float:
     result = dist((_nested(t1, t1.root),), (_nested(t2, t2.root),))
     dist.cache_clear()
     return result
+
+
+# ---------------------------------------------------------------------------
+# Zhang-Shasha's two path decompositions as first written: a stack walk per
+# direction, a position map, and keyroots collected in a dict and sorted.
+
+def reference_postorder_structure(tree: LabeledTree) -> tuple[_Structure, _Structure]:
+    """Left-to-right and mirrored structure of ``tree``.
+
+    The mirrored one is the left-to-right structure of the tree with every
+    child list reversed: its postorder visits children right to left and its
+    leftmost leaves are the tree's rightmost ones. The root is always the
+    last position and the last keyroot.
+    """
+    structures = []
+    for mirrored in (False, True):
+        # right-to-left pre-order, reversed, is left-to-right postorder
+        order: list[int] = []
+        stack = [tree.root]
+        while stack:
+            node_id = stack.pop()
+            order.append(node_id)
+            children = tree.node(node_id).children
+            stack.extend(children[::-1] if mirrored else children)
+        order.reverse()
+        first = -1 if mirrored else 0
+        pos_of = [0] * len(order)
+        lmd_by_pos: list[int] = []
+        for pos, node_id in enumerate(order):
+            pos_of[node_id] = pos
+            children = tree.node(node_id).children
+            lmd_by_pos.append(lmd_by_pos[pos_of[children[first]]] if children else pos)
+        last_for_lmd: dict[int, int] = {}
+        for pos, lmd in enumerate(lmd_by_pos):
+            last_for_lmd[lmd] = pos
+        structures.append(_Structure(order, lmd_by_pos, sorted(last_for_lmd.values())))
+    return structures[0], structures[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from oracles import (
     brute_force_optimal,
     enumerate_matching_costs,
     exhaustive_edit_distance,
+    reference_postorder_structure,
     reference_ted_match,
     reference_ted_table,
     table_from_scores,
@@ -144,6 +145,38 @@ def mirrored(tree: LabeledTree) -> LabeledTree:
         draft.children.reverse()
         stack.extend(draft.children)
     return freeze(root)
+
+
+class TestPostorderStructure:
+    """Both path decompositions, read off ids and subtree sizes, equal the
+    ones a stack walk of each tree finds."""
+
+    @staticmethod
+    def assert_like_reference(tree: LabeledTree) -> None:
+        for t in (tree, mirrored(tree)):
+            assert _postorder_structure(t) == reference_postorder_structure(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_trees(max_nodes=20, with_attrs=False))
+    def test_random_trees_equal_reference(self, tree):
+        self.assert_like_reference(tree)
+
+    @pytest.mark.parametrize("tree", [
+        freeze(build("a")),
+        chain("a", "b", "c", "d", "e"),
+        freeze(build("ul", *(build("li") for _ in range(5)))),
+        freeze(build("div", build("ul", build("li"), build("li")), build("p"),
+                     build("a", build("b", build("c"))))),
+    ], ids=["one-node", "chain", "star", "mixed"])
+    def test_small_shapes_equal_reference(self, tree):
+        self.assert_like_reference(tree)
+
+    def test_corpus_and_mutants_equal_reference(self, corpus_pages):
+        for path in corpus_pages:
+            source = assign_signatures(parse_html(path.read_bytes()))
+            mutant, _ = mutate(source, 0.2, 0)
+            self.assert_like_reference(source)
+            self.assert_like_reference(mutant)
 
 
 class TestTedDirection:

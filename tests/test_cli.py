@@ -322,6 +322,29 @@ class TestBenchCommand:
         assert "rows=1 skipped=1" in captured.out
         assert len(out.read_text().strip().split("\n")) == 2
 
+    @pytest.mark.parametrize("removed,named", [
+        ("s00001", "removed_signatures"),  # a string where a list of them belongs
+        (["zzz"], "removed signature 'zzz'"),  # no node of the source tree carries it
+    ], ids=["string", "unknown-signature"])
+    def test_bundle_whose_log_removes_what_it_cannot_skipped_with_warning(
+        self, page_file, tmp_path, capsys, removed, named
+    ):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "2",
+              "--out-dir", str(corpus)])
+        bad = sorted(p.parent for p in corpus.glob("**/mutations.json"))[0]
+        log = json.loads((bad / "mutations.json").read_text(encoding="utf-8"))
+        log["removed_signatures"] = removed
+        (bad / "mutations.json").write_text(json.dumps(log), encoding="utf-8")
+        out = tmp_path / "r.csv"
+        code = main(["bench", str(corpus), "--out", str(out), "--iterations", "10"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert f"warning: bad bundle {bad}: " in captured.err
+        assert named in captured.err
+        assert "rows=1 skipped=1" in captured.out
+        assert len(out.read_text().strip().split("\n")) == 2
+
     def test_deterministic_quality_columns(self, page_file, tmp_path):
         corpus = tmp_path / "corpus"
         main(["mutate", str(page_file), "--ratio", "0.4", "--count", "3",

@@ -130,6 +130,28 @@ class TestBundles:
         "null",
         '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": [], "removed_signatures": 7}',
         '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": ["swap"], "removed_signatures": []}',
+        # each field of the wrong type or out of range
+        '{"source_page": 7, "seed": 3, "ratio": 0.25, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": true, "ratio": 0.25, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3.0, "ratio": 0.25, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": "fifth", "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": NaN, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": Infinity, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.6, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": true, "ops": [], "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": {}, "removed_signatures": []}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "removed_signatures": [], '
+        '"ops": [{"kind": "zzz", "target": "s00001", "detail": {}}]}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "removed_signatures": [], '
+        '"ops": [{"kind": "swap", "target": 1, "detail": {}}]}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "removed_signatures": [], '
+        '"ops": [{"kind": "swap", "target": "s00001", "detail": []}]}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": [], "removed_signatures": "s00001"}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": [], "removed_signatures": [1]}',
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": [], '
+        '"removed_signatures": {"s00001": 1}}',
+        # a removed signature that no node of the source tree carries
+        '{"source_page": "pg", "seed": 3, "ratio": 0.25, "ops": [], "removed_signatures": ["zzz"]}',
     ])
     def test_log_of_the_wrong_shape_raises(self, tmp_path, log):
         source = page()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,6 +314,29 @@ class TestLogSerialization:
         _, log = mutate(tree, 0.3, seed=9, source_page="page-x")
         again = mutation_log_from_json(mutation_log_to_json(log))
         assert again == log
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("source_page", None, "source_page"),
+        ("seed", True, "seed"),
+        ("seed", "9", "seed"),
+        ("ratio", "fifth", "ratio"),
+        ("ratio", -0.1, "ratio"),
+        ("ops", {}, "ops"),
+        ("ops", [{"kind": "zzz", "target": "s00000", "detail": {}}], "ops[0].kind"),
+        ("ops", [{"kind": "wrap", "target": None, "detail": {}}], "ops[0].target"),
+        ("ops", [{"kind": "wrap", "target": "s00000", "detail": "x"}], "ops[0].detail"),
+        ("ops", [{"kind": "wrap", "target": "s00000"}], "ops[0].detail"),
+        ("ops", ["wrap"], "ops[0]"),
+        ("removed_signatures", "s00001", "removed_signatures"),
+        ("removed_signatures", ["s00001", 2], "removed_signatures"),
+    ])
+    def test_field_of_the_wrong_shape_is_named(self, field, value, named):
+        tree = sample_page()
+        _, log = mutate(tree, 0.3, seed=9, source_page="page-x")
+        obj = json.loads(mutation_log_to_json(log))
+        obj[field] = value
+        with pytest.raises(ValueError, match=rf"mutation log (field )?{re.escape(named)} "):
+            mutation_log_from_json(json.dumps(obj))
 
 
 PINNED = json.loads(PINNED_FILE.read_text(encoding="utf-8"))

@@ -17,6 +17,7 @@ from treematch.tree import (
     parse_html,
     parse_tree_json,
     serialize_tree_json,
+    subtree_sizes,
     thaw,
 )
 
@@ -34,6 +35,19 @@ _HTML_SNIPPETS = [
     b"<p>a<div>b</div>",  # the root closed by an implied end
     # comments and rawtext
     b"<div><!-- note --><script>var x = 1;</script><style>p{}</style><p>t</p>u</div>",
+    # self-closing tags: a start tag, then an end tag
+    b"<div/>",  # self-closed root
+    b"<p>a<p/>b</p>",  # self-closed p closes the open p, and with it the root
+    b"<div><script/>t</div>",  # self-closed rawtext element
+    b"<div></div><br/><p/>",  # self-closed tags after the root closed
+    b"<div><span/>a<br/>b<img src=x />c</div>",  # text after each self-closed tag
+    b"<ul><li/><li>a<li/>b</ul>",  # self-closed li among implied ends
+    b"<div><p>a<div/>b</p>c</div>",  # self-closed block closes the open p
+    b"<table><tr/><td/>x</table>",  # self-closed cells and rows
+    b"<div a=1 a=2 b c=''/>",  # duplicate, bare and empty attributes
+    b"<b><i>x<b/>y</i>z</b>",  # self-closed tag named like an open one
+    b"<div><style/>s<hr/>t</div>",  # self-closed style, and a void block starter
+    b"<br/>",  # void root, self-closed
 ]
 
 
@@ -227,6 +241,21 @@ class TestInvariants:
         tree = freeze(draft)
         again = freeze(thaw(tree)[0])
         assert serialize_tree_json(tree) == serialize_tree_json(again)
+
+    @given(labeled_trees(max_nodes=20))
+    def test_subtree_sizes_are_id_ranges(self, tree):
+        size = subtree_sizes(tree)
+        for node in tree:
+            v = node.id
+            assert size[v] == 1 + sum(size[c] for c in node.children)
+            descendants = set()
+            stack = list(node.children)
+            while stack:
+                c = stack.pop()
+                descendants.add(c)
+                stack.extend(tree.node(c).children)
+            # v + size - 1 is v's last descendant, and none lies between
+            assert descendants == set(range(v + 1, v + size[v]))
 
     def test_ids_are_preorder(self):
         tree = parse_html(b"<a><b><c/></b><d/></a>")
