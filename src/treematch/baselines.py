@@ -11,9 +11,16 @@ Every table cell is thus an int no larger than n1 + n2; only the distance
 and the pair costs the API returns are floats.
 
 One kernel, ``_ZsRun._fill``, writes the forest-distance table of a subtree
-pair into one buffer, in one loop over its cells. The distance pass runs it
-for every pair of inner keyroots; the backtrace reruns it for each pair it
-descends into and reads that buffer.
+pair into one buffer, one row at a time. In a row off the first subtree's
+leftmost path every cell adds a tree distance to the forest before both
+subtrees, so that row runs a loop with no path test; a row on the path also
+takes the diagonal, and writes the tree distance, in the columns on the
+second subtree's leftmost path. Each column's offset to the forest before
+its subtree is listed once per second subtree (0 exactly on its path), and
+both loops carry the left neighbour in a local. The distance pass runs the
+kernel for every pair of inner keyroots. The backtrace reads the buffer: it
+starts from the root pair's table when the pass left it there, and reruns
+the kernel for every other pair it descends into.
 
 Over every keyroot pair the kernel would fill S1 x S2 forest cells, where
 S is the summed size of a tree's keyroot subtrees. Zhang and Shasha
@@ -188,6 +195,8 @@ class _ZsRun:
             for row, d in zip(td, dist):
                 for j in leaves:
                     row[j] = d
+        # the subtree pair whose forest table ``fd`` holds, if any
+        self._held: tuple[int, int] | None = None
         inner2 = [j for j in self.kr2 if self.lmd2[j] != j]
         for i in self.kr1:
             if self.lmd1[i] != i:
@@ -195,6 +204,7 @@ class _ZsRun:
         if self.mirrored:
             self._orient(left1, left2, ids1, ids2)
             self.td = _reordered(self.td, left1.order, left2.order)
+            self._held = None  # a pair of mirrored positions
 
     def _orient(
         self, s1: _Structure, s2: _Structure, ids1: list[int], ids2: list[int]
@@ -209,59 +219,81 @@ class _ZsRun:
         """Forest distances of subtree ``i`` against each subtree in ``js``.
 
         Writes the tree distances of the pairs on both leftmost paths into
-        ``td``; the table of the last pair stays in ``fd``.
+        ``td``. Every row is written in place, so the table of the last pair
+        stays in ``fd`` (``_held`` names it) for the backtrace to read.
+        ``qs[y]`` is column ``y``'s offset to the column before its subtree,
+        0 exactly on ``j``'s leftmost path. A row off ``i``'s path adds a
+        tree distance to the forest before both subtrees in every cell; a row
+        on it takes the diagonal and writes ``td`` where ``qs[y]`` is 0.
         """
         lmd1, lmd2 = self.lmd1, self.lmd2
         lab1, lab2 = self.lab1, self.lab2
         td, fd = self.td, self.fd
         li = lmd1[i]
-        m = i - li + 2
-        ioff = li - 1
+        # each row's position, subtree, whether it is on the leftmost path,
+        # and the row before its subtree (row 0 on the path)
+        rows = [(xi - li + 1, xi, lmd1[xi] == li, lmd1[xi] - li) for xi in range(li, i + 1)]
         for j in js:
             lj = lmd2[j]
             n = j - lj + 2
             joff = lj - 1
+            qs = [0, *(lmd2[yj] - lj for yj in range(lj, j + 1))]
             fd[0][:n] = range(n)
             prev = fd[0]
-            for x in range(1, m):
-                xi = x + ioff
+            for x, xi, on_path, p in rows:
                 cur = fd[x]
-                cur[0] = x
-                lx = lmd1[xi]
-                on_path = lx == li
-                # the row before subtree xi; row 0 when xi is on the path
-                p_row = fd[lx - 1 - ioff]
+                cur[0] = left = x
+                p_row = fd[p]
                 tdx = td[xi]
-                labx = lab1[xi]
-                for y in range(1, n):
-                    yj = y + joff
-                    best = prev[y] + 1
-                    left = cur[y - 1] + 1
-                    if left < best:
-                        best = left
-                    ly = lmd2[yj]
-                    if on_path and ly == lj:
-                        diag = prev[y - 1] + (labx != lab2[yj])
-                        if diag < best:
-                            best = diag
-                        tdx[yj] = best
-                    else:
-                        sub = p_row[ly - 1 - joff] + tdx[yj]
+                if on_path:
+                    labx = lab1[xi]
+                    for y in range(1, n):
+                        best = prev[y]
+                        if left < best:
+                            best = left
+                        best += 1
+                        q = qs[y]
+                        if q:
+                            sub = p_row[q] + tdx[y + joff]
+                            if sub < best:
+                                best = sub
+                        else:
+                            yj = y + joff
+                            diag = prev[y - 1] + (labx != lab2[yj])
+                            if diag < best:
+                                best = diag
+                            tdx[yj] = best
+                        cur[y] = left = best
+                else:
+                    for y in range(1, n):
+                        best = prev[y]
+                        if left < best:
+                            best = left
+                        best += 1
+                        sub = p_row[qs[y]] + tdx[y + joff]
                         if sub < best:
                             best = sub
-                    cur[y] = best
+                        cur[y] = left = best
                 prev = cur
+            self._held = i, j
 
     @property
     def distance(self) -> float:
         return float(self.td[-1][-1])
 
     def mapping(self) -> list[tuple[int, int]]:
-        """Matched (postorder1, postorder2) positions of one optimal script."""
+        """Matched (postorder1, postorder2) positions of one optimal script.
+
+        A left-to-right pass over trees of two nodes or more ends on the root
+        pair, so the backtrace starts from the table that pass left in ``fd``.
+        """
         pairs: list[tuple[int, int]] = []
         stack = [(len(self.order1) - 1, len(self.order2) - 1)]
         while stack:
-            self._extract(*stack.pop(), pairs, stack)
+            i, j = stack.pop()
+            if (i, j) != self._held:
+                self._fill(i, (j,))
+            self._extract(i, j, pairs, stack)
         return pairs
 
     def _extract(
@@ -271,7 +303,6 @@ class _ZsRun:
         out: list[tuple[int, int]],
         stack: list[tuple[int, int]],
     ) -> None:
-        self._fill(i, (j,))
         fd = self.fd
         lmd1, lmd2 = self.lmd1, self.lmd2
         li = lmd1[i]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR, build
 from oracles import (
+    ReferenceZsRun,
     TooLarge,
     brute_force_optimal,
     enumerate_matching_costs,
@@ -147,6 +148,17 @@ def mirrored(tree: LabeledTree) -> LabeledTree:
     return freeze(root)
 
 
+def p00_pair(mirror: bool) -> tuple[LabeledTree, LabeledTree]:
+    """The ratio-0.2 seed-0 mutant pair of p00; its pass runs mirrored, and
+    with every child list reversed (``mirror``) left to right."""
+    pages = sorted(CORPUS_DIR.glob("p00_*.html"))
+    if not pages:
+        pytest.skip("bundled corpus not generated")
+    source = assign_signatures(parse_html(pages[0].read_bytes()))
+    mutant, _ = mutate(source, 0.2, 0)
+    return (mirrored(source), mirrored(mutant)) if mirror else (source, mutant)
+
+
 class TestPostorderStructure:
     """Both path decompositions, read off ids and subtree sizes, equal the
     ones a stack walk of each tree finds."""
@@ -273,13 +285,7 @@ class TestTedLeafKeyroots:
 
     @pytest.mark.parametrize("mirror", [False, True], ids=["mirrored-pass", "left-to-right-pass"])
     def test_kernel_never_gets_a_leaf_keyroot(self, monkeypatch, mirror):
-        pages = sorted(CORPUS_DIR.glob("p00_*.html"))
-        if not pages:
-            pytest.skip("bundled corpus not generated")
-        source = assign_signatures(parse_html(pages[0].read_bytes()))
-        mutant, _ = mutate(source, 0.2, 0)
-        if mirror:
-            source, mutant = mirrored(source), mirrored(mutant)
+        source, mutant = p00_pair(mirror)
         calls: list[tuple[int, list[int]]] = []
         fill = _ZsRun._fill
 
@@ -296,6 +302,75 @@ class TestTedLeafKeyroots:
         pass1, pass2 = (s[run.mirrored] for s in map(_postorder_structure, (source, mutant)))
         inner1, inner2 = ([k for k in s.keyroots if s.lmd[k] != k] for s in (pass1, pass2))
         assert calls == [(i, inner2) for i in inner1]
+
+
+class TestTedForestTables:
+    """For every inner keyroot pair the kernel leaves the oracle's forest
+    table in ``fd``, which the backtrace reads."""
+
+    @staticmethod
+    def assert_like_reference(t1: LabeledTree, t2: LabeledTree) -> None:
+        run, reference = _ZsRun(t1, t2), ReferenceZsRun(t1, t2)
+        lmd1, lmd2 = run.lmd1, run.lmd2
+        for i in (i for i in run.kr1 if lmd1[i] != i):
+            m = i - lmd1[i] + 2
+            for j in (j for j in run.kr2 if lmd2[j] != j):
+                n = j - lmd2[j] + 2
+                run._fill(i, (j,))
+                reference._fill(i, (j,))
+                # int cells against the oracle's float cells, by value
+                assert [row[:n] for row in run.fd[:m]] == [row[:n] for row in reference.fd[:m]]
+        assert run.td == reference.td
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_pairs(max_nodes=12))
+    def test_random_pairs_equal_reference(self, pair):
+        self.assert_like_reference(*pair)
+
+    def test_corpus_pair_equals_reference(self):
+        self.assert_like_reference(*p00_pair(mirror=False))
+
+
+class TestTedBacktrace:
+    """The backtrace refills the root pair's forest table only when the
+    distance pass did not leave it in ``fd``."""
+
+    @staticmethod
+    def mapping_fills(monkeypatch, t1: LabeledTree, t2: LabeledTree):
+        run = _ZsRun(t1, t2)
+        calls: list[tuple[int, tuple[int, ...]]] = []
+        fill = _ZsRun._fill
+
+        def spy(run: _ZsRun, i: int, js) -> None:
+            js = tuple(js)
+            calls.append((i, js))
+            fill(run, i, js)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_ZsRun, "_fill", spy)
+            pairs = run.mapping()
+        assert pairs == ReferenceZsRun(t1, t2).mapping()
+        return run, calls, (len(t1) - 1, (len(t2) - 1,))
+
+    def test_left_to_right_pass_reuses_root_table(self, monkeypatch):
+        run, calls, root = self.mapping_fills(monkeypatch, *p00_pair(mirror=True))
+        assert not run.mirrored
+        assert calls and root not in calls
+
+    def test_mirrored_pass_refills_root_table(self, monkeypatch):
+        run, calls, root = self.mapping_fills(monkeypatch, *p00_pair(mirror=False))
+        assert run.mirrored
+        assert calls[0] == root
+
+    @pytest.mark.parametrize("child", ["a", "b"])
+    def test_one_node_tree_refills_root_table(self, monkeypatch, child):
+        one, two = freeze(build("a")), freeze(build("div", build(child)))
+        for t1, t2 in ((one, two), (two, one)):
+            run, calls, root = self.mapping_fills(monkeypatch, t1, t2)
+            assert calls == [root]
+            got, want = ted_match(t1, t2), reference_ted_match(t1, t2)
+            assert got.pairs == want.pairs
+            assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
 
 
 def descendants(tree: LabeledTree, node_id: int) -> set[int]:
