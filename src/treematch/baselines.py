@@ -86,8 +86,7 @@ def _postorder_structure(tree: LabeledTree) -> tuple[_Structure, _Structure]:
     order = [0] * n  # node 0, the root, is last
     not_first = [True] * n  # keyroots left to right
     not_last = [True] * n  # keyroots mirrored
-    for node in tree.nodes[1:]:
-        v, parent = node.id, node.parent
+    for v, parent in enumerate(tree.parents[1:], start=1):
         depth[v] = d = depth[parent] + 1
         order[v + size[v] - 1 - d] = v
         not_first[v] = v != parent + 1
@@ -106,7 +105,8 @@ def _label_ids(t1: LabeledTree, t2: LabeledTree) -> tuple[list[int], list[int]]:
 
     def build(tree: LabeledTree) -> list[int]:
         return [
-            interned.setdefault((node.tag, node.attributes), len(interned)) for node in tree
+            interned.setdefault(label, len(interned))
+            for label in zip(tree.tags, tree.attributes)
         ]
 
     return build(t1), build(t2)

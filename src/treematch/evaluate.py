@@ -119,7 +119,7 @@ def load_bundle(directory: Path) -> MutantBundle:
         log = mutation_log_from_json((directory / LOG_FILE).read_text(encoding="utf-8"))
     except (OSError, FormatError, KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"bad bundle {directory}: {exc}") from exc
-    unknown = log.removed_signatures.difference(node.signature for node in source)
+    unknown = log.removed_signatures.difference(source.signatures)
     if unknown:
         raise CorpusError(f"bad bundle {directory}: removed signature {min(unknown)!r} "
                           "is not in the source tree")

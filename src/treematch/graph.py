@@ -218,16 +218,17 @@ def matching_cost(m: Matching, params: SftmParams) -> float:
 
 def matching_to_json(m: Matching, t1: LabeledTree, t2: LabeledTree) -> str:
     """Serialize a matching with xpaths rather than bare node ids."""
+    xpaths1, xpaths2 = t1.xpaths(), t2.xpaths()
     obj = {
         "pairs": [
             {
-                "t1_xpath": t1.node(n).xpath,
-                "t2_xpath": t2.node(mm).xpath,
+                "t1_xpath": xpaths1[n],
+                "t2_xpath": xpaths2[mm],
                 "cost": cost,
             }
             for (n, mm), cost in zip(m.pairs, m.pair_costs)
         ],
-        "unmatched_t1": sorted(t1.node(n).xpath for n in m.unmatched_t1),
-        "unmatched_t2": sorted(t2.node(mm).xpath for mm in m.unmatched_t2),
+        "unmatched_t1": sorted(xpaths1[n] for n in m.unmatched_t1),
+        "unmatched_t2": sorted(xpaths2[mm] for mm in m.unmatched_t2),
     }
     return json.dumps(obj, ensure_ascii=False, indent=2)

@@ -114,9 +114,9 @@ def assign_signatures(tree: LabeledTree) -> LabeledTree:
     Signatures live outside the attribute list, so tokenization and the
     matchers never see them.
     """
-    return LabeledTree(
-        tuple(node._replace(signature=f"s{node.id:05d}") for node in tree)
-    )
+    signatures = tuple([f"s{v:05d}" for v in range(len(tree))])
+    return LabeledTree(tree.tags, tree.attributes, tree.texts, tree.parents, tree.children,
+                       tree.segments, signatures)
 
 
 def ground_truth(source: LabeledTree, mutant: LabeledTree) -> set[tuple[int, int]]:
@@ -124,12 +124,12 @@ def ground_truth(source: LabeledTree, mutant: LabeledTree) -> set[tuple[int, int
 
     def by_signature(tree: LabeledTree) -> dict[str, int]:
         out: dict[str, int] = {}
-        for node in tree:
-            if node.signature is None:
+        for node_id, signature in enumerate(tree.signatures):
+            if signature is None:
                 continue
-            if node.signature in out:
-                raise DuplicateSignature(node.signature)
-            out[node.signature] = node.id
+            if signature in out:
+                raise DuplicateSignature(signature)
+            out[signature] = node_id
         return out
 
     src = by_signature(source)
@@ -166,9 +166,9 @@ class _Mutator:
     def __init__(self, tree: LabeledTree, ratio: float, seed: int, source_page: str):
         if not 0.0 <= ratio <= 0.5:
             raise ValueError(f"mutation ratio must be in [0, 0.5], got {ratio}")
-        for node in tree:
-            if node.signature is None:
-                raise ValueError(f"node {node.id} has no signature; sign the tree first")
+        if None in tree.signatures:
+            raise ValueError(f"node {tree.signatures.index(None)} has no signature; "
+                             "sign the tree first")
         self.ratio = ratio
         self.seed = seed
         self.source_page = source_page
@@ -180,7 +180,7 @@ class _Mutator:
         self.removed: set[str] = set()
         self.ops: list[MutationOp] = []
 
-        parents = [None] + [drafts[node.parent] for node in tree.nodes[1:]]  # type: ignore[index]
+        parents = [None] + [drafts[p] for p in tree.parents[1:]]  # type: ignore[index]
         keys = list(map(id, drafts))
         self.parent_of: dict[int, DraftNode | None] = dict(zip(keys, parents))
         # every node is signed at this point: a signed count is a subtree size

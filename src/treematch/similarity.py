@@ -5,12 +5,24 @@ that occur in too many nodes (sublinear threshold), score each second-tree
 node against the index with IDF weighting, then propagate scores up the
 parent chain so local topology counts too.
 
-Nodes that share a label (tag and attributes, plus text when content is
-tokenized) share every token but their xpath, so :func:`initial_similarity`
-tokenizes each distinct label of both trees once, and each node adds only
-its xpath token. A node's tokens are kept in sorted order, the order its
-IDF weights are summed in, so the scores equal those of
-:func:`neighbor_scores`, which tokenizes the node on its own, to the bit.
+A node's tokens are its label's tokens (tag and attributes, plus text when
+content is tokenized) and its xpath token, and IDF weights are added in
+sorted token order, so every scoring path sums the same floats in the same
+order as :func:`neighbor_scores`, which tokenizes one node on its own.
+:func:`initial_similarity` takes one of two paths:
+
+- Namespaced mode (the default): ``xpath:`` sorts after every label
+  prefix, so the xpath weight is added last. Labels are interned to ints
+  and tokenized once, the index holds label tokens only, each kept token's
+  weight is computed once, and the second-tree nodes of one label share a
+  label row. A node's row is that row plus its xpath weight, added to the
+  first-tree nodes with the same xpath, found by one pre-order lookup of
+  the segment under the parent's partner. No xpath string is built.
+- Flat mode, or a tag holding ``/`` in either tree (a tag ``a/b`` spells
+  the xpath of an ``a`` with a child ``b``, so segments no longer compare
+  as xpaths do): each node's xpath string is a token, indexed and sorted in
+  with its label's tokens, since a flat xpath can sort among, or equal, a
+  label token.
 
 The table is kept as one row per second-tree node: ``rows[m]`` maps each
 first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
@@ -21,8 +33,9 @@ keyed by a plain int and no tuple is built per pair.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .tokens import (
     DEFAULT_TOKEN_OPTIONS,
@@ -141,24 +154,46 @@ def neighbor_scores(
     token-holders' scores; a token with IDF 0 adds nothing, so every score
     in the result is positive.
     """
-    return _scores(sorted(tokenize_node(t2, m, options)), index)
+    tokens = sorted(tokenize_node(t2, m, options))
+    entries = index.entries
+    shared = {token: entries[token] for token in tokens if token in entries}
+    # a bucket as large as the tree weighs log(1) = 0 or less, so the tree
+    # size as the cutoff drops no token that scores
+    return _row(tokens, _weighted(shared, index.t1_size, index.t1_size))
 
 
-def _scores(tokens: list[str], index: TokenIndex) -> dict[int, float]:
-    # IDF weights are added in sorted token order, so every caller sums the
-    # same floats in the same order
-    scores: dict[int, float] = {}
-    entries, t1_size = index.entries, index.t1_size
+def _weighted(
+    buckets: Mapping[str, Collection[int]], t1_size: int, cutoff: int
+) -> dict[str, tuple[float, Collection[int]]]:
+    """Each token's IDF weight and holders, for the tokens that score: held
+    by one to ``cutoff`` nodes, with a positive weight."""
+    out = {}
+    for token, bucket in buckets.items():
+        if 0 < len(bucket) <= cutoff:
+            weight = math.log(t1_size / len(bucket))
+            if weight > 0.0:
+                out[token] = (weight, bucket)
+    return out
+
+
+def _row(
+    tokens: list[str], weighted: Mapping[str, tuple[float, Collection[int]]]
+) -> dict[int, float]:
+    """The scores some sorted tokens give: every caller adds the same IDF
+    weights in the same, sorted, token order, so the floats agree to the bit."""
+    scores: dict[int, float] | None = None
     for token in tokens:
-        bucket = entries.get(token)
-        if not bucket:
+        entry = weighted.get(token)
+        if entry is None:
             continue
-        weight = math.log(t1_size / len(bucket))
-        if weight <= 0.0:
+        weight, bucket = entry
+        if scores is None:
+            scores = dict.fromkeys(bucket, weight)  # 0.0 + weight is weight
             continue
+        get = scores.get
         for n in bucket:
-            scores[n] = scores.get(n, 0.0) + weight
-    return scores
+            scores[n] = get(n, 0.0) + weight
+    return {} if scores is None else scores
 
 
 def node_tokens(
@@ -177,17 +212,22 @@ def node_tokens(
     prefixes; in the flat mode it may sort anywhere, or repeat a label
     token, so it is sorted in with the label's set.
     """
-    flat, content = options.flat, options.include_content
-    for node in tree:
-        text = node.text if content else None
-        key = (node.tag, node.attributes, text)
+    flat = options.flat
+    for key, xpath in zip(_label_keys(tree, options), tree.xpaths()):
         label = labels.get(key)
         if label is None:
-            words = label_tokens(node.tag, node.attributes, text, options)
+            words = label_tokens(*key, options)
             label = labels[key] = (sorted(words), words)
         ordered, words = label
-        xpath = xpath_token(node.xpath, options)
-        yield sorted(words | {xpath}) if flat else [*ordered, xpath]
+        token = xpath_token(xpath, options)
+        yield sorted(words | {token}) if flat else [*ordered, token]
+
+
+def _label_keys(tree: LabeledTree, options: TokenOptions) -> list[tuple]:
+    """Each node's label by node id: (tag, attributes, text), with text
+    ``None`` unless ``options.include_content`` is set."""
+    texts = tree.texts if options.include_content else repeat(None)
+    return list(zip(tree.tags, tree.attributes, texts))
 
 
 def initial_similarity(
@@ -197,14 +237,96 @@ def initial_similarity(
 ) -> SimilarityTable:
     """Label-only similarity for every node pair that shares an indexed token."""
     options = params.tokens
-    labels: dict[tuple, tuple[list[str], set[str]]] = {}
-    index = apply_threshold(_index(node_tokens(t1, options, labels), len(t1)), params.alpha)
+    t1_size = len(t1)
+    cutoff = threshold_cutoff(t1_size, params.alpha)
     rows: dict[int, dict[int, float]] = {}
-    for m, tokens in enumerate(node_tokens(t2, options, labels)):
-        row = _scores(tokens, index)
+    if options.flat or _slashed(t1) or _slashed(t2):
+        # each xpath a string token, sorted in with its label's tokens
+        labels: dict[tuple, tuple[list[str], set[str]]] = {}
+        index = _index(node_tokens(t1, options, labels), t1_size)
+        weighted = _weighted(index.entries, t1_size, cutoff)
+        for m, tokens in enumerate(node_tokens(t2, options, labels)):
+            row = _row(tokens, weighted)
+            if row:
+                rows[m] = row
+        return SimilarityTable(rows=rows)
+
+    # each label of either tree interned to an int and tokenized once
+    ids: dict[tuple, int] = {}
+    labels1 = [ids.setdefault(key, len(ids)) for key in _label_keys(t1, options)]
+    labels2 = [ids.setdefault(key, len(ids)) for key in _label_keys(t2, options)]
+    tokens = [sorted(label_tokens(*key, options)) for key in ids]
+    holders: list[list[int]] = [[] for _ in tokens]
+    for n, label in enumerate(labels1):
+        holders[label].append(n)
+    # a node holds a token once, so a bucket's length is the token's multiplicity
+    buckets: dict[str, list[int]] = {}
+    for words, nodes in zip(tokens, holders):
+        if not nodes:
+            continue  # a label only t2 has
+        for token in words:
+            bucket = buckets.get(token)
+            if bucket is None:
+                buckets[token] = nodes.copy()
+            else:
+                bucket.extend(nodes)
+    weighted = _weighted(buckets, t1_size, cutoff)
+
+    partners, shared = _xpath_partners(t1, t2)
+    lone = math.log(t1_size)  # the weight of an xpath that one t1 node holds
+    label_rows: list[dict[int, float] | None] = [None] * len(tokens)
+    for m, (label, partner) in enumerate(zip(labels2, partners)):
+        base = label_rows[label]
+        if base is None:
+            base = label_rows[label] = _row(tokens[label], weighted)
+        row = base.copy()
+        # the xpath token sorts after every label token, so its weight adds last
+        if partner is not None:
+            nodes = shared.get(partner)
+            if nodes is None:
+                nodes, weight = [partner], lone
+            else:
+                weight = math.log(t1_size / len(nodes)) if len(nodes) <= cutoff else 0.0
+            if weight > 0.0:
+                for n in nodes:
+                    row[n] = row.get(n, 0.0) + weight
         if row:
             rows[m] = row
     return SimilarityTable(rows=rows)
+
+
+def _slashed(tree: LabeledTree) -> bool:
+    """Whether a tag holds a ``/``: a tag ``a/b`` spells the same xpath as a
+    tag ``a`` with a child ``b``, so segments no longer compare as xpaths do."""
+    return any("/" in tag for tag in set(tree.tags))
+
+
+def _xpath_partners(
+    t1: LabeledTree, t2: LabeledTree
+) -> tuple[list[int | None], dict[int, list[int]]]:
+    """Each second-tree node's partner, the first ``t1`` node with an equal
+    xpath, or ``None``; and each partner whose xpath two or more ``t1``
+    nodes hold (a tag like ``a[1]`` among ``a`` siblings), with those nodes.
+
+    No tag may hold a ``/``: xpaths are then equal exactly when their
+    segments are, so one pre-order pass per tree finds a node's partner as
+    the node with its segment under its parent's partner.
+    """
+    segments, parents = t1.segments, t1.parents
+    first: dict[tuple[int, str], int] = {(-1, segments[0]): 0}
+    firsts = [0] * len(segments)
+    shared: dict[int, list[int]] = {}
+    for n in range(1, len(segments)):
+        key = (firsts[parents[n]], segments[n])  # type: ignore[index]
+        f = firsts[n] = first.setdefault(key, n)
+        if f != n:
+            shared.setdefault(f, [f]).append(n)
+    segments, parents = t2.segments, t2.parents
+    partners = [first.get((-1, segments[0]))]
+    for m in range(1, len(segments)):
+        up = partners[parents[m]]  # type: ignore[index]
+        partners.append(None if up is None else first.get((up, segments[m])))
+    return partners, shared
 
 
 _EMPTY_ROW: dict[int, float] = {}
@@ -226,8 +348,7 @@ def propagate(
     """
     weights = params.weights
     w0 = weights[0]
-    parents1 = [node.parent for node in t1]
-    parents2 = [node.parent for node in t2]
+    parents1, parents2 = t1.parents, t2.parents
     base = s0.rows
     out: dict[int, dict[int, float]] = {}
     for m, row in base.items():

@@ -1,4 +1,13 @@
-"""Node tokenization: tag, attribute names, attribute-value words, absolute xpath."""
+"""Node tokenization: tag, attribute names, attribute-value words, absolute xpath.
+
+A node's tokens are its label's tokens (:func:`label_tokens`: tag, attribute
+names, value words, and text words with ``include_content``) plus one token
+for its absolute xpath. :func:`tokenize_node` reads that xpath string from
+``tree.xpaths()``, which builds every node's on first use; the matcher's
+default, namespaced mode builds none, since ``similarity.initial_similarity``
+finds a node's xpath partners by segment (see there), and only the flat mode
+and this per-node function spell xpaths out.
+"""
 
 from __future__ import annotations
 
@@ -53,9 +62,10 @@ def tokenize_node(
     Duplicates collapse (set semantics). Text content is excluded unless
     ``options.include_content`` is set.
     """
-    node = tree.node(node_id)
-    tokens = label_tokens(node.tag, node.attributes, node.text, options)
-    tokens.add(xpath_token(node.xpath, options))
+    tokens = label_tokens(
+        tree.tags[node_id], tree.attributes[node_id], tree.texts[node_id], options
+    )
+    tokens.add(xpath_token(tree.xpaths()[node_id], options))
     return frozenset(tokens)
 
 

@@ -1,12 +1,20 @@
 """Rooted ordered labeled trees, with ingestion from HTML and a JSON tree format.
 
 Trees are immutable after construction. Node ids are dense pre-order indices,
-so ``tree.node(0)`` is always the root. The HTML and JSON readers build no
+so ``tree.node(0)`` is always the root. A :class:`LabeledTree` is a set of
+columns, one tuple per field (tag, attributes, text, parent, children, xpath
+segment, signature), indexed by node id. The HTML and JSON readers build no
 intermediate nodes: each lists one row of fields per element in pre-order, as
-the elements arrive, and ends in one step that assigns the xpaths and builds
-the nodes. Mutable :class:`DraftNode` trees belong to the mutation engine and
-to trees built by hand; :func:`thaw` turns a tree into drafts and
-:func:`freeze` turns drafts back into a ``LabeledTree``.
+the elements arrive, and ends in one step that ranks same-tag siblings and
+builds the columns. A node's xpath segment is its tag, or ``tag[k]`` among two
+or more same-tag siblings; no full xpath string and no :class:`TreeNode` is
+built with the tree, so its memory is linear in its size even for deep
+chains. Both are built on demand, once per tree: ``tree.xpaths()`` joins
+the segments from the root down, and ``tree.nodes`` holds the ``TreeNode``
+views that ``tree.node(i)`` and iteration read. The matcher and the baseline
+read the columns only. Mutable :class:`DraftNode` trees belong to the
+mutation engine and to trees built by hand; :func:`thaw` turns a tree into
+drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ class DraftNode:
 
 
 class TreeNode(NamedTuple):
-    """One element of a :class:`LabeledTree`; an immutable named tuple.
+    """A view of one element of a :class:`LabeledTree`; an immutable named tuple.
 
     ``attributes`` preserves source order. ``text`` is the node's own
     (direct) text content, whitespace-collapsed, or ``None``. ``signature``
@@ -78,22 +86,50 @@ class TreeNode(NamedTuple):
 
 
 class LabeledTree:
-    """Immutable rooted ordered labeled tree.
+    """Immutable rooted ordered labeled tree, held as one tuple per field.
 
     Node ids are pre-order positions in ``[0, len(tree))``; the root is node 0.
+    Column ``k`` of each of ``tags``, ``attributes``, ``texts``, ``parents``,
+    ``children``, ``segments`` and ``signatures`` belongs to node ``k``. A
+    node's xpath ``segment`` is its tag, or ``tag[k]`` when it is the k-th of
+    two or more same-tag siblings, and its xpath is the segments from the root
+    down, each after a ``/``. Views and xpaths are built when first asked
+    for, all at once, and kept: :meth:`xpaths` joins every node's segments,
+    and :attr:`nodes` holds one ``TreeNode`` per node, which :meth:`node`
+    and iteration read.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = (
+        "tags", "attributes", "texts", "parents", "children", "segments", "signatures",
+        "_xpaths", "_views",
+    )
 
-    def __init__(self, nodes: tuple[TreeNode, ...]):
-        self.nodes = nodes
+    def __init__(
+        self,
+        tags: tuple[str, ...],
+        attributes: tuple[tuple[tuple[str, str], ...], ...],
+        texts: tuple[str | None, ...],
+        parents: tuple[int | None, ...],
+        children: tuple[tuple[int, ...], ...],
+        segments: tuple[str, ...],
+        signatures: tuple[str | None, ...],
+    ):
+        self.tags = tags
+        self.attributes = attributes
+        self.texts = texts
+        self.parents = parents
+        self.children = children
+        self.segments = segments
+        self.signatures = signatures
+        self._xpaths: tuple[str, ...] | None = None
+        self._views: tuple[TreeNode, ...] | None = None
 
     @property
     def root(self) -> int:
         return 0
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.tags)
 
     def __iter__(self) -> Iterator[TreeNode]:
         return iter(self.nodes)
@@ -101,15 +137,39 @@ class LabeledTree:
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
 
+    @property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """One ``TreeNode`` view per node, by node id; built on first use."""
+        if self._views is None:
+            self._views = tuple(map(
+                TreeNode, range(len(self.tags)), self.tags, self.attributes, self.texts,
+                self.parents, self.children, self.xpaths(), self.signatures,
+            ))
+        return self._views
+
+    def xpaths(self) -> tuple[str, ...]:
+        """Every node's absolute xpath, such as ``/html/body/p[2]``, by node id.
+
+        Built on the first call and kept; a chain of depth d then holds about
+        2·d² characters of xpath.
+        """
+        if self._xpaths is None:
+            paths = ["/" + self.segments[0]]
+            for parent, segment in zip(self.parents[1:], self.segments[1:]):
+                paths.append(f"{paths[parent]}/{segment}")  # type: ignore[index]
+            self._xpaths = tuple(paths)
+        return self._xpaths
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"LabeledTree(size={len(self.nodes)}, root_tag={self.nodes[0].tag!r})"
+        return f"LabeledTree(size={len(self)}, root_tag={self.tags[0]!r})"
 
 
 def subtree_sizes(tree: LabeledTree) -> list[int]:
     """Subtree size by node id: ``v``'s subtree is the ids ``v .. v + size - 1``."""
     size = [1] * len(tree)
-    for node in tree.nodes[:0:-1]:  # children before parents
-        size[node.parent] += size[node.id]  # type: ignore[index]
+    parents = tree.parents
+    for v in range(len(size) - 1, 0, -1):  # children before parents
+        size[parents[v]] += size[v]  # type: ignore[index]
     return size
 
 
@@ -118,7 +178,7 @@ _Row = tuple[str, tuple[tuple[str, str], ...], str | None, str | None, int | Non
 
 
 def freeze(root: DraftNode) -> LabeledTree:
-    """Assign pre-order ids and xpaths to a draft tree and seal it."""
+    """Assign pre-order ids and xpath segments to a draft tree and seal it."""
     rows: list[_Row] = []
     stack: list[tuple[DraftNode, int | None]] = [(root, None)]
     while stack:
@@ -133,48 +193,47 @@ def freeze(root: DraftNode) -> LabeledTree:
 def _seal(rows: list[_Row]) -> LabeledTree:
     """Build the tree from one row per node, listed in pre-order.
 
-    Children are listed in id order, which is sibling order. An xpath
-    segment gets a 1-based ``[k]`` rank suffix only when the node has at
-    least one same-tag sibling. Text is whitespace-collapsed, and text that
-    collapses to nothing becomes ``None``.
+    Children are listed in id order, which is sibling order. A segment gets
+    a 1-based ``[k]`` rank suffix only when the node has at least one
+    same-tag sibling. Text is whitespace-collapsed, and text that collapses
+    to nothing becomes ``None``.
     """
-    tags, attrs, texts, signatures, parents = zip(*rows)
+    tags, attributes, texts, signatures, parents = zip(*rows)
     size = len(tags)
     children: list[list[int]] = [[] for _ in range(size)]
     for node_id in range(1, size):
         children[parents[node_id]].append(node_id)  # type: ignore[index]
-    xpaths = [""] * size
-    xpaths[0] = "/" + tags[0]
-    for node_id, kids in enumerate(children):
-        if not kids:
+    segments = list(tags)
+    for kids in children:
+        if len(kids) < 2:
             continue
-        prefix = xpaths[node_id] + "/"
         kid_tags = [tags[c] for c in kids]
-        tag_counts: dict[str, int] = {}
+        counts: dict[str, int] = {}
         for tag in kid_tags:
-            tag_counts[tag] = tag_counts.get(tag, 0) + 1
+            counts[tag] = counts.get(tag, 0) + 1
+        if len(counts) == len(kids):
+            continue
         seen: dict[str, int] = {}
         for c, tag in zip(kids, kid_tags):
-            if tag_counts[tag] >= 2:
+            if counts[tag] >= 2:
                 seen[tag] = rank = seen.get(tag, 0) + 1
-                xpaths[c] = f"{prefix}{tag}[{rank}]"
-            else:
-                xpaths[c] = prefix + tag
-    texts = [text if text is None else " ".join(text.split()) or None for text in texts]
-    return LabeledTree(tuple(map(
-        TreeNode, range(size), tags, attrs, texts, parents, map(tuple, children), xpaths, signatures
-    )))
+                segments[c] = f"{tag}[{rank}]"
+    texts = tuple([text if text is None else " ".join(text.split()) or None for text in texts])
+    return LabeledTree(
+        tags, attributes, texts, parents, tuple(map(tuple, children)), tuple(segments), signatures
+    )
 
 
 def thaw(tree: LabeledTree) -> list[DraftNode]:
-    """Deep mutable copy of a tree, inverse of :func:`freeze` (ids/xpaths
-    dropped): the drafts indexed by node id, so the root is ``[0]``."""
+    """Deep mutable copy of a tree, inverse of :func:`freeze` (ids and
+    segments dropped): the drafts indexed by node id, so the root is ``[0]``."""
     drafts = [
-        DraftNode(tag=n.tag, attrs=list(n.attributes), text=n.text, signature=n.signature)
-        for n in tree
+        DraftNode(tag=tag, attrs=list(attrs), text=text, signature=signature)
+        for tag, attrs, text, signature
+        in zip(tree.tags, tree.attributes, tree.texts, tree.signatures)
     ]
-    for node, draft in zip(tree, drafts):
-        draft.children = [drafts[c] for c in node.children]
+    for draft, kids in zip(drafts, tree.children):
+        draft.children = [drafts[c] for c in kids]
     return drafts
 
 
@@ -362,23 +421,23 @@ def _format_error(
     return FormatError(message, "$" + "".join(reversed(steps)) + suffix)
 
 
-def _node_to_json(tree: LabeledTree, node_id: int) -> dict:
-    node = tree.node(node_id)
-    obj: dict = {"tag": node.tag}
-    if node.attributes:
-        obj["attrs"] = {name: value for name, value in node.attributes}
-    if node.text is not None:
-        obj["text"] = node.text
-    if node.signature is not None:
-        obj["signature"] = node.signature
-    obj["children"] = [_node_to_json(tree, c) for c in node.children]
-    return obj
-
-
 def serialize_tree_json(tree: LabeledTree) -> str:
     """Write a tree in the JSON tree format; raises :class:`TooDeep` when it
     nests too deeply for the recursion limit (just under 500 levels by default)."""
+    tags, attributes, texts, signatures = tree.tags, tree.attributes, tree.texts, tree.signatures
+    objs: list = [None] * len(tree)
+    # children before parents, so each child list is built from finished objects
+    for v, kids in zip(range(len(tree) - 1, -1, -1), reversed(tree.children)):
+        obj: dict = {"tag": tags[v]}
+        if attributes[v]:
+            obj["attrs"] = dict(attributes[v])
+        if texts[v] is not None:
+            obj["text"] = texts[v]
+        if signatures[v] is not None:
+            obj["signature"] = signatures[v]
+        obj["children"] = [objs[c] for c in kids]
+        objs[v] = obj
     try:
-        return json.dumps(_node_to_json(tree, tree.root), ensure_ascii=False)
+        return json.dumps(objs[0], ensure_ascii=False)
     except RecursionError:
         raise TooDeep(f"{len(tree)}-node tree nests too deeply to write as JSON") from None

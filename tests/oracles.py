@@ -16,9 +16,11 @@ Zhang-Shasha as first written, always decomposing along leftmost paths, and
 written, by a stack walk of the tree in each direction.
 ``reference_parse_tree_json`` and ``reference_freeze`` are the tree readers as
 first written: a recursive JSON reader that builds a ``DraftNode`` and a path
-string per node, and a freeze that assigns xpaths while it walks the drafts.
+string per node, and a freeze that assigns full xpath strings while it walks
+the drafts and returns one ``TreeNode`` per node, where the library stores
+columns and joins xpaths from segments on demand.
 ``reference_parse_html`` is the HTML reader that builds a ``DraftNode`` per
-element and then freezes the drafts.
+element and then freezes the drafts the same way.
 ``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
 """
 
@@ -1007,7 +1009,8 @@ def reference_mutate(
 # string per JSON object, read recursively, then xpaths assigned while the
 # draft tree is walked.
 
-def reference_freeze(root: DraftNode) -> LabeledTree:
+def reference_freeze(root: DraftNode) -> tuple[TreeNode, ...]:
+    """The tree as one ``TreeNode`` per node, each with its full xpath string."""
     walk: list[tuple[DraftNode, int | None, str]] = []
     child_ids: list[list[int]] = []
     stack: list[tuple[DraftNode, int | None, str]] = [(root, None, "/" + root.tag)]
@@ -1051,7 +1054,7 @@ def reference_freeze(root: DraftNode) -> LabeledTree:
                 signature=draft.signature,
             )
         )
-    return LabeledTree(tuple(nodes))
+    return tuple(nodes)
 
 
 def _reference_draft_from_json(obj: object, path: str) -> DraftNode:
@@ -1089,7 +1092,7 @@ def _reference_draft_from_json(obj: object, path: str) -> DraftNode:
     return DraftNode(tag=tag, attrs=attrs, text=text, signature=signature, children=children)
 
 
-def reference_parse_tree_json(text: str | bytes) -> LabeledTree:
+def reference_parse_tree_json(text: str | bytes) -> tuple[TreeNode, ...]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -1176,10 +1179,10 @@ class _ReferenceTreeBuilder(HTMLParser):
         return self.root
 
 
-def reference_parse_html(document: bytes | str) -> LabeledTree:
+def reference_parse_html(document: bytes | str) -> tuple[TreeNode, ...]:
     if isinstance(document, bytes):
         document = document.decode("utf-8", errors="replace")
     builder = _ReferenceTreeBuilder()
     builder.feed(document)
     builder.close()
-    return freeze(builder.finish())
+    return reference_freeze(builder.finish())

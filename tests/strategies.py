@@ -10,17 +10,32 @@ TAGS = ("div", "p", "span", "a", "ul", "li", "h1", "table")
 CLASS_WORDS = ("nav", "bar", "btn", "row", "col", "card", "main", "wide")
 TEXT_WORDS = ("alpha", "beta", "gamma", "delta", "news", "item")
 DIGIT_WORDS = ("7", "42", "2020")
+# tags whose xpaths collide: "a[1]" beside two "a" siblings spells the
+# xpath of the first, and a tag "a/b" the xpath of an "a" with a child "b";
+# a tree draws its tags from one of the two sets
+ODD_TAGS = (("a", "a", "a[1]", "a[2]", "b]"), ("a", "b", "a/b", "[b"))
 
 
 @st.composite
 def draft_trees(
-    draw, max_nodes: int = 12, with_attrs: bool = True, edge_values: bool = False
+    draw,
+    max_nodes: int = 12,
+    with_attrs: bool = True,
+    edge_values: bool = False,
+    odd_tags: bool = False,
 ) -> DraftNode:
     """Random draft trees; ``edge_values`` adds digit-only words to texts and
-    empty attribute values, which some text and attribute operators skip."""
+    empty attribute values, which some text and attribute operators skip;
+    ``odd_tags`` draws tags holding ``[``, ``]`` or ``/`` from ``ODD_TAGS``."""
+    tags = draw(st.sampled_from(ODD_TAGS)) if odd_tags else TAGS
     text_words = TEXT_WORDS + DIGIT_WORDS if edge_values else TEXT_WORDS
     n = draw(st.integers(min_value=1, max_value=max_nodes))
-    parents = [draw(st.integers(min_value=0, max_value=k - 1)) for k in range(1, n)]
+    # odd-tag trees hang every node from one of the first three, so that
+    # same-tag siblings, and colliding xpaths, come up often
+    parents = [
+        draw(st.integers(min_value=0, max_value=min(k - 1, 2) if odd_tags else k - 1))
+        for k in range(1, n)
+    ]
     nodes = []
     for k in range(n):
         attrs: list[tuple[str, str]] = []
@@ -37,20 +52,23 @@ def draft_trees(
             text = " ".join(
                 draw(st.lists(st.sampled_from(text_words), min_size=1, max_size=4))
             )
-        nodes.append(DraftNode(tag=draw(st.sampled_from(TAGS)), attrs=attrs, text=text))
+        nodes.append(DraftNode(tag=draw(st.sampled_from(tags)), attrs=attrs, text=text))
     for k, parent in enumerate(parents, start=1):
         nodes[parent].children.append(nodes[k])
     return nodes[0]
 
 
-def labeled_trees(max_nodes: int = 12, with_attrs: bool = True, edge_values: bool = False):
+def labeled_trees(
+    max_nodes: int = 12, with_attrs: bool = True, edge_values: bool = False, odd_tags: bool = False
+):
     return draft_trees(
-        max_nodes=max_nodes, with_attrs=with_attrs, edge_values=edge_values
+        max_nodes=max_nodes, with_attrs=with_attrs, edge_values=edge_values, odd_tags=odd_tags
     ).map(freeze)
 
 
-def tree_pairs(max_nodes: int = 12):
-    return st.tuples(labeled_trees(max_nodes), labeled_trees(max_nodes))
+def tree_pairs(max_nodes: int = 12, odd_tags: bool = False):
+    trees = labeled_trees(max_nodes, odd_tags=odd_tags)
+    return st.tuples(trees, trees)
 
 
 def signed_tree(tree: LabeledTree) -> LabeledTree:

@@ -98,6 +98,16 @@ def test_random_trees(pair, params, options):
     assert_same_stages(t1, t2, params, ALL_OPTIONS[options])
 
 
+@pytest.mark.parametrize("options", sorted(ALL_OPTIONS))
+@settings(max_examples=60, deadline=None)
+@given(pair=tree_pairs(max_nodes=12, odd_tags=True), params=sftm_params())
+def test_random_trees_odd_tags(pair, params, options):
+    """Tags like ``a[1]`` give two nodes of one tree one xpath, and ``a/b``
+    spells a two-level xpath, so segments no longer name xpaths one to one."""
+    t1, t2 = pair
+    assert_same_stages(t1, t2, params, ALL_OPTIONS[options])
+
+
 # 0.1 and the next float up are distinct scores with one cost 1/(1+s)
 NEAR = math.nextafter(0.1, 1.0)
 SCORES = (0.1, NEAR, 0.5, 1.0, 1.0 / 3.0, 2.0, 7.25)

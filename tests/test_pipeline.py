@@ -9,10 +9,11 @@ import hashlib
 import pytest
 
 from conftest import CORPUS_DIR
+from treematch.baselines import ted_match
 from treematch.mutate import assign_signatures, mutate
-from treematch.pipeline import match_trees
+from treematch.pipeline import match_trees, match_trees_detailed
 from treematch.similarity import SftmParams
-from treematch.tree import parse_html
+from treematch.tree import LabeledTree, parse_html, parse_tree_json, serialize_tree_json
 
 # match_trees on corpus mutants (ratio 0.2, SftmParams(seed=seed)): pair
 # count, then the first 16 hex digits of sha256(repr(pairs)) and of the pair
@@ -45,3 +46,33 @@ def test_pinned_matching(prefix, seed, count, pairs_digest, costs_digest):
     assert len(m.pairs) == count
     assert digest(repr(m.pairs)) == pairs_digest
     assert digest(" ".join(map(float.hex, m.pair_costs))) == costs_digest
+
+
+def test_match_path_builds_no_node_views_or_xpaths(monkeypatch):
+    """Reading a bundle's two trees and matching them, by similarity or by
+    TED, reads the tree columns only: no ``TreeNode`` view and no full
+    xpath string is built."""
+    page = sorted(CORPUS_DIR.glob("p00_*.html"))
+    if not page:
+        pytest.skip("bundled corpus not generated")
+    source = assign_signatures(parse_html(page[0].read_bytes()))
+    mutant, _ = mutate(source, 0.2, 0)
+    texts = serialize_tree_json(source), serialize_tree_json(mutant)
+
+    built: list[str] = []
+
+    def recording(name, method):
+        def record(self):
+            built.append(name)
+            return method(self)
+        return record
+
+    monkeypatch.setattr(LabeledTree, "nodes", property(recording("nodes", LabeledTree.nodes.fget)))
+    monkeypatch.setattr(LabeledTree, "xpaths", recording("xpaths", LabeledTree.xpaths))
+
+    t1, t2 = parse_tree_json(texts[0]), parse_tree_json(texts[1])
+    matching, _ = match_trees_detailed(t1, t2, SftmParams())
+    assert matching.pairs and built == []
+    assert ted_match(t1, t2).pairs and built == []
+    # views and xpaths are noticed: a view reads the views, which read the xpaths
+    assert t1.node(1).xpath == t1.xpaths()[1] and built == ["nodes", "xpaths", "xpaths"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from oracles import brute_force_s0, flat_scores, table_from_scores
+from oracles import brute_force_s0, flat_scores, reference_initial_similarity, table_from_scores
 from strategies import labeled_trees, tree_pairs
 from treematch.similarity import (
     SftmParams,
@@ -231,6 +231,35 @@ TOKEN_MODES = {
     "content": TokenOptions(include_content=True),
     "flat_content": TokenOptions(flat=True, include_content=True),
 }
+
+
+class TestXpathTerm:
+    """Pairs whose xpaths meet where their segments do not, pinned in every
+    token mode against the per-node string tokens of the oracle."""
+
+    @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
+    def test_slashed_tag_shares_an_xpath_with_a_chain(self, mode):
+        # /a/b is t1's root, a tag "a/b", and t2's child "b" of an "a"; the
+        # child "x" makes N = 2, so the xpath weighs log(2)
+        t1 = freeze(DraftNode(tag="a/b", children=[DraftNode(tag="x")]))
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        params = SftmParams(tokens=TOKEN_MODES[mode])
+        scores = flat_scores(initial_similarity(t1, t2, params))
+        assert scores == {(0, 1): math.log(2)}
+        assert scores == reference_initial_similarity(t1, t2, params, TOKEN_MODES[mode])
+
+    @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
+    def test_bracketed_tag_shares_an_xpath_with_a_sibling(self, mode):
+        # t1's "a[1]" and first "a" both spell /r/a[1]: two holders of one xpath
+        t1 = freeze(DraftNode(tag="r", children=[
+            DraftNode(tag="a"), DraftNode(tag="a"), DraftNode(tag="a[1]")]))
+        t2 = freeze(DraftNode(tag="r", children=[DraftNode(tag="a"), DraftNode(tag="a")]))
+        params = SftmParams(tokens=TOKEN_MODES[mode])
+        scores = flat_scores(initial_similarity(t1, t2, params))
+        half = math.log(4 / 2)  # tag:a and the shared xpath are each held twice
+        assert scores[(1, 1)] == half + half
+        assert scores[(3, 1)] == half
+        assert scores == reference_initial_similarity(t1, t2, params, TOKEN_MODES[mode])
 
 # attribute names that sort below "/" ("!", "#id", "") or spell an xpath
 # ("/a", "/a/div"), so a flat xpath token lands inside a label's tokens or
