@@ -86,11 +86,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         help=f"random seed driving all stochastic steps (default {_DEFAULTS.seed})",
     )
     group.add_argument(
-        "--flat-tokens", action="store_true",
-        help="disable kind prefixes on tokens (tags, attribute names, value "
-        "words and xpaths share one namespace)",
-    )
-    group.add_argument(
         "--tokenize-content", action="store_true",
         help="also derive tokens from each node's text content",
     )
@@ -115,7 +110,7 @@ def _params_from(args: argparse.Namespace) -> SftmParams:
         iterations=args.iterations,
         no_match_cost=args.no_match_cost,
         seed=args.seed,
-        tokens=TokenOptions(flat=args.flat_tokens, include_content=args.tokenize_content),
+        tokens=TokenOptions(include_content=args.tokenize_content),
     )
 
 

@@ -9,20 +9,14 @@ A node's tokens are its label's tokens (tag and attributes, plus text when
 content is tokenized) and its xpath token, and IDF weights are added in
 sorted token order, so every scoring path sums the same floats in the same
 order as :func:`neighbor_scores`, which tokenizes one node on its own.
-:func:`initial_similarity` takes one of two paths:
-
-- Namespaced mode (the default): ``xpath:`` sorts after every label
-  prefix, so the xpath weight is added last. Labels are interned to ints
-  and tokenized once, the index holds label tokens only, each kept token's
-  weight is computed once, and the second-tree nodes of one label share a
-  label row. A node's row is that row plus its xpath weight, added to the
-  first-tree nodes with the same xpath, found by one pre-order lookup of
-  the segment under the parent's partner. No xpath string is built.
-- Flat mode, or a tag holding ``/`` in either tree (a tag ``a/b`` spells
-  the xpath of an ``a`` with a child ``b``, so segments no longer compare
-  as xpaths do): each node's xpath string is a token, indexed and sorted in
-  with its label's tokens, since a flat xpath can sort among, or equal, a
-  label token.
+:func:`initial_similarity` scores every node the same way. Labels are
+interned to ints and tokenized once, the index holds label tokens only,
+each kept token's weight is computed once, and the second-tree nodes of one
+label share a label row. ``xpath:`` sorts after every label prefix, so a
+node's xpath weight is added last. An xpath names one node of its tree (see
+``tree``), so that weight is ``log(N)`` and goes to the one first-tree node
+with the same xpath: the node with the same segment under the parent's
+partner, found by one lookup per node. No xpath string is built.
 
 The table is kept as one row per second-tree node: ``rows[m]`` maps each
 first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
@@ -33,17 +27,11 @@ keyed by a plain int and no tuple is built per pair.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .tokens import (
-    DEFAULT_TOKEN_OPTIONS,
-    TokenOptions,
-    label_tokens,
-    tokenize_node,
-    xpath_token,
-)
+from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, label_tokens, tokenize_node
 from .tree import LabeledTree
 
 
@@ -57,7 +45,9 @@ class SftmParams:
     p = len(weights) - 1. ``beta`` sharpens the optimizer's
     objective, ``gamma`` is the per-edge stop probability of the matching
     suggestion scan, and ``no_match_cost`` is the penalty for leaving a node
-    unmatched. ``tokens`` holds the tokenization switches of both trees.
+    unmatched. ``tokens`` holds the tokenization switches of both trees; every
+    token keeps its kind prefix, and ``tokens.include_content`` adds text
+    words.
     """
 
     alpha: float = 0.5
@@ -115,19 +105,15 @@ def build_token_index(
     t1: LabeledTree, options: TokenOptions = DEFAULT_TOKEN_OPTIONS
 ) -> TokenIndex:
     """Index every node of the first tree under each of its tokens."""
-    return _index(node_tokens(t1, options, {}), len(t1))
-
-
-def _index(token_lists: Iterable[list[str]], t1_size: int) -> TokenIndex:
     entries: dict[str, set[int]] = {}
-    for node_id, tokens in enumerate(token_lists):
-        for token in tokens:
+    for node_id in range(len(t1)):
+        for token in tokenize_node(t1, node_id, options):
             bucket = entries.get(token)
             if bucket is None:
                 entries[token] = {node_id}
             else:
                 bucket.add(node_id)
-    return TokenIndex(entries=entries, t1_size=t1_size)
+    return TokenIndex(entries=entries, t1_size=len(t1))
 
 
 def threshold_cutoff(t1_size: int, alpha: float) -> int:
@@ -196,33 +182,6 @@ def _row(
     return {} if scores is None else scores
 
 
-def node_tokens(
-    tree: LabeledTree,
-    options: TokenOptions,
-    labels: dict[tuple, tuple[list[str], set[str]]],
-) -> Iterator[list[str]]:
-    """Each node's tokens in sorted order, in node order: the same lists as
-    ``sorted(tokenize_node(tree, n, options))``.
-
-    ``labels`` maps each node label seen so far, tag and attributes (and
-    text with ``options.include_content``), to its tokens, sorted and as a
-    set; passing one dict for both trees tokenizes each label once. A node
-    then adds only its xpath token. In the namespaced mode that token sorts
-    after every label token, since ``xpath:`` sorts after the other
-    prefixes; in the flat mode it may sort anywhere, or repeat a label
-    token, so it is sorted in with the label's set.
-    """
-    flat = options.flat
-    for key, xpath in zip(_label_keys(tree, options), tree.xpaths()):
-        label = labels.get(key)
-        if label is None:
-            words = label_tokens(*key, options)
-            label = labels[key] = (sorted(words), words)
-        ordered, words = label
-        token = xpath_token(xpath, options)
-        yield sorted(words | {token}) if flat else [*ordered, token]
-
-
 def _label_keys(tree: LabeledTree, options: TokenOptions) -> list[tuple]:
     """Each node's label by node id: (tag, attributes, text), with text
     ``None`` unless ``options.include_content`` is set."""
@@ -239,18 +198,6 @@ def initial_similarity(
     options = params.tokens
     t1_size = len(t1)
     cutoff = threshold_cutoff(t1_size, params.alpha)
-    rows: dict[int, dict[int, float]] = {}
-    if options.flat or _slashed(t1) or _slashed(t2):
-        # each xpath a string token, sorted in with its label's tokens
-        labels: dict[tuple, tuple[list[str], set[str]]] = {}
-        index = _index(node_tokens(t1, options, labels), t1_size)
-        weighted = _weighted(index.entries, t1_size, cutoff)
-        for m, tokens in enumerate(node_tokens(t2, options, labels)):
-            row = _row(tokens, weighted)
-            if row:
-                rows[m] = row
-        return SimilarityTable(rows=rows)
-
     # each label of either tree interned to an int and tokenized once
     ids: dict[tuple, int] = {}
     labels1 = [ids.setdefault(key, len(ids)) for key in _label_keys(t1, options)]
@@ -272,61 +219,38 @@ def initial_similarity(
                 bucket.extend(nodes)
     weighted = _weighted(buckets, t1_size, cutoff)
 
-    partners, shared = _xpath_partners(t1, t2)
-    lone = math.log(t1_size)  # the weight of an xpath that one t1 node holds
+    partners = _xpath_partners(t1, t2)
+    lone = math.log(t1_size)  # the weight of an xpath, which one t1 node holds
     label_rows: list[dict[int, float] | None] = [None] * len(tokens)
+    rows: dict[int, dict[int, float]] = {}
     for m, (label, partner) in enumerate(zip(labels2, partners)):
         base = label_rows[label]
         if base is None:
             base = label_rows[label] = _row(tokens[label], weighted)
         row = base.copy()
         # the xpath token sorts after every label token, so its weight adds last
-        if partner is not None:
-            nodes = shared.get(partner)
-            if nodes is None:
-                nodes, weight = [partner], lone
-            else:
-                weight = math.log(t1_size / len(nodes)) if len(nodes) <= cutoff else 0.0
-            if weight > 0.0:
-                for n in nodes:
-                    row[n] = row.get(n, 0.0) + weight
+        if partner is not None and lone > 0.0:
+            row[partner] = row.get(partner, 0.0) + lone
         if row:
             rows[m] = row
     return SimilarityTable(rows=rows)
 
 
-def _slashed(tree: LabeledTree) -> bool:
-    """Whether a tag holds a ``/``: a tag ``a/b`` spells the same xpath as a
-    tag ``a`` with a child ``b``, so segments no longer compare as xpaths do."""
-    return any("/" in tag for tag in set(tree.tags))
+def _xpath_partners(t1: LabeledTree, t2: LabeledTree) -> list[int | None]:
+    """Each second-tree node's partner, the ``t1`` node with an equal xpath,
+    or ``None``.
 
-
-def _xpath_partners(
-    t1: LabeledTree, t2: LabeledTree
-) -> tuple[list[int | None], dict[int, list[int]]]:
-    """Each second-tree node's partner, the first ``t1`` node with an equal
-    xpath, or ``None``; and each partner whose xpath two or more ``t1``
-    nodes hold (a tag like ``a[1]`` among ``a`` siblings), with those nodes.
-
-    No tag may hold a ``/``: xpaths are then equal exactly when their
-    segments are, so one pre-order pass per tree finds a node's partner as
-    the node with its segment under its parent's partner.
+    Siblings never share a segment, so xpaths are equal exactly when their
+    segments are, and a node's partner is the node with its segment under
+    its parent's partner: one pre-order pass over ``t2``.
     """
-    segments, parents = t1.segments, t1.parents
-    first: dict[tuple[int, str], int] = {(-1, segments[0]): 0}
-    firsts = [0] * len(segments)
-    shared: dict[int, list[int]] = {}
-    for n in range(1, len(segments)):
-        key = (firsts[parents[n]], segments[n])  # type: ignore[index]
-        f = firsts[n] = first.setdefault(key, n)
-        if f != n:
-            shared.setdefault(f, [f]).append(n)
+    node = dict(zip(zip(t1.parents, t1.segments), range(len(t1))))
     segments, parents = t2.segments, t2.parents
-    partners = [first.get((-1, segments[0]))]
+    partners = [node.get((None, segments[0]))]
     for m in range(1, len(segments)):
         up = partners[parents[m]]  # type: ignore[index]
-        partners.append(None if up is None else first.get((up, segments[m])))
-    return partners, shared
+        partners.append(None if up is None else node.get((up, segments[m])))
+    return partners
 
 
 _EMPTY_ROW: dict[int, float] = {}

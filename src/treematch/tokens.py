@@ -2,11 +2,14 @@
 
 A node's tokens are its label's tokens (:func:`label_tokens`: tag, attribute
 names, value words, and text words with ``include_content``) plus one token
-for its absolute xpath. :func:`tokenize_node` reads that xpath string from
-``tree.xpaths()``, which builds every node's on first use; the matcher's
-default, namespaced mode builds none, since ``similarity.initial_similarity``
-finds a node's xpath partners by segment (see there), and only the flat mode
-and this per-node function spell xpaths out.
+for its absolute xpath. Every token carries a kind prefix, so a tag "class",
+an attribute "class" and a value word "class" stay apart, and the xpath
+prefix sorts after all the others. An xpath names exactly one node of its
+tree (tags that hold ``\\``, ``/`` or ``[`` are escaped in it; see
+``tree``), so an xpath token is held by one node per tree.
+:func:`tokenize_node` reads that xpath string from ``tree.xpaths()``, which
+builds every node's on first use; ``similarity.initial_similarity`` builds
+none, since it finds a node's xpath partner by segment (see there).
 """
 
 from __future__ import annotations
@@ -32,13 +35,10 @@ def string_tokenize(s: str) -> list[str]:
 class TokenOptions:
     """Tokenization switches surfaced on the CLI.
 
-    ``flat`` drops the kind prefixes so a tag "class" and an attribute
-    "class" collide, which silently inflates similarity; the namespaced
-    default keeps kinds apart. ``include_content`` additionally word-splits
-    the node's text content.
+    ``include_content`` additionally word-splits the node's text content
+    into ``text:`` tokens.
     """
 
-    flat: bool = False
     include_content: bool = False
 
 
@@ -47,7 +47,6 @@ DEFAULT_TOKEN_OPTIONS = TokenOptions()
 # prefixes of the tag, attribute-name, value-word and text tokens; the xpath
 # prefix sorts after all of them
 _PREFIXES = ("tag:", "attr:", "val:", "text:")
-_FLAT_PREFIXES = ("",) * 4
 _XPATH_PREFIX = "xpath:"
 
 
@@ -65,7 +64,7 @@ def tokenize_node(
     tokens = label_tokens(
         tree.tags[node_id], tree.attributes[node_id], tree.texts[node_id], options
     )
-    tokens.add(xpath_token(tree.xpaths()[node_id], options))
+    tokens.add(_XPATH_PREFIX + tree.xpaths()[node_id])
     return frozenset(tokens)
 
 
@@ -77,7 +76,7 @@ def label_tokens(
 ) -> set[str]:
     """The tokens of a node label, which are all of a node's tokens but its
     xpath. ``text`` is read only when ``options.include_content`` is set."""
-    tag_, attr, val, text_ = _FLAT_PREFIXES if options.flat else _PREFIXES
+    tag_, attr, val, text_ = _PREFIXES
     tokens = {tag_ + tag}
     for name, value in attributes:
         tokens.add(attr + name)
@@ -87,8 +86,3 @@ def label_tokens(
         for word in string_tokenize(text):
             tokens.add(text_ + word)
     return tokens
-
-
-def xpath_token(xpath: str, options: TokenOptions) -> str:
-    """The token of a node's absolute xpath."""
-    return xpath if options.flat else _XPATH_PREFIX + xpath

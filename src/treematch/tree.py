@@ -15,11 +15,21 @@ views that ``tree.node(i)`` and iteration read. The matcher and the baseline
 read the columns only. Mutable :class:`DraftNode` trees belong to the
 mutation engine and to trees built by hand; :func:`thaw` turns a tree into
 drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
+
+Each xpath names exactly one node. Neither reader restricts tag names, so a
+tag may hold ``/``, which would spell two steps, or ``[``, which would spell
+a rank: a tag ``a[1]`` beside two ``a`` siblings would share the first
+one's xpath. So a segment puts a backslash before each ``\\``, ``/`` and
+``[`` of its tag: ``a/b`` becomes ``a\\/b`` and ``a[1]`` becomes
+``a\\[1]``. Sibling segments then always differ, two xpaths are equal
+exactly when their segments are, and no tag of an ordinary HTML page
+changes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from itertools import repeat
@@ -91,9 +101,10 @@ class LabeledTree:
     Node ids are pre-order positions in ``[0, len(tree))``; the root is node 0.
     Column ``k`` of each of ``tags``, ``attributes``, ``texts``, ``parents``,
     ``children``, ``segments`` and ``signatures`` belongs to node ``k``. A
-    node's xpath ``segment`` is its tag, or ``tag[k]`` when it is the k-th of
-    two or more same-tag siblings, and its xpath is the segments from the root
-    down, each after a ``/``. Views and xpaths are built when first asked
+    node's xpath ``segment`` is its escaped tag (see the module docstring), or
+    that with ``[k]`` appended when it is the k-th of two or more same-tag
+    siblings, and its xpath is the segments from the root down, each after a
+    ``/``. Views and xpaths are built when first asked
     for, all at once, and kept: :meth:`xpaths` joins every node's segments,
     and :attr:`nodes` holds one ``TreeNode`` per node, which :meth:`node`
     and iteration read.
@@ -173,6 +184,11 @@ def subtree_sizes(tree: LabeledTree) -> list[int]:
     return size
 
 
+# the characters a segment puts a backslash before: the backslash itself,
+# the step separator "/" and the rank opener "["
+_ODD = re.compile(r"[\\/\[]")
+
+
 # a node's tag, attributes, raw text, signature and parent id
 _Row = tuple[str, tuple[tuple[str, str], ...], str | None, str | None, int | None]
 
@@ -193,17 +209,19 @@ def freeze(root: DraftNode) -> LabeledTree:
 def _seal(rows: list[_Row]) -> LabeledTree:
     """Build the tree from one row per node, listed in pre-order.
 
-    Children are listed in id order, which is sibling order. A segment gets
-    a 1-based ``[k]`` rank suffix only when the node has at least one
-    same-tag sibling. Text is whitespace-collapsed, and text that collapses
-    to nothing becomes ``None``.
+    Children are listed in id order, which is sibling order. A segment is
+    the tag, escaped if it holds ``\\``, ``/`` or ``[``, with a 1-based
+    ``[k]`` rank suffix only when the node has at least one same-tag sibling.
+    Text is whitespace-collapsed, and text that collapses to nothing becomes
+    ``None``.
     """
     tags, attributes, texts, signatures, parents = zip(*rows)
     size = len(tags)
     children: list[list[int]] = [[] for _ in range(size)]
     for node_id in range(1, size):
         children[parents[node_id]].append(node_id)  # type: ignore[index]
-    segments = list(tags)
+    steps = {tag: _ODD.sub(r"\\\g<0>", tag) for tag in set(tags) if _ODD.search(tag)}
+    segments = [steps.get(tag, tag) for tag in tags] if steps else list(tags)
     for kids in children:
         if len(kids) < 2:
             continue
@@ -217,7 +235,7 @@ def _seal(rows: list[_Row]) -> LabeledTree:
         for c, tag in zip(kids, kid_tags):
             if counts[tag] >= 2:
                 seen[tag] = rank = seen.get(tag, 0) + 1
-                segments[c] = f"{tag}[{rank}]"
+                segments[c] = f"{segments[c]}[{rank}]"
     texts = tuple([text if text is None else " ".join(text.split()) or None for text in texts])
     return LabeledTree(
         tags, attributes, texts, parents, tuple(map(tuple, children)), tuple(segments), signatures

@@ -17,8 +17,9 @@ written, by a stack walk of the tree in each direction.
 ``reference_parse_tree_json`` and ``reference_freeze`` are the tree readers as
 first written: a recursive JSON reader that builds a ``DraftNode`` and a path
 string per node, and a freeze that assigns full xpath strings while it walks
-the drafts and returns one ``TreeNode`` per node, where the library stores
-columns and joins xpaths from segments on demand.
+the drafts, escaping each tag's step by its own character loop, and returns
+one ``TreeNode`` per node, where the library stores columns and joins xpaths
+from segments on demand.
 ``reference_parse_html`` is the HTML reader that builds a ``DraftNode`` per
 element and then freezes the drafts the same way.
 ``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
@@ -1007,13 +1008,21 @@ def reference_mutate(
 # ---------------------------------------------------------------------------
 # The JSON reader and freeze as first written: one DraftNode and one path
 # string per JSON object, read recursively, then xpaths assigned while the
-# draft tree is walked.
+# draft tree is walked, each step spelled out character by character.
+
+def _reference_step(tag: str) -> str:
+    """A tag as its xpath step spells it, one character at a time: ``\\``,
+    ``/`` and ``[`` each get a backslash before them."""
+    return "".join("\\" + c if c in "\\/[" else c for c in tag)
+
 
 def reference_freeze(root: DraftNode) -> tuple[TreeNode, ...]:
     """The tree as one ``TreeNode`` per node, each with its full xpath string."""
     walk: list[tuple[DraftNode, int | None, str]] = []
     child_ids: list[list[int]] = []
-    stack: list[tuple[DraftNode, int | None, str]] = [(root, None, "/" + root.tag)]
+    stack: list[tuple[DraftNode, int | None, str]] = [
+        (root, None, "/" + _reference_step(root.tag))
+    ]
     while stack:
         draft, parent_id, xpath = entry = stack.pop()
         node_id = len(walk)
@@ -1030,11 +1039,12 @@ def reference_freeze(root: DraftNode) -> tuple[TreeNode, ...]:
         entries = []
         for child in draft.children:
             tag = child.tag
+            step = _reference_step(tag)
             if tag_counts[tag] >= 2:
                 seen[tag] = rank = seen.get(tag, 0) + 1
-                entries.append((child, node_id, f"{xpath}/{tag}[{rank}]"))
+                entries.append((child, node_id, f"{xpath}/{step}[{rank}]"))
             else:
-                entries.append((child, node_id, f"{xpath}/{tag}"))
+                entries.append((child, node_id, f"{xpath}/{step}"))
         stack.extend(reversed(entries))
 
     nodes = []

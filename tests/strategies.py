@@ -10,10 +10,11 @@ TAGS = ("div", "p", "span", "a", "ul", "li", "h1", "table")
 CLASS_WORDS = ("nav", "bar", "btn", "row", "col", "card", "main", "wide")
 TEXT_WORDS = ("alpha", "beta", "gamma", "delta", "news", "item")
 DIGIT_WORDS = ("7", "42", "2020")
-# tags whose xpaths collide: "a[1]" beside two "a" siblings spells the
-# xpath of the first, and a tag "a/b" the xpath of an "a" with a child "b";
-# a tree draws its tags from one of the two sets
-ODD_TAGS = (("a", "a", "a[1]", "a[2]", "b]"), ("a", "b", "a/b", "[b"))
+# tags whose xpaths would collide unescaped: "a[1]" beside two "a" siblings
+# would spell the xpath of the first, a tag "a/b" the xpath of an "a" with a
+# child "b", and the second of two "a\\" siblings, with the backslash left
+# bare, the escaped "a[2]"; a tree draws its tags from one of the two sets
+ODD_TAGS = (("a", "a", "a[1]", "a[2]", "b]", "a\\"), ("a", "b", "a/b", "[b", "a\\"))
 
 
 @st.composite
@@ -26,7 +27,8 @@ def draft_trees(
 ) -> DraftNode:
     """Random draft trees; ``edge_values`` adds digit-only words to texts and
     empty attribute values, which some text and attribute operators skip;
-    ``odd_tags`` draws tags holding ``[``, ``]`` or ``/`` from ``ODD_TAGS``."""
+    ``odd_tags`` draws tags holding ``[``, ``]``, ``/`` or ``\\`` from
+    ``ODD_TAGS``."""
     tags = draw(st.sampled_from(ODD_TAGS)) if odd_tags else TAGS
     text_words = TEXT_WORDS + DIGIT_WORDS if edge_values else TEXT_WORDS
     n = draw(st.integers(min_value=1, max_value=max_nodes))

@@ -56,6 +56,18 @@ class TestMatchCommand:
         assert matching["unmatched_t1"] == []
         assert matching["unmatched_t2"] == []
 
+    def test_every_node_has_its_own_xpath(self, tmp_path):
+        # unescaped, the tag "a[1]" would spell the first "a"'s xpath
+        page = tmp_path / "odd.html"
+        page.write_text("<r><a></a><a></a><a[1]></a[1]></r>", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert main(["match", str(page), str(page), "--out", str(out)]) == 0
+        matching = json.loads(out.read_text())
+        for side in ("t1", "t2"):
+            xpaths = [pair[side + "_xpath"] for pair in matching["pairs"]]
+            xpaths += matching["unmatched_" + side]
+            assert sorted(xpaths) == ["/r", "/r/a[1]", "/r/a[2]", "/r/a\\[1]"]
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.html"), str(tmp_path / "nope.html"),
                      "--out", str(tmp_path / "m.json")])
@@ -283,12 +295,12 @@ class TestBenchCommand:
               "--out-dir", str(corpus)])
         out = tmp_path / "r.csv"
         main(["bench", str(corpus), "--out", str(out), "--iterations", "10",
-              "--flat-tokens", "--tokenize-content"])
+              "--tokenize-content"])
         assert ("[treematch bench] alpha=0.5 weights=(1.0, 0.5, 0.25) beta=4.0 "
-                "gamma=0.9 iterations=10 no_match_cost=1.0 seed=0 flat=True "
+                "gamma=0.9 iterations=10 no_match_cost=1.0 seed=0 "
                 "include_content=True\n") in capsys.readouterr().err
         sidecar = json.loads((tmp_path / "r.csv.config.json").read_text())
-        assert sidecar["params"]["tokens"] == {"flat": True, "include_content": True}
+        assert sidecar["params"]["tokens"] == {"include_content": True}
         assert sidecar["params"]["weights"] == [1.0, 0.5, 0.25]
         assert "p" not in sidecar["params"]
         assert "tokens" not in sidecar
@@ -360,22 +372,6 @@ class TestBenchCommand:
             outs.append([tuple(v for i, v in enumerate(r.split(",")) if i != drop)
                          for r in rows])
         assert outs[0] == outs[1]
-
-    def test_flat_tokens_change_rows(self, page_file, tmp_path):
-        corpus = tmp_path / "corpus"
-        main(["mutate", str(page_file), "--ratio", "0.4", "--count", "3",
-              "--out-dir", str(corpus), "--seed", "4"])
-        outs = []
-        for name, flags in (("a.csv", []), ("b.csv", ["--flat-tokens"])):
-            out = tmp_path / name
-            main(["bench", str(corpus), "--out", str(out), "--iterations", "20", *flags])
-            rows = out.read_text().strip().split("\n")
-            drop = rows[0].split(",").index("elapsed_s")
-            outs.append([[v for i, v in enumerate(r.split(",")) if i != drop] for r in rows])
-        # same corpus and seed: only the token namespace differs, and on this
-        # corpus it changes the matching of the most mutated page
-        assert outs[0][:3] == outs[1][:3]
-        assert outs[0][3] != outs[1][3]
 
 
 class TestSweepCommand:
@@ -462,15 +458,24 @@ class TestHelp:
         assert "unrecognized arguments: --prop-depth 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["match", "bench", "sweep"])
+    def test_flat_tokens_is_not_a_flag(self, command, tmp_path, capsys):
+        # every token keeps its kind prefix; there is no flat namespace
+        paths = ["a.html", "b.html"] if command == "match" else [str(tmp_path), "--out", "r.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *paths, "--flat-tokens"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --flat-tokens" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["match", "bench", "sweep"])
     def test_every_param_documented(self, command, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--help"])
         text = capsys.readouterr().out
         for flag in ("--alpha", "--weights", "--beta", "--gamma",
-                     "--iterations", "--no-match-cost", "--seed",
-                     "--flat-tokens", "--tokenize-content"):
+                     "--iterations", "--no-match-cost", "--seed", "--tokenize-content"):
             assert flag in text
+        assert "--flat-tokens" not in text
         assert "default" in text
 
     def test_mutate_takes_only_the_seed(self, page_file, tmp_path, capsys):

@@ -27,13 +27,7 @@ from treematch.similarity import SftmParams, initial_similarity, propagate
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
 from treematch.tree import DraftNode, freeze, parse_html
 
-FLAT_CONTENT = TokenOptions(flat=True, include_content=True)
-OPTIONS = {"default": DEFAULT_TOKEN_OPTIONS, "flat_content": FLAT_CONTENT}
-ALL_OPTIONS = {
-    **OPTIONS,
-    "flat": TokenOptions(flat=True),
-    "content": TokenOptions(include_content=True),
-}
+OPTIONS = {"default": DEFAULT_TOKEN_OPTIONS, "content": TokenOptions(include_content=True)}
 
 
 def hexed(scores: dict[tuple[int, int], float]) -> dict[tuple[int, int], str]:
@@ -92,20 +86,21 @@ def sftm_params(draw) -> SftmParams:
 
 
 @settings(max_examples=80, deadline=None)
-@given(tree_pairs(max_nodes=12), sftm_params(), st.sampled_from(sorted(ALL_OPTIONS)))
+@given(tree_pairs(max_nodes=12), sftm_params(), st.sampled_from(sorted(OPTIONS)))
 def test_random_trees(pair, params, options):
     t1, t2 = pair
-    assert_same_stages(t1, t2, params, ALL_OPTIONS[options])
+    assert_same_stages(t1, t2, params, OPTIONS[options])
 
 
-@pytest.mark.parametrize("options", sorted(ALL_OPTIONS))
+@pytest.mark.parametrize("options", sorted(OPTIONS))
 @settings(max_examples=60, deadline=None)
 @given(pair=tree_pairs(max_nodes=12, odd_tags=True), params=sftm_params())
 def test_random_trees_odd_tags(pair, params, options):
-    """Tags like ``a[1]`` give two nodes of one tree one xpath, and ``a/b``
-    spells a two-level xpath, so segments no longer name xpaths one to one."""
+    """Tags like ``a[1]``, ``a/b`` and ``a\\`` would spell another node's
+    xpath unescaped; escaped, every xpath names one node, and the partner
+    lookup by segment agrees with the per-node xpath strings."""
     t1, t2 = pair
-    assert_same_stages(t1, t2, params, ALL_OPTIONS[options])
+    assert_same_stages(t1, t2, params, OPTIONS[options])
 
 
 # 0.1 and the next float up are distinct scores with one cost 1/(1+s)

@@ -8,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORPUS_DIR
 from oracles import brute_force_s0, flat_scores, reference_initial_similarity, table_from_scores
 from strategies import labeled_trees, tree_pairs
+from treematch import similarity
 from treematch.similarity import (
+    _label_keys,
     SftmParams,
     TokenIndex,
     apply_threshold,
     build_token_index,
     initial_similarity,
     neighbor_scores,
-    node_tokens,
     propagate,
     threshold_cutoff,
 )
-from treematch.tokens import TokenOptions, tokenize_node
+from treematch.tokens import TokenOptions, label_tokens, tokenize_node
 from treematch.tree import DraftNode, freeze, parse_html
 
 EXACT = SftmParams(alpha=1.0)
@@ -227,109 +228,171 @@ class TestInitialSimilarity:
 
 TOKEN_MODES = {
     "namespaced": TokenOptions(),
-    "flat": TokenOptions(flat=True),
     "content": TokenOptions(include_content=True),
-    "flat_content": TokenOptions(flat=True, include_content=True),
 }
 
 
 class TestXpathTerm:
-    """Pairs whose xpaths meet where their segments do not, pinned in every
-    token mode against the per-node string tokens of the oracle."""
+    """Tags that would spell another node's xpath unescaped share no xpath
+    token with it, pinned in every token mode against the per-node string
+    tokens of the oracle."""
 
     @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
-    def test_slashed_tag_shares_an_xpath_with_a_chain(self, mode):
-        # /a/b is t1's root, a tag "a/b", and t2's child "b" of an "a"; the
-        # child "x" makes N = 2, so the xpath weighs log(2)
+    def test_slashed_tag_shares_no_xpath_with_a_chain(self, mode):
+        # t1's root is a tag "a/b" and t2's node 1 a child "b" of an "a":
+        # /a\/b and /a/b differ, and no label token is shared either
         t1 = freeze(DraftNode(tag="a/b", children=[DraftNode(tag="x")]))
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        assert t1.xpaths() == ("/a\\/b", "/a\\/b/x")
         params = SftmParams(tokens=TOKEN_MODES[mode])
-        scores = flat_scores(initial_similarity(t1, t2, params))
-        assert scores == {(0, 1): math.log(2)}
-        assert scores == reference_initial_similarity(t1, t2, params, TOKEN_MODES[mode])
+        assert initial_similarity(t1, t2, params).rows == {}
+        assert reference_initial_similarity(t1, t2, params, TOKEN_MODES[mode]) == {}
 
     @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
-    def test_bracketed_tag_shares_an_xpath_with_a_sibling(self, mode):
-        # t1's "a[1]" and first "a" both spell /r/a[1]: two holders of one xpath
+    def test_bracketed_tag_shares_no_xpath_with_a_sibling(self, mode):
+        # t1's "a[1]" spells /r/a\[1], and its first "a" alone holds /r/a[1]
         t1 = freeze(DraftNode(tag="r", children=[
             DraftNode(tag="a"), DraftNode(tag="a"), DraftNode(tag="a[1]")]))
         t2 = freeze(DraftNode(tag="r", children=[DraftNode(tag="a"), DraftNode(tag="a")]))
+        assert t1.xpaths() == ("/r", "/r/a[1]", "/r/a[2]", "/r/a\\[1]")
         params = SftmParams(tokens=TOKEN_MODES[mode])
         scores = flat_scores(initial_similarity(t1, t2, params))
-        half = math.log(4 / 2)  # tag:a and the shared xpath are each held twice
-        assert scores[(1, 1)] == half + half
-        assert scores[(3, 1)] == half
+        half = math.log(4 / 2)  # tag:a is held twice
+        assert scores[(1, 1)] == half + math.log(4)
+        assert scores[(2, 1)] == half
+        assert not any(n == 3 for n, _ in scores)
         assert scores == reference_initial_similarity(t1, t2, params, TOKEN_MODES[mode])
 
-# attribute names that sort below "/" ("!", "#id", "") or spell an xpath
-# ("/a", "/a/div"), so a flat xpath token lands inside a label's tokens or
-# repeats one of them
-ODD_NAMES = ("!", "#id", "", "/a", "/a/div", "/div", "class", "Z")
+    @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
+    def test_backslashed_tag_shares_no_xpath_with_a_bracketed_one(self, mode):
+        # the second of t1's two "a\" would spell /r/a\[2] with its backslash
+        # left bare, which is t2's escaped "a[2]"; only the roots score
+        t1 = freeze(DraftNode(tag="r", children=[DraftNode(tag="a\\"), DraftNode(tag="a\\")]))
+        t2 = freeze(DraftNode(tag="r", children=[DraftNode(tag="a[2]")]))
+        assert t1.xpaths() == ("/r", "/r/a\\\\[1]", "/r/a\\\\[2]")
+        assert t2.xpaths() == ("/r", "/r/a\\[2]")
+        params = SftmParams(tokens=TOKEN_MODES[mode])
+        scores = flat_scores(initial_similarity(t1, t2, params))
+        assert scores == {(0, 0): 2 * math.log(3)}
+        assert scores == reference_initial_similarity(t1, t2, params, TOKEN_MODES[mode])
+
+
+# attribute names that look like other token kinds, or like xpaths
+ODD_NAMES = ("!", "#id", "", "/a", "/a/div", "/div", "class", "Z", "xpath:/a")
 
 
 @st.composite
 def odd_label_trees(draw, max_nodes: int = 10):
     n = draw(st.integers(1, max_nodes))
-    parents = [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    parents = [draw(st.integers(0, min(k - 1, 2))) for k in range(1, n)]
     nodes = []
     for _ in range(n):
         names = draw(st.lists(st.sampled_from(ODD_NAMES), max_size=3, unique=True))
         values = st.sampled_from(("", "x", "a-b", "/a", "div 2"))
         attrs = [(name, draw(values)) for name in names]
         text = draw(st.sampled_from((None, "", "a", "x y", "div")))
-        nodes.append(DraftNode(tag=draw(st.sampled_from(("a", "div", "x"))),
-                               attrs=attrs, text=text))
+        tag = draw(st.sampled_from(("a", "div", "x", "a[1]", "a[2]", "a/b", "a\\")))
+        nodes.append(DraftNode(tag=tag, attrs=attrs, text=text))
     for k, parent in enumerate(parents, start=1):
         nodes[parent].children.append(nodes[k])
     return freeze(nodes[0])
+
+
+def label_then_xpath(tree, options):
+    """Each node's sorted label tokens followed by its xpath token: the
+    order in which ``initial_similarity`` adds a node's weights."""
+    return [
+        sorted(label_tokens(*key, options)) + ["xpath:" + xpath]
+        for key, xpath in zip(_label_keys(tree, options), tree.xpaths())
+    ]
 
 
 def sorted_tokens(tree, options):
     return [sorted(tokenize_node(tree, n, options)) for n in range(len(tree))]
 
 
-class TestNodeTokens:
-    """Per-label token lists against per-node ``sorted(tokenize_node(...))``."""
+def spy_label_tokens(monkeypatch) -> list[tuple]:
+    """Record the label of every ``label_tokens`` call ``initial_similarity``
+    makes."""
+    calls: list[tuple] = []
+
+    def spy(tag, attributes, text, options):
+        calls.append((tag, attributes, text))
+        return label_tokens(tag, attributes, text, options)
+
+    monkeypatch.setattr(similarity, "label_tokens", spy)
+    return calls
+
+
+class TestLabelTokens:
+    """The per-label tokens ``initial_similarity`` scores with, against
+    per-node ``sorted(tokenize_node(...))``."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.tuples(odd_label_trees(), odd_label_trees()), st.sampled_from(sorted(TOKEN_MODES)))
-    def test_equal_sorted_tokenize_node(self, pair, mode):
+    def test_label_tokens_then_xpath_equal_sorted_tokenize_node(self, pair, mode):
         options = TOKEN_MODES[mode]
-        labels: dict = {}
         for tree in pair:
-            assert list(node_tokens(tree, options, labels)) == sorted_tokens(tree, options)
+            assert label_then_xpath(tree, options) == sorted_tokens(tree, options)
 
     @pytest.mark.parametrize("mode", sorted(TOKEN_MODES))
     @pytest.mark.parametrize("page", ["p04", "p13"])
     def test_corpus_pages(self, corpus_pages, page, mode):
         tree = parse_html(next(CORPUS_DIR.glob(page + "_*.html")).read_bytes())
         options = TOKEN_MODES[mode]
-        labels: dict = {}
-        assert list(node_tokens(tree, options, labels)) == sorted_tokens(tree, options)
-        assert len(labels) < len(tree)
+        assert label_then_xpath(tree, options) == sorted_tokens(tree, options)
+        assert len(set(_label_keys(tree, options))) < len(tree)
 
-    def test_flat_xpath_placed_among_label_tokens(self):
-        tree = freeze(DraftNode(tag="a", attrs=[("!", ""), ("b", "")]))
-        assert list(node_tokens(tree, TOKEN_MODES["flat"], {})) == [["!", "/a", "a", "b"]]
+    def test_xpath_token_sorts_after_label_tokens(self):
+        tree = freeze(DraftNode(tag="zz", attrs=[("~", "zz")], text="zz"))
+        tokens = sorted(tokenize_node(tree, 0, TOKEN_MODES["content"]))
+        assert tokens == ["attr:~", "tag:zz", "text:zz", "val:zz", "xpath:/zz"]
 
-    def test_flat_xpath_equal_to_a_label_token_is_kept_once(self):
-        tree = freeze(DraftNode(tag="a", attrs=[("/a", "")]))
-        assert list(node_tokens(tree, TOKEN_MODES["flat"], {})) == [["/a", "a"]]
+    def test_attribute_spelled_like_an_xpath_token_stays_apart(self):
+        tree = freeze(DraftNode(tag="a", attrs=[("xpath:/a", "")]))
+        assert sorted(tokenize_node(tree, 0)) == ["attr:xpath:/a", "tag:a", "xpath:/a"]
 
-    def test_one_label_tokenized_once_across_trees(self):
+    @settings(max_examples=60, deadline=None)
+    @given(odd_label_trees())
+    def test_xpath_token_is_held_by_one_node(self, tree):
+        index = build_token_index(tree)
+        xpath_buckets = [b for t, b in index.entries.items() if t.startswith("xpath:")]
+        assert len(xpath_buckets) == len(tree)
+        assert all(len(bucket) == 1 for bucket in xpath_buckets)
+
+    def test_one_label_tokenized_once_across_trees(self, monkeypatch):
+        calls = spy_label_tokens(monkeypatch)
         t1 = freeze(DraftNode(tag="p", children=[DraftNode(tag="p"), DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="b", children=[DraftNode(tag="p")]))
-        labels: dict = {}
-        for tree in (t1, t2):
-            list(node_tokens(tree, TOKEN_MODES["namespaced"], labels))
-        assert sorted(labels) == [("b", (), None), ("p", (), None)]
+        initial_similarity(t1, t2, SftmParams(tokens=TOKEN_MODES["namespaced"]))
+        assert sorted(calls) == [("b", (), None), ("p", (), None)]
 
-    def test_text_is_part_of_the_label_only_with_content(self):
+    def test_text_is_part_of_the_label_only_with_content(self, monkeypatch):
         tree = freeze(DraftNode(tag="p", children=[DraftNode(tag="p", text="x")]))
         for mode, count in (("namespaced", 1), ("content", 2)):
-            labels: dict = {}
-            list(node_tokens(tree, TOKEN_MODES[mode], labels))
-            assert len(labels) == count
+            calls = spy_label_tokens(monkeypatch)
+            initial_similarity(tree, tree, SftmParams(tokens=TOKEN_MODES[mode]))
+            assert len(calls) == count
+
+    def test_second_tree_nodes_of_one_label_share_a_row(self, monkeypatch):
+        rows: list[list[str]] = []
+        real_row = similarity._row
+
+        def spy(tokens, weighted):
+            rows.append(tokens)
+            return real_row(tokens, weighted)
+
+        monkeypatch.setattr(similarity, "_row", spy)
+        t1 = freeze(DraftNode(tag="div", children=[
+            DraftNode(tag="p"), DraftNode(tag="p"), DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="div", children=[DraftNode(tag="p") for _ in range(4)]))
+        table = initial_similarity(t1, t2, EXACT)
+        assert rows == [["tag:div"], ["tag:p"]]
+        # the shared label row is copied: each xpath weight goes to one row
+        half = math.log(4 / 2)  # tag:p is held twice
+        assert table.rows[1] == {1: half + math.log(4), 2: half}
+        assert table.rows[2] == {1: half, 2: half + math.log(4)}
+        assert table.rows[3] == table.rows[4] == {1: half, 2: half}
 
 
 class TestPropagate:

@@ -8,8 +8,6 @@ from strategies import labeled_trees
 from treematch.tokens import TokenOptions, string_tokenize, tokenize_node
 from treematch.tree import DraftNode, freeze
 
-FLAT = TokenOptions(flat=True)
-
 
 class TestStringTokenize:
     def test_split_on_non_letters(self):
@@ -40,16 +38,18 @@ class TestTokenizeNode:
         tree = freeze(
             DraftNode(tag="html", children=[DraftNode(tag="div", attrs=[("class", "nav-bar")])])
         )
-        assert tokenize_node(tree, 1, FLAT) == {"div", "class", "nav", "bar", "/html/div"}
+        assert tokenize_node(tree, 1) == {
+            "tag:div", "attr:class", "val:nav", "val:bar", "xpath:/html/div"
+        }
 
     def test_no_attributes(self):
         tree = freeze(DraftNode(tag="html", children=[DraftNode(tag="p")]))
-        assert tokenize_node(tree, 1, FLAT) == {"p", "/html/p"}
+        assert tokenize_node(tree, 1) == {"tag:p", "xpath:/html/p"}
 
     def test_duplicate_values_collapse(self):
         tree = freeze(DraftNode(tag="a", attrs=[("href", "x"), ("id", "x")]))
-        tokens = tokenize_node(tree, 0, FLAT)
-        assert tokens == {"a", "href", "id", "x", "/a"}
+        tokens = tokenize_node(tree, 0)
+        assert tokens == {"tag:a", "attr:href", "attr:id", "val:x", "xpath:/a"}
 
     def test_namespaced_kinds_do_not_collide(self):
         tree = freeze(DraftNode(tag="class", attrs=[("class", "class")]))

@@ -49,6 +49,7 @@ _HTML_SNIPPETS = [
     b"<b><i>x<b/>y</i>z</b>",  # self-closed tag named like an open one
     b"<div><style/>s<hr/>t</div>",  # self-closed style, and a void block starter
     b"<br/>",  # void root, self-closed
+    b"<r><a></a><a></a><a[1]></a[1]></r>",  # a tag that would spell a sibling's xpath
 ]
 
 
@@ -68,6 +69,12 @@ class TestParseHtml:
         tree = parse_html(b"<div><span/><p/><p/></div>")
         assert tree.node(1).xpath == "/div/span"
         assert tree.node(2).xpath == "/div/p[1]"
+
+    def test_bracketed_tag_gets_its_own_xpath(self):
+        # unescaped, the tag "a[1]" would spell the first "a"'s xpath
+        tree = parse_html(b"<r><a></a><a></a><a[1]></a[1]></r>")
+        assert tree.tags == ("r", "a", "a", "a[1]")
+        assert tree.xpaths() == ("/r", "/r/a[1]", "/r/a[2]", "/r/a\\[1]")
 
     def test_empty_input_raises(self):
         with pytest.raises(IngestError):
@@ -239,6 +246,17 @@ class TestInvariants:
         xpaths = [n.xpath for n in tree]
         assert len(set(xpaths)) == len(xpaths)
 
+    @given(labeled_trees(max_nodes=20, odd_tags=True))
+    def test_xpaths_distinct_with_odd_tags(self, tree):
+        assert len(set(tree.xpaths())) == len(tree)
+
+    def test_escaped_steps(self):
+        tree = freeze(DraftNode(tag="a/b", children=[
+            DraftNode(tag="c\\"), DraftNode(tag="c\\"), DraftNode(tag="[d]")]))
+        assert tree.xpaths() == (
+            "/a\\/b", "/a\\/b/c\\\\[1]", "/a\\/b/c\\\\[2]", "/a\\/b/\\[d]")
+        assert tree.tags == ("a/b", "c\\", "c\\", "[d]")
+
     @given(labeled_trees(max_nodes=20))
     def test_parent_child_consistency(self, tree):
         seen_root = 0
@@ -343,6 +361,14 @@ class TestReaderOracle:
     @given(draft_trees(max_nodes=25, edge_values=True))
     def test_freeze_equals_reference(self, draft):
         assert _node_rows(freeze(draft)) == _node_rows(reference_freeze(draft))
+
+    @settings(max_examples=50)
+    @given(draft_trees(max_nodes=25, odd_tags=True))
+    def test_odd_tags_equal_reference(self, draft):
+        tree = freeze(draft)
+        assert _node_rows(tree) == _node_rows(reference_freeze(draft))
+        text = serialize_tree_json(tree)
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
 
     def test_freeze_collapses_blank_text(self):
         draft = DraftNode(tag="a", text=" \n ", children=[DraftNode(tag="b", text=" x  y ")])
