@@ -1,23 +1,25 @@
 """Sparse bipartite matching graph and full matchings over it.
 
 An edge exists only for node pairs with a positive propagated similarity;
-its cost is 1/(1+score), so better-scoring pairs are cheaper. A full
-matching covers every node of both trees exactly once, either by a pair or
-by the no-match assignment, and is charged ``no_match_cost`` per unmatched
-node. A :class:`Matching` stores only its pairs and the two tree sizes; the
-unmatched sets are every node no pair covers, so they are derived, never
-stored.
+its cost is 1/(1+score), so better-scoring pairs are cheaper. The matcher
+builds it with :func:`propagate_graph`, which propagates the initial scores
+straight into the edge groups; :func:`build_graph` builds the same graph from
+a table that is already propagated. A full matching covers every node of
+both trees exactly once, either by a pair or by the no-match assignment, and
+is charged ``no_match_cost`` per unmatched node. A :class:`Matching` stores
+only its pairs and the two tree sizes; the unmatched sets are every node no
+pair covers, so they are derived, never stored.
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
 built per edge on the matching path. That order comes from grouping the int
 keys ``n * len(t2) + m``, which sort as (n, m) does, by cost: scores that
 round to one cost share a group, the distinct costs are sorted, and each
-group is sorted by key. Per-node adjacency is built on first access and
-cached, since the matching path never reads it. The optimizer reads
-per-node edge chains instead: for each node of the smaller tree, its edge
-indices linked in that order, kept in two compact ``array('i')``s built on
-first access.
+group is sorted by key. Both builders group their keys by score and share
+that step. Per-node adjacency is built on first access and cached, since
+the matching path never reads it. The optimizer reads per-node edge chains
+instead: for each node of the smaller tree, its edge indices linked in that
+order, kept in two compact ``array('i')``s built on first access.
 """
 
 from __future__ import annotations
@@ -25,17 +27,21 @@ from __future__ import annotations
 import json
 from array import array
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import floordiv, mod
 
-from .similarity import SftmParams, SimilarityTable
+# NodeOutOfRange is raised by check_row and stays importable from here
+from .similarity import (
+    NodeOutOfRange,
+    SftmParams,
+    SimilarityTable,
+    ancestor_levels,
+    check_row,
+)
 from .tree import LabeledTree
-
-
-class NodeOutOfRange(ValueError):
-    """A similarity entry names a node id outside its tree."""
 
 
 class NotFull(ValueError):
@@ -125,16 +131,50 @@ def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchG
     # edge keys n * t2_size + m, grouped by score; a key sorts as (n, m) does
     by_score: defaultdict[float, list[int]] = defaultdict(list)
     for m, row in sp.rows.items():
-        if not row:
-            continue
-        if not 0 <= m < t2_size:
-            raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
-        lo, hi = min(row), max(row)
-        if lo < 0 or hi >= t1_size:
-            bad = lo if lo < 0 else hi
-            raise NodeOutOfRange(f"t1 node {bad} outside a {t1_size}-node tree")
+        check_row(m, row, t1_size, t2_size)
         for n, score in row.items():
             by_score[score].append(n * t2_size + m)
+    return _sorted_graph(by_score, t1_size, t2_size)
+
+
+def propagate_graph(
+    s0: SimilarityTable, t1: LabeledTree, t2: LabeledTree, params: SftmParams
+) -> MatchGraph:
+    """``build_graph(propagate(s0, t1, t2, params), t1, t2)`` in one pass.
+
+    Each pair climbs its ancestor chain as in :func:`propagate`, and its
+    blended score goes straight to its group of edge keys, so no propagated
+    table is built. Edges and costs equal the two-step form's to the bit.
+    Raises :class:`NodeOutOfRange` when an entry names a node outside ``t1``
+    or ``t2``.
+    """
+    weights = params.weights
+    w0 = weights[0]
+    parents1, parents2 = t1.parents, t2.parents
+    t1_size, t2_size = len(t1), len(t2)
+    base = s0.rows
+    by_score: defaultdict[float, list[int]] = defaultdict(list)
+    for m, row in base.items():
+        check_row(m, row, t1_size, t2_size)
+        levels = ancestor_levels(m, base, parents2, weights)
+        for n, s in row.items():
+            total = w0 * s
+            a = n
+            for w, up_row in levels:
+                a = parents1[a]
+                if a is None:
+                    break
+                up = up_row.get(a)
+                if up is not None:
+                    total += w * up
+            by_score[total].append(n * t2_size + m)
+    return _sorted_graph(by_score, t1_size, t2_size)
+
+
+def _sorted_graph(
+    by_score: Mapping[float, list[int]], t1_size: int, t2_size: int
+) -> MatchGraph:
+    """The graph whose edge keys ``n * t2_size + m`` are grouped by score."""
     # distinct scores can round to one cost; their keys then sort together
     by_cost: defaultdict[float, list[int]] = defaultdict(list)
     for score, keys in by_score.items():

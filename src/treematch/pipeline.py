@@ -1,10 +1,11 @@
-"""End-to-end matching: similarity, graph build, then Metropolis search."""
+"""End-to-end matching: similarity, propagation straight into the graph,
+then Metropolis search."""
 
 from __future__ import annotations
 
-from .graph import MatchGraph, Matching, build_graph
+from .graph import MatchGraph, Matching, propagate_graph
 from .optimize import metropolis
-from .similarity import SftmParams, initial_similarity, propagate
+from .similarity import SftmParams, initial_similarity
 from .tree import LabeledTree
 
 
@@ -14,8 +15,7 @@ def match_trees_detailed(
     params: SftmParams = SftmParams(),
 ) -> tuple[Matching, MatchGraph]:
     s0 = initial_similarity(t1, t2, params)
-    sp = propagate(s0, t1, t2, params)
-    g = build_graph(sp, t1, t2)
+    g = propagate_graph(s0, t1, t2, params)
     return metropolis(g, params), g
 
 

@@ -3,7 +3,9 @@
 Pipeline: build an inverted index over the first tree's tokens, drop tokens
 that occur in too many nodes (sublinear threshold), score each second-tree
 node against the index with IDF weighting, then propagate scores up the
-parent chain so local topology counts too.
+parent chain so local topology counts too. The matcher propagates straight
+into its graph (``graph.propagate_graph``); :func:`propagate` gives the same
+scores as a table.
 
 A node's tokens are its label's tokens (tag and attributes, plus text when
 content is tokenized) and its xpath token, and IDF weights are added in
@@ -33,6 +35,10 @@ from itertools import repeat
 
 from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, label_tokens, tokenize_node
 from .tree import LabeledTree
+
+
+class NodeOutOfRange(ValueError):
+    """A similarity entry names a node id outside its tree."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,45 @@ def _xpath_partners(t1: LabeledTree, t2: LabeledTree) -> list[int | None]:
     return partners
 
 
+def check_row(m: int, row: Mapping[int, float], t1_size: int, t2_size: int) -> None:
+    """Raise :class:`NodeOutOfRange` unless ``rows[m] = row`` names nodes of
+    a ``t1_size``-node first tree and a ``t2_size``-node second tree.
+
+    A negative id would index from the end of a column, and an id past it
+    would alias another pair's edge key, so both are refused.
+    """
+    if not 0 <= m < t2_size:
+        raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+    if row:
+        lo, hi = min(row), max(row)
+        if lo < 0 or hi >= t1_size:
+            bad = lo if lo < 0 else hi
+            raise NodeOutOfRange(f"t1 node {bad} outside a {t1_size}-node tree")
+
+
 _EMPTY_ROW: dict[int, float] = {}
+
+
+def ancestor_levels(
+    m: int,
+    rows: Mapping[int, dict[int, float]],
+    parents2: tuple[int | None, ...],
+    weights: tuple[float, ...],
+) -> list[tuple[float, dict[int, float]]]:
+    """``(weight, ancestor row)`` for each propagation level above ``m``,
+    stopping at the root; trailing levels with an empty row add nothing, so
+    they are dropped. Row ``m``'s pairs climb these levels one parent at a
+    time."""
+    levels: list[tuple[float, dict[int, float]]] = []
+    b = parents2[m]
+    for w in weights[1:]:
+        if b is None:
+            break
+        levels.append((w, rows.get(b, _EMPTY_ROW)))
+        b = parents2[b]
+    while levels and not levels[-1][1]:
+        levels.pop()
+    return levels
 
 
 def propagate(
@@ -265,28 +309,28 @@ def propagate(
     """Blend each pair's score with its ancestors' scores, weighted per level.
 
     Weight ``weights[k]`` applies to the ancestor pair k levels up, so the
-    depth is ``len(weights) - 1``. Only pairs with a positive initial score are kept; a missing ancestor or
-    an absent ancestor-pair score contributes nothing. For each row ``m`` the
-    weight and ancestor row of every level are looked up once; each ``n``
-    then climbs its own parent chain alongside them.
+    depth is ``len(weights) - 1``. Only pairs with a positive initial score
+    are kept; a missing ancestor or an absent ancestor-pair score contributes
+    nothing. For each row ``m`` the weight and ancestor row of every level
+    are looked up once; each ``n`` then climbs its own parent chain
+    alongside them.
+
+    This is the table form. The matcher runs ``graph.propagate_graph``,
+    which climbs the same way and groups each blended score straight into
+    the graph; this function stays for the API, as the reference the tests
+    pin that step to, and for the benchmark's traced stages. Raises
+    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
+    ``t2``.
     """
     weights = params.weights
     w0 = weights[0]
     parents1, parents2 = t1.parents, t2.parents
+    t1_size, t2_size = len(t1), len(t2)
     base = s0.rows
     out: dict[int, dict[int, float]] = {}
     for m, row in base.items():
-        # (weight, ancestor row) for each level above m, stopping at the root;
-        # trailing levels with an empty row add nothing, so they are dropped
-        levels: list[tuple[float, dict[int, float]]] = []
-        b = parents2[m]
-        for w in weights[1:]:
-            if b is None:
-                break
-            levels.append((w, base.get(b, _EMPTY_ROW)))
-            b = parents2[b]
-        while levels and not levels[-1][1]:
-            levels.pop()
+        check_row(m, row, t1_size, t2_size)
+        levels = ancestor_levels(m, base, parents2, weights)
         blended: dict[int, float] = {}
         for n, s in row.items():
             total = w0 * s

@@ -1,7 +1,9 @@
 """The row-per-node similarity table and the graph built from it, against the
 flat ``(n, m)``-keyed stages kept in ``oracles.py``: same scores to the bit,
-same edge arrays and adjacency. The graph is also checked on hand-made
-tables whose scores tie, or differ but give the same cost."""
+same edge arrays and adjacency. The graph the matcher builds straight from
+the initial table, with no propagated table between, is held to the same
+reference. Both graphs are also checked on hand-made tables whose scores
+tie, or differ but give the same cost."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from oracles import (
     table_from_scores,
 )
 from strategies import tree_pairs
-from treematch.graph import build_graph
+from treematch.graph import build_graph, propagate_graph
 from treematch.mutate import assign_signatures, mutate
 from treematch.similarity import SftmParams, initial_similarity, propagate
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
@@ -47,6 +49,7 @@ def assert_same_stages(t1, t2, params: SftmParams, options: TokenOptions) -> Non
 
     ref = reference_build_graph(table_from_scores(ref_p), t1, t2)
     assert_same_graph(build_graph(sp, t1, t2), ref)
+    assert_same_graph(propagate_graph(s0, t1, t2, params), ref)
 
 
 def assert_same_graph(g, ref) -> None:
@@ -106,6 +109,8 @@ def test_random_trees_odd_tags(pair, params, options):
 # 0.1 and the next float up are distinct scores with one cost 1/(1+s)
 NEAR = math.nextafter(0.1, 1.0)
 SCORES = (0.1, NEAR, 0.5, 1.0, 1.0 / 3.0, 2.0, 7.25)
+# depth 0 with w0 = 1: propagating a table leaves every score as it is
+LEVEL_ZERO = SftmParams(weights=(1.0,))
 
 
 def flat_tree(size: int):
@@ -131,7 +136,9 @@ def test_graph_on_tied_scores(table):
     n1, n2, scores = table
     t1, t2 = flat_tree(n1), flat_tree(n2)
     sp = table_from_scores(scores)
-    assert_same_graph(build_graph(sp, t1, t2), reference_build_graph(sp, t1, t2))
+    ref = reference_build_graph(sp, t1, t2)
+    assert_same_graph(build_graph(sp, t1, t2), ref)
+    assert_same_graph(propagate_graph(sp, t1, t2, LEVEL_ZERO), ref)
 
 
 def test_near_scores_sort_by_ids_together():
@@ -139,6 +146,7 @@ def test_near_scores_sort_by_ids_together():
     # edges sort by (n, m) across the two scores
     t1, t2 = flat_tree(3), flat_tree(2)
     sp = table_from_scores({(2, 0): 0.1, (1, 1): NEAR, (0, 1): 0.1, (0, 0): 1.0})
-    g = build_graph(sp, t1, t2)
-    assert list(zip(g.edge_n, g.edge_m)) == [(0, 0), (0, 1), (1, 1), (2, 0)]
-    assert_same_graph(g, reference_build_graph(sp, t1, t2))
+    ref = reference_build_graph(sp, t1, t2)
+    for g in (build_graph(sp, t1, t2), propagate_graph(sp, t1, t2, LEVEL_ZERO)):
+        assert list(zip(g.edge_n, g.edge_m)) == [(0, 0), (0, 1), (1, 1), (2, 0)]
+        assert_same_graph(g, ref)

@@ -18,6 +18,7 @@ from treematch.graph import (
     edge_count,
     matching_cost,
     matching_to_json,
+    propagate_graph,
 )
 from treematch.similarity import (
     SftmParams,
@@ -30,6 +31,14 @@ from treematch.similarity import (
 from treematch.tree import DraftNode, freeze
 
 PARAMS = SftmParams()
+
+
+# every step that reads a table refuses a node id outside its tree
+FROM_TABLE = {
+    "build_graph": build_graph,
+    "propagate": lambda table, t1, t2: propagate(table, t1, t2, PARAMS),
+    "propagate_graph": lambda table, t1, t2: propagate_graph(table, t1, t2, PARAMS),
+}
 
 
 def pair_of_single_nodes():
@@ -61,21 +70,26 @@ class TestBuildGraph:
         assert keys == sorted(keys)
         assert g.edges[0].cost == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("key", [(1, 0), (-1, 0)])
-    def test_t1_node_out_of_range_is_typed(self, key):
-        t1, t2 = pair_of_single_nodes()
+    @pytest.mark.parametrize("build", sorted(FROM_TABLE))
+    @pytest.mark.parametrize("key", [(2, 0), (-1, 0), (2, 1), (-1, 1)])
+    def test_t1_node_out_of_range_is_typed(self, key, build):
+        # unchecked, propagate would read node 1's parent for -1 and fail
+        # with a bare IndexError on 2, or keep either id when no level climbs
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         table = table_from_scores({(0, 0): 1.0, key: 1.0})
         with pytest.raises(NodeOutOfRange, match="t1 node"):
-            build_graph(table, t1, t2)
+            FROM_TABLE[build](table, t1, t2)
 
+    @pytest.mark.parametrize("build", sorted(FROM_TABLE))
     @pytest.mark.parametrize("key", [(0, 1), (0, -1)])
-    def test_t2_node_out_of_range_is_typed(self, key):
+    def test_t2_node_out_of_range_is_typed(self, key, build):
         # without the check, (0, 1) would alias the int key of (1, 0)
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="a"))
         table = table_from_scores({(0, 0): 1.0, key: 1.0})
         with pytest.raises(NodeOutOfRange, match="t2 node"):
-            build_graph(table, t1, t2)
+            FROM_TABLE[build](table, t1, t2)
         assert issubclass(NodeOutOfRange, ValueError)
 
     def test_adjacency_built_once(self):

@@ -8,11 +8,15 @@ import hashlib
 
 import pytest
 
+import treematch.graph
+import treematch.pipeline
+import treematch.similarity
 from conftest import CORPUS_DIR
 from treematch.baselines import ted_match
+from treematch.graph import build_graph
 from treematch.mutate import assign_signatures, mutate
 from treematch.pipeline import match_trees, match_trees_detailed
-from treematch.similarity import SftmParams
+from treematch.similarity import SftmParams, initial_similarity, propagate
 from treematch.tree import LabeledTree, parse_html, parse_tree_json, serialize_tree_json
 
 # match_trees on corpus mutants (ratio 0.2, SftmParams(seed=seed)): pair
@@ -76,3 +80,29 @@ def test_match_path_builds_no_node_views_or_xpaths(monkeypatch):
     assert ted_match(t1, t2).pairs and built == []
     # views and xpaths are noticed: a view reads the views, which read the xpaths
     assert t1.node(1).xpath == t1.xpaths()[1] and built == ["nodes", "xpaths", "xpaths"]
+
+
+def test_match_path_builds_no_propagated_table(monkeypatch):
+    """The matcher propagates straight into its graph: with the table-form
+    ``propagate`` and ``build_graph`` made to fail, it still matches, and
+    its graph equals theirs to the bit."""
+    page = sorted(CORPUS_DIR.glob("p00_*.html"))
+    if not page:
+        pytest.skip("bundled corpus not generated")
+    source = assign_signatures(parse_html(page[0].read_bytes()))
+    mutant, _ = mutate(source, 0.2, 0)
+    params = SftmParams()
+    sp = propagate(initial_similarity(source, mutant, params), source, mutant, params)
+    want = build_graph(sp, source, mutant)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the match path built a propagated table")
+
+    # by the names the pipeline imports, and where the two are defined
+    for module, name in ((treematch.pipeline, "propagate"), (treematch.pipeline, "build_graph"),
+                         (treematch.similarity, "propagate"), (treematch.graph, "build_graph")):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    matching, g = match_trees_detailed(source, mutant, params)
+    assert matching.pairs
+    assert g.edge_n == want.edge_n and g.edge_m == want.edge_m
+    assert [c.hex() for c in g.edge_cost] == [c.hex() for c in want.edge_cost]
