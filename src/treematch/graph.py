@@ -19,7 +19,8 @@ group is sorted by key. Both builders group their keys by score and share
 that step. Per-node adjacency is built on first access and cached, since
 the matching path never reads it. The optimizer reads per-node edge chains
 instead: for each node of the smaller tree, its edge indices linked in that
-order, kept in two compact ``array('i')``s built on first access.
+order, kept in two compact ``array('i')``s built on first access, and a byte
+mark on each chain's first edge that every proposal copies.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -63,8 +64,9 @@ class MatchGraph:
     ``edge_cost[i]``. ``t1_adjacency[n]`` and ``t2_adjacency[m]`` list the
     indices of a node's edges in that order, cheapest first. :attr:`chains`
     links the same indices for the nodes of the smaller tree (t1 on a tie),
-    which is what the optimizer walks. The views are built on first access
-    and cached on the graph. :attr:`edges` is a convenience view.
+    which is what the optimizer walks from :attr:`cursor_marks`. The views
+    are built on first access and cached on the graph. :attr:`edges` is a
+    convenience view.
     """
 
     edge_n: tuple[int, ...]
@@ -101,6 +103,17 @@ class MatchGraph:
         """
         return _chains(self.edge_n if self.chains_on_t1 else self.edge_m,
                        min(self.t1_size, self.t2_size))
+
+    @cached_property
+    def cursor_marks(self) -> bytes:
+        """The edge count plus one bytes, set at each chain's first edge and
+        at the end: every chain-side node's cursor before a proposal."""
+        first = self.chains[0]
+        marks = bytearray(len(self.edge_n) + 1)
+        for idx in first:
+            marks[idx] = 1
+        marks[-1] = 1
+        return bytes(marks)
 
 
 def _adjacency(ends: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
@@ -251,9 +264,18 @@ class Matching:
 
 def matching_cost(m: Matching, params: SftmParams) -> float:
     """Total cost: selected edge costs plus the no-match penalty per uncovered node."""
-    return sum(m.pair_costs) + params.no_match_cost * (
-        m.t1_size + m.t2_size - 2 * len(m.pairs)
-    )
+    return full_cost(m.pair_costs, m.t1_size, m.t2_size, params.no_match_cost)
+
+
+def full_cost(
+    pair_costs: Sequence[float], t1_size: int, t2_size: int, no_match_cost: float
+) -> float:
+    """:func:`matching_cost` of the full matching whose pairs cost ``pair_costs``.
+
+    The one cost expression, so a walk that holds its pairs as lists gets
+    the floats :func:`matching_cost` gives, to the bit.
+    """
+    return sum(pair_costs) + no_match_cost * (t1_size + t2_size - 2 * len(pair_costs))
 
 
 def matching_to_json(m: Matching, t1: LabeledTree, t2: LabeledTree) -> str:

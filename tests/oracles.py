@@ -32,7 +32,7 @@ import json
 import math
 import random
 import string
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from html.parser import HTMLParser
@@ -791,8 +791,13 @@ def scan_suggest_matching(
     return Matching(tuple(pairs), tuple(costs), g.t1_size, g.t2_size)
 
 
-def scan_metropolis(g: MatchGraph, params: SftmParams) -> Matching:
-    """``metropolis`` with the one-pass greedy start and proposal."""
+def scan_metropolis(
+    g: MatchGraph,
+    params: SftmParams,
+    progress: Callable[[int, float, float], None] | None = None,
+) -> Matching:
+    """``metropolis`` with the one-pass greedy start and proposal, each a
+    checked :class:`Matching` costed by ``matching_cost``."""
     rng = random.Random(params.seed)
     current = scan_initial_matching(g, params)
     if current.size == 0:
@@ -800,7 +805,7 @@ def scan_metropolis(g: MatchGraph, params: SftmParams) -> Matching:
     best = current
     cur_cost = best_cost = matching_cost(current, params)
     beta = params.beta
-    for _ in range(params.iterations):
+    for it in range(1, params.iterations + 1):
         proposal = scan_suggest_matching(g, current, params, rng)
         prop_cost = matching_cost(proposal, params)
         log_ratio = -beta * (prop_cost / proposal.size - cur_cost / current.size)
@@ -811,6 +816,8 @@ def scan_metropolis(g: MatchGraph, params: SftmParams) -> Matching:
         if prop_cost < best_cost:
             best = proposal
             best_cost = prop_cost
+        if progress is not None:
+            progress(it, cur_cost, best_cost)
     return best
 
 

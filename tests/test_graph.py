@@ -114,6 +114,9 @@ class TestBuildGraph:
         assert nxt.tobytes() == array("i", [2, 2]).tobytes()
         assert first.typecode == nxt.typecode == "i"
         assert g.chains is g.chains
+        # a mark on each chain's first edge and on the end
+        assert g.cursor_marks == bytes([1, 1, 1])
+        assert g.cursor_marks is g.cursor_marks
 
     def test_chains_of_empty_graph(self):
         for t1_size, t2_size in ((0, 0), (0, 3), (2, 0), (2, 3)):
@@ -121,6 +124,7 @@ class TestBuildGraph:
             first, nxt = g.chains
             assert first.tolist() == [0] * min(t1_size, t2_size)
             assert nxt.tolist() == []
+            assert g.cursor_marks == b"\x01"
 
     @settings(max_examples=25, deadline=None)
     @given(tree_pairs(max_nodes=10))
@@ -149,6 +153,8 @@ class TestBuildGraph:
                 chain.append(idx)
                 idx = nxt[idx]
             assert tuple(chain) == incident
+        heads = set(first) | {edge_count(g)}
+        assert g.cursor_marks == bytes(i in heads for i in range(edge_count(g) + 1))
 
     @settings(max_examples=25, deadline=None)
     @given(tree_pairs(max_nodes=10))

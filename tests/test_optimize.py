@@ -152,6 +152,15 @@ class TestSuggestMatching:
         m = suggest_matching(g, current, params, rng)
         assert m.pairs == ((1, 1), (0, 0))
 
+    @pytest.mark.parametrize(
+        "foreign",
+        [Matching(((4, 4),), (0.2,), 5, 5), Matching(((0, 0),), (0.2,), 1, 1)],
+        ids=["5x5", "1x1"],
+    )
+    def test_matching_of_other_sizes_is_refused(self, foreign):
+        with pytest.raises(ValueError, match=rf"{foreign.t1_size}x{foreign.t2_size}.* 2x2 "):
+            suggest_matching(self.toy(), foreign, PARAMS, ScriptedRng(randints=[1]))
+
     @settings(max_examples=30, deadline=None)
     @given(tree_pairs(max_nodes=10), st.integers(0, 2**32 - 1))
     def test_fullness_after_every_suggestion(self, pair, seed):
@@ -217,6 +226,28 @@ class TestMetropolis:
         found = matching_cost(matching, params)
         optimal = matching_cost(brute_force_optimal(g, params), params)
         assert found >= optimal - 1e-9
+
+    def test_builds_one_matching_whatever_the_iterations(self, corpus_pages, monkeypatch):
+        # proposals are lists; the walk builds, and checks, only its result
+        path = next(p for p in corpus_pages if p.name.startswith("p00_"))
+        source = assign_signatures(parse_html(path.read_bytes()))
+        mutant, _ = mutate(source, 0.2, 1)
+        g = match_trees_detailed(source, mutant, PARAMS)[1]
+        built = []
+        check = Matching.__post_init__
+
+        def spy(self, _checked):
+            built.append(self)
+            check(self, _checked)
+
+        monkeypatch.setattr(Matching, "__post_init__", spy)
+        counts = []
+        for iterations in (1, 200):
+            built.clear()
+            best = metropolis(g, SftmParams(iterations=iterations))
+            counts.append(len(built))
+            assert built[-1] is best
+        assert counts == [1, 1]
 
 
 def test_progress_hook_reports_iterations():
@@ -309,6 +340,14 @@ class TestAgainstScanWalk:
             assert rng.getstate() == scan_rng.getstate()
             current = proposal
         assert metropolis(g, params) == scan_metropolis(g, params)
+        # the walk's list-level costs against matching_cost of each Matching
+        walk, scan_walk = [], []
+        metropolis(g, params, lambda *step: walk.append(step))
+        scan_metropolis(g, params, lambda *step: scan_walk.append(step))
+        assert len(walk) == params.iterations
+        assert [(it, cur.hex(), best.hex()) for it, cur, best in walk] == [
+            (it, cur.hex(), best.hex()) for it, cur, best in scan_walk
+        ]
 
     @pytest.mark.parametrize("relation", ["smaller", "equal", "larger"])
     @settings(max_examples=40, deadline=None)
