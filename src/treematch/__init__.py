@@ -31,7 +31,6 @@ from .similarity import (
     apply_threshold,
     build_token_index,
     initial_similarity,
-    neighbor_scores,
     propagate,
 )
 from .tokens import TokenOptions, string_tokenize, tokenize_node
@@ -75,7 +74,6 @@ __all__ = [
     "matching_cost",
     "metropolis",
     "mutate",
-    "neighbor_scores",
     "optimal_rate",
     "parse_html",
     "parse_tree_json",

@@ -15,10 +15,13 @@ deterministic given the same inputs and seed, timing aside.
 Usage errors (an unknown flag or choice, ``--jobs`` or ``--count`` below 1)
 exit 2. ``main`` turns an ``OSError``, a ``ValueError`` (which covers
 ``FormatError``, ``IngestError``, ``CorpusError`` and ``TooDeep``) or
-``ExhaustedTargets`` into one ``error:`` line and exit 1; ``bench`` and
-``sweep`` check their lists, corpus and output directory before any pair
-runs. ``evaluate_pair``'s ``RuntimeError`` for a child that died with no row
-is not caught and keeps its traceback.
+``ExhaustedTargets`` into one ``error:`` line and exit 1. Each command
+checks what it will write before any work: ``match`` its ``--out`` path
+before it loads a tree, ``mutate`` every mutant's ratio and its
+``--out-dir`` before it loads one, and ``bench`` and ``sweep`` their lists,
+corpus and ``--out`` path before any pair runs. ``evaluate_pair``'s
+``RuntimeError`` for a child that died with no row is not caught and keeps
+its traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .evaluate import (
     write_csv,
 )
 from .graph import edge_count, matching_cost, matching_to_json
-from .mutate import ExhaustedTargets, assign_signatures, mutate
+from .mutate import MAX_RATIO, ExhaustedTargets, assign_signatures, mutate
 from .pipeline import match_trees_detailed
 from .similarity import SftmParams
 from .tokens import TokenOptions
@@ -130,6 +133,16 @@ def _write_sidecar(out_path: Path, command: str, params: SftmParams, extra: dict
     sidecar.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _out_path(out: str) -> Path:
+    """``--out`` as a path, refused unless its directory exists and it is no directory."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"--out {out!r} is in no existing directory")
+    if path.is_dir():
+        raise IsADirectoryError(f"--out {out!r} is a directory")
+    return path
+
+
 def _csv_inputs(args: argparse.Namespace, listed: str, flag: str) -> tuple[list[str], Path, Path]:
     """The ``flag`` list, corpus and CSV path of bench or sweep, checked before any pair runs."""
     items = [item for item in listed.split(",") if item]
@@ -137,11 +150,7 @@ def _csv_inputs(args: argparse.Namespace, listed: str, flag: str) -> tuple[list[
         raise ValueError(f"{flag} {listed!r} lists nothing")
     if not Path(args.corpus).is_dir():
         raise NotADirectoryError(f"corpus {args.corpus!r} is not a directory")
-    if not Path(args.out).parent.is_dir():
-        raise FileNotFoundError(f"--out {args.out!r} is in no existing directory")
-    if Path(args.out).is_dir():
-        raise IsADirectoryError(f"--out {args.out!r} is a directory")
-    return items, Path(args.corpus), Path(args.out)
+    return items, Path(args.corpus), _out_path(args.out)
 
 
 def _load_tree(path: Path, fmt: str) -> LabeledTree:
@@ -159,6 +168,7 @@ def _load_tree(path: Path, fmt: str) -> LabeledTree:
 def _cmd_match(args: argparse.Namespace) -> int:
     params = _params_from(args)
     _echo_config("match", params, args.algorithm)
+    out = _out_path(args.out)
     t1 = _load_tree(Path(args.src), args.format)
     t2 = _load_tree(Path(args.dst), args.format)
 
@@ -171,7 +181,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
         edges = f"edges={edge_count(graph)} "
     elapsed = time.perf_counter() - start
 
-    out = Path(args.out)
     out.write_text(matching_to_json(matching, t1, t2) + "\n", encoding="utf-8")
     cost = matching_cost(matching, params)
     print(
@@ -186,14 +195,20 @@ def _cmd_match(args: argparse.Namespace) -> int:
 def _cmd_mutate(args: argparse.Namespace) -> int:
     print(f"[treematch mutate] seed={args.seed} ratio={args.ratio} count={args.count}",
           file=sys.stderr)
+    count = args.count
+    ratios = [args.ratio * k / count for k in range(count)]
+    # -0.0, mutant 0's ratio from a negative --ratio, would pass the range check
+    if args.ratio < 0 or not all(0.0 <= ratio <= MAX_RATIO for ratio in ratios):
+        raise ValueError(f"--ratio {args.ratio} with --count {count} gives a mutant "
+                         f"a ratio outside [0, {MAX_RATIO}]")
+    out_dir = Path(args.out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"--out-dir {args.out_dir!r} is not a directory")
     src = Path(args.src)
     tree = assign_signatures(_load_tree(src, args.format))
 
-    out_dir = Path(args.out_dir)
     page = src.stem
-    count = args.count
-    for k in range(count):
-        ratio = args.ratio * k / count
+    for k, ratio in enumerate(ratios):
         seed = args.seed * 100003 + k
         mutant, log = mutate(tree, ratio, seed, source_page=page)
         bundle_dir = out_dir / f"{page}__m{k:02d}"

@@ -3,24 +3,25 @@
 An edge exists only for node pairs with a positive propagated similarity;
 its cost is 1/(1+score), so better-scoring pairs are cheaper. The matcher
 builds it with :func:`propagate_graph`, which propagates the initial scores
-straight into the edge groups; :func:`build_graph` builds the same graph from
-a table that is already propagated. A full matching covers every node of
-both trees exactly once, either by a pair or by the no-match assignment, and
-is charged ``no_match_cost`` per unmatched node. A :class:`Matching` stores
-only its pairs and the two tree sizes; the unmatched sets are every node no
-pair covers, so they are derived, never stored.
+straight into the edge groups. :func:`build_graph`, the graph of a table
+that is already propagated, is its depth-0 case: no ancestor level, so each
+score is its own. A full matching covers every node of both trees exactly
+once, either by a pair or by the no-match assignment, and is charged
+``no_match_cost`` per unmatched node. A :class:`Matching` stores only its
+pairs and the two tree sizes; the unmatched sets are every node no pair
+covers, so they are derived, never stored.
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
 built per edge on the matching path. That order comes from grouping the int
 keys ``n * len(t2) + m``, which sort as (n, m) does, by cost: scores that
 round to one cost share a group, the distinct costs are sorted, and each
-group is sorted by key. Both builders group their keys by score and share
-that step. Per-node adjacency is built on first access and cached, since
-the matching path never reads it. The optimizer reads per-node edge chains
-instead: for each node of the smaller tree, its edge indices linked in that
-order, kept in two compact ``array('i')``s built on first access, and a byte
-mark on each chain's first edge that every proposal copies.
+group is sorted by key. Per-node adjacency is built on first access and
+cached, since the matching path never reads it. The optimizer reads per-node
+edge chains instead: for each node of the smaller tree, its edge indices
+linked in that order, kept in two compact ``array('i')``s built on first
+access, and a byte mark on each chain's first edge that every proposal
+copies.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -134,20 +135,18 @@ def _chains(ends: tuple[int, ...], size: int) -> tuple[array, array]:
     return array("i", first), array("i", nxt)
 
 
+# one level, w0 = 1: no ancestor climbs, and 1.0 * s is s to the bit
+_NO_PROPAGATION = SftmParams(weights=(1.0,))
+
+
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:
     """One edge per positive similarity entry, cost 1/(1+score).
 
-    Raises :class:`NodeOutOfRange` when an entry names a node outside
-    ``t1`` or ``t2``.
+    The depth-0 case of :func:`propagate_graph`. Raises
+    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
+    ``t2``.
     """
-    t1_size, t2_size = len(t1), len(t2)
-    # edge keys n * t2_size + m, grouped by score; a key sorts as (n, m) does
-    by_score: defaultdict[float, list[int]] = defaultdict(list)
-    for m, row in sp.rows.items():
-        check_row(m, row, t1_size, t2_size)
-        for n, score in row.items():
-            by_score[score].append(n * t2_size + m)
-    return _sorted_graph(by_score, t1_size, t2_size)
+    return propagate_graph(sp, t1, t2, _NO_PROPAGATION)
 
 
 def propagate_graph(
@@ -166,6 +165,7 @@ def propagate_graph(
     parents1, parents2 = t1.parents, t2.parents
     t1_size, t2_size = len(t1), len(t2)
     base = s0.rows
+    # edge keys n * t2_size + m, grouped by score; a key sorts as (n, m) does
     by_score: defaultdict[float, list[int]] = defaultdict(list)
     for m, row in base.items():
         check_row(m, row, t1_size, t2_size)
@@ -181,13 +181,6 @@ def propagate_graph(
                 if up is not None:
                     total += w * up
             by_score[total].append(n * t2_size + m)
-    return _sorted_graph(by_score, t1_size, t2_size)
-
-
-def _sorted_graph(
-    by_score: Mapping[float, list[int]], t1_size: int, t2_size: int
-) -> MatchGraph:
-    """The graph whose edge keys ``n * t2_size + m`` are grouped by score."""
     # distinct scores can round to one cost; their keys then sort together
     by_cost: defaultdict[float, list[int]] = defaultdict(list)
     for score, keys in by_score.items():

@@ -80,6 +80,7 @@ _STRUCTURAL_KINDS = frozenset(
     {"remove_node", "duplicate", "wrap", "unwrap", "swap"}
 )
 _CONTENT_KINDS = MUTATION_KINDS[5:]  # the in-place attribute and text operators
+MAX_RATIO = 0.5  # the largest share of a tree's nodes one mutant changes
 
 # magnitudes for the partial text/attribute operators (the operators'
 # definition fixes only *what* changes, not how much)
@@ -164,8 +165,8 @@ def _content_flags(node: DraftNode) -> tuple[bool, ...]:
 
 class _Mutator:
     def __init__(self, tree: LabeledTree, ratio: float, seed: int, source_page: str):
-        if not 0.0 <= ratio <= 0.5:
-            raise ValueError(f"mutation ratio must be in [0, 0.5], got {ratio}")
+        if not 0.0 <= ratio <= MAX_RATIO:
+            raise ValueError(f"mutation ratio must be in [0, {MAX_RATIO}], got {ratio}")
         if None in tree.signatures:
             raise ValueError(f"node {tree.signatures.index(None)} has no signature; "
                              "sign the tree first")
@@ -430,8 +431,8 @@ def mutation_log_from_json(text: str) -> MutationLog:
         source_page=_log_field(obj, "", "source_page", _is_str, "a string"),
         seed=_log_field(obj, "", "seed", lambda v: type(v) is int, "an int"),
         ratio=_log_field(
-            obj, "", "ratio", lambda v: type(v) in (int, float) and 0 <= v <= 0.5,
-            "a finite number in [0, 0.5]",
+            obj, "", "ratio", lambda v: type(v) in (int, float) and 0 <= v <= MAX_RATIO,
+            f"a finite number in [0, {MAX_RATIO}]",
         ),
         ops=tuple(
             MutationOp(

@@ -8,10 +8,9 @@ into its graph (``graph.propagate_graph``); :func:`propagate` gives the same
 scores as a table.
 
 A node's tokens are its label's tokens (tag and attributes, plus text when
-content is tokenized) and its xpath token, and IDF weights are added in
-sorted token order, so every scoring path sums the same floats in the same
-order as :func:`neighbor_scores`, which tokenizes one node on its own.
-:func:`initial_similarity` scores every node the same way. Labels are
+content is tokenized) and its xpath token, and a pair's IDF weights are
+added in sorted token order, so a score is the float a plain sum over the
+node's own sorted tokens gives. In :func:`initial_similarity` labels are
 interned to ints and tokenized once, the index holds label tokens only,
 each kept token's weight is computed once, and the second-tree nodes of one
 label share a label row. ``xpath:`` sorts after every label prefix, so a
@@ -29,7 +28,7 @@ keyed by a plain int and no tuple is built per pair.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -134,45 +133,11 @@ def apply_threshold(index: TokenIndex, alpha: float) -> TokenIndex:
     return TokenIndex(entries=entries, t1_size=index.t1_size)
 
 
-def neighbor_scores(
-    t2: LabeledTree,
-    m: int,
-    index: TokenIndex,
-    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
-) -> dict[int, float]:
-    """Initial similarity of one second-tree node against all indexed nodes.
-
-    Each shared token adds its IDF, log(N / multiplicity), to the
-    token-holders' scores; a token with IDF 0 adds nothing, so every score
-    in the result is positive.
-    """
-    tokens = sorted(tokenize_node(t2, m, options))
-    entries = index.entries
-    shared = {token: entries[token] for token in tokens if token in entries}
-    # a bucket as large as the tree weighs log(1) = 0 or less, so the tree
-    # size as the cutoff drops no token that scores
-    return _row(tokens, _weighted(shared, index.t1_size, index.t1_size))
-
-
-def _weighted(
-    buckets: Mapping[str, Collection[int]], t1_size: int, cutoff: int
-) -> dict[str, tuple[float, Collection[int]]]:
-    """Each token's IDF weight and holders, for the tokens that score: held
-    by one to ``cutoff`` nodes, with a positive weight."""
-    out = {}
-    for token, bucket in buckets.items():
-        if 0 < len(bucket) <= cutoff:
-            weight = math.log(t1_size / len(bucket))
-            if weight > 0.0:
-                out[token] = (weight, bucket)
-    return out
-
-
 def _row(
-    tokens: list[str], weighted: Mapping[str, tuple[float, Collection[int]]]
+    tokens: list[str], weighted: Mapping[str, tuple[float, list[int]]]
 ) -> dict[int, float]:
-    """The scores some sorted tokens give: every caller adds the same IDF
-    weights in the same, sorted, token order, so the floats agree to the bit."""
+    """The scores some sorted tokens give, each token's IDF weight added to
+    its holders in token order."""
     scores: dict[int, float] | None = None
     for token in tokens:
         entry = weighted.get(token)
@@ -223,7 +188,13 @@ def initial_similarity(
                 buckets[token] = nodes.copy()
             else:
                 bucket.extend(nodes)
-    weighted = _weighted(buckets, t1_size, cutoff)
+    # each kept token's IDF weight and holders; a weight of 0 adds nothing
+    weighted: dict[str, tuple[float, list[int]]] = {}
+    for token, bucket in buckets.items():
+        if len(bucket) <= cutoff:
+            weight = math.log(t1_size / len(bucket))
+            if weight > 0.0:
+                weighted[token] = (weight, bucket)
 
     partners = _xpath_partners(t1, t2)
     lone = math.log(t1_size)  # the weight of an xpath, which one t1 node holds

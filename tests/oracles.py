@@ -23,6 +23,10 @@ from segments on demand.
 ``reference_parse_html`` is the HTML reader that builds a ``DraftNode`` per
 element and then freezes the drafts the same way.
 ``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
+``neighbor_scores`` scores one second-tree node against a token index by a
+plain loop over the node's own sorted tokens, and
+``reference_initial_similarity`` is that loop over every node, so the
+oracle for ``initial_similarity`` shares no scoring code with it.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from treematch.similarity import (
     SimilarityTable,
     TokenIndex,
     apply_threshold,
-    neighbor_scores,
     threshold_cutoff,
 )
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, tokenize_node
@@ -116,6 +119,31 @@ def table_from_scores(scores: dict[tuple[int, int], float]) -> SimilarityTable:
 def flat_scores(table: SimilarityTable) -> dict[tuple[int, int], float]:
     """A table as one flat ``(n, m) -> score`` dict."""
     return {(n, m): s for m, row in table.rows.items() for n, s in row.items()}
+
+
+def neighbor_scores(
+    t2: LabeledTree,
+    m: int,
+    index: TokenIndex,
+    options: TokenOptions = DEFAULT_TOKEN_OPTIONS,
+) -> dict[int, float]:
+    """Initial similarity of one second-tree node against all indexed nodes.
+
+    Each shared token, in sorted order, adds its IDF, log(N / multiplicity),
+    to the token-holders' scores; a token with IDF 0 or less adds nothing,
+    so every score in the result is positive.
+    """
+    scores: dict[int, float] = {}
+    for token in sorted(tokenize_node(t2, m, options)):
+        holders = index.entries.get(token)
+        if not holders:
+            continue
+        weight = math.log(index.t1_size / len(holders))
+        if weight <= 0.0:
+            continue
+        for n in holders:
+            scores[n] = scores.get(n, 0.0) + weight
+    return scores
 
 
 def reference_initial_similarity(

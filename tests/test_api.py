@@ -35,7 +35,6 @@ PUBLIC_NAMES = {
     "matching_cost",
     "metropolis",
     "mutate",
-    "neighbor_scores",
     "optimal_rate",
     "parse_html",
     "parse_tree_json",

@@ -152,6 +152,22 @@ class TestMatchCommand:
         assert code == 1
         assert str(out) in only_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("algorithm", ["similarity", "ted"])
+    def test_out_checked_before_any_work(self, page_file, tmp_path, capsys, monkeypatch,
+                                         algorithm):
+        def run(*args, **kwargs):
+            pytest.fail("a tree was loaded or matched")
+
+        for name in ("_load_tree", "ted_match", "match_trees_detailed"):
+            monkeypatch.setattr(cli, name, run)
+        out = tmp_path / "missing" / "m.json"
+        code = main(["match", str(page_file), str(page_file), "--algorithm", algorithm,
+                     "--out", str(out)])
+        assert code == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            f"error: --out {str(out)!r} is in no existing directory"
+        )
+
 
 class TestMutateCommand:
     def test_ratios_span_evenly(self, page_file, tmp_path):
@@ -202,6 +218,36 @@ class TestMutateCommand:
         assert "Traceback" not in err
         out_dir = tmp_path / "bundles"
         assert not (out_dir.exists() and any(p.is_dir() for p in out_dir.iterdir()))
+
+    # 0.6 puts mutants 9 and up past 0.5; a negative ratio makes mutant 0's -0.0
+    @pytest.mark.parametrize("ratio, count", [("0.6", "10"), ("-0.1", "3"), ("nan", "1")])
+    def test_ratio_out_of_range_writes_nothing(self, page_file, tmp_path, capsys, ratio,
+                                               count):
+        out_dir = tmp_path / "bundles"
+        code = main(["mutate", str(page_file), "--ratio", ratio, "--count", count,
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            f"error: --ratio {float(ratio)} with --count {count} gives a mutant "
+            "a ratio outside [0, 0.5]"
+        )
+        assert not out_dir.exists()
+
+    def test_out_dir_that_is_a_file_is_refused_before_loading(self, page_file, tmp_path,
+                                                               capsys, monkeypatch):
+        def load(*args, **kwargs):
+            pytest.fail("the source was loaded")
+
+        monkeypatch.setattr(cli, "_load_tree", load)
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("", encoding="utf-8")
+        code = main(["mutate", str(page_file), "--ratio", "0.2", "--count", "2",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            f"error: --out-dir {str(out_dir)!r} is not a directory"
+        )
+        assert out_dir.read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_count_below_one_is_a_usage_error(self, page_file, tmp_path, capsys, count):

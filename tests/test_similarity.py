@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from oracles import brute_force_s0, flat_scores, reference_initial_similarity, table_from_scores
+from oracles import (
+    brute_force_s0,
+    flat_scores,
+    neighbor_scores,
+    reference_initial_similarity,
+    table_from_scores,
+)
 from strategies import labeled_trees, tree_pairs
 from treematch import similarity
 from treematch.similarity import (
@@ -16,7 +22,6 @@ from treematch.similarity import (
     apply_threshold,
     build_token_index,
     initial_similarity,
-    neighbor_scores,
     propagate,
     threshold_cutoff,
 )
@@ -128,7 +133,8 @@ def token_weight(tree, index: TokenIndex, token: str) -> float:
 
 
 class TestIdf:
-    """The IDF weight log(N / multiplicity) that ``neighbor_scores`` adds."""
+    """The IDF weight log(N / multiplicity) that the oracle's
+    ``neighbor_scores`` adds."""
 
     def test_formula(self):
         index = TokenIndex(entries={"tag:p": set(range(10))}, t1_size=100)
@@ -178,6 +184,29 @@ class TestNeighborScores:
 
 
 class TestInitialSimilarity:
+    def test_token_of_every_first_tree_node_adds_nothing(self):
+        # tag:p is kept at alpha 1 but weighs log(3/3) = 0, so only the
+        # root's xpath, held by one of three nodes, scores
+        t1 = tree_of(DraftNode(tag="p", children=[DraftNode(tag="p"), DraftNode(tag="p")]))
+        t2 = tree_of(DraftNode(tag="p"))
+        assert initial_similarity(t1, t2, EXACT).rows == {0: {0: math.log(3)}}
+
+    def test_sum_of_shared_idf(self):
+        t1 = tree_of(
+            DraftNode(tag="div", children=[
+                DraftNode(tag="p", attrs=[("class", "x")]),
+                DraftNode(tag="p"),
+            ])
+        )
+        t2 = tree_of(DraftNode(tag="p", attrs=[("class", "x")]))
+        # node 1 shares tag:p (in 2 of 3 nodes) and the class name and value
+        # (1 of 3 each); node 2 shares tag:p; no xpath is shared
+        rows = initial_similarity(t1, t2, EXACT).rows
+        assert rows.keys() == {0} and rows[0].keys() == {1, 2}
+        row = rows[0]
+        assert row[1] == pytest.approx(math.log(3 / 2) + 2 * math.log(3), rel=1e-12)
+        assert row[2] == pytest.approx(math.log(3 / 2), rel=1e-12)
+
     def test_single_node_identical_trees_all_idf_zero(self):
         # every token of a 1-node tree has multiplicity N=1, so IDF = 0 and
         # no strictly positive score exists
