@@ -14,7 +14,7 @@ deterministic given the same inputs and seed, timing aside.
 
 Usage errors (an unknown flag or choice, ``--jobs`` or ``--count`` below 1)
 exit 2. ``main`` turns an ``OSError``, a ``ValueError`` (which covers
-``FormatError``, ``IngestError``, ``CorpusError`` and ``TooDeep``) or
+``FormatError``, ``IngestError`` and ``CorpusError``) or
 ``ExhaustedTargets`` into one ``error:`` line and exit 1. Each command
 checks what it will write before any work: ``match`` its ``--out`` path
 before it loads a tree, ``mutate`` every mutant's ratio and its

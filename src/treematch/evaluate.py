@@ -1,13 +1,13 @@
 """Scoring against ground truth plus the benchmark and the alpha sweep.
 
 On-disk corpus layout: one directory per mutant bundle containing
-``source.html.json``, ``mutant.html.json`` (JSON tree schema, signatures
-included) and ``mutations.json`` (the mutation log). Each (bundle,
-algorithm) pair runs in a child process that loads the bundle, then matches
-and scores it; no tree crosses the process boundary. The per-pair cap starts
-once the child has loaded its bundle and covers the match and its scoring.
-``elapsed_s`` is the match alone (index, similarity, graph, search). Loading
-is linear in the bundle and has no cap.
+``source.html.json``, ``mutant.html.json`` (JSON tree format 2, signatures
+included; format-1 trees still load) and ``mutations.json`` (the mutation
+log). Each (bundle, algorithm) pair runs in a child process that loads the
+bundle, then matches and scores it; no tree crosses the process boundary.
+The per-pair cap starts once the child has loaded its bundle and covers the
+match and its scoring. ``elapsed_s`` is the match alone (index, similarity,
+graph, search). Loading is linear in the bundle and has no cap.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class MutantBundle:
 def write_bundle(
     directory: Path, source: LabeledTree, mutant: LabeledTree, log: MutationLog
 ) -> None:
-    # serialise first, so a tree too deep to write leaves no directory behind
     texts = (
         (SOURCE_FILE, serialize_tree_json(source)),
         (MUTANT_FILE, serialize_tree_json(mutant)),

@@ -35,14 +35,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import floordiv, mod
 
-# NodeOutOfRange is raised by check_row and stays importable from here
-from .similarity import (
-    NodeOutOfRange,
-    SftmParams,
-    SimilarityTable,
-    ancestor_levels,
-    check_row,
-)
+from .similarity import NodeOutOfRange, SftmParams, SimilarityTable, ancestor_levels
 from .tree import LabeledTree
 
 
@@ -167,26 +160,39 @@ def propagate_graph(
     base = s0.rows
     # edge keys n * t2_size + m, grouped by score; a key sorts as (n, m) does
     by_score: defaultdict[float, list[int]] = defaultdict(list)
-    for m, row in base.items():
-        check_row(m, row, t1_size, t2_size)
-        levels = ancestor_levels(m, base, parents2, weights)
-        for n, s in row.items():
-            total = w0 * s
-            a = n
-            for w, up_row in levels:
-                a = parents1[a]
-                if a is None:
-                    break
-                up = up_row.get(a)
-                if up is not None:
-                    total += w * up
-            by_score[total].append(n * t2_size + m)
+    try:
+        for m, row in base.items():
+            if not 0 <= m < t2_size:
+                raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+            levels = ancestor_levels(m, base, parents2, weights)
+            for n, s in row.items():
+                total = w0 * s
+                a = n
+                for w, up_row in levels:
+                    a = parents1[a]
+                    if a is None:
+                        break
+                    up = up_row.get(a)
+                    if up is not None:
+                        total += w * up
+                by_score[total].append(n * t2_size + m)
+    except IndexError:
+        # a t1 id outside [-t1_size, t1_size) fails the climb's first step;
+        # other ids out of range are caught by the key range below
+        raise _t1_out_of_range(n, t1_size) from None
     # distinct scores can round to one cost; their keys then sort together
     by_cost: defaultdict[float, list[int]] = defaultdict(list)
     for score, keys in by_score.items():
         by_cost[1.0 / (1.0 + score)].extend(keys)
     costs = sorted(by_cost)
     groups = [sorted(by_cost[cost]) for cost in costs]
+    # with m in range, a key is in [0, t1_size * t2_size) exactly when n is,
+    # and each group's range is its first and last key
+    end = t1_size * t2_size
+    for keys in groups:
+        for key in (keys[0], keys[-1]):
+            if not 0 <= key < end:
+                raise _t1_out_of_range(key // t2_size, t1_size)
     edge_keys = list(chain.from_iterable(groups))
     return MatchGraph(
         edge_n=tuple(map(floordiv, edge_keys, repeat(t2_size))),
@@ -195,6 +201,10 @@ def propagate_graph(
         t1_size=t1_size,
         t2_size=t2_size,
     )
+
+
+def _t1_out_of_range(n: int, t1_size: int) -> NodeOutOfRange:
+    return NodeOutOfRange(f"t1 node {n} outside a {t1_size}-node tree")
 
 
 def edge_count(g: MatchGraph) -> int:

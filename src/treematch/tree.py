@@ -16,6 +16,15 @@ read the columns only. Mutable :class:`DraftNode` trees belong to the
 mutation engine and to trees built by hand; :func:`thaw` turns a tree into
 drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
 
+On disk a tree is JSON, in the formats the "JSON tree format" block below
+sets out. :func:`serialize_tree_json` writes format 2: one array per column,
+with parent ids, so nothing nests per node and any depth writes and reads.
+Its reader refuses a parent column that is not in pre-order: the root's
+parent is null, and each later node's parent is the node before it or one
+of that node's ancestors. :func:`parse_tree_json` also reads format 1, the
+nested objects written before format 2, which JSON itself limits to a few
+hundred levels.
+
 Each xpath names exactly one node. Neither reader restricts tag names, so a
 tag may hold ``/``, which would spell two steps, or ``[``, which would spell
 a rank: a tag ``a[1]`` beside two ``a`` siblings would share the first
@@ -32,16 +41,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 
 class IngestError(ValueError):
     """The input document did not yield a root element."""
-
-
-class TooDeep(ValueError):
-    """The tree nests deeper than the JSON encoder can write."""
 
 
 class FormatError(ValueError):
@@ -364,27 +369,118 @@ def parse_html(document: bytes | str) -> LabeledTree:
 # ---------------------------------------------------------------------------
 # JSON tree format
 #
-# {"tag": str, "attrs": {name: value, ...}?, "text": str?, "signature": str?,
-#  "children": [...]?}  recursively, UTF-8.
+# Format 2, written by serialize_tree_json: one array per column, every
+# array one entry per node, in pre-order, keys in this order:
+#
+#   {"version": 2, "tags": [str, ...], "parents": [null, int, ...],
+#    "attrs": [{name: value, ...}, ...], "texts": [str | null, ...],
+#    "signatures": [str | null, ...]}
+#
+# ``parents[0]`` is null and every later ``parents[v]`` names ``v - 1`` or
+# one of its ancestors, which is what makes the order pre-order: node ``v``
+# is the next child of a node on the path from the root to ``v - 1``.
+#
+# Format 1, read for files written before format 2: an object with no
+# "version" key, nested
+#
+#   {"tag": str, "attrs": {name: value, ...}?, "text": str?, "signature": str?,
+#    "children": [...]?}
+#
+# recursively. Both are UTF-8.
+
+_FORMAT_VERSION = 2
+_COLUMNS = ("tags", "parents", "attrs", "texts", "signatures")
+_STR = frozenset({str})
+_DICT = frozenset({dict})
+_STR_OR_NULL = frozenset({str, type(None)})
 
 _NO_ATTRS: dict = {}
 _NO_CHILDREN: list = []
 
 
 def parse_tree_json(text: str | bytes) -> LabeledTree:
-    """Read a tree from the JSON tree format; round-trips with :func:`serialize_tree_json`.
+    """Read a tree in either JSON tree format; round-trips with :func:`serialize_tree_json`.
 
-    Raises :class:`FormatError` for the first node, in pre-order, that
-    violates the schema; its ``path`` reads like ``$.children[0].attrs``.
+    An object with a ``version`` key is read as format 2 and any version
+    other than 2 is refused; an object without one is format 1. Raises
+    :class:`FormatError` for input that is not UTF-8 or not JSON, and for
+    the first element that violates the schema: in format 2 the first bad
+    column, then the first bad entry column by column, with a path like
+    ``$.parents[7]`` or ``$.attrs[3].class``; in format 1 the first bad node
+    in pre-order, with a path like ``$.children[0].attrs``.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8: {exc}", "$") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", "$") from exc
     except RecursionError:
         raise FormatError("nested too deeply to read", "$") from None
+    if isinstance(doc, dict) and "version" in doc:
+        return _seal(_column_rows(doc))
+    return _seal(_nested_rows(doc))
+
+
+def _column_rows(doc: dict) -> list[_Row]:
+    """The rows of a format-2 document, checked column by column."""
+    version = doc["version"]
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise FormatError(f"unknown format version {version!r}", "$.version")
+    columns = [doc.get(name) for name in _COLUMNS]
+    for name, column in zip(_COLUMNS, columns):
+        if not isinstance(column, list):
+            raise FormatError(f"'{name}' must be an array", f"$.{name}")
+    tags, parents, attrs, texts, signatures = columns
+    size = len(tags)
+    if not size:
+        raise FormatError("'tags' must list at least one node", "$.tags")
+    for name, column in zip(_COLUMNS, columns):
+        if len(column) != size:
+            raise FormatError(f"'{name}' has {len(column)} entries for {size} tags", f"$.{name}")
+    if not set(map(type, tags)) <= _STR or "" in tags:
+        k = next(k for k, tag in enumerate(tags) if type(tag) is not str or not tag)
+        raise FormatError("tags must be non-empty strings", f"$.tags[{k}]")
+    _check_preorder(parents)
+    if not set(map(type, attrs)) <= _DICT:
+        k = next(k for k, entry in enumerate(attrs) if type(entry) is not dict)
+        raise FormatError("'attrs' entries must be objects", f"$.attrs[{k}]")
+    if not set(map(type, chain.from_iterable(map(dict.values, attrs)))) <= _STR:
+        k, name = next((k, name) for k, entry in enumerate(attrs)
+                       for name, value in entry.items() if type(value) is not str)
+        raise FormatError("attribute values must be strings", f"$.attrs[{k}].{name}")
+    for name, column in (("texts", texts), ("signatures", signatures)):
+        if not set(map(type, column)) <= _STR_OR_NULL:
+            k = next(k for k, value in enumerate(column) if type(value) not in _STR_OR_NULL)
+            raise FormatError(f"'{name}' entries must be strings or null", f"$.{name}[{k}]")
+    return list(zip(tags, map(tuple, map(dict.items, attrs)), texts, signatures, parents))
+
+
+def _check_preorder(parents: list) -> None:
+    """Refuse a parent column that does not list its nodes in pre-order:
+    the root's parent is null and each later node's parent is an int that
+    names the node before it or one of that node's ancestors."""
+    if parents[0] is not None:
+        raise FormatError("the root's parent must be null", "$.parents[0]")
+    path = [0]  # node v - 1 and its ancestors, root first
+    for v in range(1, len(parents)):
+        p = parents[v]
+        if type(p) is not int:
+            raise FormatError("parent ids must be ints", f"$.parents[{v}]")
+        if 0 <= p < v:
+            while path[-1] > p:
+                path.pop()
+        if path[-1] != p:
+            raise FormatError(f"parent {p} is not node {v - 1} or one of its ancestors",
+                              f"$.parents[{v}]")
+        path.append(v)
+
+
+def _nested_rows(doc: object) -> list[_Row]:
+    """The rows of a format-1 document, in pre-order, checked node by node."""
     rows: list[_Row] = []
     stack: list[tuple[object, int | None]] = [(doc, None)]
     while stack:
@@ -417,7 +513,7 @@ def parse_tree_json(text: str | bytes) -> LabeledTree:
         rows.append((tag, attrs, node_text, signature, parent_id))
         if children:
             stack.extend(zip(reversed(children), repeat(node_id)))
-    return _seal(rows)
+    return rows
 
 
 def _format_error(
@@ -440,22 +536,13 @@ def _format_error(
 
 
 def serialize_tree_json(tree: LabeledTree) -> str:
-    """Write a tree in the JSON tree format; raises :class:`TooDeep` when it
-    nests too deeply for the recursion limit (just under 500 levels by default)."""
-    tags, attributes, texts, signatures = tree.tags, tree.attributes, tree.texts, tree.signatures
-    objs: list = [None] * len(tree)
-    # children before parents, so each child list is built from finished objects
-    for v, kids in zip(range(len(tree) - 1, -1, -1), reversed(tree.children)):
-        obj: dict = {"tag": tags[v]}
-        if attributes[v]:
-            obj["attrs"] = dict(attributes[v])
-        if texts[v] is not None:
-            obj["text"] = texts[v]
-        if signatures[v] is not None:
-            obj["signature"] = signatures[v]
-        obj["children"] = [objs[c] for c in kids]
-        objs[v] = obj
-    try:
-        return json.dumps(objs[0], ensure_ascii=False)
-    except RecursionError:
-        raise TooDeep(f"{len(tree)}-node tree nests too deeply to write as JSON") from None
+    """Write a tree in JSON tree format 2, one array per column; the same
+    tree always gives the same text."""
+    return json.dumps({
+        "version": _FORMAT_VERSION,
+        "tags": tree.tags,
+        "parents": tree.parents,
+        "attrs": list(map(dict, tree.attributes)),
+        "texts": tree.texts,
+        "signatures": tree.signatures,
+    }, ensure_ascii=False)

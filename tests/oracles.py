@@ -19,9 +19,12 @@ first written: a recursive JSON reader that builds a ``DraftNode`` and a path
 string per node, and a freeze that assigns full xpath strings while it walks
 the drafts, escaping each tag's step by its own character loop, and returns
 one ``TreeNode`` per node, where the library stores columns and joins xpaths
-from segments on demand.
-``reference_parse_html`` is the HTML reader that builds a ``DraftNode`` per
-element and then freezes the drafts the same way.
+from segments on demand. For format 2 the reader checks the columns one
+entry at a time, each parent against the ancestors of the node before it,
+and links ``DraftNode``s by their parent ids.
+``reference_serialize_tree_json`` is the format-1 writer the library used
+before format 2. ``reference_parse_html`` is the HTML reader that builds a
+``DraftNode`` per element and then freezes the drafts the same way.
 ``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
 ``neighbor_scores`` scores one second-tree node against a token index by a
 plain loop over the node's own sorted tokens, and
@@ -1137,16 +1140,104 @@ def _reference_draft_from_json(obj: object, path: str) -> DraftNode:
     return DraftNode(tag=tag, attrs=attrs, text=text, signature=signature, children=children)
 
 
+_REFERENCE_COLUMNS = ("tags", "parents", "attrs", "texts", "signatures")
+
+
+def _reference_draft_from_columns(doc: dict) -> DraftNode:
+    """The format-2 reader as plain loops: every check one entry at a time,
+    in the order the library reports them, and the parent rule checked
+    against the ancestors of the node before, walked up one by one."""
+    version = doc["version"]
+    if isinstance(version, bool) or not isinstance(version, int) or version != 2:
+        raise FormatError(f"unknown format version {version!r}", "$.version")
+    for name in _REFERENCE_COLUMNS:
+        if not isinstance(doc.get(name), list):
+            raise FormatError(f"'{name}' must be an array", f"$.{name}")
+    tags, parents, attrs, texts, signatures = (doc[name] for name in _REFERENCE_COLUMNS)
+    size = len(tags)
+    if size == 0:
+        raise FormatError("'tags' must list at least one node", "$.tags")
+    for name in _REFERENCE_COLUMNS:
+        if len(doc[name]) != size:
+            raise FormatError(f"'{name}' has {len(doc[name])} entries for {size} tags", f"$.{name}")
+    for k, tag in enumerate(tags):
+        if not isinstance(tag, str) or tag == "":
+            raise FormatError("tags must be non-empty strings", f"$.tags[{k}]")
+    if parents[0] is not None:
+        raise FormatError("the root's parent must be null", "$.parents[0]")
+    for v in range(1, size):
+        parent = parents[v]
+        if isinstance(parent, bool) or not isinstance(parent, int):
+            raise FormatError("parent ids must be ints", f"$.parents[{v}]")
+        allowed = []
+        node = v - 1
+        while node is not None:
+            allowed.append(node)
+            node = parents[node]
+        if parent not in allowed:
+            raise FormatError(f"parent {parent} is not node {v - 1} or one of its ancestors",
+                              f"$.parents[{v}]")
+    for k, entry in enumerate(attrs):
+        if not isinstance(entry, dict):
+            raise FormatError("'attrs' entries must be objects", f"$.attrs[{k}]")
+    for k, entry in enumerate(attrs):
+        for name, value in entry.items():
+            if not isinstance(value, str):
+                raise FormatError("attribute values must be strings", f"$.attrs[{k}].{name}")
+    for name, column in (("texts", texts), ("signatures", signatures)):
+        for k, value in enumerate(column):
+            if value is not None and not isinstance(value, str):
+                raise FormatError(f"'{name}' entries must be strings or null", f"$.{name}[{k}]")
+    drafts = []
+    for v in range(size):
+        draft = DraftNode(tag=tags[v], attrs=list(attrs[v].items()), text=texts[v],
+                          signature=signatures[v])
+        if v:
+            drafts[parents[v]].children.append(draft)
+        drafts.append(draft)
+    return drafts[0]
+
+
 def reference_parse_tree_json(text: str | bytes) -> tuple[TreeNode, ...]:
+    """Either JSON tree format: an object with a ``version`` key is format 2."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8: {exc}", "$") from None
     try:
-        draft = _reference_draft_from_json(json.loads(text), "$")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", "$") from exc
     except RecursionError:
         raise FormatError("nested too deeply to read", "$") from None
+    if isinstance(doc, dict) and "version" in doc:
+        return reference_freeze(_reference_draft_from_columns(doc))
+    try:
+        draft = _reference_draft_from_json(doc, "$")
+    except RecursionError:
+        raise FormatError("nested too deeply to read", "$") from None
     return reference_freeze(draft)
+
+
+def reference_serialize_tree_json(tree: LabeledTree) -> str:
+    """A tree in JSON tree format 1, nested objects, as the library wrote it
+    before format 2; the pinned mutant digests hash this text. Raises
+    ``RecursionError`` for a tree deeper than the JSON encoder can nest."""
+    tags, attributes, texts, signatures = tree.tags, tree.attributes, tree.texts, tree.signatures
+    objs: list = [None] * len(tree)
+    # children before parents, so each child list is built from finished objects
+    for v, kids in zip(range(len(tree) - 1, -1, -1), reversed(tree.children)):
+        obj: dict = {"tag": tags[v]}
+        if attributes[v]:
+            obj["attrs"] = dict(attributes[v])
+        if texts[v] is not None:
+            obj["text"] = texts[v]
+        if signatures[v] is not None:
+            obj["signature"] = signatures[v]
+        obj["children"] = [objs[c] for c in kids]
+        objs[v] = obj
+    return json.dumps(objs[0], ensure_ascii=False)
 
 
 class _ReferenceTreeBuilder(HTMLParser):

@@ -19,9 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-from oracles import reference_mutate
+from oracles import reference_mutate, reference_serialize_tree_json
 from treematch.mutate import ExhaustedTargets, assign_signatures, mutation_log_to_json
-from treematch.tree import LabeledTree, parse_html, serialize_tree_json
+from treematch.tree import LabeledTree, parse_html
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 PINNED_FILE = Path(__file__).resolve().parent / "reference_mutants.json"
@@ -37,12 +37,15 @@ def page_tree(prefix: str) -> LabeledTree:
 
 
 def outcome(fn, tree: LabeledTree, ratio: float, seed: int) -> tuple[str, str]:
-    """(mutant JSON, log JSON), or ("exhausted", the ExhaustedTargets message)."""
+    """(mutant JSON, log JSON), or ("exhausted", the ExhaustedTargets message).
+
+    The mutant is written in the nested format-1 JSON of
+    ``reference_serialize_tree_json``, the text the digests were pinned on."""
     try:
         mutant, log = fn(tree, ratio, seed, "page")
     except ExhaustedTargets as exc:
         return ("exhausted", str(exc))
-    return serialize_tree_json(mutant), mutation_log_to_json(log)
+    return reference_serialize_tree_json(mutant), mutation_log_to_json(log)
 
 
 def digest(result: tuple[str, str]) -> str:

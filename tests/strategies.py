@@ -77,3 +77,9 @@ def signed_tree(tree: LabeledTree) -> LabeledTree:
     from treematch.mutate import assign_signatures
 
     return assign_signatures(tree)
+
+
+def tree_columns(tree: LabeledTree) -> tuple:
+    """Every column of a tree, for comparing two trees column by column."""
+    return (tree.tags, tree.attributes, tree.texts, tree.parents, tree.children,
+            tree.segments, tree.signatures)

@@ -8,7 +8,7 @@ import pytest
 
 from treematch import cli
 from treematch.cli import build_parser, main
-from treematch.evaluate import load_bundle
+from treematch.evaluate import discover_bundles, load_bundle
 from treematch.graph import matching_to_json
 from treematch.pipeline import match_trees
 from treematch.similarity import SftmParams
@@ -207,17 +207,19 @@ class TestMutateCommand:
             assert b1.read_bytes() == b2.read_bytes()
 
 
-    def test_too_deep_page_fails_cleanly(self, tmp_path, capsys):
+    def test_600_level_page_gets_a_bundle(self, tmp_path):
+        # nested JSON stopped just under 500 levels; the column format has no limit
+        depth = 600
         deep = tmp_path / "deep.html"
-        deep.write_text("<div>" * 600 + "</div>" * 600, encoding="utf-8")
-        code = main(["mutate", str(deep), "--ratio", "0.2", "--count", "1",
-                     "--out-dir", str(tmp_path / "bundles")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert any(line.startswith("error:") for line in err.splitlines())
-        assert "Traceback" not in err
+        deep.write_text("<div>" * depth + "</div>" * depth, encoding="utf-8")
         out_dir = tmp_path / "bundles"
-        assert not (out_dir.exists() and any(p.is_dir() for p in out_dir.iterdir()))
+        code = main(["mutate", str(deep), "--ratio", "0.2", "--count", "1",
+                     "--out-dir", str(out_dir)])
+        assert code == 0
+        [bundle_dir] = discover_bundles(out_dir)
+        bundle = load_bundle(bundle_dir)
+        assert len(bundle.source) == depth
+        assert bundle.source.xpaths()[-1] == "/div" * depth
 
     # 0.6 puts mutants 9 and up past 0.5; a negative ratio makes mutant 0's -0.0
     @pytest.mark.parametrize("ratio, count", [("0.6", "10"), ("-0.1", "3"), ("nan", "1")])

@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_serialize_tree_json
+from strategies import tree_columns
 from treematch.evaluate import (
+    MUTANT_FILE,
+    SOURCE_FILE,
     BenchRow,
     CorpusError,
     SweepRow,
@@ -30,8 +34,9 @@ from treematch.evaluate import (
 )
 from treematch.graph import Matching
 from treematch.mutate import MutationLog, assign_signatures, ground_truth, mutate
+from treematch.pipeline import match_trees
 from treematch.similarity import SftmParams
-from treematch.tree import DraftNode, freeze
+from treematch.tree import DraftNode, freeze, parse_html
 
 PARAMS = SftmParams(iterations=20)
 # about 25 s of walking on the small test pages: far past every cap used here
@@ -118,6 +123,37 @@ class TestBundles:
         assert len(bundle.source) == len(source)
         assert len(bundle.mutant) == len(mutant)
         assert ground_truth(bundle.source, bundle.mutant) == ground_truth(source, mutant)
+
+    def test_format_1_bundles_still_load(self, tmp_path, corpus_pages):
+        # bundles written before format 2 hold nested format-1 trees
+        for path in corpus_pages[:9]:  # p00-p08
+            source = assign_signatures(parse_html(path.read_bytes()))
+            mutant, log = mutate(source, 0.2, seed=1, source_page=path.stem)
+            new, old = tmp_path / f"{path.stem}-v2", tmp_path / f"{path.stem}-v1"
+            for directory in (new, old):
+                write_bundle(directory, source, mutant, log)
+            for name, tree in ((SOURCE_FILE, source), (MUTANT_FILE, mutant)):
+                (old / name).write_text(reference_serialize_tree_json(tree), encoding="utf-8")
+            assert (old / SOURCE_FILE).read_bytes() != (new / SOURCE_FILE).read_bytes()
+            got, want = load_bundle(old), load_bundle(new)
+            assert tree_columns(got.source) == tree_columns(want.source) == tree_columns(source)
+            assert tree_columns(got.mutant) == tree_columns(want.mutant) == tree_columns(mutant)
+            assert got.log == want.log == log
+
+    def test_10000_level_chain_end_to_end(self, tmp_path):
+        # parse, mutate, write, load and match a chain far past the ~500
+        # levels that nested JSON can hold; seed 2's duplicates grow the
+        # mutant to about 2.5 times the source
+        depth = 10_000
+        source = assign_signatures(parse_html("<div>" * depth + "</div>" * depth))
+        mutant, log = mutate(source, 0.02, seed=2, source_page="chain")
+        write_bundle(tmp_path / "chain", source, mutant, log)
+        bundle = load_bundle(tmp_path / "chain")
+        assert tree_columns(bundle.source) == tree_columns(source)
+        assert tree_columns(bundle.mutant) == tree_columns(mutant)
+        matching = match_trees(bundle.source, bundle.mutant, SftmParams())
+        assert matching.pairs
+        assert score_matching(matching, ground_truth(source, mutant), depth).successful > 0
 
     def test_missing_file_raises(self, tmp_path):
         (tmp_path / "broken").mkdir()

@@ -4,15 +4,19 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import reference_freeze, reference_parse_html, reference_parse_tree_json
-from strategies import draft_trees, labeled_trees, signed_tree
+from oracles import (
+    reference_freeze,
+    reference_parse_html,
+    reference_parse_tree_json,
+    reference_serialize_tree_json,
+)
+from strategies import draft_trees, labeled_trees, signed_tree, tree_columns
 from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
-    TooDeep,
     TreeNode,
     freeze,
     parse_html,
@@ -218,10 +222,12 @@ class TestJsonFormat:
         with pytest.raises(FormatError):
             parse_tree_json("{nope")
 
-    def test_too_deep_to_write_is_typed(self):
+    def test_600_levels_write_and_read_back(self):
+        # format 1 stopped just under 500 levels; format 2 has no depth limit
         deep = parse_html("<div>" * 600 + "</div>" * 600)
-        with pytest.raises(TooDeep):
-            serialize_tree_json(deep)
+        text = serialize_tree_json(deep)
+        assert tree_columns(parse_tree_json(text)) == tree_columns(deep)
+        assert serialize_tree_json(parse_tree_json(text)) == text
 
     def test_too_deep_to_read_is_format_error(self):
         text = '{"tag":"a","children":[' * 600 + '{"tag":"b"}' + "]}" * 600
@@ -230,7 +236,9 @@ class TestJsonFormat:
 
     @given(labeled_trees(max_nodes=15))
     def test_round_trip_property(self, tree):
-        again = parse_tree_json(serialize_tree_json(tree))
+        text = serialize_tree_json(tree)
+        again = parse_tree_json(text)
+        assert serialize_tree_json(again) == text
         assert [
             (n.id, n.tag, n.attributes, n.text, n.parent, n.children, n.xpath, n.signature)
             for n in tree
@@ -344,8 +352,9 @@ _CORRUPTIONS = {
 
 @st.composite
 def malformed_documents(draw) -> str:
-    """A random tree's JSON with one to three of its nodes corrupted."""
-    obj = json.loads(serialize_tree_json(draw(labeled_trees(max_nodes=12, edge_values=True))))
+    """A random tree's format-1 JSON with one to three of its nodes corrupted."""
+    tree = draw(labeled_trees(max_nodes=12, edge_values=True))
+    obj = json.loads(reference_serialize_tree_json(tree))
     nodes = _preorder(obj)
     indexes = st.integers(0, len(nodes) - 1)
     for k in draw(st.lists(indexes, min_size=1, max_size=3, unique=True)):
@@ -367,8 +376,8 @@ class TestReaderOracle:
     def test_odd_tags_equal_reference(self, draft):
         tree = freeze(draft)
         assert _node_rows(tree) == _node_rows(reference_freeze(draft))
-        text = serialize_tree_json(tree)
-        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+        for text in (reference_serialize_tree_json(tree), serialize_tree_json(tree)):
+            assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
 
     def test_freeze_collapses_blank_text(self):
         draft = DraftNode(tag="a", text=" \n ", children=[DraftNode(tag="b", text=" x  y ")])
@@ -378,8 +387,12 @@ class TestReaderOracle:
     @settings(max_examples=50)
     @given(labeled_trees(max_nodes=25, edge_values=True))
     def test_valid_documents(self, tree):
-        text = serialize_tree_json(signed_tree(tree))
-        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+        tree = signed_tree(tree)
+        reads = []
+        for text in (reference_serialize_tree_json(tree), serialize_tree_json(tree)):
+            reads.append(_read(parse_tree_json, text))
+            assert reads[-1] == _read(reference_parse_tree_json, text)
+        assert reads[0] == reads[1]  # format 1 and format 2 give one tree
 
     @settings(max_examples=120)
     @given(malformed_documents())
@@ -406,3 +419,168 @@ class TestReaderOracle:
     def test_null_text_and_signature_read_as_absent(self):
         text = '{"tag":"a","text":null,"signature":null,"attrs":{},"children":[]}'
         assert _read(parse_tree_json, text) == [(0, "a", (), None, None, (), "/a", None)]
+
+
+_COLUMN_NAMES = ("tags", "parents", "attrs", "texts", "signatures")
+
+
+def _set_entry(draw, doc: dict, name: str, value) -> None:
+    """Set one entry of a column, if the column is still a non-empty array."""
+    column = doc.get(name)
+    if isinstance(column, list) and column:
+        column[draw(st.integers(0, len(column) - 1))] = value
+
+
+def _length_mismatch(draw, doc: dict, tree) -> None:
+    column = doc.get(draw(st.sampled_from(_COLUMN_NAMES)))
+    if isinstance(column, list):
+        if column and draw(st.booleans()):
+            column.pop()
+        else:
+            column.append(column[-1] if column else None)
+
+
+def _parent_at_or_past_v(draw, doc: dict, tree) -> None:
+    parents = doc.get("parents")
+    if isinstance(parents, list) and len(parents) > 1:
+        v = draw(st.integers(1, len(parents) - 1))
+        parents[v] = v + draw(st.integers(0, 2))
+
+
+def _off_path_parents(tree) -> list[tuple[int, int]]:
+    """Every ``(v, u)`` where ``u`` comes before ``v - 1`` and is not one of
+    its ancestors, so that ``u`` as ``v``'s parent breaks pre-order."""
+    choices = []
+    for v in range(2, len(tree)):
+        path, u = set(), v - 1
+        while u is not None:
+            path.add(u)
+            u = tree.parents[u]
+        choices += [(v, u) for u in range(v - 1) if u not in path]
+    return choices
+
+
+def _parent_off_the_path(draw, doc: dict, tree) -> None:
+    parents = doc.get("parents")
+    choices = _off_path_parents(tree)
+    if isinstance(parents, list) and len(parents) == len(tree) and choices:
+        v, u = draw(st.sampled_from(choices))
+        parents[v] = u
+
+
+def _attr_value(draw, doc: dict, tree) -> None:
+    attrs = doc.get("attrs")
+    if isinstance(attrs, list) and attrs:
+        entry = attrs[draw(st.integers(0, len(attrs) - 1))]
+        if isinstance(entry, dict):
+            entry["x.y"] = draw(st.sampled_from([3, None, True, ["v"]]))
+
+
+# each breaks one column or one entry; "text null" is a valid null
+_FLAT_CORRUPTIONS = {
+    "version": lambda draw, doc, tree: doc.__setitem__(
+        "version", draw(st.sampled_from([1, 3, "2", True, 2.0, None]))),
+    "column missing": lambda draw, doc, tree: doc.pop(draw(st.sampled_from(_COLUMN_NAMES)), None),
+    "column not an array": lambda draw, doc, tree: doc.__setitem__(
+        draw(st.sampled_from(_COLUMN_NAMES)), draw(st.sampled_from([None, {}, "x", 3]))),
+    "columns empty": lambda draw, doc, tree: doc.update({name: [] for name in _COLUMN_NAMES}),
+    "length mismatch": _length_mismatch,
+    "tag empty": lambda draw, doc, tree: _set_entry(draw, doc, "tags", ""),
+    "tag int": lambda draw, doc, tree: _set_entry(draw, doc, "tags", 1),
+    "tag null": lambda draw, doc, tree: _set_entry(draw, doc, "tags", None),
+    "parent at or past v": _parent_at_or_past_v,
+    "parent off the path": _parent_off_the_path,
+    "parent true": lambda draw, doc, tree: _set_entry(draw, doc, "parents", True),
+    "parent float": lambda draw, doc, tree: _set_entry(draw, doc, "parents", 0.0),
+    "parent negative": lambda draw, doc, tree: _set_entry(draw, doc, "parents", -1),
+    "attrs entry not an object": lambda draw, doc, tree: _set_entry(
+        draw, doc, "attrs", draw(st.sampled_from([None, [], "k"]))),
+    "attr value not a string": _attr_value,
+    "text int": lambda draw, doc, tree: _set_entry(draw, doc, "texts", 3),
+    "signature list": lambda draw, doc, tree: _set_entry(draw, doc, "signatures", ["s"]),
+    "text null": lambda draw, doc, tree: _set_entry(draw, doc, "texts", None),
+}
+
+
+@st.composite
+def corrupted_flat_documents(draw) -> str:
+    """A random signed tree's format-2 JSON with one to three corruptions."""
+    tree = signed_tree(draw(labeled_trees(max_nodes=12, edge_values=True)))
+    doc = json.loads(serialize_tree_json(tree))
+    for _ in range(draw(st.integers(1, 3))):
+        _FLAT_CORRUPTIONS[draw(st.sampled_from(sorted(_FLAT_CORRUPTIONS)))](draw, doc, tree)
+    return json.dumps(doc)
+
+
+class TestFlatFormat:
+    """Format 2, the column arrays, against the plain-loop reader in
+    ``oracles.py``; format 1 still reads."""
+
+    def test_layout(self):
+        tree = freeze(DraftNode(tag="a", children=[
+            DraftNode(tag="b", attrs=[("k", "v")], text="x", signature="s1"),
+            DraftNode(tag="é")]))
+        assert serialize_tree_json(tree) == (
+            '{"version": 2, "tags": ["a", "b", "é"], "parents": [null, 0, 0], '
+            '"attrs": [{}, {"k": "v"}, {}], "texts": [null, "x", null], '
+            '"signatures": [null, "s1", null]}')
+
+    @settings(max_examples=150)
+    @given(corrupted_flat_documents())
+    def test_corrupted_documents(self, text):
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+
+    @given(labeled_trees(max_nodes=12), st.data())
+    def test_parent_off_the_path_is_refused(self, tree, data):
+        choices = _off_path_parents(tree)
+        assume(choices)
+        v, u = data.draw(st.sampled_from(choices))
+        doc = json.loads(serialize_tree_json(tree))
+        doc["parents"][v] = u
+        text = json.dumps(doc)
+        with pytest.raises(FormatError) as err:
+            parse_tree_json(text)
+        assert err.value.path == f"$.parents[{v}]"
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+
+    @pytest.mark.parametrize("columns, path", [
+        ({"version": 3}, "$.version"),
+        ({"version": True}, "$.version"),
+        ({"version": "2"}, "$.version"),
+        ({"tags": None}, "$.tags"),
+        ({"signatures": "s"}, "$.signatures"),
+        ({"tags": [], "parents": [], "attrs": [], "texts": [], "signatures": []}, "$.tags"),
+        ({"texts": [None, None, None]}, "$.texts"),
+        ({"tags": ["a", "", "c", "d"]}, "$.tags[1]"),
+        ({"parents": [0, 0, 1, 1]}, "$.parents[0]"),
+        ({"parents": [None, 0, 1, 3]}, "$.parents[3]"),  # its own id
+        ({"parents": [None, 0, 2, 1]}, "$.parents[2]"),  # past its own id
+        ({"parents": [None, 0, 0, 1]}, "$.parents[3]"),  # 1 is off the path to 2
+        ({"parents": [None, 0, True, 1]}, "$.parents[2]"),
+        ({"parents": [None, 0, 1.0, 1]}, "$.parents[2]"),
+        ({"parents": [None, -1, 1, 1]}, "$.parents[1]"),
+        ({"attrs": [{}, {}, {}, {"class": "x", "id": 7}]}, "$.attrs[3].id"),
+        ({"attrs": [{}, {"id": 7}, [], {}]}, "$.attrs[2]"),
+        ({"texts": [None, 3, None, None]}, "$.texts[1]"),
+        ({"signatures": [None, None, None, ["s"]]}, "$.signatures[3]"),
+    ])
+    def test_error_paths(self, columns, path):
+        doc = {"version": 2, "tags": ["a", "b", "c", "d"], "parents": [None, 0, 1, 1],
+               "attrs": [{}, {}, {}, {}], "texts": [None] * 4, "signatures": [None] * 4}
+        text = json.dumps({**doc, **columns})
+        with pytest.raises(FormatError) as err:
+            parse_tree_json(text)
+        assert err.value.path == path
+        assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
+
+    @pytest.mark.parametrize("document", [
+        b"\xff\xfe{}",
+        b'{"version": 2, "tags": ["\xe9"], "parents": [null], "attrs": [{}], '
+        b'"texts": [null], "signatures": [null]}',
+        b'{"tag": "a", "text": "caf\xe9"}',
+    ])
+    def test_not_utf8_is_format_error(self, document):
+        with pytest.raises(FormatError) as err:
+            parse_tree_json(document)
+        assert err.value.path == "$"
+        assert _read(parse_tree_json, document) == _read(reference_parse_tree_json, document)
