@@ -12,9 +12,10 @@ built with the tree, so its memory is linear in its size even for deep
 chains. Both are built on demand, once per tree: ``tree.xpaths()`` joins
 the segments from the root down, and ``tree.nodes`` holds the ``TreeNode``
 views that ``tree.node(i)`` and iteration read. The matcher and the baseline
-read the columns only. Mutable :class:`DraftNode` trees belong to the
-mutation engine and to trees built by hand; :func:`thaw` turns a tree into
-drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
+read the columns only, and so does the mutation engine, which edits lists
+indexed by node id and seals its rows with the readers' last step. Mutable
+:class:`DraftNode` trees are for trees built by hand; :func:`thaw` turns a
+tree into drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
 
 On disk a tree is JSON, in the formats the "JSON tree format" block below
 sets out. :func:`serialize_tree_json` writes format 2: one array per column,
@@ -59,27 +60,13 @@ class FormatError(ValueError):
 
 @dataclass
 class DraftNode:
-    """Mutable node of a tree being rewritten by the mutator or built by hand."""
+    """Mutable node of a tree built or rewritten by hand."""
 
     tag: str
     attrs: list[tuple[str, str]] = field(default_factory=list)
     text: str | None = None
     signature: str | None = None
     children: list["DraftNode"] = field(default_factory=list)
-
-    def copy_deep(self) -> "DraftNode":
-        """Copy of the whole subtree with every signature cleared."""
-
-        def shallow(node: DraftNode) -> DraftNode:
-            return DraftNode(tag=node.tag, attrs=list(node.attrs), text=node.text)
-
-        top = shallow(self)
-        stack = [(self, top)]
-        while stack:
-            original, copy = stack.pop()
-            copy.children = [shallow(c) for c in original.children]
-            stack.extend(zip(original.children, copy.children))
-        return top
 
 
 class TreeNode(NamedTuple):
@@ -306,6 +293,15 @@ class _TreeBuilder(HTMLParser):
         self.rows: list[_Row] = []
         self.stack: list[int] = []  # ids of the open elements
         self.texts: dict[int, list[str]] = {}
+
+    def updatepos(self, i: int, j: int) -> int:
+        # HTMLParser moves its line and column counters forward through
+        # this hook, a count of the newlines in every chunk it consumes, and
+        # reads them only in getpos(). Nothing here calls getpos(); the
+        # Python versions that call it on junk after a start tag's
+        # attributes throw the result away. So the counting is skipped, and
+        # the hook returns what the stock one returns, the new position.
+        return j
 
     def handle_starttag(self, tag, attrs):
         rows, stack = self.rows, self.stack

@@ -852,6 +852,21 @@ def scan_metropolis(
     return best
 
 
+def _copy_deep(node: DraftNode) -> DraftNode:
+    """Copy of a draft subtree with every signature cleared."""
+
+    def shallow(original: DraftNode) -> DraftNode:
+        return DraftNode(tag=original.tag, attrs=list(original.attrs), text=original.text)
+
+    top = shallow(node)
+    stack = [(node, top)]
+    while stack:
+        original, copy = stack.pop()
+        copy.children = [shallow(c) for c in original.children]
+        stack.extend(zip(original.children, copy.children))
+    return top
+
+
 def _signatures_in(node: DraftNode) -> list[str]:
     """Signatures of a draft subtree in pre-order."""
     found: list[str] = []
@@ -956,7 +971,7 @@ class ReferenceMutator:
             self._note(kind, sig, {"subtree_signatures": gone}, gone)
         elif kind == "duplicate":
             assert parent is not None
-            copy = node.copy_deep()
+            copy = _copy_deep(node)
             parent.children.insert(parent.children.index(node) + 1, copy)
             self._note(kind, sig, {}, [sig])
         elif kind == "wrap":

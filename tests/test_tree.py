@@ -54,6 +54,13 @@ _HTML_SNIPPETS = [
     b"<div><style/>s<hr/>t</div>",  # self-closed style, and a void block starter
     b"<br/>",  # void root, self-closed
     b"<r><a></a><a></a><a[1]></a[1]></r>",  # a tag that would spell a sibling's xpath
+    # the reader skips HTMLParser's line and column counting; these are the
+    # branches that count newlines
+    b"<div\n class='a\nb'\n id=x\n>one\ntwo<p\n>three</p\n></div>",  # start tags over lines
+    b"<div><a b='1'junk>x</a><a b='1'\njunk\n>y</a>z</div>",  # junk after the attributes
+    b"<div>x<a\x00\nb='1'\n>y\nz</a></div>",  # junk the start tag gives back as text
+    b"<div>a\n<br>\nb\n<img src=x>\n<hr/>\nc</div>",  # newlines around void tags
+    b"<div><script>if (a)\n{ s = '</p>'; }\n</script>\n<p>t</p></div>",  # </p> in a script
 ]
 
 
