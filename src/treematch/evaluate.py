@@ -302,17 +302,20 @@ def sensitivity_sweep(
     """Mean match rate and mean elapsed time per threshold exponent.
 
     Each alpha is one :func:`run_benchmark` of the similarity matcher with
-    no timeout, so every bundle counts; an empty corpus gives no rows.
+    no timeout, so every bundle counts; an empty corpus gives no rows. Every
+    alpha is checked before any pair runs: an alpha outside ``(0, 1]``
+    raises ``ValueError`` first.
     """
+    runs = [replace(params, alpha=alpha) for alpha in alphas]
     out: list[SweepRow] = []
-    for alpha in alphas:
-        rows = run_benchmark(corpus_dir, replace(params, alpha=alpha), timeout_s=None)
+    for run in runs:
+        rows = run_benchmark(corpus_dir, run, timeout_s=None)
         if not rows:
             return []
         count = len(rows)
         mean_rate = sum(r.rate for r in rows) / count
         mean_elapsed_s = sum(r.elapsed_s for r in rows) / count
-        out.append(SweepRow(alpha, count, mean_rate, mean_elapsed_s))
+        out.append(SweepRow(run.alpha, count, mean_rate, mean_elapsed_s))
     return out
 
 

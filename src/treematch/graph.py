@@ -16,12 +16,18 @@ sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
 built per edge on the matching path. That order comes from grouping the int
 keys ``n * len(t2) + m``, which sort as (n, m) does, by cost: scores that
 round to one cost share a group, the distinct costs are sorted, and each
-group is sorted by key. Per-node adjacency is built on first access and
-cached, since the matching path never reads it. The optimizer reads per-node
-edge chains instead: for each node of the smaller tree, its edge indices
-linked in that order, kept in two compact ``array('i')``s built on first
-access, and a byte mark on each chain's first edge that every proposal
-copies.
+group is sorted by key. The build holds little beside its output: a
+similarity table passed straight into :func:`propagate_graph` is freed once
+the climb has read it, the first score group of each cost becomes the cost
+group and is sorted in place, each temporary is dropped once read, and the
+node ids in the edge arrays are one shared int object per node, not one per
+edge.
+
+Per-node adjacency is built on first access and cached, since the matching
+path never reads it. The optimizer reads per-node edge chains instead: for
+each node of the smaller tree, its edge indices linked in that order, kept
+in two compact ``array('i')``s built on first access, and a byte mark on
+each chain's first edge that every proposal copies.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from __future__ import annotations
 import json
 from array import array
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import floordiv, mod
+from operator import floordiv, itemgetter, mod
 
 from .similarity import NodeOutOfRange, SftmParams, SimilarityTable, ancestor_levels
 from .tree import LabeledTree
@@ -152,13 +158,44 @@ def propagate_graph(
     table is built. Edges and costs equal the two-step form's to the bit.
     Raises :class:`NodeOutOfRange` when an entry names a node outside ``t1``
     or ``t2``.
+
+    ``s0`` is only read. When it is passed straight in, as in
+    ``propagate_graph(initial_similarity(...), ...)``, this call holds its
+    last reference, so the table is freed once the climb ends, before any
+    edge column is built; a table the caller keeps stays alive, unchanged.
+    Each later temporary is dropped once read, and the node ids in
+    ``edge_n`` and ``edge_m`` are one shared int object per node.
     """
-    weights = params.weights
-    w0 = weights[0]
-    parents1, parents2 = t1.parents, t2.parents
     t1_size, t2_size = len(t1), len(t2)
-    base = s0.rows
-    # edge keys n * t2_size + m, grouped by score; a key sorts as (n, m) does
+    by_score = _score_groups(s0.rows, t1.parents, t2.parents, params.weights, t1_size, t2_size)
+    del s0  # frees a table passed straight in, with every row the climb read
+    costs, groups = _cost_groups(by_score, t1_size, t2_size)
+    del by_score
+    sizes = list(map(len, groups))
+    count = sum(sizes)
+    edge_n = _shared(t1_size, map(floordiv, chain.from_iterable(groups), repeat(t2_size)), count)
+    edge_m = _shared(
+        t2_size, map(mod, chain.from_iterable(_drained(groups)), repeat(t2_size)), count)
+    return MatchGraph(
+        edge_n=edge_n,
+        edge_m=edge_m,
+        edge_cost=tuple(chain.from_iterable(map(repeat, costs, sizes))),
+        t1_size=t1_size,
+        t2_size=t2_size,
+    )
+
+
+def _score_groups(
+    base: dict[int, dict[int, float]],
+    parents1: tuple[int | None, ...],
+    parents2: tuple[int | None, ...],
+    weights: tuple[float, ...],
+    t1_size: int,
+    t2_size: int,
+) -> dict[float, list[int]]:
+    """The climb: each pair's blended score, with the edge keys
+    ``n * t2_size + m`` that have it; a key sorts as (n, m) does."""
+    w0 = weights[0]
     by_score: defaultdict[float, list[int]] = defaultdict(list)
     try:
         for m, row in base.items():
@@ -178,29 +215,53 @@ def propagate_graph(
                 by_score[total].append(n * t2_size + m)
     except IndexError:
         # a t1 id outside [-t1_size, t1_size) fails the climb's first step;
-        # other ids out of range are caught by the key range below
+        # other ids out of range are caught by the key range after the sort
         raise _t1_out_of_range(n, t1_size) from None
-    # distinct scores can round to one cost; their keys then sort together
-    by_cost: defaultdict[float, list[int]] = defaultdict(list)
-    for score, keys in by_score.items():
-        by_cost[1.0 / (1.0 + score)].extend(keys)
+    return by_score
+
+
+def _cost_groups(
+    by_score: dict[float, list[int]], t1_size: int, t2_size: int
+) -> tuple[list[float], list[list[int]]]:
+    """Empty ``by_score`` into the sorted distinct costs and each cost's edge
+    keys, sorted. Distinct scores can round to one cost: the first score
+    list of a cost becomes its group, and the others are added to it and
+    freed. Raises :class:`NodeOutOfRange` if a key names a t1 node out of
+    range."""
+    by_cost: dict[float, list[int]] = {}
+    while by_score:
+        score, keys = by_score.popitem()
+        group = by_cost.setdefault(1.0 / (1.0 + score), keys)
+        if group is not keys:
+            group.extend(keys)
     costs = sorted(by_cost)
-    groups = [sorted(by_cost[cost]) for cost in costs]
+    groups = [by_cost[cost] for cost in costs]
     # with m in range, a key is in [0, t1_size * t2_size) exactly when n is,
-    # and each group's range is its first and last key
+    # and each sorted group's range is its first and last key
     end = t1_size * t2_size
     for keys in groups:
+        keys.sort()
         for key in (keys[0], keys[-1]):
             if not 0 <= key < end:
                 raise _t1_out_of_range(key // t2_size, t1_size)
-    edge_keys = list(chain.from_iterable(groups))
-    return MatchGraph(
-        edge_n=tuple(map(floordiv, edge_keys, repeat(t2_size))),
-        edge_m=tuple(map(mod, edge_keys, repeat(t2_size))),
-        edge_cost=tuple(chain.from_iterable(map(repeat, costs, map(len, groups)))),
-        t1_size=t1_size,
-        t2_size=t2_size,
-    )
+    return costs, groups
+
+
+def _drained(groups: list[list[int]]) -> Iterator[list[int]]:
+    """Empty ``groups`` in order, so that each is freed once it is read."""
+    groups.reverse()
+    while groups:
+        yield groups.pop()
+
+
+def _shared(size: int, ids: Iterator[int], count: int) -> tuple[int, ...]:
+    """The ``count`` node ids ``ids``, each in ``range(size)``, as a tuple
+    that holds one int object per node rather than one per edge."""
+    nodes = list(range(size))
+    if count > 1:
+        return itemgetter(*ids)(nodes)
+    # itemgetter needs an index, and gives a bare item for one
+    return tuple(map(nodes.__getitem__, ids))
 
 
 def _t1_out_of_range(n: int, t1_size: int) -> NodeOutOfRange:

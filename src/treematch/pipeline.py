@@ -14,8 +14,8 @@ def match_trees_detailed(
     t2: LabeledTree,
     params: SftmParams = SftmParams(),
 ) -> tuple[Matching, MatchGraph]:
-    s0 = initial_similarity(t1, t2, params)
-    g = propagate_graph(s0, t1, t2, params)
+    # the table goes straight in, so propagate_graph frees it after the climb
+    g = propagate_graph(initial_similarity(t1, t2, params), t1, t2, params)
     return metropolis(g, params), g
 
 

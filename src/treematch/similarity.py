@@ -13,10 +13,12 @@ added in sorted token order, so a score is the float a plain sum over the
 node's own sorted tokens gives. In :func:`initial_similarity` labels are
 interned to ints and tokenized once, the index holds label tokens only,
 each kept token's weight is computed once, and the second-tree nodes of one
-label share a label row. ``xpath:`` sorts after every label prefix, so a
-node's xpath weight is added last. An xpath names one node of its tree (see
-``tree``), so that weight is ``log(N)`` and goes to the one first-tree node
-with the same xpath: the node with the same segment under the parent's
+label share a label row: it is scored once, kept and copied only while
+another node of that label follows, and the last such node (or a label's
+only one) takes the row itself. ``xpath:`` sorts after every label prefix,
+so a node's xpath weight is added last. An xpath names one node of its tree
+(see ``tree``), so that weight is ``log(N)`` and goes to the one first-tree
+node with the same xpath: the node with the same segment under the parent's
 partner, found by one lookup per node. No xpath string is built.
 
 The table is kept as one row per second-tree node: ``rows[m]`` maps each
@@ -198,13 +200,23 @@ def initial_similarity(
 
     partners = _xpath_partners(t1, t2)
     lone = math.log(t1_size)  # the weight of an xpath, which one t1 node holds
+    # t2 nodes of a label left to score; a label's base row is kept, and
+    # copied, only while another node of it follows, and the last takes it
+    left = [0] * len(tokens)
+    for label in labels2:
+        left[label] += 1
     label_rows: list[dict[int, float] | None] = [None] * len(tokens)
     rows: dict[int, dict[int, float]] = {}
     for m, (label, partner) in enumerate(zip(labels2, partners)):
-        base = label_rows[label]
-        if base is None:
-            base = label_rows[label] = _row(tokens[label], weighted)
-        row = base.copy()
+        row = label_rows[label]
+        if row is None:
+            row = _row(tokens[label], weighted)
+        left[label] -= 1
+        if left[label]:
+            label_rows[label] = row
+            row = row.copy()
+        else:
+            label_rows[label] = None
         # the xpath token sorts after every label token, so its weight adds last
         if partner is not None and lone > 0.0:
             row[partner] = row.get(partner, 0.0) + lone

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from treematch import cli
+from treematch import cli, evaluate
 from treematch.cli import build_parser, main
 from treematch.evaluate import discover_bundles, load_bundle
 from treematch.graph import matching_to_json
@@ -434,6 +434,25 @@ class TestSweepCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "alpha,pairs,mean_rate,mean_elapsed_s"
         assert len(lines) == 4
+
+    def test_every_alpha_checked_before_any_pair_runs(self, page_file, tmp_path, capsys,
+                                                        monkeypatch):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "1",
+              "--out-dir", str(corpus)])
+        capsys.readouterr()
+
+        def run(*args, **kwargs):
+            pytest.fail("a pair ran")
+
+        monkeypatch.setattr(evaluate, "run_benchmark", run)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", str(corpus), "--alphas", "0.5,1.5", "--out", str(out)])
+        assert code == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            "error: alpha must be in (0, 1], got 1.5"
+        )
+        assert not out.exists() and not Path(str(out) + ".config.json").exists()
 
 
 class TestCsvInputsCheckedFirst:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 from array import array
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 
 from oracles import brute_force_s0, flat_scores, table_from_scores
 from strategies import tree_pairs
+from treematch import graph
 from treematch.graph import (
     MatchGraph,
     Matching,
@@ -31,6 +33,7 @@ from treematch.similarity import (
 from treematch.tree import DraftNode, freeze
 
 PARAMS = SftmParams()
+EXACT = SftmParams(alpha=1.0)
 
 
 # every step that reads a table refuses a node id outside its tree
@@ -164,6 +167,54 @@ class TestBuildGraph:
         sp = propagate(initial_similarity(t1, t2, PARAMS), t1, t2, PARAMS)
         g = build_graph(sp, t1, t2)
         assert edge_count(g) <= sum(len(nodes) for nodes in index.entries.values()) * len(t2)
+
+
+class TestTableLifetime:
+    """``propagate_graph`` only reads its table, and frees one passed straight in."""
+
+    def trees(self):
+        shape = DraftNode(tag="div", children=[
+            DraftNode(tag="p", children=[DraftNode(tag="b")]) for _ in range(3)])
+        return freeze(shape), freeze(shape)
+
+    def test_held_table_is_unchanged(self):
+        t1, t2 = self.trees()
+        table = initial_similarity(t1, t2, EXACT)
+        before = {key: score.hex() for key, score in flat_scores(table).items()}
+        rows = dict(table.rows)
+        first = propagate_graph(table, t1, t2, PARAMS)
+        second = propagate_graph(table, t1, t2, PARAMS)
+        assert edge_count(first) == 19  # 1 + 9 + 9
+        assert (first.edge_n, first.edge_m) == (second.edge_n, second.edge_m)
+        assert [c.hex() for c in first.edge_cost] == [c.hex() for c in second.edge_cost]
+        assert {key: score.hex() for key, score in flat_scores(table).items()} == before
+        assert all(table.rows[m] is row for m, row in rows.items())
+
+    def test_table_passed_straight_in_is_freed_before_the_edges(self, monkeypatch):
+        # a CPython call moves its arguments into the callee's frame, so the
+        # table's last reference is propagate_graph's own
+        t1, t2 = self.trees()
+        tables: list[weakref.ref] = []
+
+        def table():
+            s0 = initial_similarity(t1, t2, EXACT)
+            tables.append(weakref.ref(s0))
+            return s0
+
+        alive: list[bool] = []
+        real = graph._cost_groups
+
+        def spy(*args):
+            alive.append(tables[-1]() is not None)
+            return real(*args)
+
+        monkeypatch.setattr(graph, "_cost_groups", spy)
+        freed = propagate_graph(table(), t1, t2, PARAMS)
+        held = table()
+        kept = propagate_graph(held, t1, t2, PARAMS)
+        assert alive == [False, True]
+        assert (freed.edge_n, freed.edge_m, freed.edge_cost) == (
+            kept.edge_n, kept.edge_m, kept.edge_cost)
 
 
 class TestAccessors:

@@ -5,6 +5,7 @@ pair cost fails here."""
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ import treematch.pipeline
 import treematch.similarity
 from conftest import CORPUS_DIR
 from treematch.baselines import ted_match
-from treematch.graph import build_graph
+from treematch.graph import build_graph, edge_count
 from treematch.mutate import assign_signatures, mutate
 from treematch.pipeline import match_trees, match_trees_detailed
 from treematch.similarity import SftmParams, initial_similarity, propagate
@@ -106,3 +107,25 @@ def test_match_path_builds_no_propagated_table(monkeypatch):
     assert matching.pairs
     assert g.edge_n == want.edge_n and g.edge_m == want.edge_m
     assert [c.hex() for c in g.edge_cost] == [c.hex() for c in want.edge_cost]
+
+
+def test_graph_build_peak_per_edge():
+    """300 identical paragraphs matched against themselves at alpha 1.0 give
+    300 * 300 + 2 edges. The score table is freed after the climb and the
+    key groups are sorted in place, so the traced peak of the match stays at
+    or below 100 B per edge, and each node id is one int object for all its
+    edges."""
+    body = "<p class='x'>a</p>" * 300
+    tree = parse_html(f"<html><body>{body}</body></html>".encode())
+    tracemalloc.start()
+    try:
+        _, g = match_trees_detailed(tree, tree, SftmParams(alpha=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = edge_count(g)
+    assert edges == 90_002
+    assert peak / edges <= 100, f"{peak / edges:.1f} B per edge"
+    # ints above 256 are built afresh, so per-edge ints would be distinct objects
+    for ends in (g.edge_n, g.edge_m):
+        assert len(set(map(id, ends))) == len(set(ends)) == 302

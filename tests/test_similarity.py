@@ -423,6 +423,30 @@ class TestLabelTokens:
         assert table.rows[2] == {1: half, 2: half + math.log(4)}
         assert table.rows[3] == table.rows[4] == {1: half, 2: half}
 
+    def test_rows_of_one_label_are_distinct_and_kept_only_while_repeated(self, monkeypatch):
+        made: list[dict[int, float]] = []
+        real_row = similarity._row
+
+        def spy(tokens, weighted):
+            made.append(real_row(tokens, weighted))
+            return made[-1]
+
+        monkeypatch.setattr(similarity, "_row", spy)
+        shape = DraftNode(tag="div", children=[DraftNode(tag="p"), DraftNode(tag="p"),
+                                               DraftNode(tag="b")])
+        t1, t2 = freeze(shape), freeze(shape)
+        table = initial_similarity(t1, t2, EXACT)
+        rows = table.rows
+        # the two <p> have different xpath partners, so rows of their own
+        assert rows[1] is not rows[2] and rows[1] != rows[2]
+        # one row per label is made; the first <p> takes a copy of its label's
+        # row, and the last node of each label takes the row itself
+        div_row, p_row, b_row = made
+        assert rows[0] is div_row and rows[2] is p_row and rows[3] is b_row
+        want = reference_initial_similarity(t1, t2, EXACT)
+        assert {k: v.hex() for k, v in flat_scores(table).items()} == {
+            k: v.hex() for k, v in want.items()}
+
 
 class TestPropagate:
     def chain_pair(self):
