@@ -17,6 +17,18 @@ indexed by node id and seals its rows with the readers' last step. Mutable
 :class:`DraftNode` trees are for trees built by hand; :func:`thaw` turns a
 tree into drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
 
+HTML is read by one of two readers, both feeding the same tree builder, so
+the tree rules (implied ends, void tags, first root wins, raw text, first
+duplicate attribute wins) are written once. A document in a strict,
+well-formed subset of HTML (plain tags and attributes, text, comments
+without ``--``, doctypes, and script, style, title and textarea bodies
+without ``<``) is cut into tokens by one regular-expression pass, about
+twice as fast as ``HTMLParser``. Any other document goes to
+``HTMLParser``, whose recovery from malformed markup is the reader's
+defined behaviour and differs between Python releases; the subset is
+drawn so that those releases agree on it, and the first ``<`` outside it
+hands the whole document over. See :func:`parse_html`.
+
 On disk a tree is JSON, in the formats the "JSON tree format" block below
 sets out. :func:`serialize_tree_json` writes format 2: one array per column,
 with parent ids, so nothing nests per node and any depth writes and reads.
@@ -41,6 +53,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple
@@ -279,19 +292,24 @@ _RAWTEXT_TAGS = frozenset({"script", "style"})
 class _TreeBuilder(HTMLParser):
     """Lenient element-tree builder: elements only, first top-level element wins.
 
-    Comments, doctype, and processing instructions are dropped; script/style
-    text is excluded; stray end tags are ignored; duplicate attributes keep
-    the first occurrence (as browsers do). Elements open in pre-order, so
-    each gets its row, and its id, the moment it opens. Once the root has
-    closed the stack stays empty, and every later event is ignored.
-    ``HTMLParser`` reports ``<x/>`` as a start tag and an end tag, which
-    pops the element if it was pushed (it is then on top) and else is stray.
+    Its three handlers serve both readers: ``HTMLParser`` calls them on the
+    fallback path, and :func:`_scan` calls them on the fast path, so the
+    tree rules live here once. Comments, doctype, and processing
+    instructions are dropped; script/style text is excluded; stray end tags
+    are ignored; duplicate attributes keep the first occurrence (as browsers
+    do). Elements open in pre-order, so each gets its row, and its id, the
+    moment it opens. Once the root has closed the stack stays empty, and
+    every later event is ignored. ``<x/>`` arrives as a start tag and an end
+    tag, which pops the element if it was pushed (it is then on top) and
+    else is stray. ``open_tags`` counts the open elements of each tag, so a
+    stray end tag is dropped without a scan of the stack.
     """
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.rows: list[_Row] = []
         self.stack: list[int] = []  # ids of the open elements
+        self.open_tags: dict[str, int] = {}  # tag -> its elements on the stack
         self.texts: dict[int, list[str]] = {}
 
     def updatepos(self, i: int, j: int) -> int:
@@ -304,14 +322,16 @@ class _TreeBuilder(HTMLParser):
         return j
 
     def handle_starttag(self, tag, attrs):
-        rows, stack = self.rows, self.stack
+        rows, stack, open_tags = self.rows, self.stack, self.open_tags
         if not stack and rows:
             return  # the root has closed
         while stack:
-            closers = _IMPLIED_CLOSE.get(rows[stack[-1]][0])
+            top = rows[stack[-1]][0]
+            closers = _IMPLIED_CLOSE.get(top)
             if closers is None or tag not in closers:
                 break
             stack.pop()
+            open_tags[top] -= 1
             if not stack:
                 return
         clean_attrs: dict[str, str] = {}
@@ -321,14 +341,19 @@ class _TreeBuilder(HTMLParser):
         rows.append((tag, tuple(clean_attrs.items()), None, None, stack[-1] if stack else None))
         if tag not in _VOID_TAGS:
             stack.append(node_id)
+            open_tags[tag] = open_tags.get(tag, 0) + 1
 
     def handle_endtag(self, tag):
+        open_tags = self.open_tags
+        if not open_tags.get(tag):
+            return  # stray end tag: no matching open element, ignore
         rows, stack = self.rows, self.stack
-        for depth in range(len(stack) - 1, -1, -1):
-            if rows[stack[depth]][0] == tag:
-                del stack[depth:]
-                return
-        # stray end tag: no matching open element, ignore
+        depth = len(stack) - 1
+        while rows[stack[depth]][0] != tag:
+            depth -= 1
+        for node_id in stack[depth:]:
+            open_tags[rows[node_id][0]] -= 1
+        del stack[depth:]
 
     def handle_data(self, data):
         if not self.stack:
@@ -348,18 +373,115 @@ class _TreeBuilder(HTMLParser):
         return rows
 
 
+# One attribute of a strict start tag: whitespace, a name, and an optional
+# value, quoted or bare. Whitespace is the five ASCII characters, never \s:
+# HTMLParser reads "<a\vhref=x>" as one tag named "a\vhref=x". A bare value
+# runs to the first quote, "=", "<", ">", backtick or Unicode whitespace, and
+# only whitespace or ">" may follow it: HTMLParser reads "<a href=x/>" as an
+# open tag whose value is "x/", and "<a href=x\xa0y>" splits at the \xa0.
+_STRICT_ATTR = r"""
+    [ \t\n\r\f]+ [a-zA-Z_:][-.a-zA-Z0-9_:]*
+    (?: = (?: "[^"\x00]*" | '[^'\x00]*' | [^\s"'=<>`\x00]+ ) )?
+"""
+# Elements whose body some HTMLParser release reads as raw or escapable raw
+# text: a "<" in such a body is text there and markup elsewhere. The first
+# four get a form of their own whose body holds no "<"; the rest fall back.
+_RAW_TAGS = "script|style|title|textarea"
+_SPECIAL_TAGS = _RAW_TAGS + "|xmp|iframe|noembed|noframes|noscript|plaintext"
+
+# The strict subset of HTML that _scan reads, one token per match; the
+# groups a match fills tell its kind. Comments and doctypes fill none.
+_TOKEN = re.compile(rf"""
+    ([^<]+)                                              # 1 text
+  | <(?!(?i:{_SPECIAL_TAGS})(?![-.a-zA-Z0-9:_]))         # a start tag, not special:
+      ([a-zA-Z][-.a-zA-Z0-9:_]*)                         # 2 its name,
+      ((?:{_STRICT_ATTR})*) [ \t\n\r\f]* (/?)>           # 3 its attributes, 4 "/" if self-closed
+  | </([a-zA-Z][-.a-zA-Z0-9:_]*)[ \t\n\r\f]*>            # 5 an end tag's name
+  | <((?i:{_RAW_TAGS}))(?![-.a-zA-Z0-9:_])               # 6 a raw element's name,
+      ((?:{_STRICT_ATTR})*) [ \t\n\r\f]*>                # 7 its attributes,
+      ([^<]*)</\6>                                       # 8 its body, closed in the same case
+  | <!--(?!-?>)(?:[^-]|-(?!-))*-->                       # a comment holding no "--"
+  | <!(?i:doctype)[^<>]*>                                # a doctype
+  | (<)                                                  # 9 any other "<": fall back
+""", re.VERBOSE)
+# The attributes of a tag _TOKEN has matched: name, then a double-quoted,
+# single-quoted or bare value, each empty when absent
+_ATTRIBUTE = re.compile(r"""([^\s=]+)(?:=(?:"([^"]*)"|'([^']*)'|(\S+)))?""")
+
+
+def _attributes(text: str) -> list[tuple[str, str]]:
+    """The (name, value) pairs of a strict tag's attribute text, as
+    HTMLParser gives them: names lowercased, quotes stripped, references
+    in values decoded, and ``""`` for a name with no value."""
+    pairs = []
+    for name, double, single, bare in _ATTRIBUTE.findall(text):
+        value = double or single or bare
+        pairs.append((name.lower(), unescape(value) if "&" in value else value))
+    return pairs
+
+
+def _scan(document: str) -> list[_Row] | None:
+    """The rows of a document written in the strict subset, or ``None``.
+
+    One pass of ``_TOKEN`` cuts the text into text runs, start, end and
+    self-closed tags, raw elements, comments and doctypes, and hands each to
+    the :class:`_TreeBuilder` handlers in the order ``HTMLParser`` would.
+    Each text run is decoded on its own, as ``HTMLParser`` decodes the text
+    between two markup tokens. The first ``<`` that begins no strict token
+    returns ``None``; the handlers have then built nothing anyone reads.
+    """
+    builder = _TreeBuilder()
+    start, end, data = builder.handle_starttag, builder.handle_endtag, builder.handle_data
+    for text, tag, attrs, closed, end_tag, raw, raw_attrs, body, other in _TOKEN.findall(document):
+        if text:
+            data(unescape(text) if "&" in text else text)
+        elif tag:
+            tag = tag.lower()
+            start(tag, _attributes(attrs) if attrs else [])
+            if closed:
+                end(tag)
+        elif end_tag:
+            end(end_tag.lower())
+        elif raw:
+            raw = raw.lower()
+            start(raw, _attributes(raw_attrs) if raw_attrs else [])
+            if body:
+                data(unescape(body) if "&" in body else body)
+            end(raw)
+        elif other:
+            return None
+    return builder.finish()
+
+
 def parse_html(document: bytes | str) -> LabeledTree:
     """Parse HTML (possibly malformed) into a tree of element nodes.
 
     Only elements become nodes; direct text content is stored on its parent
     element. Raises :class:`IngestError` when no root element can be found.
+
+    Two readers feed the same :class:`_TreeBuilder`, and the input picks
+    one. A document in a strict, well-formed subset of HTML is read by
+    :func:`_scan`, one regular-expression pass. The subset is: text; start,
+    end and self-closed tags whose names and attribute names are ASCII
+    words, with ASCII whitespace between attributes and values quoted or
+    bare; ``<script>``, ``<style>``, ``<title>`` and ``<textarea>`` elements
+    whose body holds no ``<``; comments holding no ``--``; and doctypes.
+    Every other document goes to ``HTMLParser``, whose recovery from
+    malformed markup (unclosed tags, junk in tags, CDATA, odd comments,
+    raw-text bodies) is the behaviour this reader pins, and which differs
+    between Python releases. On the strict subset the two readers give the
+    same tree, and the releases agree; the fast path exists only because
+    ``HTMLParser`` spends about twice as long per tag.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8", errors="replace")
-    builder = _TreeBuilder()
-    builder.feed(document)
-    builder.close()
-    return _seal(builder.finish())
+    rows = _scan(document)
+    if rows is None:
+        builder = _TreeBuilder()
+        builder.feed(document)
+        builder.close()
+        rows = builder.finish()
+    return _seal(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,49 @@ def tree_columns(tree: LabeledTree) -> tuple:
     """Every column of a tree, for comparing two trees column by column."""
     return (tree.tags, tree.attributes, tree.texts, tree.parents, tree.children,
             tree.segments, tree.signatures)
+
+
+# Pieces of HTML documents, joined in any order. Most are in the strict
+# subset that tree._scan reads; the rest are the markup each of its rules
+# sends to HTMLParser, and the text that both readers must decode alike.
+HTML_FRAGMENTS = (
+    # tags the builder nests, closes by implication, or leaves void
+    "<html>", "<body>", "</body>", "<div>", "</div>", "<p>", "</p>", "<ul>", "<li>", "</ul>",
+    "<table>", "<tr>", "<td>", "</table>", "<b>", "</b>", "<i>", "</i>", "<br>", "<hr/>",
+    # self-closed tags: a start tag, then an end tag
+    "<span/>", "<div />", "<p/>",
+    # names are lowercased
+    "<DIV CLASS=Up>", "</Div>",
+    # whitespace in tags is [ \t\n\r\f]; \v is not whitespace there
+    "<div\tclass=a\r\n\fid=b>", "<a\vhref=x>",
+    # a bare value ends at whitespace or ">", so this one is "x/" on an open tag
+    "<a href=x/>", "<a href=x\xa0y>", "</a>",
+    # quoted, bare, empty and missing values; a reference decoded in a value
+    "<a href='/x?a=1&amp;b=2' title=\"&lt;t&gt;\" data-k=v hidden e=''>",
+    # the first of two equal names wins
+    "<p id=one id=two>",
+    # start tags HTMLParser reads loosely, not in the strict subset
+    "<a/ b>", "<a b='1'c>", "<a b==1>", "<a b =c>", "<a[1]>",
+    # raw-text bodies: "<" in a script body is text, and a title body is text
+    "<script>a && b</script>", "<script><b>x</b></script>", "<style>p{}</style>",
+    "<title>a &amp; b</title>", "<title>a<b>c</title>", "<textarea>t</textarea>", "<script/>",
+    "<iframe></iframe>",
+    # comments and declarations
+    "<!doctype html>", "<!DOCTYPE html>", "<!-- c -->", "<!---->", "<!-->", "<!-- a --!>",
+    "<!-- a -- b -->", "<![CDATA[x]]>", "<?pi?>",
+    # end tags HTMLParser reads loosely
+    "</x y>", "</>", "</p\n>",
+    # text, references whole and cut, and characters either reader could trip on
+    "a", " b ", "&amp;", "&am", "p;", "&#", "&#65;", "&lt;", "<", "&", "\x00", "\v", "\xa0",
+)
+
+
+def html_documents(max_fragments: int = 12):
+    """Documents of up to ``max_fragments`` pieces of ``HTML_FRAGMENTS``."""
+    return st.lists(st.sampled_from(HTML_FRAGMENTS), max_size=max_fragments).map("".join)
+
+
+def random_html_document(rng, max_fragments: int = 12) -> str:
+    """One document like those of :func:`html_documents`, drawn from a
+    ``random.Random``, for seeded fuzzing outside hypothesis."""
+    return "".join(rng.choice(HTML_FRAGMENTS) for _ in range(rng.randint(0, max_fragments)))

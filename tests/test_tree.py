@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -12,12 +13,13 @@ from oracles import (
     reference_parse_tree_json,
     reference_serialize_tree_json,
 )
-from strategies import draft_trees, labeled_trees, signed_tree, tree_columns
+from strategies import draft_trees, html_documents, labeled_trees, signed_tree, tree_columns
 from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
     TreeNode,
+    _scan,
     freeze,
     parse_html,
     parse_tree_json,
@@ -27,40 +29,62 @@ from treematch.tree import (
 )
 
 
-# malformed and edge-case documents, each read by both HTML builders
+# malformed and edge-case documents, each read by both HTML builders, and
+# whether _scan reads it (True) or hands it to HTMLParser (False)
 _HTML_SNIPPETS = [
-    b"<div><p>one<p>two</div>",  # unclosed p
-    b"<ul><li>a<li>b</ul>",  # unclosed li
-    b"<table><tr><td>a<td>b<tr><th>c</table>",  # unclosed cells and rows
-    b"<div><b><i>x</b>y</div>tail",  # mismatched end tags
-    b"</q><div>a</span>b</div>",  # stray end tags
-    b"<br>",  # void root
-    b"<img src='x.png'/>text</img><p>after</p>",  # void root, self-closed, then more
-    b"<p>a</p><div>b</div>",  # second top-level element
-    b"<p>a<div>b</div>",  # the root closed by an implied end
+    (b"<div><p>one<p>two</div>", True),  # unclosed p
+    (b"<ul><li>a<li>b</ul>", True),  # unclosed li
+    (b"<table><tr><td>a<td>b<tr><th>c</table>", True),  # unclosed cells and rows
+    (b"<div><b><i>x</b>y</div>tail", True),  # mismatched end tags
+    (b"</q><div>a</span>b</div>", True),  # stray end tags
+    (b"<br>", True),  # void root
+    (b"<img src='x.png'/>text</img><p>after</p>", True),  # void root, self-closed, then more
+    (b"<p>a</p><div>b</div>", True),  # second top-level element
+    (b"<p>a<div>b</div>", True),  # the root closed by an implied end
     # comments and rawtext
-    b"<div><!-- note --><script>var x = 1;</script><style>p{}</style><p>t</p>u</div>",
+    (b"<div><!-- note --><script>var x = 1;</script><style>p{}</style><p>t</p>u</div>", True),
     # self-closing tags: a start tag, then an end tag
-    b"<div/>",  # self-closed root
-    b"<p>a<p/>b</p>",  # self-closed p closes the open p, and with it the root
-    b"<div><script/>t</div>",  # self-closed rawtext element
-    b"<div></div><br/><p/>",  # self-closed tags after the root closed
-    b"<div><span/>a<br/>b<img src=x />c</div>",  # text after each self-closed tag
-    b"<ul><li/><li>a<li/>b</ul>",  # self-closed li among implied ends
-    b"<div><p>a<div/>b</p>c</div>",  # self-closed block closes the open p
-    b"<table><tr/><td/>x</table>",  # self-closed cells and rows
-    b"<div a=1 a=2 b c=''/>",  # duplicate, bare and empty attributes
-    b"<b><i>x<b/>y</i>z</b>",  # self-closed tag named like an open one
-    b"<div><style/>s<hr/>t</div>",  # self-closed style, and a void block starter
-    b"<br/>",  # void root, self-closed
-    b"<r><a></a><a></a><a[1]></a[1]></r>",  # a tag that would spell a sibling's xpath
+    (b"<div/>", True),  # self-closed root
+    (b"<p>a<p/>b</p>", True),  # self-closed p closes the open p, and with it the root
+    (b"<div><script/>t</div>", False),  # self-closed rawtext element
+    (b"<div></div><br/><p/>", True),  # self-closed tags after the root closed
+    (b"<div><span/>a<br/>b<img src=x />c</div>", True),  # text after each self-closed tag
+    (b"<ul><li/><li>a<li/>b</ul>", True),  # self-closed li among implied ends
+    (b"<div><p>a<div/>b</p>c</div>", True),  # self-closed block closes the open p
+    (b"<table><tr/><td/>x</table>", True),  # self-closed cells and rows
+    (b"<div a=1 a=2 b c=''/>", True),  # duplicate, bare and empty attributes
+    (b"<b><i>x<b/>y</i>z</b>", True),  # self-closed tag named like an open one
+    (b"<div><style/>s<hr/>t</div>", False),  # self-closed style, and a void block starter
+    (b"<br/>", True),  # void root, self-closed
+    (b"<r><a></a><a></a><a[1]></a[1]></r>", False),  # a tag that would spell a sibling's xpath
     # the reader skips HTMLParser's line and column counting; these are the
     # branches that count newlines
-    b"<div\n class='a\nb'\n id=x\n>one\ntwo<p\n>three</p\n></div>",  # start tags over lines
-    b"<div><a b='1'junk>x</a><a b='1'\njunk\n>y</a>z</div>",  # junk after the attributes
-    b"<div>x<a\x00\nb='1'\n>y\nz</a></div>",  # junk the start tag gives back as text
-    b"<div>a\n<br>\nb\n<img src=x>\n<hr/>\nc</div>",  # newlines around void tags
-    b"<div><script>if (a)\n{ s = '</p>'; }\n</script>\n<p>t</p></div>",  # </p> in a script
+    (b"<div\n class='a\nb'\n id=x\n>one\ntwo<p\n>three</p\n></div>", True),  # tags over lines
+    (b"<div><a b='1'junk>x</a><a b='1'\njunk\n>y</a>z</div>", False),  # junk after attributes
+    (b"<div>x<a\x00\nb='1'\n>y\nz</a></div>", False),  # junk the start tag gives back as text
+    (b"<div>a\n<br>\nb\n<img src=x>\n<hr/>\nc</div>", True),  # newlines around void tags
+    (b"<div><script>if (a)\n{ s = '</p>'; }\n</script>\n<p>t</p></div>", False),  # </p> in a script
+    # the rules of the strict subset that _scan reads, each on both sides
+    (b"<div\tclass=a\r\n\fid=b>x</div>", True),  # whitespace in a tag is [ \t\n\r\f]
+    (b"<div><a\vhref=y>z</a></div>", False),  # and never \v
+    (b"<DIV CLASS=Up><Span>x</SPAN></div>", True),  # names lowercased
+    (b"<div><a/ b>c</a></div>", False),  # "/" before an attribute
+    (b"<div><a b==1>c</a></div>", False),  # "=" doubled
+    (b"<div><a href=x/>y</div>", True),  # a bare value ends at whitespace or ">": "x/"
+    ("<div><b href=x\xa0y>z</b></div>".encode(), False),  # and at no other space
+    (b"<a href='/x?a=1&amp;b=2' title=\"&lt;t&gt;\" hidden e=''>x</a>", True),  # values
+    (b"<p>&am<!---->p;</p>", True),  # each text run decoded on its own
+    (b"<div><script>a && b</script><style>p{}</style><p>y</p></div>", True),  # raw-text bodies
+    (b"<div><script><b>x</b></script><p>y</p></div>", False),  # a tag in a script body is text
+    (b"<html><title>a &amp; b</title><textarea>t</textarea></html>", True),  # text bodies
+    (b"<div><title>a<b>c</b></title></div>", False),  # a tag in a title body
+    (b"<!DOCTYPE html><div><!-- c --><!---->x</div>", True),  # doctype and comments
+    (b"<div><!-->a-->b</div>", False),  # a comment that ends where it opens, in some releases
+    (b"<div><!-- a --!>b--></div>", False),  # "--!>"
+    (b"<div>a<![CDATA[b]]>c</div>", False),  # CDATA
+    (b"<div><p>a</p x>b</div>", False),  # junk in an end tag
+    (b"<div title='a\x00b'>c</div>", False),  # NUL in a value
+    (b"<div><p>a &amp", True),  # tags left open, and a reference cut, at the end
 ]
 
 
@@ -140,15 +164,41 @@ class TestParseHtml:
         tree = parse_html(b"<p>a &amp; b</p>")
         assert tree.node(0).text == "a & b"
 
-    @pytest.mark.parametrize("document", _HTML_SNIPPETS)
+    @pytest.mark.parametrize("document", [document for document, _ in _HTML_SNIPPETS])
     def test_snippet_equals_reference(self, document):
         assert _node_rows(parse_html(document)) == _node_rows(reference_parse_html(document))
+
+    @pytest.mark.parametrize("document, fast", _HTML_SNIPPETS)
+    def test_snippet_takes_its_path(self, document, fast):
+        assert (_scan(document.decode()) is not None) == fast
+
+    @settings(max_examples=300)
+    @given(html_documents())
+    def test_documents_equal_reference(self, document):
+        assert _rows_or_error(parse_html, document) == _rows_or_error(reference_parse_html, document)
 
     def test_corpus_equals_reference(self, corpus_pages):
         for path in corpus_pages:
             document = path.read_bytes()
             got, want = parse_html(document), reference_parse_html(document)
             assert _node_rows(got) == _node_rows(want), path.name
+
+    def test_corpus_takes_fast_path(self, corpus_pages):
+        # a slip in the strict subset would send pages to HTMLParser, and
+        # every output would still match
+        for path in corpus_pages:
+            assert _scan(path.read_text(encoding="utf-8")) is not None, path.name
+
+    @pytest.mark.parametrize("tail", ["", "<"], ids=["fast", "fallback"])
+    def test_stray_end_tags_take_linear_time(self, tail):
+        # each stray end tag scanned the whole open stack: 8,000 levels took 2.0 s
+        small = "<div><p>" * 3 + "</b></i>" * 3 + "</p>x</div>" + tail
+        assert _node_rows(parse_html(small)) == _node_rows(reference_parse_html(small))
+        depth = 20_000
+        start = time.perf_counter()
+        tree = parse_html("<div>" * depth + "</b>" * depth + tail)
+        assert time.perf_counter() - start < 2.0
+        assert len(tree) == depth
 
     def test_deep_chain(self):
         depth = 3000
@@ -315,6 +365,14 @@ def _node_rows(tree):
         (n.id, n.tag, n.attributes, n.text, n.parent, n.children, n.xpath, n.signature)
         for n in tree
     ]
+
+
+def _rows_or_error(parse, document):
+    """The node rows ``parse`` reads from ``document``, or its IngestError's text."""
+    try:
+        return _node_rows(parse(document))
+    except IngestError as exc:
+        return str(exc)
 
 
 def _read(reader, text):
