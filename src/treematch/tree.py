@@ -26,8 +26,9 @@ without ``<``) is cut into tokens by one regular-expression pass, about
 twice as fast as ``HTMLParser``. Any other document goes to
 ``HTMLParser``, whose recovery from malformed markup is the reader's
 defined behaviour and differs between Python releases; the subset is
-drawn so that those releases agree on it, and the first ``<`` outside it
-hands the whole document over. See :func:`parse_html`.
+drawn to leave out what those releases are known to read differently,
+and the first ``<`` outside it hands the whole document over. See
+:func:`parse_html`.
 
 On disk a tree is JSON, in the formats the "JSON tree format" block below
 sets out. :func:`serialize_tree_json` writes format 2: one array per column,
@@ -467,10 +468,11 @@ def parse_html(document: bytes | str) -> LabeledTree:
     bare; ``<script>``, ``<style>``, ``<title>`` and ``<textarea>`` elements
     whose body holds no ``<``; comments holding no ``--``; and doctypes.
     Every other document goes to ``HTMLParser``, whose recovery from
-    malformed markup (unclosed tags, junk in tags, CDATA, odd comments,
-    raw-text bodies) is the behaviour this reader pins, and which differs
-    between Python releases. On the strict subset the two readers give the
-    same tree, and the releases agree; the fast path exists only because
+    malformed markup (tags cut off at the end, junk in tags, CDATA, comments
+    such as ``<!-->``, markup in raw-text bodies) is the behaviour this
+    reader pins, and which differs between Python releases; so that path is
+    kept, and the subset is drawn to leave such constructs out. On the
+    subset the two readers give the same tree; the fast path exists only because
     ``HTMLParser`` spends about twice as long per tag.
     """
     if isinstance(document, bytes):
