@@ -22,8 +22,8 @@ the tree rules (implied ends, void tags, first root wins, raw text, first
 duplicate attribute wins) are written once. A document in a strict,
 well-formed subset of HTML (plain tags and attributes, text, comments
 without ``--``, doctypes, and script, style, title and textarea bodies
-without ``<``) is cut into tokens by one regular-expression pass, about
-twice as fast as ``HTMLParser``. Any other document goes to
+without ``<``) is cut into tokens by one regular-expression pass, which
+takes about half the time ``HTMLParser`` does. Any other document goes to
 ``HTMLParser``, whose recovery from malformed markup is the reader's
 defined behaviour and differs between Python releases; the subset is
 drawn to leave out what those releases are known to read differently,
@@ -472,8 +472,9 @@ def parse_html(document: bytes | str) -> LabeledTree:
     such as ``<!-->``, markup in raw-text bodies) is the behaviour this
     reader pins, and which differs between Python releases; so that path is
     kept, and the subset is drawn to leave such constructs out. On the
-    subset the two readers give the same tree; the fast path exists only because
-    ``HTMLParser`` spends about twice as long per tag.
+    subset the two readers give the same tree; the fast path exists only
+    for speed, as ``HTMLParser`` spends most of its time in its own
+    per-tag and per-attribute work.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8", errors="replace")
