@@ -22,13 +22,12 @@ the tree rules (implied ends, void tags, first root wins, raw text, first
 duplicate attribute wins) are written once. A document in a strict,
 well-formed subset of HTML (plain tags and attributes, text, comments
 without ``--``, doctypes, and script, style, title and textarea bodies
-without ``<``) is cut into tokens by one regular-expression pass, which
-takes about half the time ``HTMLParser`` does. Any other document goes to
-``HTMLParser``, whose recovery from malformed markup is the reader's
-defined behaviour and differs between Python releases; the subset is
-drawn to leave out what those releases are known to read differently,
-and the first ``<`` outside it hands the whole document over. See
-:func:`parse_html`.
+without ``<``) is cut into tokens by one regular-expression pass. Any
+other document goes to ``HTMLParser``, whose recovery from malformed
+markup is the reader's defined behaviour and differs between Python
+releases; the subset is drawn to leave out what those releases are known
+to read differently, and the first ``<`` outside it ends the pass and
+hands the whole document over. See :func:`parse_html`.
 
 On disk a tree is JSON, in the formats the "JSON tree format" block below
 sets out. :func:`serialize_tree_json` writes format 2: one array per column,
@@ -387,23 +386,28 @@ _STRICT_ATTR = r"""
 # Elements whose body some HTMLParser release reads as raw or escapable raw
 # text: a "<" in such a body is text there and markup elsewhere. The first
 # four get a form of their own whose body holds no "<"; the rest fall back.
+# These names match in any ASCII case only, (?ai:...): Unicode case folding
+# would let "s" match "\u017f" and "i" match "\u0131", and HTMLParser reads
+# "<\u017fcript>" as text, since a tag opens with an ASCII letter.
 _RAW_TAGS = "script|style|title|textarea"
 _SPECIAL_TAGS = _RAW_TAGS + "|xmp|iframe|noembed|noframes|noscript|plaintext"
 
 # The strict subset of HTML that _scan reads, one token per match; the
-# groups a match fills tell its kind. Comments and doctypes fill none.
+# groups a match fills tell its kind. Comments and doctypes fill none. The
+# first "<" outside the subset takes the rest of the text as one last match,
+# so findall stops there and _scan needs to look at that match only.
 _TOKEN = re.compile(rf"""
     ([^<]+)                                              # 1 text
-  | <(?!(?i:{_SPECIAL_TAGS})(?![-.a-zA-Z0-9:_]))         # a start tag, not special:
+  | <(?!(?ai:{_SPECIAL_TAGS})(?![-.a-zA-Z0-9:_]))        # a start tag, not special:
       ([a-zA-Z][-.a-zA-Z0-9:_]*)                         # 2 its name,
       ((?:{_STRICT_ATTR})*) [ \t\n\r\f]* (/?)>           # 3 its attributes, 4 "/" if self-closed
   | </([a-zA-Z][-.a-zA-Z0-9:_]*)[ \t\n\r\f]*>            # 5 an end tag's name
-  | <((?i:{_RAW_TAGS}))(?![-.a-zA-Z0-9:_])               # 6 a raw element's name,
+  | <((?ai:{_RAW_TAGS}))(?![-.a-zA-Z0-9:_])              # 6 a raw element's name,
       ((?:{_STRICT_ATTR})*) [ \t\n\r\f]*>                # 7 its attributes,
       ([^<]*)</\6>                                       # 8 its body, closed in the same case
   | <!--(?!-?>)(?:[^-]|-(?!-))*-->                       # a comment holding no "--"
-  | <!(?i:doctype)[^<>]*>                                # a doctype
-  | (<)                                                  # 9 any other "<": fall back
+  | <!(?ai:doctype)[^<>]*>                               # a doctype
+  | (<(?s:.*))                                           # 9 any other "<", and all after it
 """, re.VERBOSE)
 # The attributes of a tag _TOKEN has matched: name, then a double-quoted,
 # single-quoted or bare value, each empty when absent
@@ -424,16 +428,21 @@ def _attributes(text: str) -> list[tuple[str, str]]:
 def _scan(document: str) -> list[_Row] | None:
     """The rows of a document written in the strict subset, or ``None``.
 
-    One pass of ``_TOKEN`` cuts the text into text runs, start, end and
-    self-closed tags, raw elements, comments and doctypes, and hands each to
-    the :class:`_TreeBuilder` handlers in the order ``HTMLParser`` would.
+    One ``findall`` of ``_TOKEN`` cuts the text into text runs, start, end
+    and self-closed tags, raw elements, comments and doctypes, and hands each
+    to the :class:`_TreeBuilder` handlers in the order ``HTMLParser`` would.
     Each text run is decoded on its own, as ``HTMLParser`` decodes the text
     between two markup tokens. The first ``<`` that begins no strict token
-    returns ``None``; the handlers have then built nothing anyone reads.
+    ends the pass, as its token takes the rest of the text, and returns
+    ``None`` before any handler runs: a document outside the subset costs
+    the tokenizing of the text before that ``<`` on top of ``HTMLParser``.
     """
+    tokens = _TOKEN.findall(document)
+    if tokens and tokens[-1][8]:
+        return None
     builder = _TreeBuilder()
     start, end, data = builder.handle_starttag, builder.handle_endtag, builder.handle_data
-    for text, tag, attrs, closed, end_tag, raw, raw_attrs, body, other in _TOKEN.findall(document):
+    for text, tag, attrs, closed, end_tag, raw, raw_attrs, body, _ in tokens:
         if text:
             data(unescape(text) if "&" in text else text)
         elif tag:
@@ -449,8 +458,6 @@ def _scan(document: str) -> list[_Row] | None:
             if body:
                 data(unescape(body) if "&" in body else body)
             end(raw)
-        elif other:
-            return None
     return builder.finish()
 
 
@@ -474,7 +481,9 @@ def parse_html(document: bytes | str) -> LabeledTree:
     kept, and the subset is drawn to leave such constructs out. On the
     subset the two readers give the same tree; the fast path exists only
     for speed, as ``HTMLParser`` spends most of its time in its own
-    per-tag and per-attribute work.
+    per-tag and per-attribute work. A document outside the subset costs
+    ``HTMLParser``'s pass plus the tokenizing of its text up to the first
+    ``<`` outside the subset, where the scan stops.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8", errors="replace")

@@ -110,6 +110,8 @@ HTML_FRAGMENTS = (
     "<script>a && b</script>", "<script><b>x</b></script>", "<style>p{}</style>",
     "<title>a &amp; b</title>", "<title>a<b>c</title>", "<textarea>t</textarea>", "<script/>",
     "<iframe></iframe>",
+    # letters that fold to "s" and "i" in Unicode, never in a tag name
+    "<\u017fcript>x</\u017fcript>", "<\u017ftyle>y</\u017ftyle>", "<t\u0131tle>z</t\u0131tle>",
     # comments and declarations
     "<!doctype html>", "<!DOCTYPE html>", "<!-- c -->", "<!---->", "<!-->", "<!-- a --!>",
     "<!-- a -- b -->", "<![CDATA[x]]>", "<?pi?>",

@@ -14,11 +14,13 @@ from oracles import (
     reference_serialize_tree_json,
 )
 from strategies import draft_trees, html_documents, labeled_trees, signed_tree, tree_columns
+import treematch.tree as tree_module
 from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
     TreeNode,
+    _TOKEN,
     _scan,
     freeze,
     parse_html,
@@ -88,6 +90,11 @@ _HTML_SNIPPETS = [
     (b"<div><p>a</p x>b</div>", False),  # junk in an end tag
     (b"<div title='a\x00b'>c</div>", False),  # NUL in a value
     (b"<div><p>a &amp", True),  # tags left open, and a reference cut, at the end
+    # raw tag names match in ASCII case only: HTMLParser reads "<\u017f" as text
+    ("<div><\u017fcript>x</\u017fcript></div>".encode(), False),  # long s for "s"
+    ("<div><\u017ftyle>y</\u017ftyle></div>".encode(), False),
+    ("<div><t\u0131tle>y</t\u0131tle></div>".encode(), False),  # dotless i for "i"
+    ("<div><no\u017fcript>a</no\u017fcript></div>".encode(), False),
 ]
 
 
@@ -192,6 +199,14 @@ class TestParseHtml:
         # every output would still match
         for path in corpus_pages:
             assert _scan(path.read_text(encoding="utf-8")) is not None, path.name
+
+    def test_fallback_stops_at_first_stray_token(self, monkeypatch):
+        # the scan ends at the first "<" outside the subset and builds
+        # nothing, so a document outside it costs little beyond HTMLParser
+        document = "<div>" + "<p class=a>x &amp; y</p>" * 50 + "<iframe></iframe>" + "<p>z</p>" * 50
+        assert _TOKEN.findall(document)[-1][-1] == "<iframe></iframe>" + "<p>z</p>" * 50
+        monkeypatch.setattr(tree_module, "_TreeBuilder", None)
+        assert _scan(document) is None
 
     @pytest.mark.parametrize("tail", ["", "<"], ids=["fast", "fallback"])
     def test_stray_end_tags_take_linear_time(self, tail):
