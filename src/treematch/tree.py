@@ -348,7 +348,11 @@ class _TreeBuilder(HTMLParser):
         if not open_tags.get(tag):
             return  # stray end tag: no matching open element, ignore
         rows, stack = self.rows, self.stack
-        depth = len(stack) - 1
+        if rows[stack[-1]][0] == tag:  # the usual case: it closes the top
+            stack.pop()
+            open_tags[tag] -= 1
+            return
+        depth = len(stack) - 2
         while rows[stack[depth]][0] != tag:
             depth -= 1
         for node_id in stack[depth:]:

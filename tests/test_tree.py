@@ -39,6 +39,7 @@ _HTML_SNIPPETS = [
     (b"<table><tr><td>a<td>b<tr><th>c</table>", True),  # unclosed cells and rows
     (b"<div><b><i>x</b>y</div>tail", True),  # mismatched end tags
     (b"</q><div>a</span>b</div>", True),  # stray end tags
+    (b"<div><b>x</b></b>y<i><b>z</i></b>w</div>", True),  # stray after the tag has closed
     (b"<br>", True),  # void root
     (b"<img src='x.png'/>text</img><p>after</p>", True),  # void root, self-closed, then more
     (b"<p>a</p><div>b</div>", True),  # second top-level element
