@@ -19,8 +19,16 @@ second subtree's leftmost path. Each column's offset to the forest before
 its subtree is listed once per second subtree (0 exactly on its path), and
 both loops carry the left neighbour in a local. The distance pass runs the
 kernel for every pair of inner keyroots. The backtrace reads the buffer: it
-starts from the root pair's table when the pass left it there, and reruns
-the kernel for every other pair it descends into.
+starts from the root pair's table when the pass left it there. Every other
+pair ``(i, j)`` it descends into has a known distance ``D = td[i][j]``, so
+the kernel refills only that table's band, the cells with
+``|x - y| + |(X - x) - (Y - y)| <= D`` for subtree sizes ``X`` and ``Y``
+(Ukkonen's cut-off for string edit distance), and reads ``td`` without
+writing it. Unit costs give ``fd[x][y] >= |x - y|``, and the cost still to
+go from ``(x, y)`` is at least the size difference left, so every cell on an
+optimal path lies in the band and gets its exact value. Every cell outside
+it reads as at least its true value, so each comparison of the walk back
+gives the result a full table gives.
 
 Over every keyroot pair the kernel would fill S1 x S2 forest cells, where
 S is the summed size of a tree's keyroot subtrees. Zhang and Shasha
@@ -214,8 +222,10 @@ class _ZsRun:
         self.order2, self.lmd2, self.kr2 = s2
         self.lab1 = [ids1[node_id] for node_id in s1.order]
         self.lab2 = [ids2[node_id] for node_id in s2.order]
+        # each second subtree's column offsets, ``qs`` in ``_fill``
+        self._offsets: dict[int, list[int]] = {}
 
-    def _fill(self, i: int, js: Iterable[int]) -> None:
+    def _fill(self, i: int, js: Iterable[int], rows: list[tuple] | None = None) -> None:
         """Forest distances of subtree ``i`` against each subtree in ``js``.
 
         Writes the tree distances of the pairs on both leftmost paths into
@@ -225,24 +235,37 @@ class _ZsRun:
         0 exactly on ``j``'s leftmost path. A row off ``i``'s path adds a
         tree distance to the forest before both subtrees in every cell; a row
         on it takes the diagonal and writes ``td`` where ``qs[y]`` is 0.
+
+        ``rows`` given (``_band``'s, for the one pair in ``js``) cuts each
+        row to a column window and writes nothing to ``td``: every row then
+        runs the loop with no path test, which on both paths adds ``td`` to
+        ``fd[0][0]``, the same tree distance.
         """
         lmd1, lmd2 = self.lmd1, self.lmd2
         lab1, lab2 = self.lab1, self.lab2
-        td, fd = self.td, self.fd
+        td, fd, offsets = self.td, self.fd, self._offsets
         li = lmd1[i]
-        # each row's position, subtree, whether it is on the leftmost path,
-        # and the row before its subtree (row 0 on the path)
-        rows = [(xi - li + 1, xi, lmd1[xi] == li, lmd1[xi] - li) for xi in range(li, i + 1)]
+        if rows is None:
+            # each row's position, subtree, whether it is on the leftmost
+            # path, the row before its subtree (row 0 on the path), and the
+            # window of the loop with no path test: its first column, the
+            # columns it cuts off the end, and the cell left of its first one
+            rows = [
+                (x, xi, lmd1[xi] == li, lmd1[xi] - li, 1, 0, x)
+                for x, xi in enumerate(range(li, i + 1), start=1)
+            ]
         for j in js:
             lj = lmd2[j]
             n = j - lj + 2
             joff = lj - 1
-            qs = [0, *(lmd2[yj] - lj for yj in range(lj, j + 1))]
+            qs = offsets.get(j)
+            if qs is None:
+                offsets[j] = qs = [0, *(lmd2[yj] - lj for yj in range(lj, j + 1))]
             fd[0][:n] = range(n)
             prev = fd[0]
-            for x, xi, on_path, p in rows:
+            for x, xi, on_path, p, lo, cut, left in rows:
                 cur = fd[x]
-                cur[0] = left = x
+                cur[0] = x
                 p_row = fd[p]
                 tdx = td[xi]
                 if on_path:
@@ -265,7 +288,7 @@ class _ZsRun:
                             tdx[yj] = best
                         cur[y] = left = best
                 else:
-                    for y in range(1, n):
+                    for y in range(lo, n - cut):
                         best = prev[y]
                         if left < best:
                             best = left
@@ -277,6 +300,35 @@ class _ZsRun:
                 prev = cur
             self._held = i, j
 
+    def _band(self, i: int, j: int) -> list[tuple]:
+        """``_fill``'s rows for pair ``(i, j)``, cut to the band of ``td[i][j]``.
+
+        With ``X`` rows, ``Y`` columns, ``Δ = X - Y`` and ``D = td[i][j]``,
+        the band is the cells with ``|x - y| + |(X - x) - (Y - y)| <= D``: row
+        ``x`` keeps columns ``x - (Δ + D) // 2`` to ``x + (D - Δ) // 2``, at
+        most ``D + 1`` of them. Each row of ``fd`` is reset over ``[0, Y]`` to
+        ``X + Y + 1``, above every forest distance of the pair, so a cell
+        outside the band reads as at least its true value.
+        """
+        fd, lmd1 = self.fd, self.lmd1
+        li = lmd1[i]
+        size1, size2 = i - li + 1, j - self.lmd2[j] + 1
+        d = self.td[i][j]
+        wide = size1 + size2 + 1
+        reset = [wide] * (size2 + 1)
+        below = (size1 - size2 + d) // 2  # columns kept left of the diagonal
+        above = (d - size1 + size2) // 2  # and right of it
+        out = []
+        for x, xi in enumerate(range(li, i + 1), start=1):
+            fd[x][: size2 + 1] = reset
+            lo = x - below
+            cut = max(size2 - x - above, 0)
+            if lo > 1:
+                out.append((x, xi, False, lmd1[xi] - li, lo, cut, wide))
+            else:
+                out.append((x, xi, False, lmd1[xi] - li, 1, cut, x))
+        return out
+
     @property
     def distance(self) -> float:
         return float(self.td[-1][-1])
@@ -286,13 +338,21 @@ class _ZsRun:
 
         A left-to-right pass over trees of two nodes or more ends on the root
         pair, so the backtrace starts from the table that pass left in ``fd``.
+        Every other pair ``(i, j)`` it descends into is refilled only in the
+        band its known distance ``D = td[i][j]`` allows (``_band``), and
+        ``td`` is only read. Unit costs give ``fd[x][y] >= |x - y|``, and the
+        cost still to go from ``(x, y)`` is at least the size difference
+        left, so every cell on an optimal path lies in the band and gets its
+        exact value; every cell outside it reads as at least its true value.
+        So each comparison the walk back makes gives the result a full table
+        gives.
         """
         pairs: list[tuple[int, int]] = []
         stack = [(len(self.order1) - 1, len(self.order2) - 1)]
         while stack:
             i, j = stack.pop()
             if (i, j) != self._held:
-                self._fill(i, (j,))
+                self._fill(i, (j,), self._band(i, j))
             self._extract(i, j, pairs, stack)
         return pairs
 

@@ -24,12 +24,14 @@ def draft_trees(
     with_attrs: bool = True,
     edge_values: bool = False,
     odd_tags: bool = False,
+    tags: tuple[str, ...] = TAGS,
 ) -> DraftNode:
-    """Random draft trees; ``edge_values`` adds digit-only words to texts and
-    empty attribute values, which some text and attribute operators skip;
-    ``odd_tags`` draws tags holding ``[``, ``]``, ``/`` or ``\\`` from
-    ``ODD_TAGS``."""
-    tags = draw(st.sampled_from(ODD_TAGS)) if odd_tags else TAGS
+    """Random draft trees with tags from ``tags``; ``edge_values`` adds
+    digit-only words to texts and empty attribute values, which some text
+    and attribute operators skip; ``odd_tags`` draws tags holding ``[``,
+    ``]``, ``/`` or ``\\`` from ``ODD_TAGS`` instead."""
+    if odd_tags:
+        tags = draw(st.sampled_from(ODD_TAGS))
     text_words = TEXT_WORDS + DIGIT_WORDS if edge_values else TEXT_WORDS
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     # odd-tag trees hang every node from one of the first three, so that
@@ -61,10 +63,15 @@ def draft_trees(
 
 
 def labeled_trees(
-    max_nodes: int = 12, with_attrs: bool = True, edge_values: bool = False, odd_tags: bool = False
+    max_nodes: int = 12,
+    with_attrs: bool = True,
+    edge_values: bool = False,
+    odd_tags: bool = False,
+    tags: tuple[str, ...] = TAGS,
 ):
     return draft_trees(
-        max_nodes=max_nodes, with_attrs=with_attrs, edge_values=edge_values, odd_tags=odd_tags
+        max_nodes=max_nodes, with_attrs=with_attrs, edge_values=edge_values, odd_tags=odd_tags,
+        tags=tags,
     ).map(freeze)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
@@ -332,43 +333,107 @@ class TestTedForestTables:
 
 
 class TestTedBacktrace:
-    """The backtrace refills the root pair's forest table only when the
-    distance pass did not leave it in ``fd``."""
+    """The backtrace refills every pair it descends into but the one whose
+    forest table the distance pass left in ``fd``, each only in the band its
+    tree distance allows, and never writes ``td``."""
 
     @staticmethod
     def mapping_fills(monkeypatch, t1: LabeledTree, t2: LabeledTree):
+        """``_ZsRun(t1, t2).mapping()``, checked against the oracle's, with
+        each refill's pair and the number of cells it computed."""
         run = _ZsRun(t1, t2)
-        calls: list[tuple[int, tuple[int, ...]]] = []
+        td = copy.deepcopy(run.td)
+        written = [0]
+
+        class CountedRow(list):
+            # the kernel writes a cell at a time; column 0 and the resets
+            # before a refill are not computed cells
+            def __setitem__(self, key, value):
+                if type(key) is int and key:
+                    written[0] += 1
+                super().__setitem__(key, value)
+
+        run.fd = [CountedRow(row) for row in run.fd]
+        calls: list[tuple[int, tuple[int, ...], int]] = []
         fill = _ZsRun._fill
 
-        def spy(run: _ZsRun, i: int, js) -> None:
+        def spy(run: _ZsRun, i: int, js, rows=None) -> None:
             js = tuple(js)
-            calls.append((i, js))
-            fill(run, i, js)
+            before = written[0]
+            fill(run, i, js, rows)
+            calls.append((i, js, written[0] - before))
 
         with monkeypatch.context() as patch:
             patch.setattr(_ZsRun, "_fill", spy)
             pairs = run.mapping()
         assert pairs == ReferenceZsRun(t1, t2).mapping()
+        assert run.td == td
         return run, calls, (len(t1) - 1, (len(t2) - 1,))
+
+    @staticmethod
+    def assert_in_band(run: _ZsRun, calls) -> None:
+        """Each refill of ``(i, j)`` computes at most ``D + 1`` cells a row."""
+        for i, (j,), cells in calls:
+            assert cells <= (i - run.lmd1[i] + 1) * (run.td[i][j] + 1)
 
     def test_left_to_right_pass_reuses_root_table(self, monkeypatch):
         run, calls, root = self.mapping_fills(monkeypatch, *p00_pair(mirror=True))
         assert not run.mirrored
-        assert calls and root not in calls
+        assert calls and root not in [(i, js) for i, js, _ in calls]
 
     def test_mirrored_pass_refills_root_table(self, monkeypatch):
         run, calls, root = self.mapping_fills(monkeypatch, *p00_pair(mirror=False))
         assert run.mirrored
-        assert calls[0] == root
+        assert calls[0][:2] == root
 
     @pytest.mark.parametrize("child", ["a", "b"])
     def test_one_node_tree_refills_root_table(self, monkeypatch, child):
         one, two = freeze(build("a")), freeze(build("div", build(child)))
         for t1, t2 in ((one, two), (two, one)):
             run, calls, root = self.mapping_fills(monkeypatch, t1, t2)
-            assert calls == [root]
+            assert [(i, js) for i, js, _ in calls] == [root]
             got, want = ted_match(t1, t2), reference_ted_match(t1, t2)
+            assert got.pairs == want.pairs
+            assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["mirrored-pass", "left-to-right-pass"])
+    def test_corpus_refills_stay_in_band(self, monkeypatch, mirror):
+        # mapping_fills also checks that td is left as the pass wrote it
+        run, calls, _ = self.mapping_fills(monkeypatch, *p00_pair(mirror))
+        self.assert_in_band(run, calls)
+        full = sum((i - run.lmd1[i] + 1) * (j - run.lmd2[j] + 1) for i, (j,), _ in calls)
+        assert sum(cells for *_, cells in calls) < full / 2
+
+    @pytest.mark.parametrize("t2,distance", [
+        (freeze(build("div", build("ul", build("li"), build("li")), build("p", build("a")))), 0),
+        (freeze(build("div", build("ul", build("li"), build("li")), build("p", build("b")))), 1),
+        (freeze(build("div", build("ol", build("li"), build("li")), build("p", build("a")))), 1),
+        (freeze(build("div", build("ul", build("li"), build("li")), build("p"))), 1),
+        (freeze(build("div", build("ul", build("li"), build("li"), build("li")),
+                      build("p", build("a")))), 1),
+    ], ids=["identical", "relabel-leaf", "relabel-inner", "delete", "insert"])
+    def test_narrowest_bands(self, monkeypatch, t2, distance):
+        # a band of one diagonal (D = 0), or of two or three (D = 1)
+        t1 = freeze(build("div", build("ul", build("li"), build("li")), build("p", build("a"))))
+        assert ted_distance(t1, t2) == distance
+        for a, b in ((t1, t2), (t2, t1), (mirrored(t1), mirrored(t2))):
+            run, calls, _ = self.mapping_fills(monkeypatch, a, b)
+            self.assert_in_band(run, calls)
+            got, want = ted_match(a, b), reference_ted_match(a, b)
+            assert got.pairs == want.pairs
+            assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
+            assert sum(got.pair_costs) == (distance if len(a) == len(b) else 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([("a",), ("a", "b")]).flatmap(lambda tags: st.tuples(
+        *[labeled_trees(max_nodes=24, with_attrs=False, tags=tags)] * 2)))
+    def test_tie_heavy_pairs_equal_left_to_right_oracle(self, pair):
+        # with one or two labels, many scripts tie, and which one the walk
+        # back takes rests on the cells next to the optimal path, some of
+        # which the band leaves out
+        t1, t2 = pair
+        for a, b in ((t1, t2), (mirrored(t1), mirrored(t2))):
+            got, want = ted_match(a, b), reference_ted_match(a, b)
             assert got.pairs == want.pairs
             assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
 
