@@ -422,6 +422,7 @@ class TestTedBacktrace:
             got, want = ted_match(a, b), reference_ted_match(a, b)
             assert got.pairs == want.pairs
             assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
+            # a relabel is paid in a pair cost, an insert or delete in none
             assert sum(got.pair_costs) == (distance if len(a) == len(b) else 0.0)
 
     @settings(max_examples=150, deadline=None)
