@@ -323,10 +323,7 @@ class _ZsRun:
             fd[x][: size2 + 1] = reset
             lo = x - below
             cut = max(size2 - x - above, 0)
-            if lo > 1:
-                out.append((x, xi, False, lmd1[xi] - li, lo, cut, wide))
-            else:
-                out.append((x, xi, False, lmd1[xi] - li, 1, cut, x))
+            out.append((x, xi, False, lmd1[xi] - li, max(lo, 1), cut, wide if lo > 1 else x))
         return out
 
     @property
