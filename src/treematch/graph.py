@@ -2,8 +2,9 @@
 
 An edge exists only for node pairs with a positive propagated similarity;
 its cost is 1/(1+score), so better-scoring pairs are cheaper. The matcher
-builds it with :func:`propagate_graph`, which propagates the initial scores
-straight into the edge groups. :func:`build_graph`, the graph of a table
+builds it with :func:`propagate_graph`, which runs the propagation climb of
+``similarity`` on the initial scores, then groups its score groups by cost
+and builds the edge layout. :func:`build_graph`, the graph of a table
 that is already propagated, is its depth-0 case: no ancestor level, so each
 score is its own. A full matching covers every node of both trees exactly
 once, either by a pair or by the no-match assignment, and is charged
@@ -34,14 +35,13 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import floordiv, itemgetter, mod
 
-from .similarity import NodeOutOfRange, SftmParams, SimilarityTable, ancestor_levels
+from .similarity import NodeOutOfRange, SftmParams, SimilarityTable, _score_groups, _t1_out_of_range
 from .tree import LabeledTree
 
 
@@ -153,9 +153,9 @@ def propagate_graph(
 ) -> MatchGraph:
     """``build_graph(propagate(s0, t1, t2, params), t1, t2)`` in one pass.
 
-    Each pair climbs its ancestor chain as in :func:`propagate`, and its
-    blended score goes straight to its group of edge keys, so no propagated
-    table is built. Edges and costs equal the two-step form's to the bit.
+    The climb is the one :func:`propagate` runs, and its score groups of
+    edge keys go straight into cost groups, so no propagated table is
+    built. Edges and costs equal the two-step form's to the bit.
     Raises :class:`NodeOutOfRange` when an entry names a node outside ``t1``
     or ``t2``.
 
@@ -183,41 +183,6 @@ def propagate_graph(
         t1_size=t1_size,
         t2_size=t2_size,
     )
-
-
-def _score_groups(
-    base: dict[int, dict[int, float]],
-    parents1: tuple[int | None, ...],
-    parents2: tuple[int | None, ...],
-    weights: tuple[float, ...],
-    t1_size: int,
-    t2_size: int,
-) -> dict[float, list[int]]:
-    """The climb: each pair's blended score, with the edge keys
-    ``n * t2_size + m`` that have it; a key sorts as (n, m) does."""
-    w0 = weights[0]
-    by_score: defaultdict[float, list[int]] = defaultdict(list)
-    try:
-        for m, row in base.items():
-            if not 0 <= m < t2_size:
-                raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
-            levels = ancestor_levels(m, base, parents2, weights)
-            for n, s in row.items():
-                total = w0 * s
-                a = n
-                for w, up_row in levels:
-                    a = parents1[a]
-                    if a is None:
-                        break
-                    up = up_row.get(a)
-                    if up is not None:
-                        total += w * up
-                by_score[total].append(n * t2_size + m)
-    except IndexError:
-        # a t1 id outside [-t1_size, t1_size) fails the climb's first step;
-        # other ids out of range are caught by the key range after the sort
-        raise _t1_out_of_range(n, t1_size) from None
-    return by_score
 
 
 def _cost_groups(
@@ -262,10 +227,6 @@ def _shared(size: int, ids: Iterator[int], count: int) -> tuple[int, ...]:
         return itemgetter(*ids)(nodes)
     # itemgetter needs an index, and gives a bare item for one
     return tuple(map(nodes.__getitem__, ids))
-
-
-def _t1_out_of_range(n: int, t1_size: int) -> NodeOutOfRange:
-    return NodeOutOfRange(f"t1 node {n} outside a {t1_size}-node tree")
 
 
 def edge_count(g: MatchGraph) -> int:

@@ -3,9 +3,10 @@
 Pipeline: build an inverted index over the first tree's tokens, drop tokens
 that occur in too many nodes (sublinear threshold), score each second-tree
 node against the index with IDF weighting, then propagate scores up the
-parent chain so local topology counts too. The matcher propagates straight
-into its graph (``graph.propagate_graph``); :func:`propagate` gives the same
-scores as a table.
+parent chain so local topology counts too. Propagation is one climb,
+``_score_groups``: it groups the pairs by blended score, each pair as the
+int key ``n * len(t2) + m``. The matcher's ``graph.propagate_graph`` turns
+those groups into edges, and :func:`propagate` reads them back into a table.
 
 A node's tokens are its label's tokens (tag and attributes, plus text when
 content is tokenized) and its xpath token, and a pair's IDF weights are
@@ -23,13 +24,15 @@ partner, found by one lookup per node. No xpath string is built.
 
 The table is kept as one row per second-tree node: ``rows[m]`` maps each
 first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
-row per ``m`` and propagation rewrites a row at a time, so every lookup is
-keyed by a plain int and no tuple is built per pair.
+row per ``m``, and the climb reads a row per ``m`` with the ancestor rows
+it needs, so every lookup is keyed by a plain int and no tuple is built per
+pair.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -242,26 +245,10 @@ def _xpath_partners(t1: LabeledTree, t2: LabeledTree) -> list[int | None]:
     return partners
 
 
-def check_row(m: int, row: Mapping[int, float], t1_size: int, t2_size: int) -> None:
-    """Raise :class:`NodeOutOfRange` unless ``rows[m] = row`` names nodes of
-    a ``t1_size``-node first tree and a ``t2_size``-node second tree.
-
-    A negative id would index from the end of a column, and an id past it
-    would alias another pair's edge key, so both are refused.
-    """
-    if not 0 <= m < t2_size:
-        raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
-    if row:
-        lo, hi = min(row), max(row)
-        if lo < 0 or hi >= t1_size:
-            bad = lo if lo < 0 else hi
-            raise NodeOutOfRange(f"t1 node {bad} outside a {t1_size}-node tree")
-
-
 _EMPTY_ROW: dict[int, float] = {}
 
 
-def ancestor_levels(
+def _ancestor_levels(
     m: int,
     rows: Mapping[int, dict[int, float]],
     parents2: tuple[int | None, ...],
@@ -283,6 +270,49 @@ def ancestor_levels(
     return levels
 
 
+def _score_groups(
+    base: dict[int, dict[int, float]],
+    parents1: tuple[int | None, ...],
+    parents2: tuple[int | None, ...],
+    weights: tuple[float, ...],
+    t1_size: int,
+    t2_size: int,
+) -> dict[float, list[int]]:
+    """The climb: each pair's blended score, with the edge keys
+    ``n * t2_size + m`` that have it; a key sorts as (n, m) does.
+
+    Raises :class:`NodeOutOfRange` for a t2 id out of range, and for a t1 id
+    outside ``[-t1_size, t1_size)`` that takes a climb step. Any other t1 id
+    out of range gives a key outside ``[0, t1_size * t2_size)``, which the
+    caller checks."""
+    w0 = weights[0]
+    by_score: defaultdict[float, list[int]] = defaultdict(list)
+    try:
+        for m, row in base.items():
+            if not 0 <= m < t2_size:
+                raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+            levels = _ancestor_levels(m, base, parents2, weights)
+            for n, s in row.items():
+                total = w0 * s
+                a = n
+                for w, up_row in levels:
+                    a = parents1[a]
+                    if a is None:
+                        break
+                    up = up_row.get(a)
+                    if up is not None:
+                        total += w * up
+                by_score[total].append(n * t2_size + m)
+    except IndexError:
+        # a t1 id outside [-t1_size, t1_size) fails the climb's first step
+        raise _t1_out_of_range(n, t1_size) from None
+    return by_score
+
+
+def _t1_out_of_range(n: int, t1_size: int) -> NodeOutOfRange:
+    return NodeOutOfRange(f"t1 node {n} outside a {t1_size}-node tree")
+
+
 def propagate(
     s0: SimilarityTable,
     t1: LabeledTree,
@@ -294,37 +324,24 @@ def propagate(
     Weight ``weights[k]`` applies to the ancestor pair k levels up, so the
     depth is ``len(weights) - 1``. Only pairs with a positive initial score
     are kept; a missing ancestor or an absent ancestor-pair score contributes
-    nothing. For each row ``m`` the weight and ancestor row of every level
-    are looked up once; each ``n`` then climbs its own parent chain
-    alongside them.
+    nothing.
 
-    This is the table form. The matcher runs ``graph.propagate_graph``,
-    which climbs the same way and groups each blended score straight into
-    the graph; this function stays for the API, as the reference the tests
-    pin that step to, and for the benchmark's traced stages. Raises
-    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
-    ``t2``.
+    This is the table form: the climb the matcher's ``graph.propagate_graph``
+    runs, with its score groups read back into rows. It stays for the API,
+    as the step the tests pin to their reference, and for the benchmark's
+    traced stages. Raises :class:`NodeOutOfRange` when an entry names a node
+    outside ``t1`` or ``t2``.
     """
-    weights = params.weights
-    w0 = weights[0]
-    parents1, parents2 = t1.parents, t2.parents
     t1_size, t2_size = len(t1), len(t2)
-    base = s0.rows
-    out: dict[int, dict[int, float]] = {}
-    for m, row in base.items():
-        check_row(m, row, t1_size, t2_size)
-        levels = ancestor_levels(m, base, parents2, weights)
-        blended: dict[int, float] = {}
-        for n, s in row.items():
-            total = w0 * s
-            a = n
-            for w, up_row in levels:
-                a = parents1[a]
-                if a is None:
-                    break
-                up = up_row.get(a)
-                if up is not None:
-                    total += w * up
-            blended[n] = total
-        out[m] = blended
-    return SimilarityTable(rows=out)
+    by_score = _score_groups(s0.rows, t1.parents, t2.parents, params.weights, t1_size, t2_size)
+    rows: dict[int, dict[int, float]] = {m: {} for m in s0.rows}
+    # with m in range, a key is in [0, t1_size * t2_size) exactly when n is
+    end = t1_size * t2_size
+    for score, keys in by_score.items():
+        lo, hi = min(keys), max(keys)
+        if lo < 0 or hi >= end:
+            raise _t1_out_of_range((lo if lo < 0 else hi) // t2_size, t1_size)
+        for key in keys:
+            n, m = divmod(key, t2_size)
+            rows[m][n] = score
+    return SimilarityTable(rows=rows)
