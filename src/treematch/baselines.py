@@ -61,7 +61,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .graph import Matching
-from .tree import LabeledTree, subtree_sizes
+from .tree import LabeledTree, label_ids, subtree_sizes
 
 
 class _Structure(NamedTuple):
@@ -105,19 +105,6 @@ def _postorder_structure(tree: LabeledTree) -> tuple[_Structure, _Structure]:
         return _Structure(order, lmd, [p for p, v in enumerate(order) if keyroot[v]])
 
     return structure(order, not_first), structure(list(range(n - 1, -1, -1)), not_last)
-
-
-def _label_ids(t1: LabeledTree, t2: LabeledTree) -> tuple[list[int], list[int]]:
-    """Each node's (tag, attributes), interned to a small int, by node id."""
-    interned: dict[tuple, int] = {}
-
-    def build(tree: LabeledTree) -> list[int]:
-        return [
-            interned.setdefault(label, len(interned))
-            for label in zip(tree.tags, tree.attributes)
-        ]
-
-    return build(t1), build(t2)
 
 
 def _leaves_by_label(keyroots: list[int], lmd: list[int], lab: list[int]) -> dict[int, list[int]]:
@@ -183,7 +170,7 @@ class _ZsRun:
     def __init__(self, t1: LabeledTree, t2: LabeledTree):
         left1, right1 = _postorder_structure(t1)
         left2, right2 = _postorder_structure(t2)
-        ids1, ids2 = _label_ids(t1, t2)
+        ids1, ids2, _ = label_ids(t1, t2)
         n1, n2 = len(ids1), len(ids2)
         self.mirrored = right1.span * right2.span < left1.span * left2.span
         pass1, pass2 = (right1, right2) if self.mirrored else (left1, left2)

@@ -35,10 +35,9 @@ import math
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, label_tokens, tokenize_node
-from .tree import LabeledTree
+from .tree import LabeledTree, label_ids
 
 
 class NodeOutOfRange(ValueError):
@@ -158,13 +157,6 @@ def _row(
     return {} if scores is None else scores
 
 
-def _label_keys(tree: LabeledTree, options: TokenOptions) -> list[tuple]:
-    """Each node's label by node id: (tag, attributes, text), with text
-    ``None`` unless ``options.include_content`` is set."""
-    texts = tree.texts if options.include_content else repeat(None)
-    return list(zip(tree.tags, tree.attributes, texts))
-
-
 def initial_similarity(
     t1: LabeledTree,
     t2: LabeledTree,
@@ -175,10 +167,8 @@ def initial_similarity(
     t1_size = len(t1)
     cutoff = threshold_cutoff(t1_size, params.alpha)
     # each label of either tree interned to an int and tokenized once
-    ids: dict[tuple, int] = {}
-    labels1 = [ids.setdefault(key, len(ids)) for key in _label_keys(t1, options)]
-    labels2 = [ids.setdefault(key, len(ids)) for key in _label_keys(t2, options)]
-    tokens = [sorted(label_tokens(*key, options)) for key in ids]
+    labels1, labels2, labels = label_ids(t1, t2, options.include_content)
+    tokens = [sorted(label_tokens(*key, options)) for key in labels]
     holders: list[list[int]] = [[] for _ in tokens]
     for n, label in enumerate(labels1):
         holders[label].append(n)

@@ -14,8 +14,8 @@ the segments from the root down, and ``tree.nodes`` holds the ``TreeNode``
 views that ``tree.node(i)`` and iteration read. The matcher and the baseline
 read the columns only, and so does the mutation engine, which edits lists
 indexed by node id and seals its rows with the readers' last step. Mutable
-:class:`DraftNode` trees are for trees built by hand; :func:`thaw` turns a
-tree into drafts and :func:`freeze` turns drafts back into a ``LabeledTree``.
+:class:`DraftNode` trees are for trees built by hand; :func:`freeze` turns
+drafts into a ``LabeledTree``.
 
 HTML is read by one of two readers, both feeding the same tree builder, so
 the tree rules (implied ends, void tags, first root wins, raw text, first
@@ -189,6 +189,22 @@ def subtree_sizes(tree: LabeledTree) -> list[int]:
     return size
 
 
+def label_ids(
+    t1: LabeledTree, t2: LabeledTree, with_text: bool = False
+) -> tuple[list[int], list[int], list[tuple]]:
+    """Each node's label, interned to a small int over both trees, by node id
+    in ``t1`` and in ``t2``, and the labels by int. A label is ``(tag,
+    attributes, text)``, with text ``None`` unless ``with_text`` is set."""
+    ids: dict[tuple, int] = {}
+
+    def intern(tree: LabeledTree) -> list[int]:
+        texts = tree.texts if with_text else repeat(None)
+        return [ids.setdefault(key, len(ids)) for key in zip(tree.tags, tree.attributes, texts)]
+
+    ids1, ids2 = intern(t1), intern(t2)
+    return ids1, ids2, list(ids)
+
+
 # the characters a segment puts a backslash before: the backslash itself,
 # the step separator "/" and the rank opener "["
 _ODD = re.compile(r"[\\/\[]")
@@ -245,19 +261,6 @@ def _seal(rows: list[_Row]) -> LabeledTree:
     return LabeledTree(
         tags, attributes, texts, parents, tuple(map(tuple, children)), tuple(segments), signatures
     )
-
-
-def thaw(tree: LabeledTree) -> list[DraftNode]:
-    """Deep mutable copy of a tree, inverse of :func:`freeze` (ids and
-    segments dropped): the drafts indexed by node id, so the root is ``[0]``."""
-    drafts = [
-        DraftNode(tag=tag, attrs=list(attrs), text=text, signature=signature)
-        for tag, attrs, text, signature
-        in zip(tree.tags, tree.attributes, tree.texts, tree.signatures)
-    ]
-    for draft, kids in zip(drafts, tree.children):
-        draft.children = [drafts[c] for c in kids]
-    return drafts
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,20 @@ from treematch.tree import (
     LabeledTree,
     TreeNode,
     freeze,
-    thaw,
 )
+
+
+def thaw(tree: LabeledTree) -> list[DraftNode]:
+    """Deep mutable copy of a tree, inverse of ``freeze`` (ids and
+    segments dropped): the drafts indexed by node id, so the root is ``[0]``."""
+    drafts = [
+        DraftNode(tag=tag, attrs=list(attrs), text=text, signature=signature)
+        for tag, attrs, text, signature
+        in zip(tree.tags, tree.attributes, tree.texts, tree.signatures)
+    ]
+    for draft, kids in zip(drafts, tree.children):
+        draft.children = [drafts[c] for c in kids]
+    return drafts
 
 
 def brute_force_s0(

@@ -17,6 +17,7 @@ from oracles import (
     reference_ted_match,
     reference_ted_table,
     table_from_scores,
+    thaw,
 )
 from strategies import labeled_trees, tree_pairs
 from treematch.baselines import _postorder_structure, _ZsRun, ted_distance, ted_match
@@ -24,7 +25,7 @@ from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import metropolis
 from treematch.similarity import SftmParams, initial_similarity, propagate
-from treematch.tree import DraftNode, LabeledTree, freeze, parse_html, thaw
+from treematch.tree import DraftNode, LabeledTree, freeze, parse_html
 
 PARAMS = SftmParams()
 

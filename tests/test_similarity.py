@@ -16,7 +16,6 @@ from oracles import (
 from strategies import labeled_trees, tree_pairs
 from treematch import similarity
 from treematch.similarity import (
-    _label_keys,
     SftmParams,
     TokenIndex,
     apply_threshold,
@@ -26,7 +25,7 @@ from treematch.similarity import (
     threshold_cutoff,
 )
 from treematch.tokens import TokenOptions, label_tokens, tokenize_node
-from treematch.tree import DraftNode, freeze, parse_html
+from treematch.tree import DraftNode, freeze, label_ids, parse_html
 
 EXACT = SftmParams(alpha=1.0)
 
@@ -327,12 +326,18 @@ def odd_label_trees(draw, max_nodes: int = 10):
     return freeze(nodes[0])
 
 
+def label_keys(tree, options):
+    """Each node's label by node id, as ``initial_similarity`` interns it."""
+    ids, _, labels = label_ids(tree, tree, options.include_content)
+    return [labels[label] for label in ids]
+
+
 def label_then_xpath(tree, options):
     """Each node's sorted label tokens followed by its xpath token: the
     order in which ``initial_similarity`` adds a node's weights."""
     return [
         sorted(label_tokens(*key, options)) + ["xpath:" + xpath]
-        for key, xpath in zip(_label_keys(tree, options), tree.xpaths())
+        for key, xpath in zip(label_keys(tree, options), tree.xpaths())
     ]
 
 
@@ -370,7 +375,7 @@ class TestLabelTokens:
         tree = parse_html(next(CORPUS_DIR.glob(page + "_*.html")).read_bytes())
         options = TOKEN_MODES[mode]
         assert label_then_xpath(tree, options) == sorted_tokens(tree, options)
-        assert len(set(_label_keys(tree, options))) < len(tree)
+        assert len(set(label_keys(tree, options))) < len(tree)
 
     def test_xpath_token_sorts_after_label_tokens(self):
         tree = freeze(DraftNode(tag="zz", attrs=[("~", "zz")], text="zz"))

@@ -12,6 +12,7 @@ from oracles import (
     reference_parse_html,
     reference_parse_tree_json,
     reference_serialize_tree_json,
+    thaw,
 )
 from strategies import draft_trees, html_documents, labeled_trees, signed_tree, tree_columns
 import treematch.tree as tree_module
@@ -23,11 +24,11 @@ from treematch.tree import (
     _TOKEN,
     _scan,
     freeze,
+    label_ids,
     parse_html,
     parse_tree_json,
     serialize_tree_json,
     subtree_sizes,
-    thaw,
 )
 
 
@@ -359,6 +360,19 @@ class TestInvariants:
         tree = freeze(draft)
         again = freeze(thaw(tree)[0])
         assert serialize_tree_json(tree) == serialize_tree_json(again)
+
+    @given(labeled_trees(max_nodes=12), labeled_trees(max_nodes=12), st.booleans())
+    def test_label_ids_intern_over_both_trees(self, t1, t2, with_text):
+        ids1, ids2, labels = label_ids(t1, t2, with_text)
+
+        def keys(tree):
+            texts = tree.texts if with_text else [None] * len(tree)
+            return list(zip(tree.tags, tree.attributes, texts))
+
+        # equal ints exactly for equal labels, numbered in order of first use
+        assert [labels[i] for i in ids1] == keys(t1)
+        assert [labels[i] for i in ids2] == keys(t2)
+        assert labels == list(dict.fromkeys(keys(t1) + keys(t2)))
 
     @given(labeled_trees(max_nodes=20))
     def test_subtree_sizes_are_id_ranges(self, tree):
