@@ -63,7 +63,7 @@ def run(page: Path, ratio: float, seed: int) -> dict:
         "mutant_nodes": len(mutant),
         "page": page.stem,
         "ratio": ratio,
-        "recall": len(truth & edges) / len(truth) if truth else 0.0,
+        "recall": len(truth & edges) / len(truth),
         "seed": seed,
         "source_nodes": len(source),
         "walk": outcome(walk, truth, len(source)),
@@ -86,9 +86,9 @@ def means(runs: list[dict]) -> dict:
     return out
 
 
-def record(pages: list[Path], ratios=RATIOS, seeds=SEEDS) -> str:
+def record(pages: list[Path]) -> str:
     """The record of every page x ratio x seed run, as the JSON text written."""
-    runs = [run(page, ratio, seed) for page in pages for ratio in ratios for seed in seeds]
+    runs = [run(page, ratio, seed) for page in pages for ratio in RATIOS for seed in SEEDS]
     body = {"means": means(runs), "params": asdict(PARAMS), "runs": runs}
     return json.dumps(body, indent=1, sort_keys=True) + "\n"
 
