@@ -41,7 +41,13 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import floordiv, itemgetter, mod
 
-from .similarity import NodeOutOfRange, SftmParams, SimilarityTable, _score_groups, _t1_out_of_range
+from .similarity import (
+    NodeOutOfRange,
+    SftmParams,
+    SimilarityTable,
+    _score_groups,
+    _t1_out_of_range,
+)
 from .tree import LabeledTree
 
 

@@ -45,7 +45,7 @@ def test_slice_is_sorted_and_covers_every_run(slice_text):
     assert slice_text == json.dumps(record, indent=1, sort_keys=True) + "\n"
     assert record["params"]["seed"] == 1
     keys = [(r["page"][:3], r["ratio"], r["seed"]) for r in record["runs"]]
-    assert keys == [(p, ratio, seed) for p in PAGES for ratio in (0.1, 0.2, 0.3) for seed in (1, 2)]
+    assert keys == [(p, r, s) for p in PAGES for r in (0.1, 0.2, 0.3) for s in (1, 2)]
     for ratio, mean in record["means"].items():
         rows = [r for r in record["runs"] if repr(r["ratio"]) == ratio]
         assert mean["runs"] == len(rows) == 4
