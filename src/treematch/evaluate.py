@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -212,6 +210,8 @@ def evaluate_pair(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
     timeout_s = timeout_cap(timeout_s)
+    import multiprocessing  # only bench needs it, so importing treematch does not load it
+
     receiver, sender = multiprocessing.Pipe(duplex=False)
     child = multiprocessing.Process(target=_pair_main, args=(sender, directory, algorithm, params))
     child.start()
@@ -272,6 +272,8 @@ def run_benchmark(
         (str(directory), tuple(algorithms), params, timeout_s)
         for directory in discover_bundles(corpus_dir)
     ]
+    from concurrent.futures import ProcessPoolExecutor  # as multiprocessing in evaluate_pair
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(_bench_task, tasks, chunksize=1))
     rows: list[BenchRow] = []

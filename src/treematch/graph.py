@@ -2,44 +2,49 @@
 
 An edge exists only for node pairs with a positive propagated similarity;
 its cost is 1/(1+score), so better-scoring pairs are cheaper. The matcher
-builds it with :func:`propagate_graph`, which runs the propagation climb of
-``similarity`` on the initial scores, then groups its score groups by cost
-and builds the edge layout. :func:`build_graph`, the graph of a table
-that is already propagated, is its depth-0 case: no ancestor level, so each
-score is its own. A full matching covers every node of both trees exactly
-once, either by a pair or by the no-match assignment, and is charged
-``no_match_cost`` per unmatched node. A :class:`Matching` stores only its
-pairs and the two tree sizes; the unmatched sets are every node no pair
-covers, so they are derived, never stored.
+builds it with :func:`graph_from_rows`, which runs the propagation climb of
+``similarity`` on the initial rows as they are scored, then groups its
+score groups by cost and builds the edge layout. :func:`propagate_graph`
+does the same from an initial table, and :func:`build_graph`, the graph of
+a table that is already propagated, is its depth-0 case: no ancestor
+level, so each score is its own. A full matching covers every node of
+both trees exactly once, either by a pair or by the no-match assignment,
+and is charged ``no_match_cost`` per unmatched node. A :class:`Matching`
+stores only its pairs and the two tree sizes; the unmatched sets are every
+node no pair covers, so they are derived, never stored.
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
 built per edge on the matching path. That order comes from grouping the int
 keys ``n * len(t2) + m``, which sort as (n, m) does, by cost: scores that
 round to one cost share a group, the distinct costs are sorted, and each
-group is sorted by key. The build holds little beside its output: a
-similarity table passed straight into :func:`propagate_graph` is freed once
-the climb has read it, the first score group of each cost becomes the cost
-group and is sorted in place, each temporary is dropped once read, and the
-node ids in the edge arrays are one shared int object per node, not one per
-edge.
+group is sorted by key. The build holds little beside its output: the
+climb keeps only the initial rows of open ancestors (a similarity table
+passed straight into :func:`propagate_graph` is freed once its rows are
+listed, and each row once climbed), the first score group of each cost
+becomes the cost group and is sorted in place, each temporary is dropped
+once read, and the node ids in the edge arrays are one shared int object
+per node, not one per edge. Each node id is looked up as it is read, so no
+int object per edge lives past its lookup.
 
 Per-node adjacency is built on first access and cached, since the matching
 path never reads it. The optimizer reads per-node edge chains instead: for
 each node of the smaller tree, its edge indices linked in that order, kept
-in two compact ``array('i')``s built on first access, and a byte mark on
-each chain's first edge that every proposal copies.
+in two compact ``array('i')``s built on first access, with each link
+written straight into its array, and a byte mark on each chain's first edge
+that every proposal copies.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import floordiv, itemgetter, mod
+from operator import floordiv, mod
+from typing import TypeVar
 
 from .similarity import (
     NodeOutOfRange,
@@ -49,6 +54,8 @@ from .similarity import (
     _t1_out_of_range,
 )
 from .tree import LabeledTree
+
+T = TypeVar("T")
 
 
 class NotFull(ValueError):
@@ -132,12 +139,15 @@ def _adjacency(ends: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
 def _chains(ends: tuple[int, ...], size: int) -> tuple[array, array]:
     end = len(ends)
     first = [end] * size
-    nxt = [end] * end
-    for idx in range(end - 1, -1, -1):
-        node = ends[idx]
-        nxt[idx] = first[node]
-        first[node] = idx
-    return array("i", first), array("i", nxt)
+    nxt = array("i", [end]) * end
+    # written through a memoryview, which stores an int faster than the
+    # array does, so no int object is kept per edge
+    with memoryview(nxt) as links:
+        for idx in range(end - 1, -1, -1):
+            node = ends[idx]
+            links[idx] = first[node]
+            first[node] = idx
+    return array("i", first), nxt
 
 
 # one level, w0 = 1: no ancestor climbs, and 1.0 * s is s to the bit
@@ -157,31 +167,48 @@ def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchG
 def propagate_graph(
     s0: SimilarityTable, t1: LabeledTree, t2: LabeledTree, params: SftmParams
 ) -> MatchGraph:
-    """``build_graph(propagate(s0, t1, t2, params), t1, t2)`` in one pass.
+    """``build_graph(propagate(s0, t1, t2, params), t1, t2)`` in one pass:
+    :func:`graph_from_rows` on the table's rows in ascending ``m``.
+    Edges and costs equal the two-step form's to the bit. Raises
+    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
+    ``t2``.
+
+    ``s0`` is only read. Its rows are listed, then ``del s0`` drops this
+    call's reference: a table passed straight in, as in
+    ``propagate_graph(initial_similarity(...), ...)``, is freed there, and
+    each of its rows once the climb is done with it; a table the caller
+    keeps stays alive, unchanged.
+    """
+    rows = sorted(s0.rows.items())
+    del s0
+    return graph_from_rows(_drained(rows), t1, t2, params)
+
+
+def graph_from_rows(
+    rows: Iterable[tuple[int, dict[int, float]]],
+    t1: LabeledTree,
+    t2: LabeledTree,
+    params: SftmParams,
+) -> MatchGraph:
+    """The graph of the initial ``rows``, given as ``(m, row)`` in ascending
+    ``m``, propagated with ``params.weights``.
 
     The climb is the one :func:`propagate` runs, and its score groups of
     edge keys go straight into cost groups, so no propagated table is
-    built. Edges and costs equal the two-step form's to the bit.
-    Raises :class:`NodeOutOfRange` when an entry names a node outside ``t1``
-    or ``t2``.
-
-    ``s0`` is only read. When it is passed straight in, as in
-    ``propagate_graph(initial_similarity(...), ...)``, this call holds its
-    last reference, so the table is freed once the climb ends, before any
-    edge column is built; a table the caller keeps stays alive, unchanged.
-    Each later temporary is dropped once read, and the node ids in
-    ``edge_n`` and ``edge_m`` are one shared int object per node.
+    built. Fed by ``similarity.initial_rows``, as the matcher does, no
+    initial table is built either: the climb keeps only the rows of open
+    ancestors. Each later temporary is dropped once read, and the node ids
+    in ``edge_n`` and ``edge_m`` are one shared int object per node. Raises
+    :class:`NodeOutOfRange` when a row names a node outside ``t1`` or
+    ``t2``.
     """
     t1_size, t2_size = len(t1), len(t2)
-    by_score = _score_groups(s0.rows, t1.parents, t2.parents, params.weights, t1_size, t2_size)
-    del s0  # frees a table passed straight in, with every row the climb read
+    by_score = _score_groups(rows, t1, t2, params.weights)
     costs, groups = _cost_groups(by_score, t1_size, t2_size)
     del by_score
     sizes = list(map(len, groups))
-    count = sum(sizes)
-    edge_n = _shared(t1_size, map(floordiv, chain.from_iterable(groups), repeat(t2_size)), count)
-    edge_m = _shared(
-        t2_size, map(mod, chain.from_iterable(_drained(groups)), repeat(t2_size)), count)
+    edge_n = _shared(t1_size, map(floordiv, chain.from_iterable(groups), repeat(t2_size)))
+    edge_m = _shared(t2_size, map(mod, chain.from_iterable(_drained(groups)), repeat(t2_size)))
     return MatchGraph(
         edge_n=edge_n,
         edge_m=edge_m,
@@ -218,21 +245,18 @@ def _cost_groups(
     return costs, groups
 
 
-def _drained(groups: list[list[int]]) -> Iterator[list[int]]:
-    """Empty ``groups`` in order, so that each is freed once it is read."""
-    groups.reverse()
-    while groups:
-        yield groups.pop()
+def _drained(items: list[T]) -> Iterator[T]:
+    """Empty ``items`` in order, so that each is freed once it is read."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
-def _shared(size: int, ids: Iterator[int], count: int) -> tuple[int, ...]:
-    """The ``count`` node ids ``ids``, each in ``range(size)``, as a tuple
-    that holds one int object per node rather than one per edge."""
-    nodes = list(range(size))
-    if count > 1:
-        return itemgetter(*ids)(nodes)
-    # itemgetter needs an index, and gives a bare item for one
-    return tuple(map(nodes.__getitem__, ids))
+def _shared(size: int, ids: Iterator[int]) -> tuple[int, ...]:
+    """The node ids ``ids``, each in ``range(size)``, as a tuple that holds
+    one int object per node rather than one per edge; each id read is
+    freed at once."""
+    return tuple(map(list(range(size)).__getitem__, ids))
 
 
 def edge_count(g: MatchGraph) -> int:

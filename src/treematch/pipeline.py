@@ -1,11 +1,12 @@
-"""End-to-end matching: similarity, propagation straight into the graph,
-then Metropolis search."""
+"""End-to-end matching: similarity rows streamed through propagation
+straight into the graph, then Metropolis search. No similarity table is
+built: each scored row goes into the climb as it is made."""
 
 from __future__ import annotations
 
-from .graph import MatchGraph, Matching, propagate_graph
+from .graph import MatchGraph, Matching, graph_from_rows
 from .optimize import metropolis
-from .similarity import SftmParams, initial_similarity
+from .similarity import SftmParams, initial_rows
 from .tree import LabeledTree
 
 
@@ -14,8 +15,8 @@ def match_trees_detailed(
     t2: LabeledTree,
     params: SftmParams = SftmParams(),
 ) -> tuple[Matching, MatchGraph]:
-    # the table goes straight in, so propagate_graph frees it after the climb
-    g = propagate_graph(initial_similarity(t1, t2, params), t1, t2, params)
+    # the scored rows stream into the climb, so no similarity table is built
+    g = graph_from_rows(initial_rows(t1, t2, params), t1, t2, params)
     return metropolis(g, params), g
 
 

@@ -3,10 +3,15 @@
 Pipeline: build an inverted index over the first tree's tokens, drop tokens
 that occur in too many nodes (sublinear threshold), score each second-tree
 node against the index with IDF weighting, then propagate scores up the
-parent chain so local topology counts too. Propagation is one climb,
-``_score_groups``: it groups the pairs by blended score, each pair as the
-int key ``n * len(t2) + m``. The matcher's ``graph.propagate_graph`` turns
-those groups into edges, and :func:`propagate` reads them back into a table.
+parent chain so local topology counts too. Scoring is one loop,
+:func:`initial_rows`, which yields each second-tree node's row in
+pre-order; :func:`initial_similarity` collects them into a table.
+Propagation is one climb, ``_score_groups``: it reads rows in ascending
+``m`` and groups the pairs by blended score, each pair as the int key
+``n * len(t2) + m``. The matcher feeds it :func:`initial_rows` straight
+through ``graph.graph_from_rows``, which turns the groups into edges, so no
+table is built on the match path; :func:`propagate` reads the groups back
+into a table.
 
 A node's tokens are its label's tokens (tag and attributes, plus text when
 content is tokenized) and its xpath token, and a pair's IDF weights are
@@ -22,22 +27,25 @@ so a node's xpath weight is added last. An xpath names one node of its tree
 node with the same xpath: the node with the same segment under the parent's
 partner, found by one lookup per node. No xpath string is built.
 
-The table is kept as one row per second-tree node: ``rows[m]`` maps each
+Scores are kept as one row per second-tree node: ``rows[m]`` maps each
 first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
 row per ``m``, and the climb reads a row per ``m`` with the ancestor rows
 it needs, so every lookup is keyed by a plain int and no tuple is built per
-pair.
+pair. Rows come in pre-order, so a row's ancestors come before it and a
+subtree's rows come together: the climb keeps a row only until its node's
+subtree has been climbed, and at most the rows of one root-to-leaf path
+are held at once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions, label_tokens, tokenize_node
-from .tree import LabeledTree, label_ids
+from .tree import LabeledTree, label_ids, subtree_sizes
 
 
 class NodeOutOfRange(ValueError):
@@ -162,7 +170,19 @@ def initial_similarity(
     t2: LabeledTree,
     params: SftmParams,
 ) -> SimilarityTable:
-    """Label-only similarity for every node pair that shares an indexed token."""
+    """Label-only similarity for every node pair that shares an indexed token:
+    the rows of :func:`initial_rows`, collected into a table."""
+    return SimilarityTable(rows=dict(initial_rows(t1, t2, params)))
+
+
+def initial_rows(
+    t1: LabeledTree,
+    t2: LabeledTree,
+    params: SftmParams,
+) -> Iterator[tuple[int, dict[int, float]]]:
+    """``(m, row)`` for each second-tree node ``m`` with a positive score, in
+    pre-order: ``row[n]`` is the label-only similarity of the pair ``(n, m)``.
+    A yielded row is the consumer's own; nothing here keeps it."""
     options = params.tokens
     t1_size = len(t1)
     cutoff = threshold_cutoff(t1_size, params.alpha)
@@ -199,7 +219,6 @@ def initial_similarity(
     for label in labels2:
         left[label] += 1
     label_rows: list[dict[int, float] | None] = [None] * len(tokens)
-    rows: dict[int, dict[int, float]] = {}
     for m, (label, partner) in enumerate(zip(labels2, partners)):
         row = label_rows[label]
         if row is None:
@@ -214,8 +233,7 @@ def initial_similarity(
         if partner is not None and lone > 0.0:
             row[partner] = row.get(partner, 0.0) + lone
         if row:
-            rows[m] = row
-    return SimilarityTable(rows=rows)
+            yield m, row
 
 
 def _xpath_partners(t1: LabeledTree, t2: LabeledTree) -> list[int | None]:
@@ -261,27 +279,42 @@ def _ancestor_levels(
 
 
 def _score_groups(
-    base: dict[int, dict[int, float]],
-    parents1: tuple[int | None, ...],
-    parents2: tuple[int | None, ...],
+    rows: Iterable[tuple[int, dict[int, float]]],
+    t1: LabeledTree,
+    t2: LabeledTree,
     weights: tuple[float, ...],
-    t1_size: int,
-    t2_size: int,
 ) -> dict[float, list[int]]:
     """The climb: each pair's blended score, with the edge keys
-    ``n * t2_size + m`` that have it; a key sorts as (n, m) does.
+    ``n * len(t2) + m`` that have it; a key sorts as (n, m) does.
+
+    ``rows`` gives each second-tree node's initial row in ascending ``m``,
+    so a row's ancestor rows come before it. Only the rows of open t2
+    ancestors are kept: a row is dropped once its node's subtree has been
+    climbed, and a leaf's row is never kept. Siblings share their ancestor
+    levels, which are found again only when the t2 parent changes.
 
     Raises :class:`NodeOutOfRange` for a t2 id out of range, and for a t1 id
-    outside ``[-t1_size, t1_size)`` that takes a climb step. Any other t1 id
-    out of range gives a key outside ``[0, t1_size * t2_size)``, which the
+    outside ``[-len(t1), len(t1))`` that takes a climb step. Any other t1 id
+    out of range gives a key outside ``[0, len(t1) * len(t2))``, which the
     caller checks."""
+    t2_size = len(t2)
+    parents1, parents2 = t1.parents, t2.parents
+    sizes = subtree_sizes(t2)
     w0 = weights[0]
     by_score: defaultdict[float, list[int]] = defaultdict(list)
-    try:
-        for m, row in base.items():
-            if not 0 <= m < t2_size:
-                raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
-            levels = _ancestor_levels(m, base, parents2, weights)
+    kept: dict[int, dict[int, float]] = {}
+    # (subtree end, node) of each kept row, innermost last
+    open_ends: list[tuple[int, int]] = []
+    parent: int | None = -1  # no node's parent: the first row finds its levels
+    for m, row in rows:
+        if not 0 <= m < t2_size:
+            raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+        while open_ends and open_ends[-1][0] <= m:
+            del kept[open_ends.pop()[1]]
+        if parents2[m] != parent:
+            parent = parents2[m]
+            levels = _ancestor_levels(m, kept, parents2, weights)
+        try:
             for n, s in row.items():
                 total = w0 * s
                 a = n
@@ -293,9 +326,13 @@ def _score_groups(
                     if up is not None:
                         total += w * up
                 by_score[total].append(n * t2_size + m)
-    except IndexError:
-        # a t1 id outside [-t1_size, t1_size) fails the climb's first step
-        raise _t1_out_of_range(n, t1_size) from None
+        except IndexError:
+            # a t1 id outside [-len(t1), len(t1)) fails the climb's first step
+            raise _t1_out_of_range(n, len(t1)) from None
+        size = sizes[m]
+        if size > 1:
+            open_ends.append((m + size, m))
+            kept[m] = row
     return by_score
 
 
@@ -316,14 +353,15 @@ def propagate(
     are kept; a missing ancestor or an absent ancestor-pair score contributes
     nothing.
 
-    This is the table form: the climb the matcher's ``graph.propagate_graph``
-    runs, with its score groups read back into rows. It stays for the API,
-    as the step the tests pin to their reference, and for the benchmark's
-    traced stages. Raises :class:`NodeOutOfRange` when an entry names a node
-    outside ``t1`` or ``t2``.
+    This is the table form: the climb the matcher's ``graph.graph_from_rows``
+    runs, on the table's rows in ascending ``m``, with its score groups read
+    back into rows. It stays for the API, as the step the tests pin to their
+    reference, and for the benchmark's traced stages. Raises
+    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
+    ``t2``.
     """
     t1_size, t2_size = len(t1), len(t2)
-    by_score = _score_groups(s0.rows, t1.parents, t2.parents, params.weights, t1_size, t2_size)
+    by_score = _score_groups(sorted(s0.rows.items()), t1, t2, params.weights)
     rows: dict[int, dict[int, float]] = {m: {} for m in s0.rows}
     # with m in range, a key is in [0, t1_size * t2_size) exactly when n is
     end = t1_size * t2_size

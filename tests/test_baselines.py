@@ -420,8 +420,11 @@ class TestTedBacktrace:
         for a, b in ((t1, t2), (t2, t1), (mirrored(t1), mirrored(t2))):
             run, calls, _ = self.mapping_fills(monkeypatch, a, b)
             self.assert_in_band(run, calls)
+            got, want = ted_match(a, b), reference_ted_match(a, b)
+            assert got.pairs == want.pairs
+            assert [c.hex() for c in got.pair_costs] == [c.hex() for c in want.pair_costs]
             # a relabel is paid in a pair cost, an insert or delete in none
-            assert sum(ted_match(a, b).pair_costs) == (distance if len(a) == len(b) else 0.0)
+            assert sum(got.pair_costs) == (distance if len(a) == len(b) else 0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([("a",), ("a", "b")]).flatmap(lambda tags: st.tuples(

@@ -451,6 +451,21 @@ def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
                           timeout=timeout, env=env)
 
 
+def test_import_leaves_process_machinery_unloaded():
+    # only bench starts processes; a fresh interpreter, since this one has
+    # imported multiprocessing already
+    script = textwrap.dedent("""
+        import sys
+        import treematch, treematch.cli
+        loaded = sorted(name for name in ("multiprocessing", "concurrent.futures")
+                        if name in sys.modules)
+        print(loaded)
+    """)
+    done = run_python(["-c", script], timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 class TestStartMethods:
     @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
     def test_rows_and_cap_hold(self, tmp_path, method):

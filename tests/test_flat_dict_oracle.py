@@ -2,8 +2,9 @@
 flat ``(n, m)``-keyed stages kept in ``oracles.py``: same scores to the bit,
 same edge arrays and adjacency. The graph the matcher builds straight from
 the initial table, with no propagated table between, is held to the same
-reference. Both graphs are also checked on hand-made tables whose scores
-tie, or differ but give the same cost."""
+reference, and so is the matcher's own graph, whose climb reads the scored
+rows as they stream out with no table at all. Both graphs are also checked
+on hand-made tables whose scores tie, or differ but give the same cost."""
 
 from __future__ import annotations
 
@@ -22,10 +23,11 @@ from oracles import (
     reference_propagate,
     table_from_scores,
 )
-from strategies import tree_pairs
+from strategies import TAGS, draft_trees, labeled_trees, tree_pairs
 from treematch.graph import build_graph, propagate_graph
 from treematch.mutate import assign_signatures, mutate
-from treematch.similarity import SftmParams, initial_similarity, propagate
+from treematch.pipeline import match_trees_detailed
+from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
 from treematch.tokens import DEFAULT_TOKEN_OPTIONS, TokenOptions
 from treematch.tree import DraftNode, freeze, parse_html
 
@@ -50,6 +52,9 @@ def assert_same_stages(t1, t2, params: SftmParams, options: TokenOptions) -> Non
     ref = reference_build_graph(table_from_scores(ref_p), t1, t2)
     assert_same_graph(build_graph(sp, t1, t2), ref)
     assert_same_graph(propagate_graph(s0, t1, t2, params), ref)
+    # the matcher streams the rows into the climb, and builds no table
+    _, g = match_trees_detailed(t1, t2, replace(params, tokens=options, iterations=1))
+    assert_same_graph(g, ref)
 
 
 def assert_same_graph(g, ref) -> None:
@@ -104,6 +109,75 @@ def test_random_trees_odd_tags(pair, params, options):
     lookup by segment agrees with the per-node xpath strings."""
     t1, t2 = pair
     assert_same_stages(t1, t2, params, OPTIONS[options])
+
+
+GAP = "gap"  # a tag no first tree has
+assert GAP not in TAGS
+
+
+@st.composite
+def gapped_pairs(draw):
+    """A tree and a second tree in which some nodes are bare ``GAP`` nodes.
+
+    A gap node shares no label token with the first tree, and no node under
+    it has an xpath partner, so it has no row: a row below it climbs past a
+    node without one to reach its scored ancestors."""
+    shape = draw(draft_trees(max_nodes=14))
+    stack = list(shape.children)
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if draw(st.integers(0, 2)) == 0:
+            node.tag, node.attrs, node.text = GAP, [], None
+    return draw(labeled_trees(max_nodes=12)), freeze(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gapped_pairs(), st.sampled_from([1, 2, 3, 5]), st.sampled_from([0.5, 1.0]),
+       st.sampled_from(sorted(OPTIONS)))
+def test_streaming_climb_over_rowless_nodes(pair, depth, alpha, options):
+    """Weights of length 1, 2, 3 and 5: the matcher's graph, propagated from
+    rows as they are scored, equals ``propagate_graph`` of the initial table
+    and the reference build to the bit, with rowless nodes between a row and
+    its scored ancestors."""
+    t1, t2 = pair
+    params = SftmParams(alpha=alpha, weights=(1.0, 0.5, 0.25, 0.75, 2.0)[:depth])
+    assert_same_stages(t1, t2, params, OPTIONS[options])
+
+
+def test_rowless_nodes_between_a_row_and_its_ancestors():
+    # t2's rows are 0 (div), 3 (p) and 4 (b); 1 and 2 are gaps, so the pair
+    # of the two p nodes climbs two rowless levels to reach the div pair
+    def chain(*tags):
+        node = DraftNode(tag=tags[-1])
+        for tag in reversed(tags[:-1]):
+            node = DraftNode(tag=tag, children=[node])
+        return freeze(node)
+
+    t1, t2 = chain("div", "span", "a", "p", "b"), chain("div", GAP, GAP, "p", "b")
+    params = SftmParams(alpha=1.0, weights=(1.0, 0.5, 0.25, 0.125))
+    s0 = initial_similarity(t1, t2, params)
+    assert sorted(s0.rows) == [0, 3, 4]
+    assert_same_stages(t1, t2, params, DEFAULT_TOKEN_OPTIONS)
+    sp = flat_scores(propagate(s0, t1, t2, params))
+    assert sp[(3, 3)] == s0.rows[3][3] + 0.125 * s0.rows[0][0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_pairs(max_nodes=12), st.sampled_from([1, 2, 3, 5]))
+def test_table_rows_in_any_order(pair, depth):
+    """The table forms climb a table's rows in ascending ``m`` whatever order
+    it holds them in."""
+    t1, t2 = pair
+    params = SftmParams(weights=(1.0, 0.5, 0.25, 0.75, 2.0)[:depth])
+    s0 = initial_similarity(t1, t2, params)
+    shuffled = SimilarityTable(rows=dict(reversed(s0.rows.items())))
+    assert hexed(flat_scores(propagate(shuffled, t1, t2, params))) == hexed(
+        flat_scores(propagate(s0, t1, t2, params)))
+    want = propagate_graph(s0, t1, t2, params)
+    got = propagate_graph(shuffled, t1, t2, params)
+    assert (got.edge_n, got.edge_m) == (want.edge_n, want.edge_m)
+    assert [c.hex() for c in got.edge_cost] == [c.hex() for c in want.edge_cost]
 
 
 # 0.1 and the next float up are distinct scores with one cost 1/(1+s)

@@ -14,7 +14,7 @@ import treematch.pipeline
 import treematch.similarity
 from conftest import CORPUS_DIR
 from treematch.baselines import ted_match
-from treematch.graph import build_graph, edge_count
+from treematch.graph import build_graph, edge_count, propagate_graph
 from treematch.mutate import assign_signatures, mutate
 from treematch.pipeline import match_trees, match_trees_detailed
 from treematch.similarity import SftmParams, initial_similarity, propagate
@@ -109,12 +109,38 @@ def test_match_path_builds_no_propagated_table(monkeypatch):
     assert [c.hex() for c in g.edge_cost] == [c.hex() for c in want.edge_cost]
 
 
+def test_match_path_builds_no_similarity_table(monkeypatch):
+    """The matcher streams the scored rows into the climb: with
+    ``SimilarityTable`` made to fail, it still matches, and its graph equals
+    the one built from the initial table to the bit."""
+    page = sorted(CORPUS_DIR.glob("p00_*.html"))
+    if not page:
+        pytest.skip("bundled corpus not generated")
+    source = assign_signatures(parse_html(page[0].read_bytes()))
+    mutant, _ = mutate(source, 0.2, 0)
+    params = SftmParams()
+    want = propagate_graph(initial_similarity(source, mutant, params), source, mutant, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the match path built a similarity table")
+
+    for module in (treematch.similarity, treematch.pipeline):
+        monkeypatch.setattr(module, "SimilarityTable", refuse, raising=False)
+    with pytest.raises(AssertionError, match="similarity table"):
+        initial_similarity(source, mutant, params)
+    matching, g = match_trees_detailed(source, mutant, params)
+    assert matching.pairs
+    assert g.edge_n == want.edge_n and g.edge_m == want.edge_m
+    assert [c.hex() for c in g.edge_cost] == [c.hex() for c in want.edge_cost]
+
+
 def test_graph_build_peak_per_edge():
     """300 identical paragraphs matched against themselves at alpha 1.0 give
-    300 * 300 + 2 edges. The score table is freed after the climb and the
-    key groups are sorted in place, so the traced peak of the match stays at
-    or below 100 B per edge, and each node id is one int object for all its
-    edges."""
+    300 * 300 + 2 edges. The climb keeps only the rows of open ancestors,
+    the key groups are sorted in place, and the edge columns and chains are
+    built with no int object per edge, so the traced peak of the match stays
+    at or below 65 B per edge, and each node id is one int object for all
+    its edges."""
     body = "<p class='x'>a</p>" * 300
     tree = parse_html(f"<html><body>{body}</body></html>".encode())
     tracemalloc.start()
@@ -125,7 +151,7 @@ def test_graph_build_peak_per_edge():
         tracemalloc.stop()
     edges = edge_count(g)
     assert edges == 90_002
-    assert peak / edges <= 100, f"{peak / edges:.1f} B per edge"
+    assert peak / edges <= 65, f"{peak / edges:.1f} B per edge"
     # ints above 256 are built afresh, so per-edge ints would be distinct objects
     for ends in (g.edge_n, g.edge_m):
         assert len(set(map(id, ends))) == len(set(ends)) == 302
