@@ -21,7 +21,14 @@ from typing import Callable, Iterable, Sequence
 
 from .baselines import ted_match
 from .graph import Matching
-from .mutate import MutationLog, ground_truth, mutation_log_from_json, mutation_log_to_json
+from .mutate import (
+    DuplicateSignature,
+    MutationLog,
+    ground_truth,
+    mutation_log_from_json,
+    mutation_log_to_json,
+    signature_ids,
+)
 from .pipeline import match_trees
 from .similarity import SftmParams
 from .tree import FormatError, LabeledTree, parse_tree_json, serialize_tree_json
@@ -104,8 +111,9 @@ def write_bundle(
 def load_bundle(directory: Path) -> MutantBundle:
     """Read a bundle; raises :class:`CorpusError` if one of its three files is
     missing, is not a regular file (so no FIFO can block the read), does not
-    parse, or is valid JSON of the wrong shape, or when its log removes a
-    signature that the source tree does not carry."""
+    parse, or is valid JSON of the wrong shape, when one of its trees carries
+    a signature twice, or when its log removes a signature that the source
+    tree does not carry."""
     directory = Path(directory)
     for name in (SOURCE_FILE, MUTANT_FILE, LOG_FILE):
         if not (directory / name).is_file():
@@ -116,6 +124,12 @@ def load_bundle(directory: Path) -> MutantBundle:
         log = mutation_log_from_json((directory / LOG_FILE).read_text(encoding="utf-8"))
     except (OSError, FormatError, KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"bad bundle {directory}: {exc}") from exc
+    for name, tree in ((SOURCE_FILE, source), (MUTANT_FILE, mutant)):
+        try:
+            signature_ids(tree)
+        except DuplicateSignature as exc:
+            raise CorpusError(f"bad bundle {directory}: {name} carries signature "
+                              f"{str(exc)!r} on more than one node") from None
     unknown = log.removed_signatures.difference(source.signatures)
     if unknown:
         raise CorpusError(f"bad bundle {directory}: removed signature {min(unknown)!r} "

@@ -4,14 +4,14 @@ An edge exists only for node pairs with a positive propagated similarity;
 its cost is 1/(1+score), so better-scoring pairs are cheaper. The matcher
 builds it with :func:`graph_from_rows`, which runs the propagation climb of
 ``similarity`` on the initial rows as they are scored, then groups its
-score groups by cost and builds the edge layout. :func:`propagate_graph`
-does the same from an initial table, and :func:`build_graph`, the graph of
-a table that is already propagated, is its depth-0 case: no ancestor
-level, so each score is its own. A full matching covers every node of
-both trees exactly once, either by a pair or by the no-match assignment,
-and is charged ``no_match_cost`` per unmatched node. A :class:`Matching`
-stores only its pairs and the two tree sizes; the unmatched sets are every
-node no pair covers, so they are derived, never stored.
+score groups by cost and builds the edge layout. :func:`build_graph`, the
+graph of a table that is already propagated, checks the table and runs
+the depth-0 case on its rows: no ancestor level, so each score is its
+own. A full matching covers every node of both trees exactly once, either
+by a pair or by the no-match assignment, and is charged ``no_match_cost``
+per unmatched node. A :class:`Matching` stores only its pairs and the two
+tree sizes; the unmatched sets are every node no pair covers, so they are
+derived, never stored.
 
 The graph keeps its edges as three parallel arrays (t1 node, t2 node, cost)
 sorted by (cost, n, m), so the optimizer scans plain tuples and no object is
@@ -19,13 +19,11 @@ built per edge on the matching path. That order comes from grouping the int
 keys ``n * len(t2) + m``, which sort as (n, m) does, by cost: scores that
 round to one cost share a group, the distinct costs are sorted, and each
 group is sorted by key. The build holds little beside its output: the
-climb keeps only the initial rows of open ancestors (a similarity table
-passed straight into :func:`propagate_graph` is freed once its rows are
-listed, and each row once climbed), the first score group of each cost
-becomes the cost group and is sorted in place, each temporary is dropped
-once read, and the node ids in the edge arrays are one shared int object
-per node, not one per edge. Each node id is looked up as it is read, so no
-int object per edge lives past its lookup.
+climb keeps only the initial rows of open ancestors, the first score group
+of each cost becomes the cost group and is sorted in place, each temporary
+is dropped once read, and the node ids in the edge arrays are one shared
+int object per node, not one per edge. Each node id is looked up as it is
+read, so no int object per edge lives past its lookup.
 
 Per-node adjacency is built on first access and cached, since the matching
 path never reads it. The optimizer reads per-node edge chains instead: for
@@ -46,13 +44,7 @@ from itertools import chain, repeat
 from operator import floordiv, mod
 from typing import TypeVar
 
-from .similarity import (
-    NodeOutOfRange,
-    SftmParams,
-    SimilarityTable,
-    _score_groups,
-    _t1_out_of_range,
-)
+from .similarity import SftmParams, SimilarityTable, _check_table, _score_groups
 from .tree import LabeledTree
 
 T = TypeVar("T")
@@ -155,33 +147,16 @@ _NO_PROPAGATION = SftmParams(weights=(1.0,))
 
 
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:
-    """One edge per positive similarity entry, cost 1/(1+score).
+    """One edge per similarity entry, cost 1/(1+score).
 
-    The depth-0 case of :func:`propagate_graph`. Raises
-    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
-    ``t2``.
+    :func:`graph_from_rows` at depth 0 on the table's rows, in ascending
+    ``m``. ``sp`` is only read. Before the build, ``similarity._check_table``
+    raises :class:`~treematch.similarity.NodeOutOfRange` when an entry names
+    a node outside ``t1`` or ``t2``, and ``ValueError`` when a score is not
+    positive and finite.
     """
-    return propagate_graph(sp, t1, t2, _NO_PROPAGATION)
-
-
-def propagate_graph(
-    s0: SimilarityTable, t1: LabeledTree, t2: LabeledTree, params: SftmParams
-) -> MatchGraph:
-    """``build_graph(propagate(s0, t1, t2, params), t1, t2)`` in one pass:
-    :func:`graph_from_rows` on the table's rows in ascending ``m``.
-    Edges and costs equal the two-step form's to the bit. Raises
-    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
-    ``t2``.
-
-    ``s0`` is only read. Its rows are listed, then ``del s0`` drops this
-    call's reference: a table passed straight in, as in
-    ``propagate_graph(initial_similarity(...), ...)``, is freed there, and
-    each of its rows once the climb is done with it; a table the caller
-    keeps stays alive, unchanged.
-    """
-    rows = sorted(s0.rows.items())
-    del s0
-    return graph_from_rows(_drained(rows), t1, t2, params)
+    _check_table(sp, t1, t2)
+    return graph_from_rows(sorted(sp.rows.items()), t1, t2, _NO_PROPAGATION)
 
 
 def graph_from_rows(
@@ -198,13 +173,15 @@ def graph_from_rows(
     built. Fed by ``similarity.initial_rows``, as the matcher does, no
     initial table is built either: the climb keeps only the rows of open
     ancestors. Each later temporary is dropped once read, and the node ids
-    in ``edge_n`` and ``edge_m`` are one shared int object per node. Raises
-    :class:`NodeOutOfRange` when a row names a node outside ``t1`` or
-    ``t2``.
+    in ``edge_n`` and ``edge_m`` are one shared int object per node.
+
+    Nothing here is checked: every node id in ``rows`` must be in range and
+    every score positive and finite. ``similarity.initial_rows`` yields
+    only such rows, and :func:`build_graph` checks its table first.
     """
     t1_size, t2_size = len(t1), len(t2)
     by_score = _score_groups(rows, t1, t2, params.weights)
-    costs, groups = _cost_groups(by_score, t1_size, t2_size)
+    costs, groups = _cost_groups(by_score)
     del by_score
     sizes = list(map(len, groups))
     edge_n = _shared(t1_size, map(floordiv, chain.from_iterable(groups), repeat(t2_size)))
@@ -218,14 +195,11 @@ def graph_from_rows(
     )
 
 
-def _cost_groups(
-    by_score: dict[float, list[int]], t1_size: int, t2_size: int
-) -> tuple[list[float], list[list[int]]]:
+def _cost_groups(by_score: dict[float, list[int]]) -> tuple[list[float], list[list[int]]]:
     """Empty ``by_score`` into the sorted distinct costs and each cost's edge
     keys, sorted. Distinct scores can round to one cost: the first score
     list of a cost becomes its group, and the others are added to it and
-    freed. Raises :class:`NodeOutOfRange` if a key names a t1 node out of
-    range."""
+    freed."""
     by_cost: dict[float, list[int]] = {}
     while by_score:
         score, keys = by_score.popitem()
@@ -234,14 +208,8 @@ def _cost_groups(
             group.extend(keys)
     costs = sorted(by_cost)
     groups = [by_cost[cost] for cost in costs]
-    # with m in range, a key is in [0, t1_size * t2_size) exactly when n is,
-    # and each sorted group's range is its first and last key
-    end = t1_size * t2_size
     for keys in groups:
         keys.sort()
-        for key in (keys[0], keys[-1]):
-            if not 0 <= key < end:
-                raise _t1_out_of_range(key // t2_size, t1_size)
     return costs, groups
 
 

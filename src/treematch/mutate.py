@@ -64,7 +64,7 @@ unsigned partner resolves to the first sibling whose whole subtree equals
 it (same tag, attributes, text and signature, with equal children), so the
 target may land in an earlier copy's slot while the partner keeps its own,
 and the copy drops out. Looking the partner up by id would change bundles,
-so it waits for the ground-truth fixes of ROADMAP item 7b.
+so it waits for the ground-truth fixes of ROADMAP item 9.
 """
 
 from __future__ import annotations
@@ -146,21 +146,23 @@ def assign_signatures(tree: LabeledTree) -> LabeledTree:
                        tree.segments, signatures)
 
 
+def signature_ids(tree: LabeledTree) -> dict[str, int]:
+    """Each signature of ``tree`` with its node; raises
+    :class:`DuplicateSignature` for one that is on two nodes."""
+    out: dict[str, int] = {}
+    for node_id, signature in enumerate(tree.signatures):
+        if signature is None:
+            continue
+        if signature in out:
+            raise DuplicateSignature(signature)
+        out[signature] = node_id
+    return out
+
+
 def ground_truth(source: LabeledTree, mutant: LabeledTree) -> set[tuple[int, int]]:
     """Pairs of (source id, mutant id) sharing a signature."""
-
-    def by_signature(tree: LabeledTree) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for node_id, signature in enumerate(tree.signatures):
-            if signature is None:
-                continue
-            if signature in out:
-                raise DuplicateSignature(signature)
-            out[signature] = node_id
-        return out
-
-    src = by_signature(source)
-    dst = by_signature(mutant)
+    src = signature_ids(source)
+    dst = signature_ids(mutant)
     return {(src[sig], dst[sig]) for sig in src.keys() & dst.keys()}
 
 
@@ -398,7 +400,7 @@ class _Mutator:
     def _partner_slot(self, kids: list[int], partner: int) -> int:
         """The slot swap exchanges with: the first sibling equal to
         ``partner`` by value. A signed node equals only itself; an unsigned
-        one may resolve to an equal copy before it (ROADMAP item 7b)."""
+        one may resolve to an equal copy before it (ROADMAP item 9)."""
         j = kids.index(partner)
         if self.sigs[partner] is not None:
             return j
@@ -595,8 +597,12 @@ def _is_str(value: Any) -> bool:
 
 def mutation_log_from_json(text: str) -> MutationLog:
     """Read a log written by :func:`mutation_log_to_json`; raises ``ValueError``
-    naming a field that is missing or of the wrong type or range."""
-    obj = json.loads(text)
+    for text that is not JSON or is nested too deeply to read, and naming a
+    field that is missing or of the wrong type or range."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("mutation log nested too deeply to read") from None
     ops = _log_field(obj, "", "ops", lambda v: isinstance(v, list), "a list")
     return MutationLog(
         source_page=_log_field(obj, "", "source_page", _is_str, "a string"),

@@ -11,12 +11,15 @@ Propagation is one climb, ``_score_groups``: it reads rows in ascending
 ``n * len(t2) + m``. The matcher feeds it :func:`initial_rows` straight
 through ``graph.graph_from_rows``, which turns the groups into edges, so no
 table is built on the match path; :func:`propagate` reads the groups back
-into a table.
+into a table. The table forms, :func:`propagate` and ``graph.build_graph``,
+are the only steps that take scores from outside, and ``_check_table``
+checks their node ids and scores once, before the climb; the climb itself
+checks nothing.
 
 A node's tokens are its label's tokens (tag and attributes, plus text when
 content is tokenized) and its xpath token, and a pair's IDF weights are
 added in sorted token order, so a score is the float a plain sum over the
-node's own sorted tokens gives. In :func:`initial_similarity` labels are
+node's own sorted tokens gives. In :func:`initial_rows` labels are
 interned to ints and tokenized once, the index holds label tokens only,
 each kept token's weight is computed once, and the second-tree nodes of one
 label share a label row: it is scored once, kept and copied only while
@@ -291,12 +294,9 @@ def _score_groups(
     so a row's ancestor rows come before it. Only the rows of open t2
     ancestors are kept: a row is dropped once its node's subtree has been
     climbed, and a leaf's row is never kept. Siblings share their ancestor
-    levels, which are found again only when the t2 parent changes.
-
-    Raises :class:`NodeOutOfRange` for a t2 id out of range, and for a t1 id
-    outside ``[-len(t1), len(t1))`` that takes a climb step. Any other t1 id
-    out of range gives a key outside ``[0, len(t1) * len(t2))``, which the
-    caller checks."""
+    levels, which are found again only when the t2 parent changes. Every
+    node id in ``rows`` must be in range: :func:`initial_rows` yields only
+    such rows, and :func:`_check_table` refuses a table that holds another."""
     t2_size = len(t2)
     parents1, parents2 = t1.parents, t2.parents
     sizes = subtree_sizes(t2)
@@ -307,28 +307,22 @@ def _score_groups(
     open_ends: list[tuple[int, int]] = []
     parent: int | None = -1  # no node's parent: the first row finds its levels
     for m, row in rows:
-        if not 0 <= m < t2_size:
-            raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
         while open_ends and open_ends[-1][0] <= m:
             del kept[open_ends.pop()[1]]
         if parents2[m] != parent:
             parent = parents2[m]
             levels = _ancestor_levels(m, kept, parents2, weights)
-        try:
-            for n, s in row.items():
-                total = w0 * s
-                a = n
-                for w, up_row in levels:
-                    a = parents1[a]
-                    if a is None:
-                        break
-                    up = up_row.get(a)
-                    if up is not None:
-                        total += w * up
-                by_score[total].append(n * t2_size + m)
-        except IndexError:
-            # a t1 id outside [-len(t1), len(t1)) fails the climb's first step
-            raise _t1_out_of_range(n, len(t1)) from None
+        for n, s in row.items():
+            total = w0 * s
+            a = n
+            for w, up_row in levels:
+                a = parents1[a]
+                if a is None:
+                    break
+                up = up_row.get(a)
+                if up is not None:
+                    total += w * up
+            by_score[total].append(n * t2_size + m)
         size = sizes[m]
         if size > 1:
             open_ends.append((m + size, m))
@@ -336,8 +330,25 @@ def _score_groups(
     return by_score
 
 
-def _t1_out_of_range(n: int, t1_size: int) -> NodeOutOfRange:
-    return NodeOutOfRange(f"t1 node {n} outside a {t1_size}-node tree")
+def _check_table(table: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> None:
+    """Refuse a table the climb cannot read. Raises :class:`NodeOutOfRange`
+    when a row key is not a ``t2`` node or an entry's key is not a ``t1``
+    node, and ``ValueError`` naming the row when a score in it is not
+    positive and finite."""
+    t1_size, t2_size = len(t1), len(t2)
+    for m, row in table.rows.items():
+        if not 0 <= m < t2_size:
+            raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+        if not row:
+            continue
+        lo, hi = min(row), max(row)
+        if lo < 0 or hi >= t1_size:
+            n = lo if lo < 0 else hi
+            raise NodeOutOfRange(f"t1 node {n} outside a {t1_size}-node tree")
+        for score in row.values():
+            if not 0.0 < score < math.inf:
+                raise ValueError(f"row {m} holds the score {score!r}, "
+                                 "which is not positive and finite")
 
 
 def propagate(
@@ -349,26 +360,23 @@ def propagate(
     """Blend each pair's score with its ancestors' scores, weighted per level.
 
     Weight ``weights[k]`` applies to the ancestor pair k levels up, so the
-    depth is ``len(weights) - 1``. Only pairs with a positive initial score
-    are kept; a missing ancestor or an absent ancestor-pair score contributes
+    depth is ``len(weights) - 1``. Only pairs with an initial score are
+    kept; a missing ancestor or an absent ancestor-pair score contributes
     nothing.
 
     This is the table form: the climb the matcher's ``graph.graph_from_rows``
     runs, on the table's rows in ascending ``m``, with its score groups read
     back into rows. It stays for the API, as the step the tests pin to their
-    reference, and for the benchmark's traced stages. Raises
-    :class:`NodeOutOfRange` when an entry names a node outside ``t1`` or
-    ``t2``.
+    reference, and for the benchmark's traced stages. ``s0`` is only read.
+    Before any climb, :func:`_check_table` raises :class:`NodeOutOfRange`
+    when an entry names a node outside ``t1`` or ``t2``, and ``ValueError``
+    when a score is not positive and finite.
     """
-    t1_size, t2_size = len(t1), len(t2)
+    _check_table(s0, t1, t2)
+    t2_size = len(t2)
     by_score = _score_groups(sorted(s0.rows.items()), t1, t2, params.weights)
     rows: dict[int, dict[int, float]] = {m: {} for m in s0.rows}
-    # with m in range, a key is in [0, t1_size * t2_size) exactly when n is
-    end = t1_size * t2_size
     for score, keys in by_score.items():
-        lo, hi = min(keys), max(keys)
-        if lo < 0 or hi >= end:
-            raise _t1_out_of_range((lo if lo < 0 else hi) // t2_size, t1_size)
         for key in keys:
             n, m = divmod(key, t2_size)
             rows[m][n] = score

@@ -8,7 +8,7 @@ prefix sorts after all the others. An xpath names exactly one node of its
 tree (tags that hold ``\\``, ``/`` or ``[`` are escaped in it; see
 ``tree``), so an xpath token is held by one node per tree.
 :func:`tokenize_node` reads that xpath string from ``tree.xpaths()``, which
-builds every node's on first use; ``similarity.initial_similarity`` builds
+builds every node's on first use; ``similarity.initial_rows`` builds
 none, since it finds a node's xpath partner by segment (see there).
 """
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SPOILS, spoil_bundle
 from treematch import cli, evaluate
 from treematch.cli import build_parser, main
 from treematch.evaluate import discover_bundles, load_bundle
@@ -402,6 +403,24 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert f"warning: bad bundle {bad}: " in captured.err
         assert named in captured.err
+        assert "rows=1 skipped=1" in captured.out
+        assert len(out.read_text().strip().split("\n")) == 2
+
+    @pytest.mark.parametrize("how", SPOILS)
+    def test_deep_log_or_repeated_signature_skipped_with_warning(
+        self, page_file, tmp_path, capsys, how
+    ):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "2",
+              "--out-dir", str(corpus)])
+        bad = sorted(p.parent for p in corpus.glob("**/mutations.json"))[0]
+        named = spoil_bundle(bad, how)
+        out = tmp_path / "r.csv"
+        code = main(["bench", str(corpus), "--out", str(out), "--iterations", "10"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if line.startswith("warning:")] == [
+            f"warning: bad bundle {bad}: {named}"]
         assert "rows=1 skipped=1" in captured.out
         assert len(out.read_text().strip().split("\n")) == 2
 

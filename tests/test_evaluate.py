@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SPOILS, spoil_bundle
 from oracles import reference_serialize_tree_json
 from strategies import tree_columns
 from treematch.evaluate import (
@@ -196,6 +197,16 @@ class TestBundles:
         (tmp_path / "b0" / "mutations.json").write_text(log)
         with pytest.raises(CorpusError, match="bad bundle"):
             load_bundle(tmp_path / "b0")
+
+    @pytest.mark.parametrize("how", SPOILS)
+    def test_deep_log_or_repeated_signature_raises(self, tmp_path, how):
+        source = page()
+        mutant, log = mutate(source, 0.25, seed=3, source_page="pg")
+        write_bundle(tmp_path / "b0", source, mutant, log)
+        named = spoil_bundle(tmp_path / "b0", how)
+        with pytest.raises(CorpusError) as err:
+            load_bundle(tmp_path / "b0")
+        assert str(err.value) == f"bad bundle {tmp_path / 'b0'}: {named}"
 
     @pytest.mark.parametrize("name", ["source.html.json", "mutant.html.json", "mutations.json"])
     def test_fifo_in_place_of_a_file_raises(self, tmp_path, name):
@@ -394,6 +405,16 @@ class TestRunBenchmark:
                              timeout_s=None, on_malformed=warnings.append)
         assert len(rows) == 2
         assert len(warnings) == 1 and warnings[0].startswith(f"bad bundle {bad}")
+
+    @pytest.mark.parametrize("how", SPOILS)
+    def test_deep_log_or_repeated_signature_skipped(self, tmp_path, how):
+        corpus = make_corpus(tmp_path, pages=1, mutants=2)
+        bad = discover_bundles(corpus)[0]
+        named = spoil_bundle(bad, how)
+        warnings: list[str] = []
+        rows = run_benchmark(corpus, PARAMS, timeout_s=None, on_malformed=warnings.append)
+        assert warnings == [f"bad bundle {bad}: {named}"]
+        assert [row.page for row in rows] == ["page0"]
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, pages=1, mutants=1)

@@ -1,10 +1,11 @@
 """The row-per-node similarity table and the graph built from it, against the
 flat ``(n, m)``-keyed stages kept in ``oracles.py``: same scores to the bit,
-same edge arrays and adjacency. The graph the matcher builds straight from
-the initial table, with no propagated table between, is held to the same
+same edge arrays and adjacency. The graph built straight from the initial
+table's rows, with no propagated table between, is held to the same
 reference, and so is the matcher's own graph, whose climb reads the scored
-rows as they stream out with no table at all. Both graphs are also checked
-on hand-made tables whose scores tie, or differ but give the same cost."""
+rows as they stream out with no table at all. The graph of a table is also
+checked on hand-made tables whose scores tie, or differ but give the same
+cost."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from oracles import (
     table_from_scores,
 )
 from strategies import TAGS, draft_trees, labeled_trees, tree_pairs
-from treematch.graph import build_graph, propagate_graph
+from treematch.graph import build_graph, graph_from_rows
 from treematch.mutate import assign_signatures, mutate
 from treematch.pipeline import match_trees_detailed
 from treematch.similarity import SftmParams, SimilarityTable, initial_similarity, propagate
@@ -51,7 +52,7 @@ def assert_same_stages(t1, t2, params: SftmParams, options: TokenOptions) -> Non
 
     ref = reference_build_graph(table_from_scores(ref_p), t1, t2)
     assert_same_graph(build_graph(sp, t1, t2), ref)
-    assert_same_graph(propagate_graph(s0, t1, t2, params), ref)
+    assert_same_graph(graph_from_rows(sorted(s0.rows.items()), t1, t2, params), ref)
     # the matcher streams the rows into the climb, and builds no table
     _, g = match_trees_detailed(t1, t2, replace(params, tokens=options, iterations=1))
     assert_same_graph(g, ref)
@@ -137,9 +138,9 @@ def gapped_pairs(draw):
        st.sampled_from(sorted(OPTIONS)))
 def test_streaming_climb_over_rowless_nodes(pair, depth, alpha, options):
     """Weights of length 1, 2, 3 and 5: the matcher's graph, propagated from
-    rows as they are scored, equals ``propagate_graph`` of the initial table
-    and the reference build to the bit, with rowless nodes between a row and
-    its scored ancestors."""
+    rows as they are scored, equals ``graph_from_rows`` on the initial
+    table's sorted rows and the reference build to the bit, with rowless
+    nodes between a row and its scored ancestors."""
     t1, t2 = pair
     params = SftmParams(alpha=alpha, weights=(1.0, 0.5, 0.25, 0.75, 2.0)[:depth])
     assert_same_stages(t1, t2, params, OPTIONS[options])
@@ -166,16 +167,16 @@ def test_rowless_nodes_between_a_row_and_its_ancestors():
 @settings(max_examples=40, deadline=None)
 @given(tree_pairs(max_nodes=12), st.sampled_from([1, 2, 3, 5]))
 def test_table_rows_in_any_order(pair, depth):
-    """The table forms climb a table's rows in ascending ``m`` whatever order
+    """The table forms read a table's rows in ascending ``m`` whatever order
     it holds them in."""
     t1, t2 = pair
     params = SftmParams(weights=(1.0, 0.5, 0.25, 0.75, 2.0)[:depth])
     s0 = initial_similarity(t1, t2, params)
     shuffled = SimilarityTable(rows=dict(reversed(s0.rows.items())))
-    assert hexed(flat_scores(propagate(shuffled, t1, t2, params))) == hexed(
-        flat_scores(propagate(s0, t1, t2, params)))
-    want = propagate_graph(s0, t1, t2, params)
-    got = propagate_graph(shuffled, t1, t2, params)
+    sp = propagate(s0, t1, t2, params)
+    assert hexed(flat_scores(propagate(shuffled, t1, t2, params))) == hexed(flat_scores(sp))
+    want = build_graph(sp, t1, t2)
+    got = build_graph(SimilarityTable(rows=dict(reversed(sp.rows.items()))), t1, t2)
     assert (got.edge_n, got.edge_m) == (want.edge_n, want.edge_m)
     assert [c.hex() for c in got.edge_cost] == [c.hex() for c in want.edge_cost]
 
@@ -183,8 +184,6 @@ def test_table_rows_in_any_order(pair, depth):
 # 0.1 and the next float up are distinct scores with one cost 1/(1+s)
 NEAR = math.nextafter(0.1, 1.0)
 SCORES = (0.1, NEAR, 0.5, 1.0, 1.0 / 3.0, 2.0, 7.25)
-# depth 0 with w0 = 1: propagating a table leaves every score as it is
-LEVEL_ZERO = SftmParams(weights=(1.0,))
 
 
 def flat_tree(size: int):
@@ -212,7 +211,6 @@ def test_graph_on_tied_scores(table):
     sp = table_from_scores(scores)
     ref = reference_build_graph(sp, t1, t2)
     assert_same_graph(build_graph(sp, t1, t2), ref)
-    assert_same_graph(propagate_graph(sp, t1, t2, LEVEL_ZERO), ref)
 
 
 def test_near_scores_sort_by_ids_together():
@@ -221,6 +219,6 @@ def test_near_scores_sort_by_ids_together():
     t1, t2 = flat_tree(3), flat_tree(2)
     sp = table_from_scores({(2, 0): 0.1, (1, 1): NEAR, (0, 1): 0.1, (0, 0): 1.0})
     ref = reference_build_graph(sp, t1, t2)
-    for g in (build_graph(sp, t1, t2), propagate_graph(sp, t1, t2, LEVEL_ZERO)):
-        assert list(zip(g.edge_n, g.edge_m)) == [(0, 0), (0, 1), (1, 1), (2, 0)]
-        assert_same_graph(g, ref)
+    g = build_graph(sp, t1, t2)
+    assert list(zip(g.edge_n, g.edge_m)) == [(0, 0), (0, 1), (1, 1), (2, 0)]
+    assert_same_graph(g, ref)

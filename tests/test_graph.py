@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-import weakref
+import math
 from array import array
 from dataclasses import replace
 
@@ -10,19 +10,18 @@ from hypothesis import given, settings
 
 from oracles import brute_force_s0, flat_scores, table_from_scores
 from strategies import tree_pairs
-from treematch import graph
+from treematch import graph, similarity
 from treematch.graph import (
     MatchGraph,
     Matching,
-    NodeOutOfRange,
     NotFull,
     build_graph,
     edge_count,
     matching_cost,
     matching_to_json,
-    propagate_graph,
 )
 from treematch.similarity import (
+    NodeOutOfRange,
     SftmParams,
     SimilarityTable,
     apply_threshold,
@@ -36,11 +35,11 @@ PARAMS = SftmParams()
 EXACT = SftmParams(alpha=1.0)
 
 
-# every step that reads a table refuses a node id outside its tree
+# every step that reads a table refuses a node id outside its tree and a
+# score that is not positive and finite
 FROM_TABLE = {
     "build_graph": build_graph,
     "propagate": lambda table, t1, t2: propagate(table, t1, t2, PARAMS),
-    "propagate_graph": lambda table, t1, t2: propagate_graph(table, t1, t2, PARAMS),
 }
 
 
@@ -94,6 +93,35 @@ class TestBuildGraph:
         with pytest.raises(NodeOutOfRange, match="t2 node"):
             FROM_TABLE[build](table, t1, t2)
         assert issubclass(NodeOutOfRange, ValueError)
+
+    @pytest.mark.parametrize("build", sorted(FROM_TABLE))
+    @pytest.mark.parametrize("score", [0.0, -1.0, -3.0, math.nan, math.inf])
+    def test_score_not_positive_and_finite_is_refused(self, score, build):
+        # unchecked, -1.0 divides by zero, -3.0 gives a negative cost the walk
+        # picks, 0.0 a cost of 1.0 and nan a cost that breaks the edge sort
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a"))
+        table = table_from_scores({(0, 0): score, (1, 0): 1.0})
+        with pytest.raises(ValueError, match=r"row 0 holds the score .*not positive and finite"):
+            FROM_TABLE[build](table, t1, t2)
+
+    @pytest.mark.parametrize("build", sorted(FROM_TABLE))
+    @pytest.mark.parametrize("scores", [
+        {(0, 0): 1.0, (2, 0): 1.0},
+        {(0, 0): 1.0, (0, 1): 1.0},
+        {(0, 0): 1.0, (1, 0): -1.0},
+    ])
+    def test_bad_table_raises_before_the_climb(self, monkeypatch, scores, build):
+        def refuse(*args):
+            raise AssertionError("the climb ran on a bad table")
+
+        # graph holds its own name for the climb
+        for module in (similarity, graph):
+            monkeypatch.setattr(module, "_score_groups", refuse)
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a"))
+        with pytest.raises(ValueError):  # the AssertionError would pass through
+            FROM_TABLE[build](table_from_scores(scores), t1, t2)
 
     def test_adjacency_built_once(self):
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
@@ -170,51 +198,38 @@ class TestBuildGraph:
 
 
 class TestTableLifetime:
-    """``propagate_graph`` only reads its table, and frees one passed straight in."""
+    """``propagate`` and ``build_graph`` only read their table."""
 
     def trees(self):
         shape = DraftNode(tag="div", children=[
             DraftNode(tag="p", children=[DraftNode(tag="b")]) for _ in range(3)])
         return freeze(shape), freeze(shape)
 
+    @staticmethod
+    def snapshot(table):
+        rows = dict(table.rows)
+        return rows, {key: score.hex() for key, score in flat_scores(table).items()}
+
+    def assert_unchanged(self, table, before):
+        rows, scores = before
+        assert {key: score.hex() for key, score in flat_scores(table).items()} == scores
+        assert all(table.rows[m] is row for m, row in rows.items())
+
     def test_held_table_is_unchanged(self):
         t1, t2 = self.trees()
         table = initial_similarity(t1, t2, EXACT)
-        before = {key: score.hex() for key, score in flat_scores(table).items()}
-        rows = dict(table.rows)
-        first = propagate_graph(table, t1, t2, PARAMS)
-        second = propagate_graph(table, t1, t2, PARAMS)
-        assert edge_count(first) == 19  # 1 + 9 + 9
-        assert (first.edge_n, first.edge_m) == (second.edge_n, second.edge_m)
-        assert [c.hex() for c in first.edge_cost] == [c.hex() for c in second.edge_cost]
-        assert {key: score.hex() for key, score in flat_scores(table).items()} == before
-        assert all(table.rows[m] is row for m, row in rows.items())
-
-    def test_table_passed_straight_in_is_freed_before_the_edges(self, monkeypatch):
-        # a CPython call moves its arguments into the callee's frame, so the
-        # table's last reference is propagate_graph's own
-        t1, t2 = self.trees()
-        tables: list[weakref.ref] = []
-
-        def table():
-            s0 = initial_similarity(t1, t2, EXACT)
-            tables.append(weakref.ref(s0))
-            return s0
-
-        alive: list[bool] = []
-        real = graph._cost_groups
-
-        def spy(*args):
-            alive.append(tables[-1]() is not None)
-            return real(*args)
-
-        monkeypatch.setattr(graph, "_cost_groups", spy)
-        freed = propagate_graph(table(), t1, t2, PARAMS)
-        held = table()
-        kept = propagate_graph(held, t1, t2, PARAMS)
-        assert alive == [False, True]
-        assert (freed.edge_n, freed.edge_m, freed.edge_cost) == (
-            kept.edge_n, kept.edge_m, kept.edge_cost)
+        before = self.snapshot(table)
+        first = propagate(table, t1, t2, PARAMS)
+        second = propagate(table, t1, t2, PARAMS)
+        assert flat_scores(first) == flat_scores(second)
+        self.assert_unchanged(table, before)
+        before = self.snapshot(first)
+        g1 = build_graph(first, t1, t2)
+        g2 = build_graph(first, t1, t2)
+        assert edge_count(g1) == 19  # 1 + 9 + 9
+        assert (g1.edge_n, g1.edge_m) == (g2.edge_n, g2.edge_m)
+        assert [c.hex() for c in g1.edge_cost] == [c.hex() for c in g2.edge_cost]
+        self.assert_unchanged(first, before)
 
 
 class TestAccessors:

@@ -14,7 +14,7 @@ import treematch.pipeline
 import treematch.similarity
 from conftest import CORPUS_DIR
 from treematch.baselines import ted_match
-from treematch.graph import build_graph, edge_count, propagate_graph
+from treematch.graph import build_graph, edge_count, graph_from_rows
 from treematch.mutate import assign_signatures, mutate
 from treematch.pipeline import match_trees, match_trees_detailed
 from treematch.similarity import SftmParams, initial_similarity, propagate
@@ -119,7 +119,8 @@ def test_match_path_builds_no_similarity_table(monkeypatch):
     source = assign_signatures(parse_html(page[0].read_bytes()))
     mutant, _ = mutate(source, 0.2, 0)
     params = SftmParams()
-    want = propagate_graph(initial_similarity(source, mutant, params), source, mutant, params)
+    s0 = initial_similarity(source, mutant, params)
+    want = graph_from_rows(sorted(s0.rows.items()), source, mutant, params)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the match path built a similarity table")
