@@ -39,8 +39,8 @@ rescanning the draft before each operator. After every operator:
   signed subtree is the slice starting at its position whose length is its
   signed count;
 - one flag bytearray per kind is aligned with ``nodes``: has-parent (shared
-  by duplicate and unwrap), swap (the parent has at least 2 children), and
-  one per attribute and text kind.
+  by remove_node, duplicate and unwrap), swap (the parent has at least 2
+  children), and one per attribute and text kind.
 
 No pool is a list. ``random.choice`` reads only ``len(pool)`` and
 ``pool[k]``, so a flag kind's pool is a view of its bytearray: its length
@@ -53,18 +53,12 @@ from the root down; ``_kid_bound`` holds, per id, a bound on its children's
 signed counts, so the walk skips the children of a node when none of them
 can qualify, however many there are.
 
-Structural operators edit slices of the arrays and find a node's slot among
-its siblings with ``kids.index``: a signed node's id sits in one slot only.
-In-place operators recompute only their target's attribute and text flags,
-which can flip either way.
-
-Swap still finds its partner's slot by value, as ``list.index`` does over
-node objects (the reference mutator in the tests works that way): an
-unsigned partner resolves to the first sibling whose whole subtree equals
-it (same tag, attributes, text and signature, with equal children), so the
-target may land in an earlier copy's slot while the partner keeps its own,
-and the copy drops out. Looking the partner up by id would change bundles,
-so it waits for the ground-truth fixes of ROADMAP item 9.
+The id is a node's one identity: every node reachable from ``root`` sits
+in exactly one slot of one reachable node's ``kids`` list, so structural
+operators, swap's partner included, find a node's slot among its siblings
+with ``kids.index`` and edit slices of the arrays. In-place operators
+recompute only their target's attribute and text flags, which can flip
+either way.
 """
 
 from __future__ import annotations
@@ -269,6 +263,7 @@ class _Mutator:
             bytearray([bool(text) and bool(text.split()) for text in texts]),
         ]
         self._flags = {
+            "remove_node": self._has_parent,
             "duplicate": self._has_parent,
             "unwrap": self._has_parent,
             "swap": self._swap,
@@ -278,12 +273,11 @@ class _Mutator:
 
     # -- pools -----------------------------------------------------------
 
-    def has_target(self, kind: str, need: int) -> bool:
-        if kind == "remove_node":
-            count = self.signed_count
-            return any(count[v] <= need for v in compress(self.nodes, self._has_parent))
+    def has_target(self, kind: str) -> bool:
         if kind == "wrap":
             return bool(self.nodes)
+        # remove_node reads the has-parent flags: while need >= 1, the last signed
+        # node in pre-order has signed count 1 and, unless it is the only one, a parent
         return 1 in self._flags[kind]
 
     def pool(self, kind: str, need: int) -> Sequence[int]:
@@ -382,32 +376,6 @@ class _Mutator:
         elif kids and sigs[kids[0]] is not None:
             swap[pos if idx == 0 else pos - count[kids[0]]] = 0
 
-    def _equal(self, a: int, b: int) -> bool:
-        """Whether the subtrees at ``a`` and ``b`` are equal by value: same tag,
-        attributes, text and signature, and equal children in order."""
-        tags, attrs, texts, sigs, kids = self.tags, self.attrs, self.texts, self.sigs, self.kids
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            if a == b:
-                continue
-            if (tags[a] != tags[b] or attrs[a] != attrs[b] or texts[a] != texts[b]
-                    or sigs[a] != sigs[b] or len(kids[a]) != len(kids[b])):
-                return False
-            stack.extend(zip(kids[a], kids[b]))
-        return True
-
-    def _partner_slot(self, kids: list[int], partner: int) -> int:
-        """The slot swap exchanges with: the first sibling equal to
-        ``partner`` by value. A signed node equals only itself; an unsigned
-        one may resolve to an equal copy before it (ROADMAP item 9)."""
-        j = kids.index(partner)
-        if self.sigs[partner] is not None:
-            return j
-        sigs = self.sigs
-        return next(k for k in range(j + 1)
-                    if sigs[kids[k]] is None and self._equal(kids[k], partner))
-
     # -- operators --------------------------------------------------------
 
     def apply(self, kind: str, pos: int) -> None:
@@ -465,7 +433,7 @@ class _Mutator:
             kids = self.kids[parent]
             i = kids.index(v)
             partner = rng.choice(kids[:i] + kids[i + 1 :])
-            j = self._partner_slot(kids, partner)
+            j = kids.index(partner)
             lo, hi = min(i, j), max(i, j)
             count = self.signed_count
             first, last = count[kids[lo]], count[kids[hi]]
@@ -517,7 +485,7 @@ class _Mutator:
         """The draft as a ``LabeledTree``: one row per node reachable from
         ``root``, collected in pre-order."""
         tags, attrs, texts, sigs, kids = self.tags, self.attrs, self.texts, self.sigs, self.kids
-        order: list[int] = []  # the ids in pre-order; a repeated slot repeats its id
+        order: list[int] = []  # the ids in pre-order
         ups: list[int | None] = []  # each row's parent, by row number
         stack: list[int] = [self.root]
         up_stack: list[int | None] = [None]
@@ -536,7 +504,7 @@ class _Mutator:
     def run(self) -> tuple[LabeledTree, MutationLog]:
         while len(self.mutated) < self.target:
             need = self.target - len(self.mutated)
-            usable = [kind for kind in MUTATION_KINDS if self.has_target(kind, need)]
+            usable = [kind for kind in MUTATION_KINDS if self.has_target(kind)]
             if not usable:
                 raise ExhaustedTargets(
                     f"{len(self.mutated)} of {self.target} nodes mutated, no target left"

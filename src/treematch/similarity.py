@@ -52,7 +52,8 @@ from .tree import LabeledTree, label_ids, subtree_sizes
 
 
 class NodeOutOfRange(ValueError):
-    """A similarity entry names a node id outside its tree."""
+    """A similarity entry names no node of its tree: its id is not an int,
+    or lies outside the tree."""
 
 
 @dataclass(frozen=True)
@@ -333,18 +334,23 @@ def _score_groups(
 def _check_table(table: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> None:
     """Refuse a table the climb cannot read. Raises :class:`NodeOutOfRange`
     when a row key is not a ``t2`` node or an entry's key is not a ``t1``
-    node, and ``ValueError`` naming the row when a score in it is not
-    positive and finite."""
+    node (an ``int`` in range; ``bool`` and ``float`` ids are refused too),
+    and ``ValueError`` naming the row when a score in it is not positive
+    and finite."""
     t1_size, t2_size = len(t1), len(t2)
     for m, row in table.rows.items():
-        if not 0 <= m < t2_size:
-            raise NodeOutOfRange(f"t2 node {m} outside a {t2_size}-node tree")
+        if type(m) is not int or not 0 <= m < t2_size:
+            raise NodeOutOfRange(f"t2 node {m!r} is not an int in [0, {t2_size})")
         if not row:
             continue
-        lo, hi = min(row), max(row)
-        if lo < 0 or hi >= t1_size:
+        # the first id that is not an int, else the lowest or the highest
+        if set(map(type, row)) == {int}:
+            lo, hi = min(row), max(row)
             n = lo if lo < 0 else hi
-            raise NodeOutOfRange(f"t1 node {n} outside a {t1_size}-node tree")
+        else:
+            n = next(n for n in row if type(n) is not int)
+        if type(n) is not int or not 0 <= n < t1_size:
+            raise NodeOutOfRange(f"t1 node {n!r} is not an int in [0, {t1_size})")
         for score in row.values():
             if not 0.0 < score < math.inf:
                 raise ValueError(f"row {m} holds the score {score!r}, "

@@ -1004,7 +1004,7 @@ class ReferenceMutator:
             others = [c for c in parent.children if c is not node]
             partner = rng.choice(others)
             i = parent.children.index(node)
-            j = parent.children.index(partner)
+            j = next(k for k, child in enumerate(parent.children) if child is partner)
             parent.children[i], parent.children[j] = partner, node
             touched = [sig] + ([partner.signature] if partner.signature else [])
             self._note(kind, sig, {"partner": partner.signature}, touched)

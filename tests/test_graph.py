@@ -95,6 +95,19 @@ class TestBuildGraph:
         assert issubclass(NodeOutOfRange, ValueError)
 
     @pytest.mark.parametrize("build", sorted(FROM_TABLE))
+    @pytest.mark.parametrize("side", ["t1", "t2"])
+    @pytest.mark.parametrize("node", [0.5, 1.0, True])
+    def test_node_that_is_not_an_int_is_typed(self, node, side, build):
+        # unchecked, a float t2 key raised a bare TypeError from both forms,
+        # and a float t1 key a KeyError from propagate's climb
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        key = (node, 0) if side == "t1" else (0, node)
+        table = table_from_scores({(0, 0): 1.0, key: 1.0})
+        with pytest.raises(NodeOutOfRange, match=f"{side} node {node!r} is not an int"):
+            FROM_TABLE[build](table, t1, t2)
+
+    @pytest.mark.parametrize("build", sorted(FROM_TABLE))
     @pytest.mark.parametrize("score", [0.0, -1.0, -3.0, math.nan, math.inf])
     def test_score_not_positive_and_finite_is_refused(self, score, build):
         # unchecked, -1.0 divides by zero, -3.0 gives a negative cost the walk

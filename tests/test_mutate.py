@@ -159,7 +159,7 @@ class TestMutate:
     def test_exhaustion_guard(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=0, source_page="x")
-        mutator.has_target = lambda kind, need: False  # type: ignore
+        mutator.has_target = lambda kind: False  # type: ignore
         with pytest.raises(ExhaustedTargets):
             mutator.run()
 
@@ -405,7 +405,7 @@ class TestAgainstReference:
     def test_exhaustion_message_matches(self):
         tree = sample_page()
         mutator = _Mutator(tree, 0.5, seed=0, source_page="x")
-        mutator.has_target = lambda kind, need: False  # type: ignore
+        mutator.has_target = lambda kind: False  # type: ignore
         reference = ReferenceMutator(tree, 0.5, seed=0, source_page="x")
         reference.candidates = lambda: {kind: [] for kind in MUTATION_KINDS}  # type: ignore
         messages = []
@@ -415,10 +415,11 @@ class TestAgainstReference:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    def test_swap_with_value_equal_copy(self):
-        """Swap resolves an unsigned partner to the first sibling equal to it
-        by value, as ``list.index`` does among the reference's nodes (ROADMAP
-        item 7b); the pools follow the slot the swap really used."""
+    def test_swap_uses_the_drawn_partners_slot(self):
+        """Swap exchanges its target with the partner it drew, found by
+        identity: with equal unsigned copies among the siblings, the partner
+        leaves its own slot, not an earlier copy's, and every node keeps
+        exactly one slot."""
 
         class LastChoice(random.Random):
             def choice(self, seq):
@@ -441,22 +442,35 @@ class TestAgainstReference:
                 parent = mutator.parent_of[mutator.nodes[ul]]
                 apply = mutator.apply
                 children = lambda m=mutator, p=parent: [m.tags[c] for c in m.kids[p]]
+                slots = lambda m=mutator: _reachable(m.root, m.kids.__getitem__, lambda v: v)
             else:
                 pools = mutator.candidates()
                 ul, parent = next(e for e in pools["duplicate"] if e[0].tag == "ul")
                 anchor = next(n for n, _ in pools["duplicate"] if n.tag == "a")
                 apply = lambda kind, node, m=mutator, p=parent: m.apply(kind, node, p)
                 children = lambda p=parent: [c.tag for c in p.children]
+                slots = lambda m=mutator: _reachable(m.root, lambda n: n.children, id)
             apply("duplicate", ul)
             apply("duplicate", ul)
-            # children: a, ul, copy, copy; the partner is the last copy, but
-            # the lookup by value resolves it to the first one
+            # children: a, ul, copy, copy; the partner drawn is the last copy
             apply("swap", anchor)
-            assert children() == ["ul", "ul", "a", "ul"]
+            assert children() == ["ul", "ul", "ul", "a"]
+            reached = slots()
+            assert len(set(reached)) == len(reached)
             mutator.rng = random.Random(5)
             mutant, log = mutator.run()
             results.append((serialize_tree_json(mutant), mutation_log_to_json(log)))
         assert results[0] == results[1]
+
+
+def _reachable(root, children, key) -> list:
+    """``key`` of every node reached from ``root``, once per slot it sits in."""
+    found, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        found.append(key(node))
+        stack.extend(children(node))
+    return found
 
 
 def _rescanned(mutator: _Mutator, need: int) -> dict:
@@ -468,6 +482,7 @@ def _rescanned(mutator: _Mutator, need: int) -> dict:
         v, parent = stack.pop()
         order.append((v, parent))
         stack.extend((c, v) for c in reversed(mutator.kids[v]))
+    assert len({v for v, _ in order}) == len(order), "a node sits in two slots"
     signed_below: dict[int, int] = {}
     for v, _ in reversed(order):
         signed_below[v] = (mutator.sigs[v] is not None) + sum(
@@ -486,6 +501,13 @@ def _rescanned(mutator: _Mutator, need: int) -> dict:
     return state
 
 
+def _subtree_value(mutator: _Mutator, v: int) -> tuple:
+    """The subtree at ``v`` by value: tag, attributes, text, signature and
+    the children's values, in order."""
+    return (mutator.tags[v], mutator.attrs[v], mutator.texts[v], mutator.sigs[v],
+            tuple(_subtree_value(mutator, c) for c in mutator.kids[v]))
+
+
 def _live_state(mutator: _Mutator, need: int) -> dict:
     return {
         "nodes": list(mutator.nodes),
@@ -494,6 +516,9 @@ def _live_state(mutator: _Mutator, need: int) -> dict:
         "content": [tuple(map(bool, flags)) for flags in zip(*mutator._content)],
         "remove": list(mutator.pool("remove_node", need)),
     }
+
+
+EQUAL_SIBLINGS = "<ul>" + "<li>x</li>" * 12 + "<li><b>y</b></li>" * 12 + "</ul>"
 
 
 class TestIncrementalState:
@@ -505,7 +530,9 @@ class TestIncrementalState:
         while len(mutator.mutated) < mutator.target:
             need = mutator.target - len(mutator.mutated)
             assert _live_state(mutator, need) == _rescanned(mutator, need)
-            usable = [kind for kind in MUTATION_KINDS if mutator.has_target(kind, need)]
+            usable = [kind for kind in MUTATION_KINDS if mutator.has_target(kind)]
+            for kind in MUTATION_KINDS:
+                assert mutator.has_target(kind) == (len(mutator.pool(kind, need)) > 0), kind
             if not usable:
                 return
             kind = mutator.rng.choice(usable)
@@ -522,23 +549,36 @@ class TestIncrementalState:
         self.check_run(page_tree("p04"), 0.3, seed)
 
     def test_identical_siblings_byte_identical(self, monkeypatch):
-        """Many equal siblings make swap resolve unsigned partners to equal
-        copies before them; the bundles still equal the reference's."""
-        tree = assign_signatures(parse_html(
-            "<ul>" + "<li>x</li>" * 12 + "<li><b>y</b></li>" * 12 + "</ul>"))
-        resolved_earlier = []
-        slot = _Mutator._partner_slot
+        """Many equal siblings give swaps whose drawn partner has an equal
+        unsigned copy before it; the bundles still equal the reference's."""
+        tree = assign_signatures(parse_html(EQUAL_SIBLINGS))
+        copy_before_partner = []
+        apply = _Mutator.apply
 
-        def spy(self, kids, partner):
-            j = slot(self, kids, partner)
-            resolved_earlier.append(j != kids.index(partner))
-            return j
+        def spy(self, kind, pos):
+            if kind != "swap":
+                return apply(self, kind, pos)
+            v = self.nodes[pos]
+            before = list(self.kids[self.parent_of[v]])
+            i = before.index(v)
+            apply(self, kind, pos)
+            partner = self.kids[self.parent_of[v]][i]  # the swap put it in v's slot
+            value = _subtree_value(self, partner)
+            copy_before_partner.append(self.sigs[partner] is None and any(
+                self.sigs[c] is None and _subtree_value(self, c) == value
+                for c in before[: before.index(partner)]))
 
-        monkeypatch.setattr(_Mutator, "_partner_slot", spy)
+        monkeypatch.setattr(_Mutator, "apply", spy)
         for seed in range(300):
             assert outcome(mutate, tree, 0.5, seed) == outcome(
                 reference_mutate, tree, 0.5, seed), seed
-        assert any(resolved_earlier)
+        assert any(copy_before_partner)
+
+    @pytest.mark.parametrize("html", [EQUAL_SIBLINGS, "<div>" * 30 + "</div>" * 30],
+                             ids=["equal_siblings", "chain"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_siblings_and_chain(self, html, seed):
+        self.check_run(assign_signatures(parse_html(html)), 0.5, seed)
 
 
 class TestDeepTrees:
