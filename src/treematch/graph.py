@@ -241,7 +241,7 @@ class Matching:
     :attr:`unmatched_t1` and :attr:`unmatched_t2` are derived from the pairs.
 
     Construction raises :class:`NotFull` unless ``pair_costs`` lines up with
-    ``pairs``, every id is in range, and no node is in two pairs.
+    ``pairs``, every id is an ``int`` in range, and no node is in two pairs.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -257,6 +257,9 @@ class Matching:
         pairs = self.pairs
         if len(self.pair_costs) != len(pairs):
             raise NotFull(f"{len(self.pair_costs)} costs for {len(pairs)} pairs")
+        if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+            pair = next(pair for pair in pairs if not set(map(type, pair)) <= {int})
+            raise NotFull(f"pair {pair!r} holds a node id that is not an int")
         used_t1 = bytearray(self.t1_size)
         used_t2 = bytearray(self.t2_size)
         try:

@@ -17,17 +17,14 @@ indexed by node id and seals its rows with the readers' last step. Mutable
 :class:`DraftNode` trees are for trees built by hand; :func:`freeze` turns
 drafts into a ``LabeledTree``.
 
-HTML is read by one of two readers, both feeding the same tree builder, so
-the tree rules (implied ends, void tags, first root wins, raw text, first
-duplicate attribute wins) are written once. A document in a strict,
-well-formed subset of HTML (plain tags and attributes, text, comments
-without ``--``, doctypes, and script, style, title and textarea bodies
-without ``<``) is cut into tokens by one regular-expression pass. Any
-other document goes to ``HTMLParser``, whose recovery from malformed
-markup is the reader's defined behaviour and differs between Python
-releases; the subset is drawn to leave out what those releases are known
-to read differently, and the first ``<`` outside it ends the pass and
-hands the whole document over. See :func:`parse_html`.
+HTML is read in one pass by two readers in turn, both feeding the same
+tree builder, so the tree rules (implied ends, void tags, first root wins,
+raw text, first duplicate attribute wins) are written once. One
+regular-expression pass reads a strict, well-formed subset of HTML up to
+the first ``<`` outside it, and ``HTMLParser``, whose recovery from
+malformed markup is the reader's defined behaviour, reads the rest. A
+document outside the subset costs ``HTMLParser``'s pass over the text from
+its first stray ``<``, and nothing more. See :func:`parse_html`.
 
 On disk a tree is JSON, in the formats the "JSON tree format" block below
 sets out. :func:`serialize_tree_json` writes format 2: one array per column,
@@ -298,15 +295,14 @@ _RAWTEXT_TAGS = frozenset({"script", "style"})
 class _TreeBuilder(HTMLParser):
     """Lenient element-tree builder: elements only, first top-level element wins.
 
-    Its three handlers serve both readers: ``HTMLParser`` calls them on the
-    fallback path, and :func:`_scan` calls them on the fast path, so the
-    tree rules live here once. Comments, doctype, and processing
-    instructions are dropped; script/style text is excluded; stray end tags
-    are ignored; duplicate attributes keep the first occurrence (as browsers
-    do). Elements open in pre-order, so each gets its row, and its id, the
-    moment it opens. Once the root has closed the stack stays empty, and
-    every later event is ignored. ``<x/>`` arrives as a start tag and an end
-    tag, which pops the element if it was pushed (it is then on top) and
+    Its three handlers serve both readers, :func:`_scan` and then
+    ``HTMLParser``, so the tree rules live here once. Comments, doctype, and
+    processing instructions are dropped; script/style text is excluded; stray
+    end tags are ignored; duplicate attributes keep the first occurrence (as
+    browsers do). Elements open in pre-order, so each gets its row, and its
+    id, the moment it opens. Once the root has closed the stack stays empty,
+    and every later event is ignored. ``<x/>`` arrives as a start tag and an
+    end tag, which pops the element if it was pushed (it is then on top) and
     else is stray. ``open_tags`` counts the open elements of each tag, so a
     stray end tag is dropped without a scan of the stack.
     """
@@ -435,22 +431,18 @@ def _attributes(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _scan(document: str) -> list[_Row] | None:
-    """The rows of a document written in the strict subset, or ``None``.
+def _scan(document: str, builder: _TreeBuilder) -> str:
+    """Feed ``builder`` the strict tokens before the first ``<`` outside
+    the subset, and return the text from that ``<`` on, or ``""``.
 
     One ``findall`` of ``_TOKEN`` cuts the text into text runs, start, end
     and self-closed tags, raw elements, comments and doctypes, and hands each
-    to the :class:`_TreeBuilder` handlers in the order ``HTMLParser`` would.
-    Each text run is decoded on its own, as ``HTMLParser`` decodes the text
-    between two markup tokens. The first ``<`` that begins no strict token
-    ends the pass, as its token takes the rest of the text, and returns
-    ``None`` before any handler runs: a document outside the subset costs
-    the tokenizing of the text before that ``<`` on top of ``HTMLParser``.
+    to the builder's handlers in the order ``HTMLParser`` would. Each text
+    run is decoded on its own, as ``HTMLParser`` decodes the text between
+    two markup tokens.
     """
     tokens = _TOKEN.findall(document)
-    if tokens and tokens[-1][8]:
-        return None
-    builder = _TreeBuilder()
+    rest = tokens.pop()[8] if tokens and tokens[-1][8] else ""
     start, end, data = builder.handle_starttag, builder.handle_endtag, builder.handle_data
     for text, tag, attrs, closed, end_tag, raw, raw_attrs, body, _ in tokens:
         if text:
@@ -468,7 +460,7 @@ def _scan(document: str) -> list[_Row] | None:
             if body:
                 data(unescape(body) if "&" in body else body)
             end(raw)
-    return builder.finish()
+    return rest
 
 
 def parse_html(document: bytes | str) -> LabeledTree:
@@ -476,33 +468,37 @@ def parse_html(document: bytes | str) -> LabeledTree:
 
     Only elements become nodes; direct text content is stored on its parent
     element. Raises :class:`IngestError` when no root element can be found.
+    Bytes that start with a UTF-16 byte-order mark are read as UTF-16, and
+    other bytes as UTF-8 with undecodable bytes replaced.
 
-    Two readers feed the same :class:`_TreeBuilder`, and the input picks
-    one. A document in a strict, well-formed subset of HTML is read by
-    :func:`_scan`, one regular-expression pass. The subset is: text; start,
-    end and self-closed tags whose names and attribute names are ASCII
-    words, with ASCII whitespace between attributes and values quoted or
-    bare; ``<script>``, ``<style>``, ``<title>`` and ``<textarea>`` elements
-    whose body holds no ``<``; comments holding no ``--``; and doctypes.
-    Every other document goes to ``HTMLParser``, whose recovery from
-    malformed markup (tags cut off at the end, junk in tags, CDATA, comments
-    such as ``<!-->``, markup in raw-text bodies) is the behaviour this
-    reader pins, and which differs between Python releases; so that path is
-    kept, and the subset is drawn to leave such constructs out. On the
-    subset the two readers give the same tree; the fast path exists only
-    for speed, as ``HTMLParser`` spends most of its time in its own
-    per-tag and per-attribute work. A document outside the subset costs
-    ``HTMLParser``'s pass plus the tokenizing of its text up to the first
-    ``<`` outside the subset, where the scan stops.
+    :func:`_scan` feeds one :class:`_TreeBuilder` in one regular-expression
+    pass, up to the first ``<`` outside a strict, well-formed subset of
+    HTML, and ``HTMLParser`` feeds it the rest, if any. The subset is: text;
+    start, end and self-closed tags whose names and attribute names are
+    ASCII words, with ASCII whitespace between attributes and values quoted
+    or bare; ``<script>``, ``<style>``, ``<title>`` and ``<textarea>``
+    elements whose body holds no ``<``; comments holding no ``--``; and
+    doctypes. ``HTMLParser``'s recovery from malformed markup (tags cut off
+    at the end, junk in tags, CDATA, comments such as ``<!-->``, markup in
+    raw-text bodies) is the behaviour this reader pins, and it differs
+    between Python releases; so it is kept, and the subset leaves such
+    constructs out. A strict token is whole, a raw element with its body
+    and end tag, so ``HTMLParser`` would hold no pending text and no
+    raw-text mode after it, and a fresh one reads the rest as one fed the
+    whole document would. The scan exists only for speed: a document
+    outside the subset costs ``HTMLParser``'s pass over the text from its
+    first stray ``<``, and nothing more.
     """
     if isinstance(document, bytes):
-        document = document.decode("utf-8", errors="replace")
-    rows = _scan(document)
-    if rows is None:
-        builder = _TreeBuilder()
-        builder.feed(document)
+        utf16 = document[:2] in (b"\xff\xfe", b"\xfe\xff")
+        document = document.decode("utf-16" if utf16 else "utf-8", errors="replace")
+    builder = _TreeBuilder()
+    rest = _scan(document, builder)
+    if rest:
+        builder.feed(rest)
         builder.close()
-        rows = builder.finish()
+    rows = builder.finish()
+    del builder  # frees its text lists before _seal allocates, so the collector skips them
     return _seal(rows)
 
 

@@ -320,6 +320,13 @@ class TestConstruction:
         with pytest.raises(NotFull):
             Matching(pairs, costs, 3, 2)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, None], ids=["half", "float", "bool", "none"])
+    @pytest.mark.parametrize("side", ["t1", "t2"])
+    def test_id_that_is_not_an_int(self, side, bad):
+        pair = (bad, 0) if side == "t1" else (0, bad)
+        with pytest.raises(NotFull, match="not an int"):
+            Matching((pair,), (0.5,), 2, 2)
+
     def test_replace_rechecks(self):
         m = Matching(((0, 1), (2, 0)), (0.4, 0.6), 3, 2)
         assert replace(m, _checked=False) == m

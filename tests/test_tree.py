@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import time
 import tracemalloc
+from html.parser import HTMLParser
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import CORPUS_DIR
 from oracles import (
     reference_freeze,
     reference_parse_html,
@@ -14,14 +16,20 @@ from oracles import (
     reference_serialize_tree_json,
     thaw,
 )
-from strategies import draft_trees, html_documents, labeled_trees, signed_tree, tree_columns
-import treematch.tree as tree_module
+from strategies import (
+    HTML_FRAGMENTS,
+    draft_trees,
+    html_documents,
+    labeled_trees,
+    signed_tree,
+    tree_columns,
+)
 from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
     TreeNode,
-    _TOKEN,
+    _TreeBuilder,
     _scan,
     freeze,
     label_ids,
@@ -33,7 +41,7 @@ from treematch.tree import (
 
 
 # malformed and edge-case documents, each read by both HTML builders, and
-# whether _scan reads it (True) or hands it to HTMLParser (False)
+# whether _scan reads all of it (True) or hands a rest to HTMLParser (False)
 _HTML_SNIPPETS = [
     (b"<div><p>one<p>two</div>", True),  # unclosed p
     (b"<ul><li>a<li>b</ul>", True),  # unclosed li
@@ -68,9 +76,9 @@ _HTML_SNIPPETS = [
     (b"<div>x<a\x00\nb='1'\n>y\nz</a></div>", False),  # junk the start tag gives back as text
     (b"<div>a\n<br>\nb\n<img src=x>\n<hr/>\nc</div>", True),  # newlines around void tags
     (b"<div><script>if (a)\n{ s = '</p>'; }\n</script>\n<p>t</p></div>", False),  # </p> in a script
-    # the two fast ones again, through HTMLParser: a lone "<" at the end sends them there
-    (b"<div\n class='a\nb'\n id=x\n>one\ntwo<p\n>three</p\n></div>\n<", False),
-    (b"<div>a\n<br>\nb\n<img src=x>\n<hr/>\nc</div>\n<", False),
+    # the two fast ones again, through HTMLParser: a stray "<" at the front sends all of each there
+    (b"< <div\n class='a\nb'\n id=x\n>one\ntwo<p\n>three</p\n></div>", False),
+    (b"< <div>a\n<br>\nb\n<img src=x>\n<hr/>\nc</div>", False),
     # the rules of the strict subset that _scan reads, each on both sides
     (b"<div\tclass=a\r\n\fid=b>x</div>", True),  # whitespace in a tag is [ \t\n\r\f]
     (b"<div><a\vhref=y>z</a></div>", False),  # and never \v
@@ -98,6 +106,10 @@ _HTML_SNIPPETS = [
     ("<div><t\u0131tle>y</t\u0131tle></div>".encode(), False),  # dotless i for "i"
     ("<div><no\u017fcript>a</no\u017fcript></div>".encode(), False),
 ]
+
+
+# the pieces of HTML_FRAGMENTS that the scan stops at
+_STRAY_FRAGMENTS = [fragment for fragment in HTML_FRAGMENTS if _scan(fragment, _TreeBuilder())]
 
 
 class TestParseHtml:
@@ -182,7 +194,7 @@ class TestParseHtml:
 
     @pytest.mark.parametrize("document, fast", _HTML_SNIPPETS)
     def test_snippet_takes_its_path(self, document, fast):
-        assert (_scan(document.decode()) is not None) == fast
+        assert (_scan(document.decode(), _TreeBuilder()) == "") == fast
 
     @settings(max_examples=300)
     @given(html_documents())
@@ -200,26 +212,62 @@ class TestParseHtml:
         # a slip in the strict subset would send pages to HTMLParser, and
         # every output would still match
         for path in corpus_pages:
-            assert _scan(path.read_text(encoding="utf-8")) is not None, path.name
+            assert _scan(path.read_text(encoding="utf-8"), _TreeBuilder()) == "", path.name
 
-    def test_fallback_stops_at_first_stray_token(self, monkeypatch):
-        # the scan ends at the first "<" outside the subset and builds
-        # nothing, so a document outside it costs little beyond HTMLParser
-        document = "<div>" + "<p class=a>x &amp; y</p>" * 50 + "<iframe></iframe>" + "<p>z</p>" * 50
-        assert _TOKEN.findall(document)[-1][-1] == "<iframe></iframe>" + "<p>z</p>" * 50
-        monkeypatch.setattr(tree_module, "_TreeBuilder", None)
-        assert _scan(document) is None
+    def test_fallback_reads_only_the_rest(self, monkeypatch):
+        # the scan feeds the builder up to the first "<" outside the subset,
+        # and HTMLParser reads the text from there on, once
+        rest = "<iframe></iframe>" + "<p>z</p>" * 50
+        document = "<div>" + "<p class=a>x &amp; y</p>" * 50 + rest
+        assert _scan(document, _TreeBuilder()) == rest
+        want = _node_rows(reference_parse_html(document))
+        fed = []
 
-    @pytest.mark.parametrize("tail", ["", "<"], ids=["fast", "fallback"])
-    def test_stray_end_tags_take_linear_time(self, tail):
+        def feed(builder, data):
+            fed.append(data)
+            HTMLParser.feed(builder, data)
+
+        monkeypatch.setattr(_TreeBuilder, "feed", feed)
+        assert _node_rows(parse_html(document)) == want
+        assert fed == [rest]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(CORPUS_DIR.glob("*.html"))), st.data())
+    def test_stray_fragment_spliced_into_a_page(self, page, data):
+        # a handover after a long strict prefix, with a deep stack open
+        text = page.read_text(encoding="utf-8")
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c == "<"]))
+        fragment = data.draw(st.sampled_from(_STRAY_FRAGMENTS))
+        document = text[:at] + fragment + text[at:]
+        assert _scan(document, _TreeBuilder())
+        want = _rows_or_error(reference_parse_html, document)
+        assert _rows_or_error(parse_html, document) == want
+
+    @pytest.mark.parametrize("head", ["", "< "], ids=["fast", "fallback"])
+    def test_stray_end_tags_take_linear_time(self, head):
         # each stray end tag scanned the whole open stack: 8,000 levels took 2.0 s
-        small = "<div><p>" * 3 + "</b></i>" * 3 + "</p>x</div>" + tail
+        small = head + "<div><p>" * 3 + "</b></i>" * 3 + "</p>x</div>"
         assert _node_rows(parse_html(small)) == _node_rows(reference_parse_html(small))
         depth = 20_000
         start = time.perf_counter()
-        tree = parse_html("<div>" * depth + "</b>" * depth + tail)
+        tree = parse_html(head + "<div>" * depth + "</b>" * depth)
         assert time.perf_counter() - start < 2.0
         assert len(tree) == depth
+
+    @pytest.mark.parametrize("tail", [b"", b"\x00"], ids=["even", "odd"])
+    @pytest.mark.parametrize(
+        "bom, codec", [(b"\xff\xfe", "utf-16-le"), (b"\xfe\xff", "utf-16-be")], ids=["le", "be"]
+    )
+    def test_utf16_bom(self, bom, codec, tail):
+        # an odd trailing byte decodes to U+FFFD, after the root has closed
+        text = "<html><body><p>caf\xe9</p><p>\u65e5\u672c</p></body></html>"
+        tree = parse_html(bom + text.encode(codec) + tail)
+        assert _node_rows(tree) == _node_rows(parse_html(text))
+        assert tree.texts[2:] == ("caf\xe9", "\u65e5\u672c")
+
+    def test_bytes_without_utf16_bom_read_as_utf8(self):
+        tree = parse_html(b"\xff<p>caf\xc3\xa9 caf\xe9</p>")
+        assert tree.texts == ("caf\xe9 caf\ufffd",)
 
     def test_deep_chain(self):
         depth = 3000
