@@ -26,13 +26,17 @@ indexed by id, holds the draft: ``tags``, ``attrs`` (tuples of name-value
 pairs), ``texts``, ``sigs`` (``None`` on wrappers and copies), ``kids`` (the
 child ids in sibling order), ``parent_of`` and ``signed_count`` (the signed
 nodes in the subtree). A removed or unwrapped node keeps its entries but
-is no longer reachable from ``root``. :meth:`_Mutator.seal` collects one row
-per reachable node in one pre-order walk over ``kids`` and seals them with
-the tree module's ``_seal``, the step the readers end in.
+is no longer reachable from ``root``. :meth:`_Mutator.seal` lists the
+reachable ids in one pre-order walk over ``kids``, gathers the tag,
+attribute, text and signature columns over them, and hands those and the
+new parent ids to the tree module's ``_seal``, the step the readers end in.
+The mutant stores only those five columns; its children and xpath segments
+are derived on first use, as for every tree.
 
-Every source node is signed, so the set-up reads the source's columns: a
-signed count starts as the subtree size, and the flags below are built one
-column at a time. The mutator then updates them in place instead of
+Every source node is signed, so the set-up reads the source's stored
+columns only: ``kids`` is listed from the parent column, a signed count
+starts as the subtree size, and the flags below are built one column at a
+time. The mutator then updates them in place instead of
 rescanning the draft before each operator. After every operator:
 
 - ``nodes`` holds the ids of the signed nodes in pre-order, and a node's
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from typing import Any, Callable, Sequence
 
-from .tree import LabeledTree, _Row, _seal, subtree_sizes
+from .tree import LabeledTree, _child_lists, _seal, subtree_sizes
 
 
 class ExhaustedTargets(RuntimeError):
@@ -136,8 +140,7 @@ def assign_signatures(tree: LabeledTree) -> LabeledTree:
     matchers never see them.
     """
     signatures = tuple([f"s{v:05d}" for v in range(len(tree))])
-    return LabeledTree(tree.tags, tree.attributes, tree.texts, tree.parents, tree.children,
-                       tree.segments, signatures)
+    return LabeledTree(tree.tags, tree.attributes, tree.texts, tree.parents, signatures)
 
 
 def signature_ids(tree: LabeledTree) -> dict[str, int]:
@@ -239,7 +242,7 @@ class _Mutator:
         self.attrs = list(tree.attributes)
         self.texts = list(tree.texts)
         self.sigs: list[str | None] = list(tree.signatures)
-        self.kids = list(map(list, tree.children))
+        self.kids = _child_lists(tree.parents)
         self.parent_of: list[int | None] = list(tree.parents)
         # every node is signed at this point: a signed count is a subtree size
         self.signed_count = subtree_sizes(tree)
@@ -250,7 +253,7 @@ class _Mutator:
 
         # the flags, column by column; the root is the one node with no parent
         self._has_parent = bytearray(b"\0" + b"\1" * (size - 1))
-        fan_out = list(map(len, tree.children))
+        fan_out = list(map(len, self.kids))
         self._swap = bytearray([0] + [fan_out[p] >= 2 for p in tree.parents[1:]])  # type: ignore[index]
         attrs, texts = tree.attributes, tree.texts
         has_text = bytearray(map(bool, texts))
@@ -482,24 +485,23 @@ class _Mutator:
                 array[pos] = flag
 
     def seal(self) -> LabeledTree:
-        """The draft as a ``LabeledTree``: one row per node reachable from
-        ``root``, collected in pre-order."""
+        """The draft as a ``LabeledTree``: each column gathered over the nodes
+        reachable from ``root``, in pre-order."""
         tags, attrs, texts, sigs, kids = self.tags, self.attrs, self.texts, self.sigs, self.kids
         order: list[int] = []  # the ids in pre-order
-        ups: list[int | None] = []  # each row's parent, by row number
+        ups: list[int | None] = []  # each node's parent, by its new id
         stack: list[int] = [self.root]
         up_stack: list[int | None] = [None]
         while stack:
             v = stack.pop()
-            row = len(order)
+            new_id = len(order)
             order.append(v)
             ups.append(up_stack.pop())
             if kids[v]:
                 stack += reversed(kids[v])
-                up_stack += [row] * len(kids[v])
-        rows: list[_Row] = list(zip(*(map(column.__getitem__, order)
-                                      for column in (tags, attrs, texts, sigs)), ups))
-        return _seal(rows)
+                up_stack += [new_id] * len(kids[v])
+        gathers = [map(column.__getitem__, order) for column in (tags, attrs, texts, sigs)]
+        return _seal(*gathers, ups)
 
     def run(self) -> tuple[LabeledTree, MutationLog]:
         while len(self.mutated) < self.target:

@@ -1,21 +1,23 @@
 """Rooted ordered labeled trees, with ingestion from HTML and a JSON tree format.
 
 Trees are immutable after construction. Node ids are dense pre-order indices,
-so ``tree.node(0)`` is always the root. A :class:`LabeledTree` is a set of
-columns, one tuple per field (tag, attributes, text, parent, children, xpath
-segment, signature), indexed by node id. The HTML and JSON readers build no
-intermediate nodes: each lists one row of fields per element in pre-order, as
-the elements arrive, and ends in one step that ranks same-tag siblings and
-builds the columns. A node's xpath segment is its tag, or ``tag[k]`` among two
-or more same-tag siblings; no full xpath string and no :class:`TreeNode` is
-built with the tree, so its memory is linear in its size even for deep
-chains. Both are built on demand, once per tree: ``tree.xpaths()`` joins
-the segments from the root down, and ``tree.nodes`` holds the ``TreeNode``
-views that ``tree.node(i)`` and iteration read. The matcher and the baseline
-read the columns only, and so does the mutation engine, which edits lists
-indexed by node id and seals its rows with the readers' last step. Mutable
-:class:`DraftNode` trees are for trees built by hand; :func:`freeze` turns
-drafts into a ``LabeledTree``.
+so ``tree.node(0)`` is always the root. A :class:`LabeledTree` stores five
+columns, one tuple per field (tag, attributes, text, parent, signature),
+indexed by node id: the five that its JSON form writes. The HTML and JSON
+readers build no intermediate nodes: each appends every element's fields to
+these columns, in pre-order, as the elements arrive, and ends in one step
+that collapses text whitespace and stores the columns. All else is derived
+from them on first use, once per tree, and kept: ``tree.children`` lists
+each node's children, ``tree.segments`` each node's xpath segment (its tag,
+or ``tag[k]`` among two or more same-tag siblings), ``tree.xpaths()`` joins
+the segments from the root down, and ``tree.nodes`` holds the
+:class:`TreeNode` views that ``tree.node(i)`` and iteration read. A tree's
+memory is then linear in its size even for deep chains, and a reader pays
+for no column its caller never reads. The matcher, the baseline and the
+mutation engine read the columns only; the engine edits lists indexed by
+node id and seals its pre-order gathers of them with the readers' last
+step. Mutable :class:`DraftNode` trees are for trees built by hand;
+:func:`freeze` turns drafts into a ``LabeledTree``.
 
 HTML is read in one pass by two readers in turn, both feeding the same
 tree builder, so the tree rules (implied ends, void tags, first root wins,
@@ -49,11 +51,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from html import unescape
 from html.parser import HTMLParser
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class IngestError(ValueError):
@@ -101,20 +104,20 @@ class LabeledTree:
     """Immutable rooted ordered labeled tree, held as one tuple per field.
 
     Node ids are pre-order positions in ``[0, len(tree))``; the root is node 0.
-    Column ``k`` of each of ``tags``, ``attributes``, ``texts``, ``parents``,
-    ``children``, ``segments`` and ``signatures`` belongs to node ``k``. A
-    node's xpath ``segment`` is its escaped tag (see the module docstring), or
-    that with ``[k]`` appended when it is the k-th of two or more same-tag
-    siblings, and its xpath is the segments from the root down, each after a
-    ``/``. Views and xpaths are built when first asked
-    for, all at once, and kept: :meth:`xpaths` joins every node's segments,
-    and :attr:`nodes` holds one ``TreeNode`` per node, which :meth:`node`
-    and iteration read.
+    Column ``k`` of each of ``tags``, ``attributes``, ``texts``, ``parents``
+    and ``signatures``, the five stored columns, belongs to node ``k``. The
+    rest is derived from them when first asked for, all at once, and kept:
+    ``children`` holds each node's child ids in sibling order, and
+    ``segments`` each node's xpath segment, its escaped tag (see the module
+    docstring), or that with ``[k]`` appended when it is the k-th of two or
+    more same-tag siblings. A node's xpath is the segments from the root
+    down, each after a ``/``: :meth:`xpaths` joins them, and :attr:`nodes`
+    holds one ``TreeNode`` per node, which :meth:`node` and iteration read.
     """
 
     __slots__ = (
-        "tags", "attributes", "texts", "parents", "children", "segments", "signatures",
-        "_xpaths", "_views",
+        "tags", "attributes", "texts", "parents", "signatures",
+        "_children", "_segments", "_xpaths", "_views",
     )
 
     def __init__(
@@ -123,17 +126,15 @@ class LabeledTree:
         attributes: tuple[tuple[tuple[str, str], ...], ...],
         texts: tuple[str | None, ...],
         parents: tuple[int | None, ...],
-        children: tuple[tuple[int, ...], ...],
-        segments: tuple[str, ...],
         signatures: tuple[str | None, ...],
     ):
         self.tags = tags
         self.attributes = attributes
         self.texts = texts
         self.parents = parents
-        self.children = children
-        self.segments = segments
         self.signatures = signatures
+        self._children: tuple[tuple[int, ...], ...] | None = None
+        self._segments: tuple[str, ...] | None = None
         self._xpaths: tuple[str, ...] | None = None
         self._views: tuple[TreeNode, ...] | None = None
 
@@ -160,6 +161,39 @@ class LabeledTree:
             ))
         return self._views
 
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's child ids in sibling order, by node id; built on first use."""
+        if self._children is None:
+            self._children = tuple(map(tuple, _child_lists(self.parents)))
+        return self._children
+
+    @property
+    def segments(self) -> tuple[str, ...]:
+        """Each node's xpath segment, by node id; built on first use.
+
+        A segment is the tag, escaped if it holds ``\\``, ``/`` or ``[``,
+        with a 1-based ``[k]`` rank suffix only when the node has at least
+        one same-tag sibling. Ids are in pre-order, so the nodes of one
+        (parent, tag) group come in sibling order, and one count over
+        ``zip(parents, tags)`` ranks them all without listing children.
+        """
+        if self._segments is None:
+            tags = self.tags
+            steps = {tag: _ODD.sub(r"\\\g<0>", tag) for tag in set(tags) if _ODD.search(tag)}
+            segments = [steps.get(tag, tag) for tag in tags] if steps else list(tags)
+            keys = list(zip(self.parents, tags))
+            groups = Counter(keys)
+            if len(groups) < len(keys):
+                # the groups of two or more, each with the rank its last node took
+                ranks = {group: 0 for group, n in groups.items() if n >= 2}
+                for v, group in enumerate(keys):
+                    if group in ranks:
+                        ranks[group] = rank = ranks[group] + 1
+                        segments[v] = f"{segments[v]}[{rank}]"
+            self._segments = tuple(segments)
+        return self._segments
+
     def xpaths(self) -> tuple[str, ...]:
         """Every node's absolute xpath, such as ``/html/body/p[2]``, by node id.
 
@@ -167,8 +201,9 @@ class LabeledTree:
         2·d² characters of xpath.
         """
         if self._xpaths is None:
-            paths = ["/" + self.segments[0]]
-            for parent, segment in zip(self.parents[1:], self.segments[1:]):
+            segments = self.segments
+            paths = ["/" + segments[0]] if segments else []
+            for parent, segment in zip(self.parents[1:], segments[1:]):
                 paths.append(f"{paths[parent]}/{segment}")  # type: ignore[index]
             self._xpaths = tuple(paths)
         return self._xpaths
@@ -210,57 +245,52 @@ def label_ids(
 _ODD = re.compile(r"[\\/\[]")
 
 
-# a node's tag, attributes, raw text, signature and parent id
-_Row = tuple[str, tuple[tuple[str, str], ...], str | None, str | None, int | None]
+def _child_lists(parents: Sequence[int | None]) -> list[list[int]]:
+    """Each node's child ids in id order, which is sibling order, by node id."""
+    children: list[list[int]] = [[] for _ in parents]
+    for node_id in range(1, len(parents)):
+        children[parents[node_id]].append(node_id)  # type: ignore[index]
+    return children
 
 
 def freeze(root: DraftNode) -> LabeledTree:
-    """Assign pre-order ids and xpath segments to a draft tree and seal it."""
-    rows: list[_Row] = []
+    """Assign pre-order ids to a draft tree and seal it. A name repeated in
+    a draft's attributes keeps its first value, as the HTML reader does."""
+    columns: tuple[list, list, list, list, list] = ([], [], [], [], [])
+    tags, attributes, texts, signatures, parents = columns
     stack: list[tuple[DraftNode, int | None]] = [(root, None)]
     while stack:
         draft, parent_id = stack.pop()
-        node_id = len(rows)
-        rows.append((draft.tag, tuple(draft.attrs), draft.text, draft.signature, parent_id))
+        node_id = len(tags)
+        first: dict[str, str] = {}
+        for name, value in draft.attrs:
+            first.setdefault(name, value)
+        tags.append(draft.tag)
+        attributes.append(tuple(first.items()))
+        texts.append(draft.text)
+        signatures.append(draft.signature)
+        parents.append(parent_id)
         if draft.children:
             stack.extend(zip(reversed(draft.children), repeat(node_id)))
-    return _seal(rows)
+    return _seal(*columns)
 
 
-def _seal(rows: list[_Row]) -> LabeledTree:
-    """Build the tree from one row per node, listed in pre-order.
+def _seal(
+    tags: Iterable[str],
+    attributes: Iterable[tuple[tuple[str, str], ...]],
+    texts: Iterable[str | None],
+    signatures: Iterable[str | None],
+    parents: Iterable[int | None],
+) -> LabeledTree:
+    """Build the tree from its five columns, each one entry per node in
+    pre-order.
 
-    Children are listed in id order, which is sibling order. A segment is
-    the tag, escaped if it holds ``\\``, ``/`` or ``[``, with a 1-based
-    ``[k]`` rank suffix only when the node has at least one same-tag sibling.
     Text is whitespace-collapsed, and text that collapses to nothing becomes
-    ``None``.
+    ``None``; the other columns are stored as they are, as tuples. Children,
+    segments, xpaths and views are left for the tree to derive on first use.
     """
-    tags, attributes, texts, signatures, parents = zip(*rows)
-    size = len(tags)
-    children: list[list[int]] = [[] for _ in range(size)]
-    for node_id in range(1, size):
-        children[parents[node_id]].append(node_id)  # type: ignore[index]
-    steps = {tag: _ODD.sub(r"\\\g<0>", tag) for tag in set(tags) if _ODD.search(tag)}
-    segments = [steps.get(tag, tag) for tag in tags] if steps else list(tags)
-    for kids in children:
-        if len(kids) < 2:
-            continue
-        kid_tags = [tags[c] for c in kids]
-        counts: dict[str, int] = {}
-        for tag in kid_tags:
-            counts[tag] = counts.get(tag, 0) + 1
-        if len(counts) == len(kids):
-            continue
-        seen: dict[str, int] = {}
-        for c, tag in zip(kids, kid_tags):
-            if counts[tag] >= 2:
-                seen[tag] = rank = seen.get(tag, 0) + 1
-                segments[c] = f"{segments[c]}[{rank}]"
     texts = tuple([text if text is None else " ".join(text.split()) or None for text in texts])
-    return LabeledTree(
-        tags, attributes, texts, parents, tuple(map(tuple, children)), tuple(segments), signatures
-    )
+    return LabeledTree(tuple(tags), tuple(attributes), texts, tuple(parents), tuple(signatures))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +329,20 @@ class _TreeBuilder(HTMLParser):
     ``HTMLParser``, so the tree rules live here once. Comments, doctype, and
     processing instructions are dropped; script/style text is excluded; stray
     end tags are ignored; duplicate attributes keep the first occurrence (as
-    browsers do). Elements open in pre-order, so each gets its row, and its
-    id, the moment it opens. Once the root has closed the stack stays empty,
-    and every later event is ignored. ``<x/>`` arrives as a start tag and an
-    end tag, which pops the element if it was pushed (it is then on top) and
-    else is stray. ``open_tags`` counts the open elements of each tag, so a
-    stray end tag is dropped without a scan of the stack.
+    browsers do). Elements open in pre-order, so each gets its entry in the
+    tag, attribute and parent columns, and its id, the moment it opens. Once
+    the root has closed the stack stays empty, and every later event is
+    ignored. ``<x/>`` arrives as a start tag and an end tag, which pops the
+    element if it was pushed (it is then on top) and else is stray.
+    ``open_tags`` counts the open elements of each tag, so a stray end tag
+    is dropped without a scan of the stack.
     """
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.rows: list[_Row] = []
+        self.tags: list[str] = []
+        self.attrs: list[tuple[tuple[str, str], ...]] = []
+        self.parents: list[int | None] = []
         self.stack: list[int] = []  # ids of the open elements
         self.open_tags: dict[str, int] = {}  # tag -> its elements on the stack
         self.texts: dict[int, list[str]] = {}
@@ -324,11 +357,11 @@ class _TreeBuilder(HTMLParser):
         return j
 
     def handle_starttag(self, tag, attrs):
-        rows, stack, open_tags = self.rows, self.stack, self.open_tags
-        if not stack and rows:
+        tags, stack, open_tags = self.tags, self.stack, self.open_tags
+        if not stack and tags:
             return  # the root has closed
         while stack:
-            top = rows[stack[-1]][0]
+            top = tags[stack[-1]]
             closers = _IMPLIED_CLOSE.get(top)
             if closers is None or tag not in closers:
                 break
@@ -339,8 +372,10 @@ class _TreeBuilder(HTMLParser):
         clean_attrs: dict[str, str] = {}
         for name, value in attrs:
             clean_attrs.setdefault(name, value or "")
-        node_id = len(rows)
-        rows.append((tag, tuple(clean_attrs.items()), None, None, stack[-1] if stack else None))
+        node_id = len(tags)
+        tags.append(tag)
+        self.attrs.append(tuple(clean_attrs.items()))
+        self.parents.append(stack[-1] if stack else None)
         if tag not in _VOID_TAGS:
             stack.append(node_id)
             open_tags[tag] = open_tags.get(tag, 0) + 1
@@ -349,34 +384,35 @@ class _TreeBuilder(HTMLParser):
         open_tags = self.open_tags
         if not open_tags.get(tag):
             return  # stray end tag: no matching open element, ignore
-        rows, stack = self.rows, self.stack
-        if rows[stack[-1]][0] == tag:  # the usual case: it closes the top
+        tags, stack = self.tags, self.stack
+        if tags[stack[-1]] == tag:  # the usual case: it closes the top
             stack.pop()
             open_tags[tag] -= 1
             return
         depth = len(stack) - 2
-        while rows[stack[depth]][0] != tag:
+        while tags[stack[depth]] != tag:
             depth -= 1
         for node_id in stack[depth:]:
-            open_tags[rows[node_id][0]] -= 1
+            open_tags[tags[node_id]] -= 1
         del stack[depth:]
 
     def handle_data(self, data):
         if not self.stack:
             return
         top = self.stack[-1]
-        if self.rows[top][0] in _RAWTEXT_TAGS:
+        if self.tags[top] in _RAWTEXT_TAGS:
             return
         self.texts.setdefault(top, []).append(data)
 
-    def finish(self) -> list[_Row]:
-        if not self.rows:
+    def finish(self) -> tuple[list, list, list, tuple, list]:
+        """The five columns, in ``_seal``'s order."""
+        tags = self.tags
+        if not tags:
             raise IngestError("document contains no element")
-        rows = self.rows
+        texts: list[str | None] = [None] * len(tags)
         for node_id, pieces in self.texts.items():
-            tag, attrs, _, signature, parent = rows[node_id]
-            rows[node_id] = (tag, attrs, "".join(pieces), signature, parent)
-        return rows
+            texts[node_id] = "".join(pieces)
+        return tags, self.attrs, texts, (None,) * len(tags), self.parents
 
 
 # One attribute of a strict start tag: whitespace, a name, and an optional
@@ -497,9 +533,9 @@ def parse_html(document: bytes | str) -> LabeledTree:
     if rest:
         builder.feed(rest)
         builder.close()
-    rows = builder.finish()
+    columns = builder.finish()
     del builder  # frees its text lists before _seal allocates, so the collector skips them
-    return _seal(rows)
+    return _seal(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +593,12 @@ def parse_tree_json(text: str | bytes) -> LabeledTree:
     except RecursionError:
         raise FormatError("nested too deeply to read", "$") from None
     if isinstance(doc, dict) and "version" in doc:
-        return _seal(_column_rows(doc))
-    return _seal(_nested_rows(doc))
+        return _seal(*_flat_columns(doc))
+    return _seal(*_nested_columns(doc))
 
 
-def _column_rows(doc: dict) -> list[_Row]:
-    """The rows of a format-2 document, checked column by column."""
+def _flat_columns(doc: dict) -> tuple[list, tuple, list, list, list]:
+    """The columns of a format-2 document in ``_seal``'s order, checked column by column."""
     version = doc["version"]
     if type(version) is not int or version != _FORMAT_VERSION:
         raise FormatError(f"unknown format version {version!r}", "$.version")
@@ -592,7 +628,7 @@ def _column_rows(doc: dict) -> list[_Row]:
         if not set(map(type, column)) <= _STR_OR_NULL:
             k = next(k for k, value in enumerate(column) if type(value) not in _STR_OR_NULL)
             raise FormatError(f"'{name}' entries must be strings or null", f"$.{name}[{k}]")
-    return list(zip(tags, map(tuple, map(dict.items, attrs)), texts, signatures, parents))
+    return tags, tuple(map(tuple, map(dict.items, attrs))), texts, signatures, parents
 
 
 def _check_preorder(parents: list) -> None:
@@ -615,56 +651,62 @@ def _check_preorder(parents: list) -> None:
         path.append(v)
 
 
-def _nested_rows(doc: object) -> list[_Row]:
-    """The rows of a format-1 document, in pre-order, checked node by node."""
-    rows: list[_Row] = []
+def _nested_columns(doc: object) -> tuple[list, list, list, list, list]:
+    """The columns of a format-1 document in ``_seal``'s order, in pre-order,
+    checked node by node."""
+    columns: tuple[list, list, list, list, list] = ([], [], [], [], [])
+    tags, attributes, texts, signatures, parents = columns
     stack: list[tuple[object, int | None]] = [(doc, None)]
     while stack:
         obj, parent_id = stack.pop()
         if not isinstance(obj, dict):
-            raise _format_error(rows, parent_id, f"expected object, got {type(obj).__name__}")
+            raise _format_error(parents, parent_id, f"expected object, got {type(obj).__name__}")
         if "tag" not in obj:
-            raise _format_error(rows, parent_id, "missing required field 'tag'")
+            raise _format_error(parents, parent_id, "missing required field 'tag'")
         tag = obj["tag"]
         if not isinstance(tag, str) or not tag:
-            raise _format_error(rows, parent_id, "'tag' must be a non-empty string")
+            raise _format_error(parents, parent_id, "'tag' must be a non-empty string")
         attrs_obj = obj.get("attrs", _NO_ATTRS)
         if not isinstance(attrs_obj, dict):
-            raise _format_error(rows, parent_id, "'attrs' must be an object", ".attrs")
+            raise _format_error(parents, parent_id, "'attrs' must be an object", ".attrs")
         attrs = tuple(attrs_obj.items())
         for name, value in attrs:
             if not isinstance(value, str):
-                raise _format_error(rows, parent_id, "attribute values must be strings",
+                raise _format_error(parents, parent_id, "attribute values must be strings",
                                     f".attrs.{name}")
         node_text = obj.get("text")
         if node_text is not None and not isinstance(node_text, str):
-            raise _format_error(rows, parent_id, "'text' must be a string", ".text")
+            raise _format_error(parents, parent_id, "'text' must be a string", ".text")
         signature = obj.get("signature")
         if signature is not None and not isinstance(signature, str):
-            raise _format_error(rows, parent_id, "'signature' must be a string", ".signature")
+            raise _format_error(parents, parent_id, "'signature' must be a string", ".signature")
         children = obj.get("children", _NO_CHILDREN)
         if not isinstance(children, list):
-            raise _format_error(rows, parent_id, "'children' must be an array", ".children")
-        node_id = len(rows)
-        rows.append((tag, attrs, node_text, signature, parent_id))
+            raise _format_error(parents, parent_id, "'children' must be an array", ".children")
+        node_id = len(tags)
+        tags.append(tag)
+        attributes.append(attrs)
+        texts.append(node_text)
+        signatures.append(signature)
+        parents.append(parent_id)
         if children:
             stack.extend(zip(reversed(children), repeat(node_id)))
-    return rows
+    return columns
 
 
 def _format_error(
-    rows: list[_Row], parent_id: int | None, message: str, suffix: str = ""
+    parents: list[int | None], parent_id: int | None, message: str, suffix: str = ""
 ) -> FormatError:
-    """The error at the node after ``rows``, a child of ``parent_id``; its
-    path is rebuilt from the parents of the nodes read so far."""
-    parents = [row[4] for row in rows] + [parent_id]
+    """The error at the node after the ``parents`` read so far, a child of
+    ``parent_id``; its path is rebuilt from their parents."""
+    parents = parents + [parent_id]
     ranks: list[int] = []
     child_counts: dict[int | None, int] = {}
     for parent in parents:
         ranks.append(child_counts.get(parent, 0))
         child_counts[parent] = ranks[-1] + 1
     steps = []
-    node_id = len(rows)
+    node_id = len(parents) - 1
     while (parent := parents[node_id]) is not None:
         steps.append(f".children[{ranks[node_id]}]")
         node_id = parent

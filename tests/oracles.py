@@ -22,9 +22,15 @@ one ``TreeNode`` per node, where the library stores columns and joins xpaths
 from segments on demand. For format 2 the reader checks the columns one
 entry at a time, each parent against the ancestors of the node before it,
 and links ``DraftNode``s by their parent ids.
+``reference_freeze`` is also the independent check on the columns a
+``LabeledTree`` derives on first use: it lists children and ranks same-tag
+siblings while it walks the drafts, where the tree derives both from its
+stored tag and parent columns.
 ``reference_serialize_tree_json`` is the format-1 writer the library used
 before format 2. ``reference_parse_html`` is the HTML reader that builds a
-``DraftNode`` per element and then freezes the drafts the same way.
+``DraftNode`` per element and then freezes the drafts the same way; it
+decodes bytes by its own byte-order-mark sniff, ``reference_decode``,
+written from the WHATWG encoding standard.
 ``reference_build_graph`` sorts ``Edge`` objects by (cost, n, m) directly.
 ``neighbor_scores`` scores one second-tree node against a token index by a
 plain loop over the node's own sorted tokens, and
@@ -1117,11 +1123,17 @@ def reference_freeze(root: DraftNode) -> tuple[TreeNode, ...]:
         text = draft.text
         if text is not None:
             text = " ".join(text.split()) or None
+        names: set[str] = set()
+        attrs = []
+        for name, value in draft.attrs:
+            if name not in names:  # a repeated name keeps its first value
+                names.add(name)
+                attrs.append((name, value))
         nodes.append(
             TreeNode(
                 id=node_id,
                 tag=draft.tag,
-                attributes=tuple(draft.attrs),
+                attributes=tuple(attrs),
                 text=text,
                 parent=parent_id,
                 children=tuple(child_ids[node_id]),
@@ -1342,9 +1354,23 @@ class _ReferenceTreeBuilder(HTMLParser):
         return self.root
 
 
+# the WHATWG encoding standard's BOM sniff: each byte-order mark and the
+# encoding it names; the mark itself is left out of the decoded text
+_BOMS = ((b"\xef\xbb\xbf", "utf-8"), (b"\xfe\xff", "utf-16-be"), (b"\xff\xfe", "utf-16-le"))
+
+
+def reference_decode(document: bytes) -> str:
+    """Bytes as text by the BOM sniff, and UTF-8 when no mark leads them;
+    undecodable bytes become U+FFFD."""
+    for bom, encoding in _BOMS:
+        if document.startswith(bom):
+            return document[len(bom):].decode(encoding, errors="replace")
+    return document.decode("utf-8", errors="replace")
+
+
 def reference_parse_html(document: bytes | str) -> tuple[TreeNode, ...]:
     if isinstance(document, bytes):
-        document = document.decode("utf-8", errors="replace")
+        document = reference_decode(document)
     builder = _ReferenceTreeBuilder()
     builder.feed(document)
     builder.close()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 import tracemalloc
 from html.parser import HTMLParser
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CORPUS_DIR
 from oracles import (
+    reference_decode,
     reference_freeze,
     reference_parse_html,
     reference_parse_tree_json,
@@ -21,13 +23,16 @@ from strategies import (
     draft_trees,
     html_documents,
     labeled_trees,
+    random_html_document,
     signed_tree,
     tree_columns,
 )
+from treematch.mutate import assign_signatures, mutate
 from treematch.tree import (
     DraftNode,
     FormatError,
     IngestError,
+    LabeledTree,
     TreeNode,
     _TreeBuilder,
     _scan,
@@ -261,9 +266,24 @@ class TestParseHtml:
     def test_utf16_bom(self, bom, codec, tail):
         # an odd trailing byte decodes to U+FFFD, after the root has closed
         text = "<html><body><p>caf\xe9</p><p>\u65e5\u672c</p></body></html>"
-        tree = parse_html(bom + text.encode(codec) + tail)
+        document = bom + text.encode(codec) + tail
+        tree = parse_html(document)
         assert _node_rows(tree) == _node_rows(parse_html(text))
+        assert _node_rows(tree) == _node_rows(reference_parse_html(document))
         assert tree.texts[2:] == ("caf\xe9", "\u65e5\u672c")
+
+    @pytest.mark.parametrize("bom, codec", [
+        (b"\xff\xfe", "utf-16-le"), (b"\xfe\xff", "utf-16-be"), (b"", "utf-8"),
+    ], ids=["utf-16-le", "utf-16-be", "utf-8"])
+    def test_encoded_documents_equal_reference(self, bom, codec):
+        # the oracle decodes by its own byte-order-mark sniff
+        rng = random.Random(36)
+        for _ in range(300):
+            text = random_html_document(rng)
+            document = bom + text.encode(codec)
+            assert reference_decode(document) == text
+            want = _rows_or_error(reference_parse_html, document)
+            assert _rows_or_error(parse_html, document) == want, document
 
     def test_bytes_without_utf16_bom_read_as_utf8(self):
         tree = parse_html(b"\xff<p>caf\xc3\xa9 caf\xe9</p>")
@@ -526,6 +546,16 @@ class TestReaderOracle:
         for text in (reference_serialize_tree_json(tree), serialize_tree_json(tree)):
             assert _read(parse_tree_json, text) == _read(reference_parse_tree_json, text)
 
+    def test_freeze_keeps_the_first_of_a_repeated_attribute(self):
+        # as the HTML reader does, so the tree reads back from its JSON form
+        draft = DraftNode("p", attrs=[("a", "1"), ("b", "2"), ("a", "3")])
+        tree = freeze(draft)
+        assert tree.attributes == ((("a", "1"), ("b", "2")),)
+        assert _node_rows(tree) == _node_rows(reference_freeze(draft))
+        assert tree.attributes == parse_html(b"<p a=1 b=2 a=3></p>").attributes
+        again = parse_tree_json(serialize_tree_json(tree))
+        assert _node_rows(again) == _node_rows(tree)
+
     def test_freeze_collapses_blank_text(self):
         draft = DraftNode(tag="a", text=" \n ", children=[DraftNode(tag="b", text=" x  y ")])
         assert _node_rows(freeze(draft)) == _node_rows(reference_freeze(draft))
@@ -731,3 +761,68 @@ class TestFlatFormat:
             parse_tree_json(document)
         assert err.value.path == "$"
         assert _read(parse_tree_json, document) == _read(reference_parse_tree_json, document)
+
+
+_FAST = "<div><p>a</p><p>b</p><i/></div>"
+_FALLBACK = "< " + _FAST  # the stray "<" hands the whole text to HTMLParser
+
+
+def _signed():
+    return assign_signatures(parse_html(_FAST))
+
+
+# each reader, as a call that returns the tree just as the reader built it
+_READERS = {
+    "parse_html fast": lambda: parse_html(_FAST),
+    "parse_html fallback": lambda: parse_html(_FALLBACK),
+    "parse_tree_json format 1": lambda: parse_tree_json(reference_serialize_tree_json(_signed())),
+    "parse_tree_json format 2": lambda: parse_tree_json(serialize_tree_json(_signed())),
+    "freeze": lambda: freeze(DraftNode("a", children=[DraftNode("b"), DraftNode("b")])),
+    "mutate": lambda: mutate(_signed(), 0.5, 1)[0],
+    "assign_signatures": _signed,
+}
+
+
+class TestDerivedColumns:
+    """A tree stores five columns; children and segments are derived from
+    the tags and parents on first use and kept."""
+
+    def test_both_html_paths_are_taken(self):
+        assert _scan(_FAST, _TreeBuilder()) == "" and _scan(_FALLBACK, _TreeBuilder())
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_readers_derive_nothing(self, reader):
+        tree = _READERS[reader]()
+        assert tree._children is None and tree._segments is None
+        children, segments = tree.children, tree.segments
+        assert tree.children is children and tree.segments is segments
+        assert len(children) == len(segments) == len(tree)
+
+    def test_mutate_reads_the_stored_columns_only(self):
+        source = _signed()
+        mutate(source, 0.5, 1)
+        assert source._children is None and source._segments is None
+
+    def test_views_derive_both(self):
+        tree = parse_html(_FAST)
+        segments = tree.segments
+        assert tree._children is None  # segments are ranked without children
+        nodes = tree.nodes
+        assert tree._children is not None and tree.segments is segments
+        assert [n.children for n in nodes] == list(tree.children)
+
+    @settings(max_examples=100)
+    @given(st.one_of(draft_trees(max_nodes=30, tags=("p", "p", "li", "div")),
+                     draft_trees(max_nodes=30, odd_tags=True)))
+    def test_equal_reference_on_same_tag_siblings(self, draft):
+        tree, want = freeze(draft), reference_freeze(draft)
+        assert tree.children == tuple(n.children for n in want)
+        # each segment is the last step of the reference's full xpath
+        steps = tuple(n.xpath[len(want[n.parent].xpath if n.parent is not None else ""):]
+                      for n in want)
+        assert tuple("/" + segment for segment in tree.segments) == steps
+
+    def test_empty_columns(self):
+        tree = LabeledTree((), (), (), (), ())
+        assert tree.children == tree.segments == tree.xpaths() == tree.nodes == ()
+        assert len(tree) == 0
