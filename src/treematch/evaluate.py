@@ -31,7 +31,7 @@ from .mutate import (
 )
 from .pipeline import match_trees
 from .similarity import SftmParams
-from .tree import FormatError, LabeledTree, parse_tree_json, serialize_tree_json
+from .tree import LabeledTree, parse_tree_json, serialize_tree_json
 
 SOURCE_FILE = "source.html.json"
 MUTANT_FILE = "mutant.html.json"
@@ -122,7 +122,7 @@ def load_bundle(directory: Path) -> MutantBundle:
         source = parse_tree_json((directory / SOURCE_FILE).read_text(encoding="utf-8"))
         mutant = parse_tree_json((directory / MUTANT_FILE).read_text(encoding="utf-8"))
         log = mutation_log_from_json((directory / LOG_FILE).read_text(encoding="utf-8"))
-    except (OSError, FormatError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CorpusError(f"bad bundle {directory}: {exc}") from exc
     for name, tree in ((SOURCE_FILE, source), (MUTANT_FILE, mutant)):
         try:

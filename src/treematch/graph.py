@@ -142,10 +142,6 @@ def _chains(ends: tuple[int, ...], size: int) -> tuple[array, array]:
     return array("i", first), nxt
 
 
-# one level, w0 = 1: no ancestor climbs, and 1.0 * s is s to the bit
-_NO_PROPAGATION = SftmParams(weights=(1.0,))
-
-
 def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchGraph:
     """One edge per similarity entry, cost 1/(1+score).
 
@@ -156,17 +152,18 @@ def build_graph(sp: SimilarityTable, t1: LabeledTree, t2: LabeledTree) -> MatchG
     positive and finite.
     """
     _check_table(sp, t1, t2)
-    return graph_from_rows(sorted(sp.rows.items()), t1, t2, _NO_PROPAGATION)
+    # one level, w0 = 1: no ancestor climbs, and 1.0 * s is s to the bit
+    return graph_from_rows(sorted(sp.rows.items()), t1, t2, (1.0,))
 
 
 def graph_from_rows(
     rows: Iterable[tuple[int, dict[int, float]]],
     t1: LabeledTree,
     t2: LabeledTree,
-    params: SftmParams,
+    weights: tuple[float, ...],
 ) -> MatchGraph:
     """The graph of the initial ``rows``, given as ``(m, row)`` in ascending
-    ``m``, propagated with ``params.weights``.
+    ``m``, propagated with ``weights``, one per level as in ``SftmParams``.
 
     The climb is the one :func:`propagate` runs, and its score groups of
     edge keys go straight into cost groups, so no propagated table is
@@ -180,7 +177,7 @@ def graph_from_rows(
     only such rows, and :func:`build_graph` checks its table first.
     """
     t1_size, t2_size = len(t1), len(t2)
-    by_score = _score_groups(rows, t1, t2, params.weights)
+    by_score = _score_groups(rows, t1, t2, weights)
     costs, groups = _cost_groups(by_score)
     del by_score
     sizes = list(map(len, groups))

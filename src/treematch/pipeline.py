@@ -16,7 +16,7 @@ def match_trees_detailed(
     params: SftmParams = SftmParams(),
 ) -> tuple[Matching, MatchGraph]:
     # the scored rows stream into the climb, so no similarity table is built
-    g = graph_from_rows(initial_rows(t1, t2, params), t1, t2, params)
+    g = graph_from_rows(initial_rows(t1, t2, params), t1, t2, params.weights)
     return metropolis(g, params), g
 
 

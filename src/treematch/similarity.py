@@ -21,14 +21,12 @@ content is tokenized) and its xpath token, and a pair's IDF weights are
 added in sorted token order, so a score is the float a plain sum over the
 node's own sorted tokens gives. In :func:`initial_rows` labels are
 interned to ints and tokenized once, the index holds label tokens only,
-each kept token's weight is computed once, and the second-tree nodes of one
-label share a label row: it is scored once, kept and copied only while
-another node of that label follows, and the last such node (or a label's
-only one) takes the row itself. ``xpath:`` sorts after every label prefix,
-so a node's xpath weight is added last. An xpath names one node of its tree
-(see ``tree``), so that weight is ``log(N)`` and goes to the one first-tree
-node with the same xpath: the node with the same segment under the parent's
-partner, found by one lookup per node. No xpath string is built.
+and each kept token's weight is computed once. ``xpath:`` sorts after every
+label prefix, so a node's xpath weight is added last. An xpath names one
+node of its tree (see ``tree``), so that weight is ``log(N)`` and goes to
+the one first-tree node with the same xpath: the node with the same segment
+under the parent's partner, found by one lookup per node. No xpath string
+is built.
 
 Scores are kept as one row per second-tree node: ``rows[m]`` maps each
 first-tree node ``n`` to the score of the pair ``(n, m)``. Scoring fills a
@@ -83,6 +81,8 @@ class SftmParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if type(self.weights) is not tuple:
+            raise ValueError(f"weights must be a tuple, got {self.weights!r}")
         if not self.weights:
             raise ValueError("weights must hold at least w0")
         if self.weights[0] <= 0:
@@ -93,6 +93,8 @@ class SftmParams:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if type(self.iterations) is not int:
+            raise ValueError(f"iterations must be an int, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 < self.no_match_cost < math.inf:
@@ -217,22 +219,8 @@ def initial_rows(
 
     partners = _xpath_partners(t1, t2)
     lone = math.log(t1_size)  # the weight of an xpath, which one t1 node holds
-    # t2 nodes of a label left to score; a label's base row is kept, and
-    # copied, only while another node of it follows, and the last takes it
-    left = [0] * len(tokens)
-    for label in labels2:
-        left[label] += 1
-    label_rows: list[dict[int, float] | None] = [None] * len(tokens)
     for m, (label, partner) in enumerate(zip(labels2, partners)):
-        row = label_rows[label]
-        if row is None:
-            row = _row(tokens[label], weighted)
-        left[label] -= 1
-        if left[label]:
-            label_rows[label] = row
-            row = row.copy()
-        else:
-            label_rows[label] = None
+        row = _row(tokens[label], weighted)
         # the xpath token sorts after every label token, so its weight adds last
         if partner is not None and lone > 0.0:
             row[partner] = row.get(partner, 0.0) + lone

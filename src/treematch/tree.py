@@ -103,9 +103,10 @@ class TreeNode(NamedTuple):
 class LabeledTree:
     """Immutable rooted ordered labeled tree, held as one tuple per field.
 
-    Node ids are pre-order positions in ``[0, len(tree))``; the root is node 0.
-    Column ``k`` of each of ``tags``, ``attributes``, ``texts``, ``parents``
-    and ``signatures``, the five stored columns, belongs to node ``k``. The
+    Node ids are pre-order positions in ``[0, len(tree))``; the root is node 0,
+    and every tree has one: empty columns raise :class:`IngestError`. Column
+    ``k`` of each of ``tags``, ``attributes``, ``texts``, ``parents`` and
+    ``signatures``, the five stored columns, belongs to node ``k``. The
     rest is derived from them when first asked for, all at once, and kept:
     ``children`` holds each node's child ids in sibling order, and
     ``segments`` each node's xpath segment, its escaped tag (see the module
@@ -128,6 +129,8 @@ class LabeledTree:
         parents: tuple[int | None, ...],
         signatures: tuple[str | None, ...],
     ):
+        if not tags:
+            raise IngestError("a tree needs a root: its columns are empty")
         self.tags = tags
         self.attributes = attributes
         self.texts = texts
@@ -202,7 +205,7 @@ class LabeledTree:
         """
         if self._xpaths is None:
             segments = self.segments
-            paths = ["/" + segments[0]] if segments else []
+            paths = ["/" + segments[0]]
             for parent, segment in zip(self.parents[1:], segments[1:]):
                 paths.append(f"{paths[parent]}/{segment}")  # type: ignore[index]
             self._xpaths = tuple(paths)

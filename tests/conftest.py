@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from treematch.tree import DraftNode, LabeledTree, freeze
+from treematch.tree import DraftNode
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -33,11 +33,6 @@ def spoil_bundle(directory: Path, how: str) -> str:
 
 def build(tag: str, *children: DraftNode, attrs=None, text=None) -> DraftNode:
     return DraftNode(tag=tag, attrs=list(attrs or []), text=text, children=list(children))
-
-
-@pytest.fixture
-def three_node_page() -> LabeledTree:
-    return freeze(build("html", build("body", build("p", text="hi"))))
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from treematch.evaluate import discover_bundles, load_bundle
 from treematch.graph import matching_to_json
 from treematch.pipeline import match_trees
 from treematch.similarity import SftmParams
-from treematch.tree import parse_html
+from treematch.tree import parse_html, serialize_tree_json
 
 PAGE = """
 <html>
@@ -68,6 +68,14 @@ class TestMatchCommand:
             xpaths = [pair[side + "_xpath"] for pair in matching["pairs"]]
             xpaths += matching["unmatched_" + side]
             assert sorted(xpaths) == ["/r", "/r/a[1]", "/r/a[2]", "/r/a\\[1]"]
+
+    def test_json_trees_match_as_their_html_does(self, page_file, tmp_path):
+        tree = tmp_path / "demo.json"
+        tree.write_text(serialize_tree_json(parse_html(PAGE)), encoding="utf-8")
+        outs = tmp_path / "from_json.json", tmp_path / "from_html.json"
+        assert main(["match", str(tree), str(tree), "--out", str(outs[0])]) == 0
+        assert main(["match", str(page_file), str(page_file), "--out", str(outs[1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.html"), str(tmp_path / "nope.html"),
@@ -423,6 +431,22 @@ class TestBenchCommand:
             f"warning: bad bundle {bad}: {named}"]
         assert "rows=1 skipped=1" in captured.out
         assert len(out.read_text().strip().split("\n")) == 2
+
+    def test_corpus_of_only_malformed_bundles_exits_one(self, page_file, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "2",
+              "--out-dir", str(corpus)])
+        bad = sorted(p.parent for p in corpus.glob("**/mutations.json"))
+        for directory in bad:
+            (directory / "mutations.json").write_text("[]", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        code = main(["bench", str(corpus), "--out", str(out), "--iterations", "10"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "rows=0 skipped=2" in captured.out
+        assert only_error_line(captured.err) == "error: every bundle in the corpus was malformed"
+        assert len(out.read_text().strip().split("\n")) == 1  # the header
 
     def test_deterministic_quality_columns(self, page_file, tmp_path):
         corpus = tmp_path / "corpus"

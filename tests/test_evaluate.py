@@ -16,6 +16,7 @@ import pytest
 from conftest import SPOILS, spoil_bundle
 from oracles import reference_serialize_tree_json
 from strategies import tree_columns
+from treematch import evaluate
 from treematch.evaluate import (
     MUTANT_FILE,
     SOURCE_FILE,
@@ -207,6 +208,20 @@ class TestBundles:
         with pytest.raises(CorpusError) as err:
             load_bundle(tmp_path / "b0")
         assert str(err.value) == f"bad bundle {tmp_path / 'b0'}: {named}"
+
+    @pytest.mark.parametrize("reader", ["parse_tree_json", "mutation_log_from_json"])
+    def test_reader_fault_is_not_a_bad_bundle(self, tmp_path, monkeypatch, reader):
+        # the readers raise ValueError for bad input; anything else is their bug
+        source = page()
+        mutant, log = mutate(source, 0.25, seed=3, source_page="pg")
+        write_bundle(tmp_path / "b0", source, mutant, log)
+
+        def broken(text):
+            raise TypeError("a reader bug")
+
+        monkeypatch.setattr(evaluate, reader, broken)
+        with pytest.raises(TypeError, match="a reader bug"):
+            load_bundle(tmp_path / "b0")
 
     @pytest.mark.parametrize("name", ["source.html.json", "mutant.html.json", "mutations.json"])
     def test_fifo_in_place_of_a_file_raises(self, tmp_path, name):

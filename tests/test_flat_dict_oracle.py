@@ -52,7 +52,7 @@ def assert_same_stages(t1, t2, params: SftmParams, options: TokenOptions) -> Non
 
     ref = reference_build_graph(table_from_scores(ref_p), t1, t2)
     assert_same_graph(build_graph(sp, t1, t2), ref)
-    assert_same_graph(graph_from_rows(sorted(s0.rows.items()), t1, t2, params), ref)
+    assert_same_graph(graph_from_rows(sorted(s0.rows.items()), t1, t2, params.weights), ref)
     # the matcher streams the rows into the climb, and builds no table
     _, g = match_trees_detailed(t1, t2, replace(params, tokens=options, iterations=1))
     assert_same_graph(g, ref)

@@ -136,6 +136,16 @@ class TestBuildGraph:
         with pytest.raises(ValueError):  # the AssertionError would pass through
             FROM_TABLE[build](table_from_scores(scores), t1, t2)
 
+    def test_empty_row_is_checked_as_no_pairs(self):
+        # _check_table skips an empty row, which holds no id to check, and
+        # propagate keeps it; the pair (1, 1) has no ancestor score to add
+        t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
+        table = SimilarityTable(rows={0: {}, 1: {1: 2.0}})
+        assert propagate(table, t1, t2, PARAMS).rows == {0: {}, 1: {1: 2.0}}
+        g = build_graph(table, t1, t2)
+        assert [(e.n, e.m, e.cost) for e in g.edges] == [(1, 1, 1.0 / 3.0)]
+
     def test_adjacency_built_once(self):
         t1 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="a", children=[DraftNode(tag="b")]))

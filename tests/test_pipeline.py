@@ -120,7 +120,7 @@ def test_match_path_builds_no_similarity_table(monkeypatch):
     mutant, _ = mutate(source, 0.2, 0)
     params = SftmParams()
     s0 = initial_similarity(source, mutant, params)
-    want = graph_from_rows(sorted(s0.rows.items()), source, mutant, params)
+    want = graph_from_rows(sorted(s0.rows.items()), source, mutant, params.weights)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the match path built a similarity table")

@@ -67,6 +67,17 @@ class TestParams:
         with pytest.raises(ValueError):
             SftmParams(**kwargs)
 
+    @pytest.mark.parametrize("name,value", [
+        ("iterations", 2.5),  # metropolis would fail on it in range()
+        ("iterations", True),
+        ("iterations", "3"),
+        ("weights", [1.0, 0.5]),  # mutable inside a frozen, hashed dataclass
+        ("weights", 1.0),
+    ])
+    def test_wrong_type_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SftmParams(**{name: value})
+
 
 class TestTokenIndex:
     def test_single_node_tree(self):
@@ -408,27 +419,21 @@ class TestLabelTokens:
             initial_similarity(tree, tree, SftmParams(tokens=TOKEN_MODES[mode]))
             assert len(calls) == count
 
-    def test_second_tree_nodes_of_one_label_share_a_row(self, monkeypatch):
-        rows: list[list[str]] = []
-        real_row = similarity._row
-
-        def spy(tokens, weighted):
-            rows.append(tokens)
-            return real_row(tokens, weighted)
-
-        monkeypatch.setattr(similarity, "_row", spy)
+    def test_nodes_of_one_label_differ_only_at_their_xpath(self):
         t1 = freeze(DraftNode(tag="div", children=[
             DraftNode(tag="p"), DraftNode(tag="p"), DraftNode(tag="b")]))
         t2 = freeze(DraftNode(tag="div", children=[DraftNode(tag="p") for _ in range(4)]))
         table = initial_similarity(t1, t2, EXACT)
-        assert rows == [["tag:div"], ["tag:p"]]
-        # the shared label row is copied: each xpath weight goes to one row
+        # each xpath weight goes to its own node's row alone
         half = math.log(4 / 2)  # tag:p is held twice
         assert table.rows[1] == {1: half + math.log(4), 2: half}
         assert table.rows[2] == {1: half, 2: half + math.log(4)}
         assert table.rows[3] == table.rows[4] == {1: half, 2: half}
+        want = reference_initial_similarity(t1, t2, EXACT)
+        assert {k: v.hex() for k, v in flat_scores(table).items()} == {
+            k: v.hex() for k, v in want.items()}
 
-    def test_rows_of_one_label_are_distinct_and_kept_only_while_repeated(self, monkeypatch):
+    def test_each_second_tree_node_is_scored_into_a_row_of_its_own(self, monkeypatch):
         made: list[dict[int, float]] = []
         real_row = similarity._row
 
@@ -442,12 +447,10 @@ class TestLabelTokens:
         t1, t2 = freeze(shape), freeze(shape)
         table = initial_similarity(t1, t2, EXACT)
         rows = table.rows
-        # the two <p> have different xpath partners, so rows of their own
-        assert rows[1] is not rows[2] and rows[1] != rows[2]
-        # one row per label is made; the first <p> takes a copy of its label's
-        # row, and the last node of each label takes the row itself
-        div_row, p_row, b_row = made
-        assert rows[0] is div_row and rows[2] is p_row and rows[3] is b_row
+        assert len(made) == len(t2)
+        assert all(rows[m] is row for m, row in enumerate(made))
+        # the two <p> have different xpath partners
+        assert rows[1] != rows[2]
         want = reference_initial_similarity(t1, t2, EXACT)
         assert {k: v.hex() for k, v in flat_scores(table).items()} == {
             k: v.hex() for k, v in want.items()}

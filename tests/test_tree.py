@@ -823,6 +823,6 @@ class TestDerivedColumns:
         assert tuple("/" + segment for segment in tree.segments) == steps
 
     def test_empty_columns(self):
-        tree = LabeledTree((), (), (), (), ())
-        assert tree.children == tree.segments == tree.xpaths() == tree.nodes == ()
-        assert len(tree) == 0
+        # no step past the constructor reads a tree without a root
+        with pytest.raises(IngestError, match="needs a root"):
+            LabeledTree((), (), (), (), ())
