@@ -18,17 +18,17 @@ takes the diagonal, and writes the tree distance, in the columns on the
 second subtree's leftmost path. Each column's offset to the forest before
 its subtree is listed once per second subtree (0 exactly on its path), and
 both loops carry the left neighbour in a local. The distance pass runs the
-kernel for every pair of inner keyroots. The backtrace reads the buffer: it
-starts from the root pair's table when the pass left it there. Every other
-pair ``(i, j)`` it descends into has a known distance ``D = td[i][j]``, so
-the kernel refills only that table's band, the cells with
-``|x - y| + |(X - x) - (Y - y)| <= D`` for subtree sizes ``X`` and ``Y``
-(Ukkonen's cut-off for string edit distance), and reads ``td`` without
-writing it. Unit costs give ``fd[x][y] >= |x - y|``, and the cost still to
-go from ``(x, y)`` is at least the size difference left, so every cell on an
-optimal path lies in the band and gets its exact value. Every cell outside
-it reads as at least its true value, so each comparison of the walk back
-gives the result a full table gives.
+kernel for every pair of keyroots of three or more nodes. The backtrace
+reads the buffer: it starts from the root pair's table when the pass left
+it there. Every other pair ``(i, j)`` it descends into has a known
+distance ``D = td[i][j]``, so the kernel refills only that table's band,
+the cells with ``|x - y| + |(X - x) - (Y - y)| <= D`` for subtree sizes
+``X`` and ``Y`` (Ukkonen's cut-off for string edit distance), and reads
+``td`` without writing it. Unit costs give ``fd[x][y] >= |x - y|``, and
+the cost still to go from ``(x, y)`` is at least the size difference left,
+so every cell on an optimal path lies in the band and gets its exact value.
+Every cell outside it reads as at least its true value, so each comparison
+of the walk back gives the result a full table gives.
 
 Over every keyroot pair the kernel would fill S1 x S2 forest cells, where
 S is the summed size of a tree's keyroot subtrees. Zhang and Shasha
@@ -48,11 +48,24 @@ distance is ``|T| - 1`` when some node of T carries the node's label and
 ``|T|`` otherwise: an edit script keeps at most one node of T, so it makes
 at least ``|T| - 1`` deletions, plus nothing for keeping a node with the
 same label, or one relabel or insert. The pass writes those cells in
-closed form, with one forward pass over postorder per distinct leaf label,
-then runs the kernel on the inner keyroot pairs in the same ascending
-order, so every cell a pair reads is already written. On each corpus page
-against itself that leaves 11-18% of the keyroot pairs and 78-83% of the
-forest cells.
+closed form, with one forward pass over postorder per distinct leaf label.
+
+Many inner keyroots are a node over one leaf child. A pair with such a
+keyroot writes the leaf child's distances to one node, above, and the
+distances from T to a two-node tree, ``top`` over ``bottom``. An edit script
+maps a chain onto nodes of T that form a chain, so it keeps at most one
+ancestor-descendant pair of T, and keeping a single node already costs at
+least ``|T|``. So for ``|T| >= 2`` the distance is ``|T| - 2 + c``, where
+``c = 0`` when a top-labelled node of T has a bottom-labelled proper
+descendant (keep both), else ``c = 1`` when T has a top-labelled inner node
+or a bottom-labelled node below its root (keep that one and an ancestor or
+descendant, and relabel the other), else ``c = 2``. A one-node T is 1 away,
+plus one relabel unless its label is ``top`` or ``bottom``. The pass writes
+those cells in closed form too, with one forward pass over postorder per
+distinct ``(top, bottom)`` pair. It then runs the kernel on the pairs of
+keyroots of three or more nodes in the same ascending order, so every cell
+a pair reads is already written. On each corpus page against itself that
+leaves 4-5% of the keyroot pairs and 68-77% of the forest cells.
 """
 
 from __future__ import annotations
@@ -107,12 +120,21 @@ def _postorder_structure(tree: LabeledTree) -> tuple[_Structure, _Structure]:
     return structure(order, not_first), structure(list(range(n - 1, -1, -1)), not_last)
 
 
-def _leaves_by_label(keyroots: list[int], lmd: list[int], lab: list[int]) -> dict[int, list[int]]:
-    """The leaf keyroots, grouped by label."""
-    out: dict[int, list[int]] = {}
+def _small_subtrees(
+    keyroots: list[int], lmd: list[int], lab: list[int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The positions whose ``td`` lines are written in closed form, by labels.
+
+    A leaf keyroot and the leaf child ``k - 1`` of a two-node keyroot ``k``
+    go under ``(label,)``; a two-node keyroot goes under ``(top, bottom)``.
+    """
+    out: dict[tuple[int, ...], list[int]] = {}
     for k in keyroots:
         if lmd[k] == k:
-            out.setdefault(lab[k], []).append(k)
+            out.setdefault((lab[k],), []).append(k)
+        elif lmd[k] == k - 1:
+            out.setdefault((lab[k - 1],), []).append(k - 1)
+            out.setdefault((lab[k], lab[k - 1]), []).append(k)
     return out
 
 
@@ -131,6 +153,40 @@ def _to_one_node(lab: list[int], lmd: list[int], label: int) -> list[int]:
             last = x
         out.append(x - lx + (last < lx))
     return out
+
+
+def _to_two_nodes(lab: list[int], lmd: list[int], top: int, bottom: int) -> list[int]:
+    """Unit-cost distance from each subtree to a ``top`` node over a ``bottom`` leaf.
+
+    A one-node subtree is 1 away, plus one relabel unless its label is
+    ``top`` or ``bottom``. A subtree of ``t >= 2`` nodes keeps at most one
+    ancestor-descendant pair, so it is ``t - 2 + c`` away: ``c = 0`` when a
+    ``top`` node has a ``bottom`` proper descendant, else ``c = 1`` when a
+    ``top`` node is inner or a ``bottom`` node is not the subtree's root,
+    else ``c = 2``. Each case is read off the last position up to ``x`` of
+    such a node, as in :func:`_to_one_node`.
+    """
+    out = []
+    last_bottom = last_top = last_pair = -1
+    for x, (lx, lab_x) in enumerate(zip(lmd, lab)):
+        if lx == x:
+            out.append(2 - (lab_x == top or lab_x == bottom))
+        else:
+            if lab_x == top:
+                last_top = x  # an inner top node
+                if last_bottom >= lx:
+                    last_pair = x  # with a bottom proper descendant
+            out.append(x - lx - 1 + (last_pair < lx) + (last_top < lx and last_bottom < lx))
+        if lab_x == bottom:
+            last_bottom = x
+    return out
+
+
+def _to_small_tree(lab: list[int], lmd: list[int], labels: tuple[int, ...]) -> list[int]:
+    """Distance from each subtree to the one- or two-node tree of ``labels``."""
+    if len(labels) == 1:
+        return _to_one_node(lab, lmd, *labels)
+    return _to_two_nodes(lab, lmd, *labels)
 
 
 def _reordered(td: list[list[int]], order1: list[int], order2: list[int]) -> list[list[int]]:
@@ -162,9 +218,12 @@ class _ZsRun:
     and the matching are those of the left-to-right pass.
 
     Every ``td`` cell of a keyroot pair with a leaf (its whole row when the
-    leaf is in t1, its whole column when in t2) is a distance to one node,
-    written in closed form before ``_fill`` runs on the inner keyroot pairs;
-    the table equals the one ``_fill`` writes over every keyroot pair.
+    leaf is in t1, its whole column when in t2) is a distance to one node.
+    A keyroot of two nodes, a node over its leaf child, has a row (or
+    column) of distances to a two-node tree and its child's row of
+    distances to one node. All of these are written in closed form before
+    ``_fill`` runs on the pairs of keyroots of three or more nodes; the table
+    equals the one ``_fill`` writes over every keyroot pair.
     """
 
     def __init__(self, t1: LabeledTree, t2: LabeledTree):
@@ -179,23 +238,24 @@ class _ZsRun:
         # one reusable forest-distance buffer; each subtree pair only touches
         # its own top-left region before reading it
         self.fd = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-        # a pair with a leaf keyroot writes only distances to one node: write
-        # them in closed form, leaf rows of t1 first, then leaf columns of t2
-        for label, leaves in _leaves_by_label(self.kr1, self.lmd1, self.lab1).items():
-            dist = _to_one_node(self.lab2, self.lmd2, label)
-            for i in leaves:
+        # a pair with a keyroot of one or two nodes writes only distances to
+        # a tree that small: write them in closed form, the rows of t1's
+        # first, then the columns of t2's
+        for labels, rows in _small_subtrees(self.kr1, self.lmd1, self.lab1).items():
+            dist = _to_small_tree(self.lab2, self.lmd2, labels)
+            for i in rows:
                 td[i][:] = dist
-        for label, leaves in _leaves_by_label(self.kr2, self.lmd2, self.lab2).items():
-            dist = _to_one_node(self.lab1, self.lmd1, label)
+        for labels, columns in _small_subtrees(self.kr2, self.lmd2, self.lab2).items():
+            dist = _to_small_tree(self.lab1, self.lmd1, labels)
             for row, d in zip(td, dist):
-                for j in leaves:
+                for j in columns:
                     row[j] = d
         # the subtree pair whose forest table ``fd`` holds, if any
         self._held: tuple[int, int] | None = None
-        inner2 = [j for j in self.kr2 if self.lmd2[j] != j]
+        big2 = [j for j in self.kr2 if self.lmd2[j] < j - 1]
         for i in self.kr1:
-            if self.lmd1[i] != i:
-                self._fill(i, inner2)
+            if self.lmd1[i] < i - 1:
+                self._fill(i, big2)
         if self.mirrored:
             self._orient(left1, left2, ids1, ids2)
             self.td = _reordered(self.td, left1.order, left2.order)
@@ -320,11 +380,11 @@ class _ZsRun:
     def mapping(self) -> list[tuple[int, int]]:
         """Matched (postorder1, postorder2) positions of one optimal script.
 
-        A left-to-right pass over trees of two nodes or more ends on the root
-        pair, so the backtrace starts from the table that pass left in ``fd``.
-        Every other pair ``(i, j)`` it descends into is refilled only in the
-        band its known distance ``D = td[i][j]`` allows (``_band``), and
-        ``td`` is only read. Unit costs give ``fd[x][y] >= |x - y|``, and the
+        A left-to-right pass over trees of three nodes or more ends on the
+        root pair, so the backtrace starts from the table that pass left in
+        ``fd``. Every other pair ``(i, j)`` it descends into is refilled only
+        in the band its known distance ``D = td[i][j]`` allows (``_band``),
+        and ``td`` is only read. Unit costs give ``fd[x][y] >= |x - y|``, and the
         cost still to go from ``(x, y)`` is at least the size difference
         left, so every cell on an optimal path lies in the band and gets its
         exact value; every cell outside it reads as at least its true value.

@@ -261,6 +261,15 @@ def _bench_task(
         return exc
 
 
+def _once_each(items: Sequence, name: str) -> None:
+    """Refuse a list that holds an item twice: it would run every pair twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{name} {item!r} is listed twice")
+        seen.add(item)
+
+
 def run_benchmark(
     corpus_dir: Path,
     params: SftmParams,
@@ -272,13 +281,16 @@ def run_benchmark(
     """Evaluate every bundle under ``corpus_dir`` with every algorithm, each
     pair through :func:`evaluate_pair` in a pool of ``jobs`` workers.
 
-    Malformed bundles are handled in directory order: with ``on_malformed``
-    None the first one raises :class:`CorpusError`; otherwise its message is
-    passed to ``on_malformed`` and the bundle is skipped.
+    An unknown algorithm, or one listed twice, raises ``ValueError`` before
+    any pair runs. Malformed bundles are handled in directory order: with
+    ``on_malformed`` None the first one raises :class:`CorpusError`;
+    otherwise its message is passed to ``on_malformed`` and the bundle is
+    skipped.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
+    _once_each(algorithms, "algorithm")
     timeout_s = timeout_cap(timeout_s)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -319,10 +331,11 @@ def sensitivity_sweep(
 
     Each alpha is one :func:`run_benchmark` of the similarity matcher with
     no timeout, so every bundle counts; an empty corpus gives no rows. Every
-    alpha is checked before any pair runs: an alpha outside ``(0, 1]``
-    raises ``ValueError`` first.
+    alpha is checked before any pair runs: an alpha outside ``(0, 1]``, or
+    one listed twice, raises ``ValueError`` first.
     """
     runs = [replace(params, alpha=alpha) for alpha in alphas]
+    _once_each([run.alpha for run in runs], "alpha")
     out: list[SweepRow] = []
     for run in runs:
         rows = run_benchmark(corpus_dir, run, timeout_s=None)

@@ -99,6 +99,8 @@ class SftmParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 < self.no_match_cost < math.inf:
             raise ValueError(f"no_match_cost must be finite and > 0, got {self.no_match_cost}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 
 @dataclass

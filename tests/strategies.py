@@ -138,3 +138,23 @@ def random_html_document(rng, max_fragments: int = 12) -> str:
     """One document like those of :func:`html_documents`, drawn from a
     ``random.Random``, for seeded fuzzing outside hypothesis."""
     return "".join(rng.choice(HTML_FRAGMENTS) for _ in range(rng.randint(0, max_fragments)))
+
+
+@st.composite
+def leaf_child_trees(draw, max_inner: int = 8, tags: tuple[str, ...] = ("a", "b")) -> LabeledTree:
+    """Random trees in which every node has zero or one leaf child.
+
+    Up to ``max_inner`` inner nodes hang from each other; each gets one leaf
+    child, in a drawn slot, if it has no other child, else with even odds.
+    So an inner node with no inner child roots a two-node subtree. Tags come
+    from ``tags`` and there are no attributes.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_inner))
+    nodes = [DraftNode(tag=draw(st.sampled_from(tags))) for _ in range(n)]
+    for k in range(1, n):
+        nodes[draw(st.integers(min_value=0, max_value=k - 1))].children.append(nodes[k])
+    for node in nodes:
+        if not node.children or draw(st.booleans()):
+            slot = draw(st.integers(min_value=0, max_value=len(node.children)))
+            node.children.insert(slot, DraftNode(tag=draw(st.sampled_from(tags))))
+    return freeze(nodes[0])

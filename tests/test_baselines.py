@@ -19,13 +19,19 @@ from oracles import (
     table_from_scores,
     thaw,
 )
-from strategies import labeled_trees, tree_pairs
-from treematch.baselines import _postorder_structure, _ZsRun, ted_distance, ted_match
+from strategies import labeled_trees, leaf_child_trees, tree_pairs
+from treematch.baselines import (
+    _postorder_structure,
+    _to_two_nodes,
+    _ZsRun,
+    ted_distance,
+    ted_match,
+)
 from treematch.graph import Matching, build_graph, matching_cost
 from treematch.mutate import assign_signatures, mutate
 from treematch.optimize import metropolis
 from treematch.similarity import SftmParams, initial_similarity, propagate
-from treematch.tree import DraftNode, LabeledTree, freeze, parse_html
+from treematch.tree import DraftNode, LabeledTree, freeze, label_ids, parse_html
 
 PARAMS = SftmParams()
 
@@ -238,7 +244,7 @@ class TestTedDirection:
 
 class TestTedLeafKeyroots:
     """Pairs with a leaf keyroot are written in closed form; the kernel runs
-    only on pairs of inner keyroots."""
+    only on pairs of keyroots of three or more nodes."""
 
     @staticmethod
     def assert_both_directions(t1: LabeledTree, t2: LabeledTree) -> None:
@@ -286,24 +292,67 @@ class TestTedLeafKeyroots:
         self.assert_both_directions(t2, t1)
 
     @pytest.mark.parametrize("mirror", [False, True], ids=["mirrored-pass", "left-to-right-pass"])
-    def test_kernel_never_gets_a_leaf_keyroot(self, monkeypatch, mirror):
+    def test_kernel_gets_only_keyroots_of_three_or_more_nodes(self, monkeypatch, mirror):
         source, mutant = p00_pair(mirror)
         calls: list[tuple[int, list[int]]] = []
         fill = _ZsRun._fill
 
         def spy(run: _ZsRun, i: int, js) -> None:
             js = list(js)
-            assert run.lmd1[i] != i and all(run.lmd2[j] != j for j in js)
+            assert run.lmd1[i] < i - 1 and all(run.lmd2[j] < j - 1 for j in js)
             calls.append((i, js))
             fill(run, i, js)
 
         monkeypatch.setattr(_ZsRun, "_fill", spy)
         run = _ZsRun(source, mutant)
         assert run.mirrored is not mirror
-        # one call per inner keyroot of t1, against every inner keyroot of t2
+        # one call per keyroot of three or more nodes in t1, against every
+        # such keyroot of t2; both trees have two-node keyroots the kernel skips
         pass1, pass2 = (s[run.mirrored] for s in map(_postorder_structure, (source, mutant)))
-        inner1, inner2 = ([k for k in s.keyroots if s.lmd[k] != k] for s in (pass1, pass2))
-        assert calls == [(i, inner2) for i in inner1]
+        for s in (pass1, pass2):
+            assert any(s.lmd[k] == k - 1 for k in s.keyroots)
+        big1, big2 = ([k for k in s.keyroots if s.lmd[k] < k - 1] for s in (pass1, pass2))
+        assert calls == [(i, big2) for i in big1]
+
+
+class TestTedTwoNodeKeyroots:
+    """Pairs with a two-node keyroot are written in closed form too."""
+
+    # (tree, its distance to a top "a" over a bottom "b"), by the case of
+    # ``_to_two_nodes`` that gives it
+    CASES = {
+        "one-node-top": (build("a"), 1),
+        "one-node-bottom": (build("b"), 1),
+        "one-node-other": (build("c"), 2),
+        # t - 2 + 0: the top node's grandchild is a bottom node
+        "top-over-bottom": (build("a", build("c", build("b")), build("c")), 2),
+        # t - 2 + 1: a top node with a child, and no bottom node under it
+        "inner-top": (build("c", build("b"), build("a", build("c"))), 3),
+        # t - 2 + 1: a bottom node below the root; the top node is a leaf
+        "bottom-below-root": (build("c", build("c", build("b")), build("a")), 3),
+        # t - 2 + 2: the bottom node is the root and the top node a leaf
+        "neither": (build("b", build("c"), build("a")), 3),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_distance_to_two_nodes(self, name):
+        draft, distance = self.CASES[name]
+        tree, two = freeze(draft), freeze(build("a", build("b")))
+        ids, (top, bottom), _ = label_ids(tree, two)
+        left, _ = _postorder_structure(tree)
+        got = _to_two_nodes([ids[v] for v in left.order], left.lmd, top, bottom)
+        assert got[-1] == distance
+        # every subtree's distance, the root's included, is the oracle's
+        assert got == [row[-1] for row in reference_ted_table(tree, two)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([("a", "b"), ("a", "b", "c")]).flatmap(
+        lambda tags: st.tuples(*[leaf_child_trees(tags=tags)] * 2)))
+    def test_leaf_child_pairs_equal_left_to_right_oracle(self, pair):
+        # every inner node has zero or one leaf child, so many keyroots have
+        # two nodes, and with two or three tags their labels often repeat
+        t1, t2 = pair
+        TestTedLeafKeyroots.assert_both_directions(t1, t2)
 
 
 class TestTedForestTables:
@@ -389,8 +438,11 @@ class TestTedBacktrace:
 
     @pytest.mark.parametrize("child", ["a", "b"])
     def test_one_node_tree_refills_root_table(self, monkeypatch, child):
+        # every whole tree is a keyroot of one or two nodes, so the pass
+        # leaves no table in ``fd``; in the last case both are two-node trees
         one, two = freeze(build("a")), freeze(build("div", build(child)))
-        for t1, t2 in ((one, two), (two, one)):
+        other = freeze(build("div", build("a")))
+        for t1, t2 in ((one, two), (two, one), (two, other)):
             run, calls, root = self.mapping_fills(monkeypatch, t1, t2)
             assert [(i, js) for i, js, _ in calls] == [root]
             got, want = ted_match(t1, t2), reference_ted_match(t1, t2)

@@ -498,6 +498,44 @@ class TestSweepCommand:
         assert not out.exists() and not Path(str(out) + ".config.json").exists()
 
 
+class TestRepeatedItemsRefused:
+    """bench and sweep refuse an item listed twice before any pair runs,
+    which would otherwise run every pair twice and write duplicate rows."""
+
+    @pytest.fixture
+    def corpus(self, page_file, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["mutate", str(page_file), "--ratio", "0.2", "--count", "2",
+              "--out-dir", str(corpus)])
+        capsys.readouterr()
+        return corpus
+
+    @staticmethod
+    def rejected(capsys, out, *argv) -> str:
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        assert not out.exists() and not Path(str(out) + ".config.json").exists()
+        return only_error_line(capsys.readouterr().err)
+
+    def test_bench_algorithm_listed_twice(self, corpus, tmp_path, capsys, monkeypatch):
+        def listed(*args, **kwargs):
+            pytest.fail("the corpus was read")
+
+        monkeypatch.setattr(evaluate, "discover_bundles", listed)
+        line = self.rejected(capsys, tmp_path / "r.csv",
+                             "bench", str(corpus), "--algorithms", "ted,similarity,ted")
+        assert line == "error: algorithm 'ted' is listed twice"
+
+    @pytest.mark.parametrize("alphas", ["0.5,0.5", "0.5,0.8,0.50"])
+    def test_sweep_alpha_listed_twice(self, corpus, tmp_path, capsys, monkeypatch, alphas):
+        def run(*args, **kwargs):
+            pytest.fail("a pair ran")
+
+        monkeypatch.setattr(evaluate, "run_benchmark", run)
+        line = self.rejected(capsys, tmp_path / "s.csv", "sweep", str(corpus), "--alphas", alphas)
+        assert line == "error: alpha 0.5 is listed twice"
+
+
 class TestCsvInputsCheckedFirst:
     """bench and sweep reject their inputs with one error line before any pair runs."""
 

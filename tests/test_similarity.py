@@ -73,6 +73,9 @@ class TestParams:
         ("iterations", "3"),
         ("weights", [1.0, 0.5]),  # mutable inside a frozen, hashed dataclass
         ("weights", 1.0),
+        ("seed", True),  # the sidecar would record true
+        ("seed", 1.5),
+        ("seed", "1"),
     ])
     def test_wrong_type_refused_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
